@@ -212,32 +212,27 @@ class AdmissibleLevel:
 # -- theta numerators ---------------------------------------------------------
 
 
+def _theta_difference(a: int, b: int, c: int, p_prime: int, N: Rat) -> WQSeries:
+    """theta_(b-c, a) - theta_(-b-c, a) at scaled arguments (1/(2p'), 1/2)."""
+    ws, qs = QQ(1, 2 * p_prime), QQ(1, 2)
+    return wq_add(
+        theta_big(b - c, a, ws, qs, N),
+        wq_scalar(theta_big(-b - c, a, ws, qs, N), -1),
+    )
+
+
 def osp_numerator(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     """Two-variable theta numerator of the superalgebra character."""
     level.check_osp(label)
     p, pp = level.p, level.p_prime
-    a = p * pp
-    b_plus = pp * label.r - p * label.s
-    b_minus = -pp * label.r - p * label.s
-    ws, qs = QQ(1, 2 * pp), QQ(1, 2)
-    return wq_add(
-        theta_big(b_plus, a, ws, qs, N),
-        wq_scalar(theta_big(b_minus, a, ws, qs, N), -1),
-    )
+    return _theta_difference(p * pp, pp * label.r, p * label.s, pp, N)
 
 
 def sl2_numerator(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
     """Two-variable theta numerator of the affine sl2 character."""
     level.check_sl2(label)
     d, pp = level.delta, level.p_prime
-    a = d * pp
-    b_plus = 2 * pp * label.r - d * label.s
-    b_minus = -2 * pp * label.r - d * label.s
-    ws, qs = QQ(1, 2 * pp), QQ(1, 2)
-    return wq_add(
-        theta_big(b_plus, a, ws, qs, N),
-        wq_scalar(theta_big(b_minus, a, ws, qs, N), -1),
-    )
+    return _theta_difference(d * pp, 2 * pp * label.r, d * label.s, pp, N)
 
 
 def vir_numerator(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
@@ -254,14 +249,23 @@ def vir_numerator(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
 # -- characters ---------------------------------------------------------------
 
 
-def _integer_level_floor(level: AdmissibleLevel, N: QQ) -> QQ:
-    # every true term of an integer-level character has w-exponent of
-    # magnitude <= top isospin + depth < p/2 + (N + 1); one unit of margin
-    return -(QQ(level.p, 2) + N + 2)
+def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
+                   N: QQ, w_floor: Optional[Rat]) -> WQSeries:
+    """num / denominator(M) on the box q < N, with M large enough for that box.
 
-
-def _default_floor(N: QQ) -> QQ:
-    return -(N + 4)
+    At integer level with no ``w_floor`` the quotient is computed without a
+    floor, so the division itself proves every q-slice's w-support complete.
+    Otherwise the slices are descending series in w, cut at ``w_floor``
+    (default -(N+4)).
+    """
+    if num.is_zero:
+        return WQSeries((), N, None)
+    M_den = N - math.floor(min(num.min_q(), 0)) + 2
+    if level.is_integer_level and w_floor is None:
+        F = None
+    else:
+        F = -(N + 4) if w_floor is None else as_fraction(w_floor)
+    return wq_div(num, denominator(M_den), q_trunc=N, w_floor=F)
 
 
 def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat,
@@ -275,16 +279,7 @@ def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat,
     """
     N = as_fraction(N)
     num = osp_numerator(level, label, N + 1)
-    if num.is_zero:
-        return WQSeries((), N, None)
-    m_num = num.min_q()
-    M_den = N - math.floor(min(m_num, 0)) + 2
-    den = weyl_denominator(M_den, "theta")
-    if level.is_integer_level and w_floor is None:
-        ch = wq_div(num, den, q_trunc=N, w_floor=_integer_level_floor(level, N))
-        return ch.truncate_q(N)._with_floor(None)
-    F = _default_floor(N) if w_floor is None else as_fraction(w_floor)
-    return wq_div(num, den, q_trunc=N, w_floor=F).truncate_q(N)
+    return _quotient_char(level, num, weyl_denominator, N, w_floor)
 
 
 def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat,
@@ -296,16 +291,7 @@ def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat,
     """
     N = as_fraction(N)
     num = sl2_numerator(level, label, N + 1)
-    if num.is_zero:
-        return WQSeries((), N, None)
-    m_num = num.min_q()
-    M_den = N - math.floor(min(m_num, 0)) + 2
-    den = vartheta1_times_i(M_den)
-    if level.is_integer_level and w_floor is None:
-        ch = wq_div(num, den, q_trunc=N, w_floor=_integer_level_floor(level, N))
-        return ch.truncate_q(N)._with_floor(None)
-    F = _default_floor(N) if w_floor is None else as_fraction(w_floor)
-    return wq_div(num, den, q_trunc=N, w_floor=F).truncate_q(N)
+    return _quotient_char(level, num, vartheta1_times_i, N, w_floor)
 
 
 def vir_char(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:

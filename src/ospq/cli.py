@@ -34,10 +34,11 @@ from .modular import (NonIntegralFusion, SMatrix, check_s_transform_numeric,
                       vir_weight_map)
 from .qseries import NonconvergentDomain, QSeries, qs_equal_below
 from .selftest import run_all
-from .theta import WQSeries
+from .theta import IncompleteQuotient, WQSeries
 
 USAGE_ERRORS = (InvalidLabel, OutOfRange)
-VERIFY_ERRORS = (NonIntegralFusion, InconsistentBranching, NonconvergentDomain)
+VERIFY_ERRORS = (NonIntegralFusion, InconsistentBranching, NonconvergentDomain,
+                 IncompleteQuotient)
 
 
 # -- serialization helpers -----------------------------------------------------

@@ -158,7 +158,7 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus",
             break
         margin += N - guaranteed + 1
     else:
-        raise RuntimeError("phase-sum margin failed to stabilise")
+        raise InconsistentBranching("phase-sum margin failed to stabilise")
 
     with mp.workprec(precision + 16):
         # phase-projected slices: acc[q_exp] = sum_x phase(x) f_x coeff

@@ -10,18 +10,27 @@ A :class:`WQSeries` stores exact coefficients on the grid of rational
   (None = the full w-support is stored).
 
 Stored terms are exactly the true nonzero coefficients inside the box and
-nothing is stored outside it.  A floor is unavoidable when dividing: in the
-expansion domain 1 <= |w| <= |q|^{-1} the inverse of a multi-term leading
-w-slice is an infinite *descending* geometric series in w, so only a window
-w >= floor can be materialised.  All operations propagate the box honestly,
+nothing is stored outside it.  All operations propagate the box honestly,
 including the floor degradation of slice convolutions.
+
+Division (:func:`wq_div`) solves D * chi = num one q-slice at a time,
+chi_y = (num_(y+beta) - sum over m > 0 of D_m chi_(y-m)) / D_0, with the
+step ``/ D_0`` done as descending long division by the leading w-polynomial
+of the denominator, on exponents scaled to an integer lattice.  Without a
+floor every slice must divide with a zero remainder, which proves the
+quotient's w-support complete.  A floor is unavoidable when the quotient is
+an infinite *descending* series in w, as for the characters at fractional
+level: in the expansion domain 1 <= |w| <= |q|^{-1} dividing by a multi-term
+leading w-slice such as w^a (1 - w^{-step}) never terminates.  Then each
+slice is computed down to the floor minus the w-extent that the slices above
+it can still read, so that the returned window w >= floor is exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 from .qseries import (
     QQ,
@@ -118,13 +127,6 @@ class WQSeries:
             out.update(sl)
         return out
 
-    def w_lattice_denominator(self) -> int:
-        D = 1
-        for sl in self.terms.values():
-            for we in sl:
-                D = math.lcm(D, we.denominator)
-        return D
-
     def w_slice(self, we: Rat) -> QSeries:
         """The q-series multiplying w^we (guaranteed to order q_trunc)."""
         we = as_fraction(we)
@@ -145,24 +147,6 @@ class WQSeries:
             sl = self.terms[qe]
             for we in sorted(sl, reverse=True):
                 yield qe, we, sl[we]
-
-    def truncate_q(self, T: Rat) -> "WQSeries":
-        return WQSeries(self.terms, _min_trunc(self.q_trunc, as_fraction(T)),
-                        self.w_floor)
-
-    def restrict_floor(self, F: Rat) -> "WQSeries":
-        F = as_fraction(F)
-        if self.w_floor is not None and F < self.w_floor:
-            raise ValueError("cannot lower a floor (would claim unknown terms)")
-        return WQSeries(self.terms, self.q_trunc, F)
-
-    def _with_floor(self, F: Optional[QQ]) -> "WQSeries":
-        """Unchecked floor override; caller asserts completeness externally."""
-        out = WQSeries.__new__(WQSeries)
-        out.terms = self.terms
-        out.q_trunc = self.q_trunc
-        out.w_floor = F
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, WQSeries):
@@ -392,175 +376,166 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
 # -- division ---------------------------------------------------------------
 
 
-def _wconv(x: Slice, y: Slice, floor: Optional[QQ]) -> Slice:
-    out: Slice = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            w = wx + wy
-            if floor is not None and w < floor:
-                continue
-            s = out.get(w)
-            s = cx * cy if s is None else s + cx * cy
-            if s == 0:
-                del out[w]
-            else:
-                out[w] = s
-    return out
+class IncompleteQuotient(ValueError):
+    """Raised when an unfloored division leaves a nonzero remainder: the
+    quotient has unbounded descending w-support, so a ``w_floor`` is needed."""
 
 
-def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
-              w_floor: Optional[Rat] = None) -> WQSeries:
-    """Inverse of b on a requested guarantee box.
-
-    The leading monomial is the maximal-w term of the minimal-q slice (the
-    expansion domain has |w| >= 1).  If the leading slice has further terms,
-    the inverse has unbounded descending w-support and ``w_floor`` is
-    mandatory.  The computation tracks the floor degradation of the slice
-    recursion so that the returned box is honest.
-    """
-    if not b.terms:
-        raise EmptySeries("cannot invert a series with no terms")
-    if b.w_floor is not None:
-        raise ValueError("inverting a w-floored series is not supported")
-    beta = b.min_q()
-    lead = b.terms[beta]
-    alpha = max(lead)
-    c0 = lead[alpha]
-
-    U: Dict[QQ, Slice] = {}
-    for qe, sl in b.terms.items():
-        dq = qe - beta
-        for we, c in sl.items():
-            dw = we - alpha
-            if dq == 0 and dw == 0:
-                continue
-            U.setdefault(dq, {})[dw] = c / c0
-    U0 = U.pop(QQ(0), {})
-
-    max_T = None if b.q_trunc is None else b.q_trunc - 2 * beta
-    if q_trunc is None:
-        if max_T is None:
-            raise ValueError("q_trunc is required to invert a complete series")
-        T_out = max_T
-    else:
-        T_out = as_fraction(q_trunc)
-        if max_T is not None and T_out > max_T:
-            raise ValueError(
-                "requested inverse order %s exceeds the achievable %s" % (T_out, max_T)
-            )
-    T_rel = T_out + beta
-
-    F_W: Optional[QQ] = None
-    F_store: Optional[QQ] = None
-    if U0 and w_floor is None:
-        raise ValueError(
-            "w_floor is required: the inverse has unbounded descending w-support"
-        )
-    if w_floor is not None:
-        F_W = as_fraction(w_floor) + alpha
-        # floor slack: worst-case w-max accumulated along slice compositions
-        slack = QQ(0)
-        if U and T_rel > 0:
-            wmax_u = {m: max(max(sl), QQ(0)) for m, sl in U.items()}
-            L = 1
-            for m in U:
-                L = math.lcm(L, m.denominator)
-            g = {QQ(0): QQ(0)}
-            j = 1
-            while QQ(j, L) < T_rel:
-                n = QQ(j, L)
-                best = None
-                for m, wm in wmax_u.items():
-                    if m > n:
-                        continue
-                    prev = g.get(n - m)
-                    if prev is None:
-                        continue
-                    cand = prev + wm
-                    if best is None or cand > best:
-                        best = cand
-                if best is not None:
-                    g[n] = best
-                    if best > slack:
-                        slack = best
-                j += 1
-        F_store = F_W - slack
-
-    # W0 = (1 + U0)^{-1} via the Neumann series in descending w-powers
-    W0: Slice = {QQ(0): QQ(1)}
-    if U0:
-        neg = {we: -c for we, c in U0.items()}
-        power = {QQ(0): QQ(1)}
-        while True:
-            power = _wconv(power, neg, F_store)
-            if not power:
-                break
-            for we, c in power.items():
-                s = W0.get(we)
-                s = c if s is None else s + c
-                if s == 0:
-                    W0.pop(we, None)
-                else:
-                    W0[we] = s
-
-    W: Dict[QQ, Slice] = {QQ(0): W0}
-    if U and T_rel > 0:
-        L = 1
-        for m in U:
-            L = math.lcm(L, m.denominator)
-        steps = sorted(U.items())
-        j = 1
-        while QQ(j, L) < T_rel:
-            n = QQ(j, L)
-            acc: Slice = {}
-            for m, Um in steps:
-                if m > n:
-                    break
-                Wp = W.get(n - m)
-                if not Wp:
-                    continue
-                for we, c in _wconv(Um, Wp, F_store).items():
-                    s = acc.get(we)
-                    s = c if s is None else s + c
-                    if s == 0:
-                        del acc[we]
-                    else:
-                        acc[we] = s
-            if acc:
-                Wn = _wconv(W0, {we: -c for we, c in acc.items()}, F_store)
-                if Wn:
-                    W[n] = Wn
-            j += 1
-
-    inv_c0 = 1 / c0
-    out_floor = None if w_floor is None else as_fraction(w_floor)
-
-    def gen():
-        for n, sl in W.items():
-            qe = n - beta
-            for we, c in sl.items():
-                yield qe, we - alpha, c * inv_c0
-
-    return WQSeries(gen(), T_out, out_floor)
+def _on_lattice(a: WQSeries, q0: QQ, step: QQ, Lw: int) -> Dict[int, Dict[int, object]]:
+    """Slices of ``a`` keyed by (q - q0) / step and w * Lw, both ints;
+    integral coefficients become Python ints."""
+    return {
+        int((qe - q0) / step): {
+            we.numerator * (Lw // we.denominator):
+                c.numerator if c.denominator == 1 else c
+            for we, c in sl.items()
+        }
+        for qe, sl in a.terms.items()
+    }
 
 
 def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
            w_floor: Optional[Rat] = None) -> WQSeries:
-    """a / b on a requested box (a must currently be unfloored)."""
+    """a / b on the box q < q_trunc, w >= w_floor, by one slice recursion.
+
+    With b = sum over m >= 0 of D_m q^(beta + m) and leading slice
+    D_0 = c0 w^alpha + (lower w-powers), the quotient solves
+
+        chi_y = (a_(y + beta) - sum over m > 0 of D_m chi_(y - m)) / D_0
+
+    slice by slice, and ``/ D_0`` is descending long division: the quotient
+    term at w^e reads only remainder exponents >= e + alpha.  q-slices are
+    integer steps from the lowest quotient slice, w-exponents are scaled to
+    ints, and integral coefficients stay Python ints while c0 = +-1;
+    Fractions are built only for the returned series.
+
+    Without ``w_floor`` every slice must divide with a zero remainder, which
+    proves the returned w-support complete; a nonzero remainder raises
+    :class:`IncompleteQuotient`.  With ``w_floor`` F, slice y is computed
+    down to F - slack(n), where n is its distance to the top slice and
+    slack(n) is the largest sum of the positive w-extents max_w(D_m) - alpha
+    over chains of steps m > 0 totalling <= n: that is as far below F as the
+    slices above y read it, so the returned terms are exact at every w >= F.
+
+    ``q_trunc`` defaults to, and may not exceed, the order that the boxes of
+    a and b support.
+    """
     if a.w_floor is not None:
         raise ValueError("dividing a w-floored series is not supported")
     ma = a.min_q_bound()
     if ma is None:
-        return WQSeries((), None, None)
-    inv_T = None if q_trunc is None else as_fraction(q_trunc) - ma
-    inv_F = None
-    if w_floor is not None:
-        wa = a.wmax()
-        if wa is None:
-            return WQSeries((), q_trunc, None)
-        inv_F = as_fraction(w_floor) - wa
-    inv = wq_invert(b, q_trunc=inv_T, w_floor=inv_F)
-    return wq_mul(a, inv)
+        return WQSeries((), None, None)  # exact zero numerator
+    if not b.terms:
+        raise EmptySeries("cannot divide by a series with no terms")
+    if b.w_floor is not None:
+        raise ValueError("dividing by a w-floored series is not supported")
+    beta = b.min_q()
+    limits = []
+    if a.q_trunc is not None:
+        limits.append(a.q_trunc - beta)
+    if b.q_trunc is not None:
+        limits.append(b.q_trunc - 2 * beta + ma)
+    if q_trunc is None:
+        if not limits:
+            raise ValueError("q_trunc is required to divide complete series")
+        T = min(limits)
+    else:
+        T = as_fraction(q_trunc)
+        if limits and T > min(limits):
+            raise ValueError(
+                "requested quotient order %s exceeds the achievable %s" % (T, min(limits))
+            )
+    F = None if w_floor is None else as_fraction(w_floor)
+    if not a.terms:
+        return WQSeries((), T, F)
+
+    y0 = ma - beta
+    offsets = [qe - ma for qe in a.terms] + [qe - beta for qe in b.terms]
+    L = math.lcm(*(o.denominator for o in offsets))
+    step = QQ(math.gcd(*(o.numerator * (L // o.denominator) for o in offsets)) or 1, L)
+    Lw = math.lcm(*(we.denominator for x in (a, b)
+                    for sl in x.terms.values() for we in sl))
+    A = _on_lattice(a, ma, step, Lw)
+    D = _on_lattice(b, beta, step, Lw)
+    D0 = D.pop(0)
+    alpha, dmin = max(D0), min(D0)
+    c0 = D0[alpha]
+    lower = [(d, c) for d, c in D0.items() if d != alpha]
+    inv_c0 = c0 if c0 in (1, -1) else 1 / QQ(c0)
+    steps = sorted(D.items())
+    J = max(math.ceil((T - y0) / step), 0)
+    if F is not None:
+        Fi = math.ceil(F * Lw)
+        ext = [(m, max(sl) - alpha) for m, sl in steps if max(sl) > alpha]
+        slack = [0] * max(J, 1)
+        for n in range(1, J):
+            slack[n] = max([e + slack[n - m] for m, e in ext if m <= n], default=0)
+
+    chi: Dict[int, Dict[int, object]] = {}
+    for j in range(J):
+        rem = dict(A.get(j, ()))
+        # remainder exponents below lo are never read inside the box
+        lo = None if F is None else Fi - slack[J - 1 - j] + alpha
+        for m, Dm in steps:
+            if m > j:
+                break
+            for d, dc in Dm.items():
+                for e, c in chi.get(j - m, {}).items():
+                    g = d + e
+                    if lo is None or g >= lo:
+                        rem[g] = rem.get(g, 0) - dc * c
+        rem = {g: c for g, c in rem.items() if c}
+        if not rem:
+            continue
+        # without a floor a finite quotient ends at w^(min(rem) - min(D_0))
+        stop = min(rem) - dmin + alpha if lo is None else lo
+        heap = [-g for g in rem]
+        heapq.heapify(heap)
+        sl = chi[j] = {}
+        while heap:
+            g = -heapq.heappop(heap)
+            c = rem.pop(g)
+            if not c:
+                continue
+            if g < stop:
+                if lo is None:
+                    raise IncompleteQuotient(
+                        "q-slice %s leaves a nonzero remainder below w^%s: the "
+                        "quotient has unbounded descending w-support, so a "
+                        "w_floor is required" % (y0 + j * step, QQ(stop - alpha, Lw)))
+                break
+            e = g - alpha
+            sl[e] = qc = c * inv_c0
+            for d, dc in lower:
+                h = e + d
+                if h in rem:
+                    rem[h] -= qc * dc
+                else:
+                    rem[h] = -qc * dc
+                    heapq.heappush(heap, -h)
+
+    terms: Dict[QQ, Slice] = {}
+    for j, sl in chi.items():
+        out = {QQ(e, Lw): QQ(c) for e, c in sl.items() if F is None or e >= Fi}
+        if out:
+            terms[y0 + j * step] = out
+    res = WQSeries.__new__(WQSeries)
+    res.terms = terms
+    res.q_trunc = T
+    res.w_floor = F
+    return res
+
+
+def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
+              w_floor: Optional[Rat] = None) -> WQSeries:
+    """Inverse of b on a requested guarantee box: ``wq_div(1, b, ...)``.
+
+    The expansion domain has |w| >= 1, so the leading monomial is the
+    maximal-w term of the minimal-q slice.  If the leading slice has further
+    terms the inverse has unbounded descending w-support, and without a
+    ``w_floor`` the division raises :class:`IncompleteQuotient`.
+    """
+    return wq_div(WQSeries(((0, 0, 1),)), b, q_trunc, w_floor)
 
 
 # -- theta constructors ------------------------------------------------------

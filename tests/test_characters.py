@@ -24,7 +24,7 @@ from ospq.characters import (
     vir_char,
 )
 from ospq.qseries import QSeries, qs_equal_below, qs_eta, qs_invert, qs_mul
-from ospq.theta import wq_equal_on_box
+from ospq.theta import vartheta1_times_i, weyl_denominator, wq_equal_on_box, wq_mul
 
 LEVELS = (
     AdmissibleLevel(5, 1),
@@ -212,6 +212,47 @@ def test_virasoro_characters_match_classical_kac_sum():
 def test_vacuum_central_charge_read_from_character():
     for lvl in LEVELS:
         assert osp_vacuum_central_charge(lvl) == lvl.c_osp
+
+
+BOX_LEVELS = (
+    AdmissibleLevel(5, 1),
+    AdmissibleLevel(7, 1),
+    AdmissibleLevel(3, 5),
+    AdmissibleLevel(5, 3),
+)
+QUOTIENTS = [
+    (lvl, lab, osp_char, characters.osp_numerator, weyl_denominator)
+    for lvl in BOX_LEVELS for lab in lvl.osp_labels()
+] + [
+    (lvl, lab, sl2_char, characters.sl2_numerator, vartheta1_times_i)
+    for lvl in BOX_LEVELS for lab in lvl.sl2_labels()
+]
+
+
+@pytest.mark.parametrize(
+    "lvl, label, char, numerator, denominator", QUOTIENTS,
+    ids=["%s-%d-%d-%d-%d" % (q[2].__name__, q[0].p, q[0].p_prime, q[1].r, q[1].s)
+         for q in QUOTIENTS])
+def test_character_is_the_exact_quotient_on_its_box(lvl, label, char, numerator,
+                                                    denominator):
+    N = QQ(6)
+    ch = char(lvl, label, N)
+    assert ch.n_terms() > 0 and ch.q_trunc == N
+    ok, bad, box = wq_equal_on_box(wq_mul(denominator(N + 2), ch),
+                                   numerator(lvl, label, N + 1))
+    assert ok, bad
+    assert box[0] >= N
+    if lvl.is_integer_level:
+        # complete w-support inside the isospin + depth bound
+        assert ch.w_floor is None
+        bound = QQ(lvl.p, 2) + N + 1
+        assert all(abs(we) <= bound for we in ch.w_exponents())
+    else:
+        lower = char(lvl, label, N, w_floor=ch.w_floor - 3)
+        assert lower.w_floor == ch.w_floor - 3
+        above = {qe: {we: c for we, c in sl.items() if we >= ch.w_floor}
+                 for qe, sl in lower.terms.items()}
+        assert {qe: sl for qe, sl in above.items() if sl} == ch.terms
 
 
 # -- branching identities ----------------------------------------------------------

@@ -5,7 +5,9 @@ from fractions import Fraction as QQ
 
 from click.testing import CliRunner
 
+import ospq.cli as cli
 from ospq.cli import main
+from ospq.theta import IncompleteQuotient
 
 
 def run(*args, env=None):
@@ -52,6 +54,18 @@ def test_char_fractional_level():
 def test_char_invalid_label_is_usage_error():
     res = run("char", "--family", "osp", "-k", "1", "-r", "2", "-N", "2")
     assert res.exit_code == 2
+
+
+def test_incomplete_quotient_is_verification_failure(monkeypatch):
+    def incomplete(*args, **kwargs):
+        raise IncompleteQuotient("q-slice 0 leaves a nonzero remainder")
+
+    monkeypatch.setattr(cli, "osp_char", incomplete)
+    res = run("char", "--family", "osp", "-k", "1", "-r", "1", "-N", "2")
+    assert res.exit_code == 1
+    payload = json.loads(res.output)
+    assert payload["ok"] is False
+    assert payload["error"] == "IncompleteQuotient"
 
 
 def test_level_flags_are_exclusive():

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ospq.coset as coset
 from ospq.characters import AdmissibleLevel, InvalidLabel, VirLabel, char_w1, vir_char
 from ospq.coset import (
     CosetLabel,
@@ -22,6 +23,7 @@ from ospq.coset import (
 from ospq.fusion import OutOfRange, parafermion_fusion
 from ospq.modular import derived_tolerance, s_small, st_cube_defect, t_matrix, verlinde_standard
 from ospq.qseries import qs_equal_below
+from ospq.theta import WQSeries
 
 st_k = st.integers(min_value=1, max_value=4)
 
@@ -137,6 +139,13 @@ def test_phase_sum_route_agrees_with_direct():
 def test_phase_sum_integer_gate_fires():
     with pytest.raises(InconsistentBranching):
         coset_char_phase_sum(3, (1, 1), 3, tolerance=1e-60)
+
+
+def test_phase_sum_margin_failure_is_a_branching_error(monkeypatch):
+    # a character whose box falls short by as much as the order grows
+    monkeypatch.setattr(coset, "_full_char", lambda k, r, M: WQSeries((), -M, None))
+    with pytest.raises(InconsistentBranching):
+        coset_char_phase_sum(1, (0, 1), 3)
 
 
 # -- sector T phases -----------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ospq.qseries import EmptySeries, QSeries, qs_eta
 from ospq.theta import (
+    IncompleteQuotient,
     InvalidIndex,
     WQSeries,
     theta_big,
@@ -268,3 +269,14 @@ def test_division_round_trip():
     back = wq_mul(b, quot)
     ok, bad, _ = wq_equal_on_box(back, a)
     assert ok, bad
+
+
+def test_unfloored_division_with_infinite_quotient_raises():
+    # 1 / (w^{1/2} - w^{-1/2}) = w^{-1/2} + w^{-3/2} + ... never terminates
+    one = WQSeries(((0, 0, 1),), None, None)
+    b = WQSeries(((0, QQ(1, 2), 1), (0, QQ(-1, 2), -1)), None, None)
+    with pytest.raises(IncompleteQuotient):
+        wq_div(one, b, q_trunc=1)
+    floored = wq_div(one, b, q_trunc=1, w_floor=-3)
+    assert floored.terms == {QQ(0): {QQ(-1, 2): QQ(1), QQ(-3, 2): QQ(1), QQ(-5, 2): QQ(1)}}
+    assert (floored.q_trunc, floored.w_floor) == (QQ(1), QQ(-3))
