@@ -1,8 +1,10 @@
 """Command-line interface: payload shapes, exit codes, format/env handling."""
 
+import hashlib
 import json
 from fractions import Fraction as QQ
 
+import pytest
 from click.testing import CliRunner
 
 import ospq.cli as cli
@@ -246,3 +248,77 @@ def test_selftest_fast_subset():
     assert payload["ok"] is True
     assert sorted(c["number"] for c in payload["criteria"]) == [1, 7]
     assert all(c["passed"] for c in payload["criteria"])
+
+
+# -- byte identity of the documented outputs --------------------------------------------
+
+# sha256 of the stdout of each command, recorded before a refactor that must
+# not change any output byte: the 14 README examples, then every command that
+# resolves a Virasoro pair, once from -u -p and once from -k.  After an
+# intended output change, re-record with `PYTHONPATH=src python
+# tests/test_cli.py`, which prints this table.
+OUTPUT_DIGESTS = {
+    'char --family osp -k 1 -r 1 -N 4':
+        '1b2ebddfb777cd7d9659653f8a815eebbd7277de70fcc5bbda4a00d2a76a2eef',
+    'char --family vir -p 3 --pprime 5 -r 1 -s 2':
+        '13b2b35d81826743a732bbe643f81853508f24093ad2f25b4d3501f5be572851',
+    'theta-identity -p 5 --pprime 1 -r 1 -s 0 -N 20':
+        'cbc1c0050ae499b5715b7dfb056b60d43a766ae66fbe4e833bd7a41baf8f0cd6',
+    'decompose -k 2 -N 8':
+        '3eff5540c721819640ac46215ccfb3966f5b3b74034ddce3cfad5c470f9fb218',
+    'fusion --family osp -k 1 --format table':
+        '6fd61031f5cc384acfe81bae41f60c538435cdc8e5fa56ccd134ecb1e9ab31d9',
+    'smatrix --family extended -k 2':
+        '1a530563d3d57ff4f217e6650f6e116b42699b0248a3e3a24214891779a17df7',
+    'tmatrix --family coset -k 2':
+        '58f75743d0c599747602a9d5a097c3f305dc654530e81613c07bfec9a6cb29b4',
+    'verlinde --family coset -k 2':
+        '38f845c4aa804c2528cb673b5c61083ed3d9380080e8b32bea3d14566e9c81c2',
+    'verlinde-super -k 3':
+        '5bbaa88a6f210a289a2fe0a8978b83a07ea3b422c31ebeef99c041150c0014e7',
+    'fpdim -k 1':
+        '9b8089e96a7c038b7b98a902120054ad4a722aa5f9f1551fcce440e312e96890',
+    'minweight -k 4':
+        '7311dba7c8c09f4830d5ebe1c5ea845471084b2f8475e2b18482690d34f901df',
+    'stransform-check -k 1 --tau0 2j -N 40':
+        '7bab4de0b381d1b08ead8275b98b285f1e96ad3793c7d758ae61788c1ab5502e',
+    'coset-char -k 2 --nu 1 -r 3 --method both':
+        '1b9a3e6d43d99857a7f14d9d0b52ea20ecd4f766cc80ce2f37cf31cf3b6b842a',
+    'coset-smatrix -k 3':
+        '0ee003ca7c4b41558d9f7853e3b0bb682174fae2cf295c78eb9feb53af7faa6a',
+    'fusion --family vir -u 3 -p 5':
+        '70e46fb4cd6c44f83d22e3cc911cd48564267c1a0d5093dacaea0c0a16e60665',
+    'fusion --family vir -k 1':
+        '70e46fb4cd6c44f83d22e3cc911cd48564267c1a0d5093dacaea0c0a16e60665',
+    'smatrix --family vir -u 3 -p 5':
+        '8fb3e9ddf0f18fe1060bb973987a97a53541df90436d52f2fd2f9669f5fba5a6',
+    'smatrix --family vir -k 1':
+        '8fb3e9ddf0f18fe1060bb973987a97a53541df90436d52f2fd2f9669f5fba5a6',
+    'tmatrix --family vir -u 3 -p 5':
+        '20f77a52d83fdf481607195c889987f9de442402c995f8273682de50aa99b638',
+    'tmatrix --family vir -k 1':
+        '20f77a52d83fdf481607195c889987f9de442402c995f8273682de50aa99b638',
+    'verlinde --family vir -u 3 -p 5':
+        'f3a4aa24c432eb42259d227ce49e66add1a4f52bc8d2be0f5dcc39748463002d',
+    'verlinde --family vir -k 1':
+        'f3a4aa24c432eb42259d227ce49e66add1a4f52bc8d2be0f5dcc39748463002d',
+    'minweight -u 3 -p 5':
+        '55ffcf9eb2c9b978514fb8c2c5421523adfd56efd8def41780ea198fd72edf2d',
+    'minweight -k 1':
+        '55ffcf9eb2c9b978514fb8c2c5421523adfd56efd8def41780ea198fd72edf2d',
+}
+
+
+def _stdout_digest(command):
+    res = run(*command.split())
+    return res.exit_code, hashlib.sha256(res.output.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_DIGESTS))
+def test_documented_output_is_byte_identical(command):
+    assert _stdout_digest(command) == (0, OUTPUT_DIGESTS[command])
+
+
+if __name__ == "__main__":
+    for command in OUTPUT_DIGESTS:
+        print("    %r:\n        %r," % (command, _stdout_digest(command)[1]))
