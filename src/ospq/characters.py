@@ -12,6 +12,15 @@ boundary data are
 Integer levels correspond to p' = 1.  All characters are produced as exact
 truncated series by dividing theta-function numerators by the relevant
 denominator (two-variable Weyl denominator, i*theta_1, or eta).
+
+Truncation orders.  A check that claims order N builds its factors once, at
+a fixed margin above N (N+4 for the decomposition, N+2 for the w -> 1
+characters, N+k+2 for the coset phase sum), and raises if the box it
+achieved still falls short of N.  The margins always suffice because every character and eta-quotient
+here has q-exponents >= -1/8: theta numerators start at q^0; the Weyl
+denominator, i*theta_1 and eta start at q^(1/24), q^(1/8) and q^(1/24); and
+a lattice theta class starts at q^(k/4) at the latest.  So a product of
+factors exact below M is exact below M - 1/8 at least.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .qseries import QQ, QSeries, Rat, as_fraction, qs_eta, qs_invert, qs_mul
+from .qseries import (QQ, QSeries, Rat, VerificationError, as_fraction, qs_eta,
+                      qs_invert, qs_mul)
 from .theta import (
     WQSeries,
     theta_big,
@@ -68,6 +78,31 @@ class VirLabel:
 
     r: int
     s: int
+
+
+# -- Virasoro Kac labels ------------------------------------------------------
+
+
+def vir_canonical(u: int, p: int, r: int, s: int) -> VirLabel:
+    """The representative of (r, s) ~ (u-r, p-s) that sorts first."""
+    return VirLabel(r, s) if (r, s) <= (u - r, p - s) else VirLabel(u - r, p - s)
+
+
+def vir_labels(u: int, p: int) -> List[VirLabel]:
+    """Canonical labels of the (u, p) minimal model, in sorted order (a class
+    is first met at its smaller representative)."""
+    return list(dict.fromkeys(vir_canonical(u, p, r, s)
+                              for r in range(1, u) for s in range(1, p)))
+
+
+def vir_weight(u: int, p: int, r: int, s: int) -> QQ:
+    """Conformal weight h_(r,s) of the (u, p) minimal model."""
+    return QQ((u * s - p * r) ** 2 - (u - p) ** 2, 4 * u * p)
+
+
+def vir_central_charge(u: int, p: int) -> QQ:
+    """Central charge of the (u, p) minimal model."""
+    return 1 - QQ(6 * (u - p) ** 2, u * p)
 
 
 @dataclass(frozen=True)
@@ -123,8 +158,7 @@ class AdmissibleLevel:
 
     @property
     def c_vir(self) -> QQ:
-        u, p = self.u, self.p
-        return 1 - QQ(6 * (u - p) ** 2, u * p)
+        return vir_central_charge(self.u, self.p)
 
     @property
     def c_osp(self) -> QQ:
@@ -135,8 +169,7 @@ class AdmissibleLevel:
         return QQ(r * r - 1) / (4 * (self.k + 2))
 
     def h_vir(self, r: int, s: int) -> QQ:
-        u, p = self.u, self.p
-        return QQ((u * s - p * r) ** 2 - (u - p) ** 2, 4 * u * p)
+        return vir_weight(self.u, self.p, r, s)
 
     def component_weight(self, i: int, r: int) -> QQ:
         """Conformal weight of the i-th branching component of the r-th
@@ -181,9 +214,7 @@ class AdmissibleLevel:
 
     def vir_canonical(self, label: VirLabel) -> VirLabel:
         self.check_vir(label)
-        r, s = label.r, label.s
-        r2, s2 = self.u - r, self.p - s
-        return label if (r, s) <= (r2, s2) else VirLabel(r2, s2)
+        return vir_canonical(self.u, self.p, label.r, label.s)
 
     def osp_labels(self) -> List[OspLabel]:
         return [
@@ -198,15 +229,7 @@ class AdmissibleLevel:
         return [Sl2Label(r, s) for r in range(1, self.u) for s in range(smax)]
 
     def vir_labels(self) -> List[VirLabel]:
-        out = []
-        seen = set()
-        for r in range(1, self.u):
-            for s in range(1, self.p):
-                lab = self.vir_canonical(VirLabel(r, s))
-                if lab not in seen:
-                    seen.add(lab)
-                    out.append(lab)
-        return out
+        return vir_labels(self.u, self.p)
 
 
 # -- theta numerators ---------------------------------------------------------
@@ -322,6 +345,13 @@ class IdentityReport:
         return self.ok
 
 
+def _require_order(achieved: Optional[QQ], N: QQ, what: str) -> None:
+    """Raise unless a box exact below ``achieved`` (None: complete) reaches N."""
+    if achieved is not None and achieved < N:
+        raise VerificationError(
+            "%s is exact only below q^%s, short of order %s" % (what, achieved, N))
+
+
 def _report(ok, order, bad, what) -> IdentityReport:
     if ok:
         return IdentityReport(True, order, None, "%s holds to order %s" % (what, order))
@@ -365,21 +395,16 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
     """
     N = as_fraction(N)
     level.check_osp(label)
-    margin = QQ(4)
-    for _ in range(6):
-        M = N + margin
-        lhs = osp_char(level, label, M)
-        total = WQSeries((), None, None)
-        for i in range(1, level.u):
-            part_w = sl2_char(level, Sl2Label(i, label.s), M)
-            part_q = vir_char(level, VirLabel(i, label.r), M)
-            total = wq_add(total, wq_mul(part_w, wq_from_q(part_q)))
-        T = total.q_trunc
-        if T is None or T >= N:
-            break
-        margin += N - T
-    ok, bad, _ = wq_equal_on_box(lhs, total, order=N)
+    M = N + 4
+    lhs = osp_char(level, label, M)
+    total = WQSeries((), None, None)
+    for i in range(1, level.u):
+        part_w = sl2_char(level, Sl2Label(i, label.s), M)
+        part_q = vir_char(level, VirLabel(i, label.r), M)
+        total = wq_add(total, wq_mul(part_w, wq_from_q(part_q)))
+    ok, bad, (T, _) = wq_equal_on_box(lhs, total, order=N)
     what = "character decomposition at %s, label (%d,%d)" % (level, label.r, label.s)
+    _require_order(T, N, what)
     return _report(ok, N, bad, what)
 
 
@@ -392,63 +417,48 @@ def osp_vacuum_central_charge(level: AdmissibleLevel) -> QQ:
 # -- specialised one-variable characters (integer level) ----------------------
 
 
-def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSeries:
-    """w -> 1 specialisation of the r-th module's character (integer level).
-
-    Built from the branching components, so it is defined for every
-    1 <= r <= p-1 including the twisted (even r) modules.  With ``signed``
-    the odd components (even branching index) enter with a minus sign.
-    """
+def _chars_w1(level: AdmissibleLevel, rs, N: Rat
+              ) -> Dict[int, Tuple[QSeries, QSeries]]:
+    """(plain, signed) w -> 1 characters of the modules r in ``rs``, to order N."""
     if not level.is_integer_level:
         raise InvalidLabel("one-variable specialisations require an integer level")
-    if not (1 <= r <= level.p - 1):
-        raise InvalidLabel("module index %d outside [1, %d]" % (r, level.p - 1))
+    for r in rs:
+        if not (1 <= r <= level.p - 1):
+            raise InvalidLabel("module index %d outside [1, %d]" % (r, level.p - 1))
     N = as_fraction(N)
-    margin = QQ(2)
-    while True:
-        M = N + margin
-        total = QSeries({}, None)
+    M = N + 2
+    sl2_parts = {
+        i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M))
+        for i in range(1, level.u)
+    }
+    out = {}
+    for r in rs:
+        plus = minus = QSeries({}, None)
         for i in range(1, level.u):
-            part = qs_mul(
-                wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M)),
-                vir_char(level, VirLabel(i, r), M),
-            )
-            if signed and i % 2 == 0:
-                part = -1 * part
-            total = total + part
-        if total.trunc is None or total.trunc >= N:
-            return total.truncate(N)
-        margin += N - total.trunc
+            part = qs_mul(sl2_parts[i], vir_char(level, VirLabel(i, r), M))
+            plus = plus + part
+            minus = minus + (part if i % 2 == 1 else -1 * part)
+        _require_order(plus.trunc, N, "w -> 1 character of module %d" % r)
+        out[r] = (plus.truncate(N), minus.truncate(N))
+    return out
+
+
+def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSeries:
+    """w -> 1 specialisation of the r-th module's character (integer level),
+    signed with ``signed``; see :func:`component_chars_w1`."""
+    return _chars_w1(level, (r,), N)[r][1 if signed else 0]
 
 
 def component_chars_w1(level: AdmissibleLevel, N: Rat
                        ) -> Dict[int, Tuple[QSeries, QSeries]]:
-    """All (plain, signed) w -> 1 characters for r = 1..p-1, sharing work."""
-    if not level.is_integer_level:
-        raise InvalidLabel("one-variable specialisations require an integer level")
-    N = as_fraction(N)
-    margin = QQ(2)
-    while True:
-        M = N + margin
-        sl2_parts = {
-            i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M))
-            for i in range(1, level.u)
-        }
-        out = {}
-        worst = None
-        for r in range(1, level.p):
-            plus = QSeries({}, None)
-            minus = QSeries({}, None)
-            for i in range(1, level.u):
-                part = qs_mul(sl2_parts[i], vir_char(level, VirLabel(i, r), M))
-                plus = plus + part
-                minus = minus + (part if i % 2 == 1 else -1 * part)
-            if plus.trunc is not None and (worst is None or plus.trunc < worst):
-                worst = plus.trunc
-            out[r] = (plus.truncate(N), minus.truncate(N))
-        if worst is None or worst >= N:
-            return out
-        margin += N - worst
+    """All (plain, signed) w -> 1 characters for r = 1..p-1, sharing work.
+
+    Built from the branching components, so they are defined for every
+    1 <= r <= p-1 including the twisted (even r) modules.  In the signed
+    character the odd components (even branching index) enter with a minus
+    sign.
+    """
+    return _chars_w1(level, range(1, level.p), N)
 
 
 def char_w_signed_direct(level: AdmissibleLevel, label: OspLabel, N: Rat) -> QSeries:

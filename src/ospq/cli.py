@@ -23,22 +23,22 @@ from . import __version__
 from .characters import (AdmissibleLevel, InvalidLabel, OspLabel, Sl2Label,
                          VirLabel, osp_char, sl2_char, verify_decomposition,
                          verify_theta_identity, vir_char)
-from .coset import (CosetLabel, InconsistentBranching, coset_char_direct,
-                    coset_char_phase_sum, coset_smatrix)
+from .coset import (CosetLabel, coset_char_direct, coset_char_phase_sum,
+                    coset_smatrix)
 from .fusion import (FusionTensor, OutOfRange, osp_fusion, parafermion_fusion,
                      sl2_fusion, vir_fusion)
-from .modular import (NonIntegralFusion, SMatrix, check_s_transform_numeric,
+from .modular import (SMatrix, check_s_transform_numeric,
                       extended_smatrix, fp_dimension_report,
                       min_conformal_weight, sl2_smatrix, t_matrix,
                       verlinde_standard, verlinde_super, vir_smatrix,
                       vir_weight_map)
-from .qseries import NonconvergentDomain, QSeries, qs_equal_below
+from .qseries import (NonconvergentDomain, QSeries, VerificationError,
+                      qs_equal_below)
 from .selftest import run_all
-from .theta import IncompleteQuotient, WQSeries
+from .theta import WQSeries
 
 USAGE_ERRORS = (InvalidLabel, OutOfRange)
-VERIFY_ERRORS = (NonIntegralFusion, InconsistentBranching, NonconvergentDomain,
-                 IncompleteQuotient)
+VERIFY_ERRORS = (VerificationError, NonconvergentDomain)
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -138,10 +138,16 @@ def _resolve_level(k, p, pprime) -> AdmissibleLevel:
     return AdmissibleLevel(p, 1 if pprime is None else pprime)
 
 
-def _require_int_k(k) -> int:
+def _family_params(family, k, u, p) -> dict:
+    """{"u", "p"} for the vir family (from -u -p, else (k+2, 2k+3)), {"k"}
+    for every other family."""
+    if family == "vir" and u is not None and p is not None:
+        return {"u": u, "p": p}
     if k is None:
-        raise click.UsageError("this command requires an integer level -k")
-    return k
+        raise click.UsageError("give an integer level -k (vir also takes -u -p)")
+    if family == "vir":
+        return {"u": k + 2, "p": 2 * k + 3}
+    return {"k": k}
 
 
 # -- common option decorators ---------------------------------------------------
@@ -355,20 +361,9 @@ def _fusion_table(ft: FusionTensor, family: str) -> str:
 def fusion_cmd(family, k, u, p, fmt, out):
     """Combinatorial fusion tensor of a family."""
     def body():
-        if family == "vir":
-            if u is None or p is None:
-                if k is None:
-                    raise click.UsageError("vir fusion needs -u -p or -k")
-                uu, pp = k + 2, 2 * k + 3
-            else:
-                uu, pp = u, p
-            ft = vir_fusion(uu, pp)
-            params = {"u": uu, "p": pp}
-        else:
-            kk = _require_int_k(k)
-            ft = {"osp": osp_fusion, "sl2": sl2_fusion,
-                  "parafermion": parafermion_fusion}[family](kk)
-            params = {"k": kk}
+        params = _family_params(family, k, u, p)
+        ft = {"osp": osp_fusion, "sl2": sl2_fusion, "vir": vir_fusion,
+              "parafermion": parafermion_fusion}[family](*params.values())
         payload = {"command": "fusion", "family": family, **params,
                    **_fusion_payload(ft, family)}
         _emit(payload, fmt, out, lambda: _fusion_table(ft, family))
@@ -403,19 +398,10 @@ def _smatrix_table(S: SMatrix, family: str) -> str:
 
 
 def _build_smatrix(family, k, u, p, precision):
-    if family == "vir":
-        if u is None or p is None:
-            kk = _require_int_k(k)
-            uu, pp = kk + 2, 2 * kk + 3
-        else:
-            uu, pp = u, p
-        return vir_smatrix(uu, pp, precision), {"u": uu, "p": pp}
-    kk = _require_int_k(k)
-    if family == "sl2":
-        return sl2_smatrix(kk, precision), {"k": kk}
-    if family == "extended":
-        return extended_smatrix(kk, precision), {"k": kk}
-    return coset_smatrix(kk, precision), {"k": kk}
+    params = _family_params(family, k, u, p)
+    build = {"vir": vir_smatrix, "sl2": sl2_smatrix,
+             "extended": extended_smatrix, "coset": coset_smatrix}[family]
+    return build(*params.values(), precision), params
 
 
 @main.command("smatrix")
@@ -449,17 +435,9 @@ def smatrix_cmd(family, k, u, p, precision, fmt, out):
 def tmatrix_cmd(family, k, u, p, precision, fmt, out):
     """Modular T-matrix (diagonal phases) of a family."""
     def body():
-        if family == "vir" and u is not None and p is not None:
-            T = t_matrix("vir", (u, p), precision)
-            params = {"u": u, "p": p}
-        elif family == "vir":
-            kk = _require_int_k(k)
-            T = t_matrix("vir", (kk + 2, 2 * kk + 3), precision)
-            params = {"u": kk + 2, "p": 2 * kk + 3}
-        else:
-            kk = _require_int_k(k)
-            T = t_matrix(family, kk, precision)
-            params = {"k": kk}
+        params = _family_params(family, k, u, p)
+        T = t_matrix(family, tuple(params.values()) if family == "vir"
+                     else params["k"], precision)
         payload = {
             "command": "tmatrix", "family": family, **params,
             "labels": [_label_json(l) for l in T.labels],
@@ -598,11 +576,7 @@ def fpdim_cmd(k, precision, fmt, out):
 def minweight_cmd(k, u, p, fmt, out):
     """Minimal conformal weight label of the Virasoro factor."""
     def body():
-        if u is None or p is None:
-            kk = _require_int_k(k)
-            uu, pp = kk + 2, 2 * kk + 3
-        else:
-            uu, pp = u, p
+        uu, pp = _family_params("vir", k, u, p).values()
         lab = min_conformal_weight(uu, pp)
         weights = vir_weight_map(uu, pp)
         h = weights[lab]

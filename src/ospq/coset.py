@@ -19,15 +19,15 @@ from mpmath import mp
 
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
                          OspLabel, char_w1, osp_char)
-from .fusion import OutOfRange, parafermion_fusion
+from .fusion import check_level, parafermion_fusion
 from .modular import (SMatrix, NonIntegralFusion, _mpq, derived_tolerance,
-                      s_small, verlinde_standard)
-from .qseries import (QQ, QSeries, as_fraction, qs_equal_below, qs_eta,
-                      qs_invert, qs_mul, qs_shift)
+                      s_table, verlinde_standard)
+from .qseries import (QQ, QSeries, VerificationError, as_fraction,
+                      qs_equal_below, qs_eta, qs_invert, qs_mul, qs_shift)
 from .theta import theta_q
 
 
-class InconsistentBranching(ValueError):
+class InconsistentBranching(VerificationError):
     """Raised when the charge identification fails an internal cross-check."""
 
 
@@ -39,8 +39,7 @@ class CosetLabel(NamedTuple):
 
 
 def _check_label(k: int, label) -> CosetLabel:
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     nu, r = label
     if not isinstance(nu, int) or not isinstance(r, int):
         raise InvalidLabel("coset label entries must be integers")
@@ -57,8 +56,7 @@ class LatticeData:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise OutOfRange("level must be a positive integer")
+        check_level(self.k)
 
     @property
     def gram(self) -> int:
@@ -74,16 +72,14 @@ class LatticeData:
 
 
 def coset_labels(k: int) -> Tuple[CosetLabel, ...]:
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     return tuple(CosetLabel(nu, r) for nu in range(2 * k)
                  for r in range(1, 2 * k + 3) if r % 2 == 1)
 
 
 def lattice_theta(k: int, nu: int, N) -> QSeries:
     """Theta series of the shifted lattice class: sum of q^{(nu+2km)^2/(4k)}."""
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     if not isinstance(nu, int):
         raise InvalidLabel("charge class must be an integer")
     return theta_q(nu % (2 * k), k, 1, N)
@@ -143,22 +139,19 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus",
         raise ValueError("variant must be 'plus' or 'minus'")
     N = as_fraction(N)
     precision = 128
-    margin = QQ(k + 2)
-    for _ in range(4):
-        M = N + margin
-        ch = _full_char(k, label.r, M)
-        # exact eta / (2k * theta_{L+nu}) prefactor
-        theta = lattice_theta(k, label.nu, M)
-        pref = qs_mul(qs_eta(M), qs_invert(theta))
-        pref = qs_shift(pref, 0, QQ(1, 2 * k))
-        if variant == "minus" and label.nu % 2 == 1:
-            pref = qs_shift(pref, 0, -1)
-        guaranteed = min(M + pref.min_exp(), pref.trunc + ch.min_q_bound())
-        if guaranteed >= N:
-            break
-        margin += N - guaranteed + 1
-    else:
-        raise InconsistentBranching("phase-sum margin failed to stabilise")
+    M = N + k + 2
+    ch = _full_char(k, label.r, M)
+    # exact eta / (2k * theta_{L+nu}) prefactor
+    theta = lattice_theta(k, label.nu, M)
+    pref = qs_mul(qs_eta(M), qs_invert(theta))
+    pref = qs_shift(pref, 0, QQ(1, 2 * k))
+    if variant == "minus" and label.nu % 2 == 1:
+        pref = qs_shift(pref, 0, -1)
+    guaranteed = min(M + pref.min_exp(), pref.trunc + ch.min_q_bound())
+    if guaranteed < N:
+        raise InconsistentBranching(
+            "phase sum is exact only below q^%s, short of order %s"
+            % (guaranteed, N))
 
     with mp.workprec(precision + 16):
         # phase-projected slices: acc[q_exp] = sum_x phase(x) f_x coeff
@@ -262,10 +255,10 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
     sign.  With ``verify`` (default) the matrix is checked unitary and its
     Verlinde output is compared against the parafermion fusion tensor.
     """
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     labels = coset_labels(k)
     with mp.workprec(precision + 16):
+        s = s_table(k, precision)
         pref = mp.sqrt(mp.mpf(2) / k)
         rows = []
         for (nu, r) in labels:
@@ -273,7 +266,7 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
             for (mu, rp) in labels:
                 ph = mp.expjpi(_mpq(QQ(nu * mu, k)))
                 sign = -1 if (nu + mu) % 2 == 1 else 1
-                row.append(pref * ph * sign * s_small(k, r, rp, precision))
+                row.append(pref * ph * sign * s[r - 1][rp - 1])
             rows.append(row)
     S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision)
     if verify:

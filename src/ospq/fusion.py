@@ -10,14 +10,21 @@ parafermion coset crosses the superalgebra rule with a cyclic group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
-from .characters import VirLabel
+from .characters import VirLabel, vir_canonical, vir_labels
 
 
 class OutOfRange(ValueError):
     """Raised when a fusion label lies outside the ring's label set."""
+
+
+def check_level(k) -> int:
+    """The positive integer level k, or OutOfRange."""
+    if not isinstance(k, int) or k < 1:
+        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    return k
 
 
 @dataclass(frozen=True)
@@ -163,10 +170,6 @@ def n_coeff(w: int, t: int, t_prime: int, t_second: int) -> int:
     return 1 if lo <= t_second <= hi else 0
 
 
-def _vir_canon(u: int, p: int, r: int, s: int) -> VirLabel:
-    return VirLabel(r, s) if (r, s) <= (u - r, p - s) else VirLabel(u - r, p - s)
-
-
 def vir_fusion(u: int, p: int) -> FusionTensor:
     """Fusion tensor of the (u, p) Virasoro minimal model.
 
@@ -176,15 +179,7 @@ def vir_fusion(u: int, p: int) -> FusionTensor:
     """
     if u < 2 or p < 2 or math.gcd(u, p) != 1:
         raise OutOfRange("need coprime u, p >= 2, got (%r, %r)" % (u, p))
-    labels: List[VirLabel] = []
-    seen = set()
-    for r in range(1, u):
-        for s in range(1, p):
-            lab = _vir_canon(u, p, r, s)
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    labels.sort(key=lambda l: (l.r, l.s))
+    labels = vir_labels(u, p)
     coeffs = {}
     for a in labels:
         for b in labels:
@@ -196,7 +191,7 @@ def vir_fusion(u: int, p: int) -> FusionTensor:
                     ns = n_coeff(p, a.s, b.s, s2)
                     if not ns:
                         continue
-                    c = _vir_canon(u, p, r2, s2)
+                    c = vir_canonical(u, p, r2, s2)
                     key = (a, b, c)
                     coeffs[key] = coeffs.get(key, 0) + nr * ns
     return FusionTensor(labels, VirLabel(1, 1), coeffs)
@@ -204,8 +199,7 @@ def vir_fusion(u: int, p: int) -> FusionTensor:
 
 def sl2_fusion(k: int) -> FusionTensor:
     """Fusion tensor of integrable affine sl2 at positive integer level k."""
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     labels = tuple(range(1, k + 2))
     coeffs = {}
     for a in labels:
@@ -223,8 +217,7 @@ def osp_fusion(k: int) -> FusionTensor:
     Labels r = 1..2k+2 with the window rule at 2k+3; each label carries a
     locality flag: odd r is local (integer-graded), even r is twisted.
     """
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     labels = tuple(range(1, 2 * k + 3))
     coeffs = {}
     for a in labels:
@@ -261,8 +254,7 @@ def parafermion_fusion(k: int) -> FusionTensor:
     Labels are pairs (nu mod 2k, r) with r odd in 1..2k+2; the cyclic charge
     adds and the r-indices fuse by the window rule at 2k+3.
     """
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    check_level(k)
     n_charge = 2 * k
     r_vals = tuple(r for r in range(1, 2 * k + 3) if r % 2 == 1)
     labels = tuple((nu, r) for nu in range(n_charge) for r in r_vals)

@@ -19,12 +19,14 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .characters import AdmissibleLevel, Sl2Label, VirLabel, component_chars_w1
-from .fusion import FusionTensor, OutOfRange, SuperFusionEntry, n_coeff
-from .qseries import QQ, NonconvergentDomain, QSeries, qs_eval
+from .characters import (AdmissibleLevel, VirLabel, component_chars_w1,
+                         vir_canonical, vir_central_charge, vir_labels,
+                         vir_weight)
+from .fusion import FusionTensor, OutOfRange, SuperFusionEntry, check_level
+from .qseries import NonconvergentDomain, VerificationError, qs_eval
 
 
-class NonIntegralFusion(ValueError):
+class NonIntegralFusion(VerificationError):
     """Raised when Verlinde output fails the integrality/positivity gate."""
 
 
@@ -40,6 +42,15 @@ def derived_tolerance(precision: int):
 def _mpq(x) -> mpmath.mpf:
     x = Fraction(x)
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def _max_defect(A: mpmath.matrix, B: mpmath.matrix):
+    """Max-norm of A - B, at the caller's working precision."""
+    d = mp.mpf(0)
+    for i in range(A.rows):
+        for j in range(A.cols):
+            d = max(d, abs(A[i, j] - B[i, j]))
+    return d
 
 
 class SMatrix:
@@ -77,32 +88,18 @@ class SMatrix:
         """Max-norm of S S^dagger - I."""
         with mp.workprec(self.precision + 16):
             M = self.as_matrix()
-            P = M * M.transpose_conj()
-            d = mp.mpf(0)
-            for i in range(self.n):
-                for j in range(self.n):
-                    t = P[i, j] - (1 if i == j else 0)
-                    d = max(d, abs(t))
-            return d
+            return _max_defect(M * M.transpose_conj(), mp.eye(self.n))
 
     def symmetry_defect(self):
         with mp.workprec(self.precision + 16):
-            d = mp.mpf(0)
-            for i in range(self.n):
-                for j in range(self.n):
-                    d = max(d, abs(self.rows[i][j] - self.rows[j][i]))
-            return d
+            M = self.as_matrix()
+            return _max_defect(M, M.T)
 
     def square_defect_from_identity(self):
         """Max-norm of S^2 - I (for the real involutive matrices here)."""
         with mp.workprec(self.precision + 16):
             M = self.as_matrix()
-            P = M * M
-            d = mp.mpf(0)
-            for i in range(self.n):
-                for j in range(self.n):
-                    d = max(d, abs(P[i, j] - (1 if i == j else 0)))
-            return d
+            return _max_defect(M * M, mp.eye(self.n))
 
 
 class ExtendedSMatrix(SMatrix):
@@ -174,37 +171,10 @@ def st_cube_defect(S: SMatrix, T: TMatrix):
         M = S.as_matrix()
         D = T.as_matrix()
         ST = M * D
-        P = ST * ST * ST
-        Q = M * M
-        d = mp.mpf(0)
-        for i in range(S.n):
-            for j in range(S.n):
-                d = max(d, abs(P[i, j] - Q[i, j]))
-        return d
+        return _max_defect(ST * ST * ST, M * M)
 
 
 # -- family S-matrices --------------------------------------------------------
-
-
-def _vir_labels(u: int, p: int) -> List[VirLabel]:
-    labels = []
-    seen = set()
-    for r in range(1, u):
-        for s in range(1, p):
-            lab = VirLabel(r, s) if (r, s) <= (u - r, p - s) else VirLabel(u - r, p - s)
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    labels.sort(key=lambda l: (l.r, l.s))
-    return labels
-
-
-def vir_h(u: int, p: int, r: int, s: int) -> Fraction:
-    return Fraction((u * s - p * r) ** 2 - (u - p) ** 2, 4 * u * p)
-
-
-def vir_c(u: int, p: int) -> Fraction:
-    return 1 - Fraction(6 * (u - p) ** 2, u * p)
 
 
 def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
@@ -215,7 +185,7 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     """
     if u < 2 or p < 2 or math.gcd(u, p) != 1:
         raise ValueError("need coprime u, p >= 2")
-    labels = _vir_labels(u, p)
+    labels = vir_labels(u, p)
     tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         pref = -2 / mp.sqrt(mp.mpf(u * p) / 2)
@@ -233,7 +203,7 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
                 v1 = val(a.r, a.s, b.r, b.s)
                 v2 = val(u - a.r, p - a.s, b.r, b.s)
                 if abs(v1 - v2) > tol:
-                    raise ValueError(
+                    raise VerificationError(
                         "S-matrix not representative-independent at %r, %r" % (a, b))
                 row.append(v1)
             rows.append(row)
@@ -242,8 +212,7 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
 
 def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
     """Integrable affine sl2 S-matrix, labels 1..k+1."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     labels = list(range(1, k + 2))
     with mp.workprec(precision + 16):
         pref = mp.sqrt(mp.mpf(2) / (k + 2))
@@ -256,8 +225,7 @@ def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
 
 def s_small(k: int, r: int, r_prime: int, precision: int = 256):
     """Signed sine coefficient driving the extended-family modular data."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     for t in (r, r_prime):
         if not isinstance(t, int) or not (1 <= t <= 2 * k + 2):
             raise OutOfRange("label %r outside [1, %d]" % (t, 2 * k + 2))
@@ -265,6 +233,12 @@ def s_small(k: int, r: int, r_prime: int, precision: int = 256):
         sign = -1 if (r + r_prime) % 2 else 1
         return (sign / mp.sqrt(mp.mpf(2 * k + 3))
                 * mp.sinpi(mp.mpf(r * r_prime * (k + 2)) / (2 * k + 3)))
+
+
+def s_table(k: int, precision: int = 256) -> List[List[mpmath.mpf]]:
+    """The sine coefficients as rows: s_table(k)[r-1][t-1] = s_small(k, r, t)."""
+    n = 2 * k + 3
+    return [[s_small(k, r, t, precision) for t in range(1, n)] for r in range(1, n)]
 
 
 def extended_labels(k: int) -> List[Tuple[int, str]]:
@@ -281,9 +255,7 @@ def extended_smatrix(k: int, precision: int = 256) -> ExtendedSMatrix:
     """
     labels = extended_labels(k)
     with mp.workprec(precision + 16):
-        n2 = 2 * k + 2
-        base = [[s_small(k, r, t, precision) for t in range(1, n2 + 1)]
-                for r in range(1, n2 + 1)]
+        base = s_table(k, precision)
         rows = []
         for (r, pa) in labels:
             row = []
@@ -380,6 +352,7 @@ def stilde_matrix(k: int, precision: int = 256) -> SMatrix:
     rng = range(1, 2 * k + 3)
     labels = [(r, "+") for r in rng] + [(r, "-") for r in rng]
     with mp.workprec(precision + 16):
+        s = s_table(k, precision)
         rows = []
         for (r, a) in labels:
             row = []
@@ -389,7 +362,7 @@ def stilde_matrix(k: int, precision: int = 256) -> SMatrix:
                        or (a == "+" and b == "-" and not re and te)
                        or (a == "-" and b == "+" and re and not te)
                        or (a == "-" and b == "-" and not re and not te))
-                row.append(2 * s_small(k, r, t, precision) if hit else mp.mpf(0))
+                row.append(2 * s[r - 1][t - 1] if hit else mp.mpf(0))
             rows.append(row)
     return SMatrix(labels, rows, labels.index((1, "+")), precision)
 
@@ -403,21 +376,15 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     changed matrix and its honest numeric inverse are built and validated
     alongside (the matrix is an involution, which the defects certify).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     nmax = 2 * k + 2
     St = stilde_matrix(k, precision)
     with mp.workprec(precision + 16):
-        inv_defect = mp.mpf(0)
         M = St.as_matrix()
-        Minv = M ** -1
-        for i in range(St.n):
-            for j in range(St.n):
-                inv_defect = max(inv_defect, abs(Minv[i, j] - M[i, j]))
+        inv_defect = _max_defect(M ** -1, M)
         invol_defect = St.square_defect_from_identity()
 
-        s = [[s_small(k, r, t, precision) for t in range(1, nmax + 1)]
-             for r in range(1, nmax + 1)]
+        s = s_table(k, precision)
         n_plus = {}
         n_minus = {}
         for r in range(1, nmax + 1):
@@ -486,12 +453,12 @@ def min_conformal_weight(u: int, p: int) -> VirLabel:
     """Canonical label minimizing the conformal weight (brute force)."""
     if p != 2 * u - 1 or u < 3:
         raise ValueError("expected (u, p) = (k+2, 2k+3) for some k >= 1")
-    labels = _vir_labels(u, p)
-    return min(labels, key=lambda l: (vir_h(u, p, l.r, l.s), (l.r, l.s)))
+    labels = vir_labels(u, p)
+    return min(labels, key=lambda l: (vir_weight(u, p, l.r, l.s), (l.r, l.s)))
 
 
 def vir_weight_map(u: int, p: int) -> Dict[VirLabel, Fraction]:
-    return {l: vir_h(u, p, l.r, l.s) for l in _vir_labels(u, p)}
+    return {l: vir_weight(u, p, l.r, l.s) for l in vir_labels(u, p)}
 
 
 def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
@@ -506,8 +473,7 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
     iv.  extended-category dimension via extended S-matrix ratios;
     v.   the quotient identity linking ii-iv.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     u, p = k + 2, 2 * k + 3
     tol = derived_tolerance(precision)
     items = []
@@ -534,11 +500,7 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
         sin_p = mp.sinpi(mp.mpf(1) / p)
 
         # (ii) even-subalgebra dimension: sum over odd l of FP(L_l) FP(V_{l,1})
-        def vir_fp(r, s):
-            lab = VirLabel(r, s) if (r, s) <= (u - r, p - s) else VirLabel(u - r, p - s)
-            return fp_vir[lab]
-
-        dim_even = mp.fsum(fp_sl2[l] * vir_fp(l, 1)
+        dim_even = mp.fsum(fp_sl2[l] * fp_vir[vir_canonical(u, p, l, 1)]
                            for l in range(1, u) if l % 2 == 1)
         dim_even_closed = mp.mpf(u) / (4 * sin_u ** 2)
         add("dim_even", dim_even, dim_even_closed)
@@ -575,9 +537,9 @@ def t_matrix(family: str, params, precision: int = 256) -> TMatrix:
     """
     if family == "vir":
         u, p = params
-        labels = _vir_labels(u, p)
-        weights = [vir_h(u, p, l.r, l.s) for l in labels]
-        return TMatrix(labels, weights, vir_c(u, p), precision)
+        labels = vir_labels(u, p)
+        weights = [vir_weight(u, p, l.r, l.s) for l in labels]
+        return TMatrix(labels, weights, vir_central_charge(u, p), precision)
     if family == "sl2":
         k = params
         level = AdmissibleLevel.from_integer_level(k)
@@ -660,8 +622,7 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
         if mp.im(tau0) <= 0:
             raise NonconvergentDomain("tau must lie in the upper half plane")
         tau1 = -1 / tau0
-        s = [[s_small(k, r, t, precision) for t in range(1, nmax + 1)]
-             for r in range(1, nmax + 1)]
+        s = s_table(k, precision)
         # evaluations at tau0 (right-hand sides)
         ev_plus = {r: qs_eval(chars[r][0], tau0, precision) for r in chars}
         ev_minus = {r: qs_eval(chars[r][1], tau0, precision) for r in chars}

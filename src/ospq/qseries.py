@@ -28,6 +28,11 @@ class EmptySeries(ArithmeticError):
     """Raised when inversion is asked of a series with no stored terms."""
 
 
+class VerificationError(ValueError):
+    """Raised when an internal check of a computed result fails, as opposed to
+    bad input; the CLI reports it with exit code 1."""
+
+
 class NonconvergentDomain(ValueError):
     """Raised when numeric evaluation is requested outside Im(tau) > 0."""
 

@@ -37,6 +37,7 @@ from .qseries import (
     EmptySeries,
     QSeries,
     Rat,
+    VerificationError,
     as_fraction,
     _min_trunc,
 )
@@ -376,7 +377,7 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
 # -- division ---------------------------------------------------------------
 
 
-class IncompleteQuotient(ValueError):
+class IncompleteQuotient(VerificationError):
     """Raised when an unfloored division leaves a nonzero remainder: the
     quotient has unbounded descending w-support, so a ``w_floor`` is needed."""
 

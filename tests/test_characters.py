@@ -21,9 +21,12 @@ from ospq.characters import (
     sl2_char,
     verify_decomposition,
     verify_theta_identity,
+    vir_canonical,
     vir_char,
+    vir_labels,
 )
-from ospq.qseries import QSeries, qs_equal_below, qs_eta, qs_invert, qs_mul
+from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
+                          qs_invert, qs_mul)
 from ospq.theta import vartheta1_times_i, weyl_denominator, wq_equal_on_box, wq_mul
 
 LEVELS = (
@@ -341,3 +344,28 @@ def test_w1_requires_integer_level():
         component_chars_w1(LEVELS[3], 4)
     with pytest.raises(InvalidLabel):
         char_w1(LEVELS[0], 5, 4)
+
+
+# -- Kac labels and truncation orders ---------------------------------------------------
+
+
+def test_kac_labels_are_one_sorted_table():
+    for lvl in LEVELS:
+        assert lvl.vir_labels() == vir_labels(lvl.u, lvl.p)
+    for u, p in ((3, 4), (2, 5), (5, 7), (4, 9)):  # coprime, not all admissible
+        labels = vir_labels(u, p)
+        assert labels == sorted(labels, key=lambda l: (l.r, l.s))
+        assert len(labels) == (u - 1) * (p - 1) // 2
+        assert [vir_canonical(u, p, u - l.r, p - l.s) for l in labels] == labels
+
+
+def test_order_shortfall_is_a_verification_error(monkeypatch):
+    # a Virasoro factor whose box falls short by as much as the order grows;
+    # the decomposition must not report "holds to order 3" on a smaller box
+    monkeypatch.setattr(characters, "vir_char", lambda level, label, N: QSeries({}, -N))
+    with pytest.raises(VerificationError):
+        verify_decomposition(LEVELS[0], OspLabel(1, 0), 3)
+    with pytest.raises(VerificationError):
+        char_w1(LEVELS[0], 1, 3)
+    with pytest.raises(VerificationError):
+        component_chars_w1(LEVELS[0], 3)

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import ospq.cli as cli
+import ospq.modular as modular
 from ospq.cli import main
 from ospq.theta import IncompleteQuotient
 
@@ -68,6 +69,23 @@ def test_incomplete_quotient_is_verification_failure(monkeypatch):
     payload = json.loads(res.output)
     assert payload["ok"] is False
     assert payload["error"] == "IncompleteQuotient"
+
+
+def test_representative_dependence_is_verification_failure(monkeypatch):
+    monkeypatch.setattr(modular, "derived_tolerance", lambda precision: -1)
+    res = run("smatrix", "--family", "vir", "-k", "1")
+    assert res.exit_code == 1
+    payload = json.loads(res.output)
+    assert payload["ok"] is False
+    assert payload["error"] == "VerificationError"
+
+
+def test_missing_level_is_usage_error():
+    for args in (("fusion", "--family", "osp"), ("smatrix", "--family", "vir"),
+                 ("tmatrix", "--family", "vir", "-u", "3"), ("minweight",)):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert "integer level -k" in res.output
 
 
 def test_level_flags_are_exclusive():

@@ -6,8 +6,11 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ospq.modular as modular
 from ospq.characters import AdmissibleLevel, VirLabel
-from ospq.fusion import osp_fusion, parafermion_fusion, sl2_fusion, vir_fusion
+from ospq.coset import LatticeData, coset_labels
+from ospq.fusion import (OutOfRange, check_level, osp_fusion, parafermion_fusion,
+                         sl2_fusion, vir_fusion)
 from ospq.modular import (
     NonIntegralFusion,
     SMatrix,
@@ -29,7 +32,7 @@ from ospq.modular import (
     vir_smatrix,
     vir_weight_map,
 )
-from ospq.qseries import NonconvergentDomain
+from ospq.qseries import NonconvergentDomain, VerificationError
 
 st_k = st.integers(min_value=1, max_value=4)
 
@@ -55,8 +58,6 @@ def test_small_smatrix_frozen_entries():
 
 
 def test_small_smatrix_window():
-    from ospq.fusion import OutOfRange
-
     with pytest.raises(OutOfRange):
         s_small(1, 0, 1)
     with pytest.raises(OutOfRange):
@@ -199,6 +200,20 @@ def test_min_conformal_weight_unique():
         assert weights[0] < weights[1]  # strict: the minimizer is unique
         assert weights[0] == QQ(-k, 4 * (2 * k + 3))
     assert min_conformal_weight(3, 5) == VirLabel(1, 2)
+
+
+def test_one_level_check_everywhere():
+    for bad in (0, -2, 1.5):
+        for fn in (check_level, sl2_fusion, sl2_smatrix, verlinde_super,
+                   fp_dimension_report, coset_labels, LatticeData):
+            with pytest.raises(OutOfRange):
+                fn(bad)
+
+
+def test_representative_dependence_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(modular, "derived_tolerance", lambda precision: -1)
+    with pytest.raises(VerificationError):
+        vir_smatrix(3, 5)
 
 
 def test_min_conformal_weight_requires_coset_shape():
