@@ -272,7 +272,8 @@ def test_selftest_fast_subset():
 
 # sha256 of the stdout of each command, recorded before a refactor that must
 # not change any output byte: the 14 README examples, then every command that
-# resolves a Virasoro pair, once from -u -p and once from -k.  After an
+# resolves a Virasoro pair, once from -u -p and once from -k, then the (8, 15)
+# S-matrix, large enough that every sine is shared by many entries.  After an
 # intended output change, re-record with `PYTHONPATH=src python
 # tests/test_cli.py`, which prints this table.
 OUTPUT_DIGESTS = {
@@ -324,6 +325,8 @@ OUTPUT_DIGESTS = {
         '55ffcf9eb2c9b978514fb8c2c5421523adfd56efd8def41780ea198fd72edf2d',
     'minweight -k 1':
         '55ffcf9eb2c9b978514fb8c2c5421523adfd56efd8def41780ea198fd72edf2d',
+    'smatrix --family vir -k 6':
+        '8848aaa7626be5ec5cf671c3822424d344ed9189fff3b9da8ae190f021585d40',
 }
 
 
