@@ -25,8 +25,8 @@ from .characters import (AdmissibleLevel, InvalidLabel, OspLabel, Sl2Label,
                          verify_theta_identity, vir_char)
 from .coset import (CosetLabel, coset_char_direct, coset_char_phase_sum,
                     coset_smatrix)
-from .fusion import (FusionTensor, OutOfRange, osp_fusion, parafermion_fusion,
-                     sl2_fusion, vir_fusion)
+from .fusion import (FusionTensor, OutOfRange, check_level, osp_fusion,
+                     parafermion_fusion, sl2_fusion, vir_fusion)
 from .modular import (SMatrix, check_s_transform_numeric,
                       extended_smatrix, fp_dimension_report,
                       min_conformal_weight, sl2_smatrix, t_matrix,
@@ -146,6 +146,7 @@ def _family_params(family, k, u, p) -> dict:
     if k is None:
         raise click.UsageError("give an integer level -k (vir also takes -u -p)")
     if family == "vir":
+        check_level(k)
         return {"u": k + 2, "p": 2 * k + 3}
     return {"k": k}
 

@@ -9,7 +9,6 @@ parafermion coset crosses the superalgebra rule with a cyclic group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
@@ -177,8 +176,6 @@ def vir_fusion(u: int, p: int) -> FusionTensor:
     representatives by summing the contributions of both preimages of each
     target label.
     """
-    if u < 2 or p < 2 or math.gcd(u, p) != 1:
-        raise OutOfRange("need coprime u, p >= 2, got (%r, %r)" % (u, p))
     labels = vir_labels(u, p)
     coeffs = {}
     for a in labels:

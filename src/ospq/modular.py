@@ -11,7 +11,6 @@ and derived tolerances are 10^(1 - precision/4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -180,21 +179,29 @@ def st_cube_defect(S: SMatrix, T: TMatrix):
 def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     """Virasoro minimal-model S-matrix on canonical labels.
 
+    S_{(r,s),(r',s')} = -+ pref * sin(pi p r r'/u) * sin(pi u s s'/p), the
+    sign negative when r s' + s r' is odd.  The sines come from two tables
+    built once per call, sr[r][r'] = pref * sin(pi p r r'/u) (u-1 by u-1)
+    and ss[s][s'] = sin(pi u s s'/p) (p-1 by p-1), so each value is one
+    multiply sr * ss, negated by the sign.  This is bit-identical to
+    ((pref * sign) * sin_r) * sin_s: pref * sign is exact, and rounding to
+    nearest commutes with negation.
+
     Both representatives of every row label are evaluated and compared, so a
     representative-dependence bug cannot pass silently.
     """
-    if u < 2 or p < 2 or math.gcd(u, p) != 1:
-        raise ValueError("need coprime u, p >= 2")
     labels = vir_labels(u, p)
     tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         pref = -2 / mp.sqrt(mp.mpf(u * p) / 2)
+        sr = [[pref * mp.sinpi(mp.mpf(p * r * r2) / u) for r2 in range(1, u)]
+              for r in range(1, u)]
+        ss = [[mp.sinpi(mp.mpf(u * s * s2) / p) for s2 in range(1, p)]
+              for s in range(1, p)]
 
         def val(r, s, r2, s2):
-            sign = -1 if (r * s2 + s * r2) % 2 else 1
-            return (pref * sign
-                    * mp.sinpi(mp.mpf(p * r * r2) / u)
-                    * mp.sinpi(mp.mpf(u * s * s2) / p))
+            v = sr[r - 1][r2 - 1] * ss[s - 1][s2 - 1]
+            return -v if (r * s2 + s * r2) % 2 else v
 
         rows = []
         for a in labels:

@@ -88,6 +88,18 @@ def test_missing_level_is_usage_error():
         assert "integer level -k" in res.output
 
 
+@pytest.mark.parametrize("command", [
+    "tmatrix --family vir -u 4 -p 6",
+    "fusion --family vir -k 0",
+    "tmatrix --family vir -k -1",
+    "smatrix --family vir -u 4 -p 6",
+])
+def test_vir_pair_without_a_model_is_usage_error(command):
+    res = run(*command.split())
+    assert res.exit_code == 2
+    assert "coprime" in res.output or "positive integer" in res.output
+
+
 def test_level_flags_are_exclusive():
     res = run("char", "-k", "1", "-p", "5", "-r", "1", "-N", "2")
     assert res.exit_code == 2

@@ -210,6 +210,36 @@ def test_one_level_check_everywhere():
                 fn(bad)
 
 
+def _vir_entry_per_formula(u, p, a, b, precision):
+    """One S entry straight from its formula, with its own two sines."""
+    with mp.workprec(precision + 16):
+        pref = -2 / mp.sqrt(mp.mpf(u * p) / 2)
+        sign = -1 if (a.r * b.s + a.s * b.r) % 2 else 1
+        return (pref * sign
+                * mp.sinpi(mp.mpf(p * a.r * b.r) / u)
+                * mp.sinpi(mp.mpf(u * a.s * b.s) / p))
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+@pytest.mark.parametrize("u,p", [(3, 4), (2, 5), (4, 9), (5, 7), (3, 5), (8, 13)])
+def test_vir_smatrix_matches_per_entry_formula(u, p, precision):
+    # the sine tables must not move a single bit of any entry
+    S = vir_smatrix(u, p, precision)
+    for i, a in enumerate(S.labels):
+        for j, b in enumerate(S.labels):
+            want = _vir_entry_per_formula(u, p, a, b, precision)
+            assert S.rows[i][j]._mpf_ == want._mpf_, (a, b)
+
+
+@pytest.mark.parametrize("build", [
+    vir_smatrix, vir_fusion, lambda u, p: t_matrix("vir", (u, p))],
+    ids=["smatrix", "fusion", "tmatrix"])
+@pytest.mark.parametrize("u,p", [(4, 6), (1, 3), (3, 1)])
+def test_vir_pair_without_a_model_is_rejected(build, u, p):
+    with pytest.raises(ValueError, match="coprime"):
+        build(u, p)
+
+
 def test_representative_dependence_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(modular, "derived_tolerance", lambda precision: -1)
     with pytest.raises(VerificationError):
