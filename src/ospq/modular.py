@@ -180,12 +180,12 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     """Virasoro minimal-model S-matrix on canonical labels.
 
     S_{(r,s),(r',s')} = (-1)^(r s' + s r') * pref * sin(pi p r r'/u)
-    * sin(pi u s s'/p), with pref = -2 / sqrt(u p / 2).  The sines come from two tables built
-    once per call, sr[r][r'] = pref * sin(pi p r r'/u) (u-1 by u-1) and
-    ss[s][s'] = sin(pi u s s'/p) (p-1 by p-1), so each value is one multiply
-    sr * ss, negated for odd r s' + s r'.  That is bit-identical to the
-    per-entry ((pref * sign) * sin_r) * sin_s: pref * sign is exact, and
-    rounding to nearest commutes with negation.
+    * sin(pi u s s'/p), with pref = -2 / sqrt(u p / 2).  The sines come from
+    two tables built once per call, sr[r][r'] = pref * sin(pi p r r'/u)
+    (u-1 by u-1) and ss[s][s'] = sin(pi u s s'/p) (p-1 by p-1), so each
+    value is one multiply sr * ss, negated for odd r s' + s r'.  That is
+    bit-identical to the per-entry ((pref * sign) * sin_r) * sin_s: pref *
+    sign is exact, and rounding to nearest commutes with negation.
 
     Both representatives of every row label are evaluated and compared, so a
     representative-dependence bug cannot pass silently.
