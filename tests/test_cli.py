@@ -285,9 +285,12 @@ def test_selftest_fast_subset():
 # sha256 of the stdout of each command, recorded before a refactor that must
 # not change any output byte: the 14 README examples, then every command that
 # resolves a Virasoro pair, once from -u -p and once from -k, then the (8, 15)
-# S-matrix, large enough that every sine is shared by many entries.  After an
-# intended output change, re-record with `PYTHONPATH=src python
-# tests/test_cli.py`, which prints this table.
+# S-matrix, large enough that every sine is shared by many entries, then a k=2
+# S-transform at a tau0 off the imaginary axis, whose twisted modules carry
+# half-integer exponents and whose numbers depend on the order in which the
+# series products store their terms.  After an intended output change,
+# re-record with `PYTHONPATH=src python tests/test_cli.py`, which prints this
+# table.
 OUTPUT_DIGESTS = {
     'char --family osp -k 1 -r 1 -N 4':
         '1b2ebddfb777cd7d9659653f8a815eebbd7277de70fcc5bbda4a00d2a76a2eef',
@@ -339,6 +342,8 @@ OUTPUT_DIGESTS = {
         '55ffcf9eb2c9b978514fb8c2c5421523adfd56efd8def41780ea198fd72edf2d',
     'smatrix --family vir -k 6':
         '8848aaa7626be5ec5cf671c3822424d344ed9189fff3b9da8ae190f021585d40',
+    'stransform-check -k 2 --tau0 0.3+1.1j -N 20':
+        '38515ed94577a7b4984bec6ba24f8b5aea79a60cd537ca99e3b1e5c58b776cab',
 }
 
 
