@@ -199,6 +199,23 @@ def qs_shift(a: QSeries, exp: Rat, coeff: Rat = 1) -> QSeries:
     return QSeries({e + exp: c * coeff for e, c in a.terms.items()}, T)
 
 
+def _from_lattice(acc: Mapping[int, Rat], D: int, trunc: Optional[QQ]) -> QSeries:
+    """The series sum of c * q^(e/D) over the nonzero int-keyed ``acc``, whose
+    exponents all lie below ``trunc``; the terms keep the order of ``acc``."""
+    out = QSeries.__new__(QSeries)
+    out.terms = {QQ(e, D): QQ(c) for e, c in acc.items()}
+    out.trunc = trunc
+    out.D = D // math.gcd(D, *acc)
+    return out
+
+
+def _scaled(a: QSeries, D: int):
+    """(e * D, c) pairs of ``a`` in stored order; integral coefficients
+    become Python ints."""
+    return [(e.numerator * (D // e.denominator),
+             c.numerator if c.denominator == 1 else c) for e, c in a.terms.items()]
+
+
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     ma, mb = a.min_exp_bound(), b.min_exp_bound()
     if ma is None or mb is None:
@@ -212,12 +229,14 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     T = min(cands) if cands else None
     if len(a.terms) > len(b.terms):
         a, b = b, a
+    D = math.lcm(a.D, b.D)
+    Ti = None if T is None else math.ceil(T * D)
     acc: dict = {}
-    b_items = sorted(b.terms.items())
-    for ea, ca in a.terms.items():
+    b_items = sorted(_scaled(b, D))
+    for ea, ca in _scaled(a, D):
         for eb, cb in b_items:
             e = ea + eb
-            if T is not None and e >= T:
+            if Ti is not None and e >= Ti:
                 break
             s = acc.get(e)
             s = ca * cb if s is None else s + ca * cb
@@ -225,7 +244,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
                 acc.pop(e, None)
             else:
                 acc[e] = s
-    return QSeries(acc, T)
+    return _from_lattice(acc, D, T)
 
 
 def qs_invert(a: QSeries) -> QSeries:
@@ -239,52 +258,55 @@ def qs_invert(a: QSeries) -> QSeries:
         raise EmptySeries("cannot invert a series with no terms")
     e0 = a.min_exp()
     c0 = a.terms[e0]
-    rel = {}
-    for e, c in a.terms.items():
-        if e != e0:
-            rel[e - e0] = c / c0
     if a.trunc is None:
-        if rel:
+        if len(a.terms) > 1:
             raise ValueError(
                 "cannot invert an untruncated non-monomial series; truncate first"
             )
         return QSeries.monomial(1 / c0, -e0, None)
     T_rel = a.trunc - e0
-    # coefficient recursion for (1 + u)^{-1} on the lattice of u's exponents
-    inv = {QQ(0): QQ(1)}
-    if rel:
-        L = 1
-        for e in rel:
-            L = math.lcm(L, e.denominator)
-        steps = sorted(rel.items())
-        j = 1
-        while QQ(j, L) < T_rel:
-            n = QQ(j, L)
-            s = QQ(0)
-            for m, cm in steps:
-                if m > n:
-                    break
-                prev = inv.get(n - m)
-                if prev is not None:
-                    s -= cm * prev
-            if s != 0:
-                inv[n] = s
-            j += 1
-    terms = {n - e0: c / c0 for n, c in inv.items()}
-    return QSeries(terms, T_rel - e0)
+    # coefficient recursion for (1 + u)^{-1} on int steps n of u's lattice 1/L
+    L = math.lcm(*((e - e0).denominator for e in a.terms))
+    steps = []
+    for e, c in a.terms.items():
+        if e != e0:
+            cm = c / c0
+            steps.append((int((e - e0) * L), cm.numerator if cm.denominator == 1 else cm))
+    steps.sort()
+    inv = [1] + [0] * (math.ceil(T_rel * L) - 1)
+    for n in range(1, len(inv)):
+        s = 0
+        for m, cm in steps:
+            if m > n:
+                break
+            prev = inv[n - m]
+            if prev:
+                s -= cm * prev
+        inv[n] = s
+    E = math.lcm(L, e0.denominator)
+    shift = int(e0 * E)
+    return _from_lattice({n * (E // L) - shift: c / c0 for n, c in enumerate(inv) if c},
+                         E, T_rel - e0)
 
 
 def qs_eta(N: Rat) -> QSeries:
-    """Dedekind eta expansion q^{1/24} * prod_{n>=1} (1 - q^n), order N."""
+    """Dedekind eta q^{1/24} * prod_{n>=1} (1 - q^n) to order N, from Euler's
+    pentagonal number theorem: q^{1/24} * sum over m of (-1)^m q^{m(3m-1)/2},
+    whose exponents are (6m - 1)^2 / 24.  They grow along m = 0, 1, -1, 2,
+    -2, ..., so the terms are stored in ascending order."""
     N = as_fraction(N)
     if N <= 0:
         raise ValueError("truncation order must be positive")
-    acc = QSeries.one(N)
-    n = 1
-    while n < N:
-        acc = qs_mul(acc, QSeries({QQ(0): QQ(1), QQ(n): QQ(-1)}))
-        n += 1
-    return qs_shift(acc, QQ(1, 24)).truncate(N)
+    cut = math.ceil(24 * N)
+    acc = {}
+    j = 0
+    while True:
+        for m in (j, -j) if j else (0,):
+            e = (6 * m - 1) ** 2
+            if e >= cut:
+                return _from_lattice(acc, 24, N)
+            acc[e] = (-1) ** j
+        j += 1
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,19 @@ def wq_shift(a: WQSeries, q_exp: Rat, w_exp: Rat, coeff: Rat = 1) -> WQSeries:
     return WQSeries(terms, T, F)
 
 
+def _on_lattice(a: WQSeries, q0: QQ, step: QQ, Lw: int) -> Dict[int, Dict[int, object]]:
+    """Slices of ``a`` keyed by (q - q0) / step and w * Lw, both ints;
+    integral coefficients become Python ints."""
+    return {
+        int((qe - q0) / step): {
+            we.numerator * (Lw // we.denominator):
+                c.numerator if c.denominator == 1 else c
+            for we, c in sl.items()
+        }
+        for qe, sl in a.terms.items()
+    }
+
+
 def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     for x, name in ((a, "left"), (b, "right")):
         if not x.terms and x.w_floor is not None:
@@ -243,26 +256,31 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     if b.q_trunc is not None:
         cands.append(b.q_trunc + ma)
     T = min(cands) if cands else None
-    F = None
-    if a.w_floor is not None or b.w_floor is not None:
-        fc = []
-        if a.w_floor is not None:
-            fc.append(a.w_floor + b.wmax())
-        if b.w_floor is not None:
-            fc.append(b.w_floor + a.wmax())
-        F = max(fc)
-    acc: Dict[QQ, Slice] = {}
-    b_slices = sorted(b.terms.items())
-    for qa, sla in a.terms.items():
+    # a factor with no stored terms is zero below its q_trunc at every w
+    fc = []
+    if a.w_floor is not None and b.terms:
+        fc.append(a.w_floor + b.wmax())
+    if b.w_floor is not None and a.terms:
+        fc.append(b.w_floor + a.wmax())
+    F = max(fc, default=None)
+    # convolve on q * Q and w * W, both ints
+    Q = math.lcm(*(qe.denominator for x in (a, b) for qe in x.terms))
+    W = math.lcm(*(we.denominator for x in (a, b)
+                   for sl in x.terms.values() for we in sl))
+    Ti = None if T is None else math.ceil(T * Q)
+    Fi = None if F is None else math.ceil(F * W)
+    acc: Dict[int, Dict[int, object]] = {}
+    b_slices = sorted(_on_lattice(b, QQ(0), QQ(1, Q), W).items())
+    for qa, sla in _on_lattice(a, QQ(0), QQ(1, Q), W).items():
         for qb, slb in b_slices:
             qc = qa + qb
-            if T is not None and qc >= T:
+            if Ti is not None and qc >= Ti:
                 break
             out = acc.setdefault(qc, {})
             for wa, ca in sla.items():
                 for wb, cb in slb.items():
                     wc = wa + wb
-                    if F is not None and wc < F:
+                    if Fi is not None and wc < Fi:
                         continue
                     s = out.get(wc)
                     s = ca * cb if s is None else s + ca * cb
@@ -270,12 +288,12 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
                         del out[wc]
                     else:
                         out[wc] = s
-    acc = {qe: sl for qe, sl in acc.items() if sl}
-    out = WQSeries.__new__(WQSeries)
-    out.terms = acc
-    out.q_trunc = T
-    out.w_floor = F
-    return out
+    res = WQSeries.__new__(WQSeries)
+    res.terms = {QQ(qc, Q): {QQ(wc, W): QQ(c) for wc, c in sl.items()}
+                 for qc, sl in acc.items() if sl}
+    res.q_trunc = T
+    res.w_floor = F
+    return res
 
 
 def wq_scale_w(a: WQSeries, factor: Rat) -> WQSeries:
@@ -380,19 +398,6 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
 class IncompleteQuotient(VerificationError):
     """Raised when an unfloored division leaves a nonzero remainder: the
     quotient has unbounded descending w-support, so a ``w_floor`` is needed."""
-
-
-def _on_lattice(a: WQSeries, q0: QQ, step: QQ, Lw: int) -> Dict[int, Dict[int, object]]:
-    """Slices of ``a`` keyed by (q - q0) / step and w * Lw, both ints;
-    integral coefficients become Python ints."""
-    return {
-        int((qe - q0) / step): {
-            we.numerator * (Lw // we.denominator):
-                c.numerator if c.denominator == 1 else c
-            for we, c in sl.items()
-        }
-        for qe, sl in a.terms.items()
-    }
 
 
 def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
