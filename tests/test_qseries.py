@@ -2,6 +2,8 @@
 
 from fractions import Fraction as QQ
 
+import math
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,89 @@ def partition_numbers(n_max):
             j += 1
         p[n] = total
     return p
+
+
+# -- Fraction-keyed reference kernels --------------------------------------------
+
+
+def ref_mul(a, b):
+    """Product by a Fraction-keyed convolution, with qs_mul's truncation rule and
+    term order (a's terms in stored order against b's sorted)."""
+    ma, mb = a.min_exp_bound(), b.min_exp_bound()
+    if ma is None or mb is None:
+        return QSeries.zero(None)
+    cands = []
+    if a.trunc is not None:
+        cands.append(a.trunc + mb)
+    if b.trunc is not None:
+        cands.append(b.trunc + ma)
+    T = min(cands) if cands else None
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    acc = {}
+    b_items = sorted(b.terms.items())
+    for ea, ca in a.terms.items():
+        for eb, cb in b_items:
+            e = ea + eb
+            if T is not None and e >= T:
+                break
+            s = acc.get(e)
+            s = ca * cb if s is None else s + ca * cb
+            if s == 0:
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    return QSeries(acc, T)
+
+
+def ref_invert(a):
+    """Inverse by the (1 + u)^{-1} recursion on Fraction-keyed exponents."""
+    if not a.terms:
+        raise EmptySeries("cannot invert a series with no terms")
+    e0 = a.min_exp()
+    c0 = a.terms[e0]
+    rel = {e - e0: c / c0 for e, c in a.terms.items() if e != e0}
+    if a.trunc is None:
+        if rel:
+            raise ValueError("cannot invert an untruncated non-monomial series")
+        return QSeries.monomial(1 / c0, -e0, None)
+    T_rel = a.trunc - e0
+    inv = {QQ(0): QQ(1)}
+    if rel:
+        L = math.lcm(*(e.denominator for e in rel))
+        steps = sorted(rel.items())
+        j = 1
+        while QQ(j, L) < T_rel:
+            n = QQ(j, L)
+            s = QQ(0)
+            for m, cm in steps:
+                if m > n:
+                    break
+                prev = inv.get(n - m)
+                if prev is not None:
+                    s -= cm * prev
+            if s != 0:
+                inv[n] = s
+            j += 1
+    return QSeries({n - e0: c / c0 for n, c in inv.items()}, T_rel - e0)
+
+
+@st.composite
+def st_lattice_series(draw):
+    """A series on one lattice 1/d (d <= 24), complete or truncated, whose
+    declared D may be a multiple of the one its exponents need."""
+    d = draw(st.integers(1, 24))
+    exps = st.integers(-3 * d, 6 * d).map(lambda k: QQ(k, d))
+    terms = draw(st.dictionaries(exps, st_coeff, max_size=8))
+    trunc = draw(st.none() | st.fractions(QQ(-1), QQ(9), max_denominator=24))
+    return QSeries(terms, trunc, D=d * draw(st.integers(1, 3)))
+
+
+def assert_same_series(got, want):
+    """Equal terms in the same stored order, all Fractions, equal trunc and D."""
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(e) is QQ and type(c) is QQ for e, c in got.terms.items())
+    assert (got.trunc, got.D) == (want.trunc, want.D)
 
 
 # -- construction and bookkeeping ---------------------------------------------
@@ -157,6 +242,12 @@ def test_mul_trunc_bookkeeping():
     assert prod.terms == {QQ(5, 2): QQ(1)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series(), st_lattice_series())
+def test_mul_matches_the_fraction_keyed_convolution(a, b):
+    assert_same_series(qs_mul(a, b), ref_mul(a, b))
+
+
 # -- eta and partition numbers --------------------------------------------------
 
 
@@ -183,6 +274,22 @@ def test_eta_at_tau_i_matches_gamma_closed_form():
         target = mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf(0.75))
         assert abs(res.value - target) < mp.mpf(10) ** -60
     assert res.tail_bound < mp.mpf(10) ** -100
+
+
+@pytest.mark.parametrize("N", [QQ(1, 3), QQ(1, 24), QQ(25, 24), QQ(3), QQ(7, 2),
+                               QQ(13, 3), QQ(23), QQ(101, 4), QQ(80)])
+def test_eta_is_the_truncated_euler_product(N):
+    prod = QSeries.one(N)
+    n = 1
+    while n < N:
+        prod = ref_mul(prod, QSeries({QQ(0): QQ(1), QQ(n): QQ(-1)}))
+        n += 1
+    want = qs_shift(prod, QQ(1, 24)).truncate(N)
+    eta = qs_eta(N)
+    assert eta.terms == want.terms
+    assert (eta.trunc, eta.D) == (want.trunc, want.D)
+    assert eta.trunc == N
+    assert eta.is_zero == (N <= QQ(1, 24))
 
 
 # -- inversion contract ---------------------------------------------------------
@@ -220,6 +327,18 @@ def test_invert_contract_product_is_one(terms, t):
     ok, bad = qs_equal_below(prod, one, order=guaranteed)
     assert ok, bad
     assert prod.coeff(QQ(0)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series())
+def test_invert_matches_the_fraction_keyed_recursion(a):
+    try:
+        want = ref_invert(a)
+    except (EmptySeries, ValueError) as exc:  # no terms; complete multi-term
+        with pytest.raises(type(exc)):
+            qs_invert(a)
+        return
+    assert_same_series(qs_invert(a), want)
 
 
 # -- numeric evaluation ----------------------------------------------------------

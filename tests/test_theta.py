@@ -49,6 +49,68 @@ def brute_product(pa, pb):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def ref_wq_mul(a, b):
+    """Product by a Fraction-keyed slice convolution, with wq_mul's box rule and
+    term order (a's slices in stored order against b's sorted)."""
+    for x in (a, b):
+        if not x.terms and x.w_floor is not None:
+            raise ValueError("empty but w-floored factor")
+    ma, mb = a.min_q_bound(), b.min_q_bound()
+    if ma is None or mb is None:
+        return WQSeries((), None, None)
+    cands = []
+    if a.q_trunc is not None:
+        cands.append(a.q_trunc + mb)
+    if b.q_trunc is not None:
+        cands.append(b.q_trunc + ma)
+    T = min(cands) if cands else None
+    fc = []
+    if a.w_floor is not None and b.terms:
+        fc.append(a.w_floor + b.wmax())
+    if b.w_floor is not None and a.terms:
+        fc.append(b.w_floor + a.wmax())
+    F = max(fc, default=None)
+    acc = {}
+    b_slices = sorted(b.terms.items())
+    for qa, sla in a.terms.items():
+        for qb, slb in b_slices:
+            qc = qa + qb
+            if T is not None and qc >= T:
+                break
+            out = acc.setdefault(qc, {})
+            for wa, ca in sla.items():
+                for wb, cb in slb.items():
+                    wc = wa + wb
+                    if F is not None and wc < F:
+                        continue
+                    s = out.get(wc)
+                    s = ca * cb if s is None else s + ca * cb
+                    if s == 0:
+                        del out[wc]
+                    else:
+                        out[wc] = s
+    res = WQSeries((), T, F)
+    res.terms = {qe: sl for qe, sl in acc.items() if sl}
+    return res
+
+
+@st.composite
+def st_lattice_wq(draw):
+    """A series on one lattice (q in Z/dq, dq <= 24; w in Z/dw, dw <= 6),
+    complete, truncated, floored or both."""
+    dq, dw = draw(st.integers(1, 24)), draw(st.integers(1, 6))
+    qe = st.integers(0, 4 * dq).map(lambda k: QQ(k, dq))
+    we = st.integers(-2 * dw, 2 * dw).map(lambda k: QQ(k, dw))
+    pairs = draw(st.dictionaries(st.tuples(qe, we), st_coeff, max_size=8))
+    q_trunc = draw(st.none() | st.fractions(QQ(1, 2), QQ(5), max_denominator=24))
+    w_floor = draw(st.none() | st.fractions(QQ(-2), QQ(1), max_denominator=6))
+    return make_wq(pairs, q_trunc, w_floor)
+
+
+def slices_in_order(x):
+    return [(qe, list(sl.items())) for qe, sl in x.terms.items()]
+
+
 # -- frozen theta slices --------------------------------------------------------
 
 
@@ -216,6 +278,30 @@ def test_boxed_product_is_sound(pa, pb, t, f):
     dense = make_wq(brute_product(pa, pb))
     ok, bad, _ = wq_equal_on_box(prod, dense)
     assert ok, bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_wq(), st_lattice_wq())
+def test_mul_matches_the_fraction_keyed_convolution(a, b):
+    try:
+        want = ref_wq_mul(a, b)
+    except ValueError:  # an empty, floored factor
+        with pytest.raises(ValueError):
+            wq_mul(a, b)
+        return
+    got = wq_mul(a, b)
+    assert slices_in_order(got) == slices_in_order(want)
+    assert all(type(x) is QQ for qe, we, c in got.items() for x in (qe, we, c))
+    assert (got.q_trunc, got.w_floor) == (want.q_trunc, want.w_floor)
+
+
+def test_product_with_a_factor_without_terms_is_zero_on_its_box():
+    empty = WQSeries((), 2, None)
+    floored = WQSeries([(0, -1, 1)], 3, -2)
+    for a, b in ((empty, floored), (floored, empty)):
+        prod = wq_mul(a, b)
+        assert prod.is_zero
+        assert (prod.q_trunc, prod.w_floor) == (QQ(2), None)
 
 
 @settings(max_examples=100, deadline=None)
