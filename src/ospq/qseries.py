@@ -9,6 +9,13 @@ coefficients of the underlying series at every exponent below ``trunc``.
 Operations propagate the guaranteed order honestly and never extend it.
 Coefficients are exact; numeric evaluation (``qs_eval``) is a separate,
 explicitly lossy operation.
+
+Products and inverses run on an integer exponent lattice: exponents are
+scaled to ints over a common denominator, integral coefficients stay Python
+ints, and Fractions are built only for the returned series, whose terms keep
+the order in which the loops first produced them.  Dedekind eta is summed in
+closed form from Euler's pentagonal number theorem rather than multiplied
+out factor by factor.
 """
 
 from __future__ import annotations

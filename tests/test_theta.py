@@ -3,7 +3,7 @@
 from fractions import Fraction as QQ
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ospq.qseries import EmptySeries, QSeries, qs_eta
 from ospq.theta import (
@@ -97,11 +97,12 @@ def ref_wq_mul(a, b):
 @st.composite
 def st_lattice_wq(draw):
     """A series on one lattice (q in Z/dq, dq <= 24; w in Z/dw, dw <= 6),
-    complete, truncated, floored or both."""
+    complete, truncated, floored or both.  Its q-exponents m + j/dq (m < 4,
+    j < 2) are few, so that slices hold several w-terms."""
     dq, dw = draw(st.integers(1, 24)), draw(st.integers(1, 6))
-    qe = st.integers(0, 4 * dq).map(lambda k: QQ(k, dq))
+    qe = st.tuples(st.integers(0, 3), st.integers(0, 1)).map(lambda t: t[0] + QQ(t[1], dq))
     we = st.integers(-2 * dw, 2 * dw).map(lambda k: QQ(k, dw))
-    pairs = draw(st.dictionaries(st.tuples(qe, we), st_coeff, max_size=8))
+    pairs = draw(st.dictionaries(st.tuples(qe, we), st_coeff, max_size=10))
     q_trunc = draw(st.none() | st.fractions(QQ(1, 2), QQ(5), max_denominator=24))
     w_floor = draw(st.none() | st.fractions(QQ(-2), QQ(1), max_denominator=6))
     return make_wq(pairs, q_trunc, w_floor)
@@ -282,6 +283,8 @@ def test_boxed_product_is_sound(pa, pb, t, f):
 
 @settings(max_examples=100, deadline=None)
 @given(st_lattice_wq(), st_lattice_wq())
+# a floor off the w-lattice of the product: the cut must round up
+@example(make_wq({(0, 0): 1}, w_floor=QQ(-1, 3)), make_wq({(0, 0): 1, (0, -1): 1}))
 def test_mul_matches_the_fraction_keyed_convolution(a, b):
     try:
         want = ref_wq_mul(a, b)
