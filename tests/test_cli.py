@@ -344,6 +344,14 @@ OUTPUT_DIGESTS = {
         '8848aaa7626be5ec5cf671c3822424d344ed9189fff3b9da8ae190f021585d40',
     'stransform-check -k 2 --tau0 0.3+1.1j -N 20':
         '38515ed94577a7b4984bec6ba24f8b5aea79a60cd537ca99e3b1e5c58b776cab',
+    'fpdim -k 11':
+        'caca47748a0638ccff7da09eaaab51e6115e935abc694a50ad7efe7b7ac46880',
+    'verlinde --family vir -k 3':
+        '84226ee8be4fa7b2c698197a7eea1a8b837d6263939a11d14e75cc6b52e62b4c',
+    'verlinde-super -k 2':
+        '5db6be554f805d6f605e37920efd26c6267e807fd383879f241945b1a05c9dbe',
+    'coset-smatrix -k 2':
+        'a22cdd5769cbd73ed5bbbba89eaa0c7c7e8f926d0658dc73e53d703deb028b03',
 }
 
 
