@@ -4,9 +4,12 @@ and parity-refined), Frobenius-Perron dimension identities, and numeric
 checks of the character S-transformations.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
-cyclotomics; integrality of Verlinde output within a fixed 1e-6 gate serves
-as the correctness certificate.  The default working precision is 256 bits
-and derived tolerances are 10^(1 - precision/4).
+cyclotomics.  The Verlinde sums (``verlinde_standard``, ``verlinde_super``)
+are gated to integers within a fixed 1e-6; ``verlinde_matches`` proves a
+given fusion tensor is the Verlinde ring of S by bounding every entry of
+N_a - S Lambda_a S^-1 by the 1e-6 gate, without forming the O(n^4) sums.
+The default working precision is 256 bits and derived tolerances are
+10^(1 - precision/4).
 """
 
 from __future__ import annotations
@@ -163,13 +166,18 @@ def unitarity_defect(S: SMatrix):
 
 
 def st_cube_defect(S: SMatrix, T: TMatrix):
-    """Max-norm of (ST)^3 - S^2; label orders must coincide."""
+    """Max-norm of (ST)^3 - S^2; label orders must coincide.
+
+    S T scales column j of S by the phase of label j: one rounded product
+    per entry, bit-identical to the dense product with the diagonal T,
+    whose other terms are exact zeros.
+    """
     if S.labels != T.labels:
         raise ValueError("S and T label orders differ")
     with mp.workprec(S.precision + 16):
         M = S.as_matrix()
-        D = T.as_matrix()
-        ST = M * D
+        phases = [T.phase(a) for a in T.labels]
+        ST = mp.matrix([[v * ph for v, ph in zip(row, phases)] for row in S.rows])
         return _max_defect(ST * ST * ST, M * M)
 
 
@@ -187,7 +195,13 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     bit-identical to the per-entry ((pref * sign) * sin_r) * sin_s: pref *
     sign is exact, and rounding to nearest commutes with negation.
 
-    Both representatives of every row label are evaluated and compared, so a
+    Representative independence is checked on the tables, once per table
+    entry: sr[u-r][r'] = (-1)^(p r'+1) sr[r][r'] within e_r and
+    ss[p-s][s'] = (-1)^(u s'+1) ss[s][s'] within e_s.  As (u-r) s' +
+    (p-s) r' + (p r'+1) + (u s'+1) = r s' + s r' (mod 2), the two
+    representatives of any row label then give entries that differ by at
+    most e_r max|ss| + e_s max|sr| + e_r e_s, plus the rounding of the two
+    products; that sum must stay within the derived tolerance, so a
     representative-dependence bug cannot pass silently.
     """
     labels = vir_labels(u, p)
@@ -198,23 +212,37 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
               for r in range(1, u)]
         ss = [[mp.sinpi(mp.mpf(u * s * s2) / p) for s2 in range(1, p)]
               for s in range(1, p)]
-
-        def val(r, s, r2, s2):
-            v = sr[r - 1][r2 - 1] * ss[s - 1][s2 - 1]
-            return -v if (r * s2 + s * r2) % 2 else v
-
+        e_r, e_s = _reflection_defect(sr, p), _reflection_defect(ss, u)
+        m_r, m_s = _max_abs(sr), _max_abs(ss)
+        spread = e_r * m_s + e_s * m_r + e_r * e_s + 2 * mp.eps * m_r * m_s
+        if spread > tol:
+            raise VerificationError(
+                "S-matrix not representative-independent: the Kac reflection "
+                "moves an entry by up to %s > %s"
+                % (mp.nstr(spread, 5), mp.nstr(tol, 5)))
         rows = []
         for a in labels:
+            sr_a, ss_a = sr[a.r - 1], ss[a.s - 1]
             row = []
             for b in labels:
-                v1 = val(a.r, a.s, b.r, b.s)
-                v2 = val(u - a.r, p - a.s, b.r, b.s)
-                if abs(v1 - v2) > tol:
-                    raise VerificationError(
-                        "S-matrix not representative-independent at %r, %r" % (a, b))
-                row.append(v1)
+                v = sr_a[b.r - 1] * ss_a[b.s - 1]
+                row.append(-v if (a.r * b.s + a.s * b.r) % 2 else v)
             rows.append(row)
     return SMatrix(labels, rows, labels.index(VirLabel(1, 1)), precision)
+
+
+def _reflection_defect(table, m: int):
+    """Max over entries of |t[n-x][y] - (-1)^(m y + 1) t[x][y]| for the
+    (n-1)-square table t[x-1][y-1], x, y = 1..n-1."""
+    d = mp.mpf(0)
+    for row, mirror in zip(table, reversed(table)):
+        for y, (v, w) in enumerate(zip(row, mirror), 1):
+            d = max(d, abs(w + v if (m * y) % 2 == 0 else w - v))
+    return d
+
+
+def _max_abs(table):
+    return max(abs(v) for row in table for v in row)
 
 
 def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
@@ -243,9 +271,17 @@ def s_small(k: int, r: int, r_prime: int, precision: int = 256):
 
 
 def s_table(k: int, precision: int = 256) -> List[List[mpmath.mpf]]:
-    """The sine coefficients as rows: s_table(k)[r-1][t-1] = s_small(k, r, t)."""
+    """The sine coefficients as rows: s_table(k)[r-1][t-1] = s_small(k, r, t).
+
+    1/sqrt(2k+3) is taken once; -1/x rounds to -(1/x), so each entry is
+    bit-identical to s_small's.
+    """
+    check_level(k)
     n = 2 * k + 3
-    return [[s_small(k, r, t, precision) for t in range(1, n)] for r in range(1, n)]
+    with mp.workprec(precision + 16):
+        inv = 1 / mp.sqrt(mp.mpf(n))
+        return [[(-inv if (r + t) % 2 else inv) * mp.sinpi(mp.mpf(r * t * (k + 2)) / n)
+                 for t in range(1, n)] for r in range(1, n)]
 
 
 def extended_labels(k: int) -> List[Tuple[int, str]]:
@@ -286,9 +322,11 @@ def extended_smatrix(k: int, precision: int = 256) -> ExtendedSMatrix:
 def verlinde_standard(S: SMatrix) -> FusionTensor:
     """Fusion tensor from the matrix-inverse Verlinde sum.
 
-    N_{ab}^c = sum_x S_{ax} S_{bx} (S^{-1})_{xc} / S_{vac,x}, rounded to
-    integers under a 1e-6 gate; any non-integral or negative structure
-    constant raises NonIntegralFusion.
+    N_{ab}^c = sum_x S_{ax} S_{bx} (S^{-1})_{xc} / S_{vac,x}, each sum an
+    exact dot product rounded once, checked against integers under a 1e-6
+    gate; any non-integral or negative structure constant raises
+    NonIntegralFusion.  This forms all O(n^4) sums to read the ring off S;
+    ``verlinde_matches`` checks a given tensor in O(n^3).
     """
     n = S.n
     vac = S.vacuum_index
@@ -299,14 +337,14 @@ def verlinde_standard(S: SMatrix) -> FusionTensor:
             if abs(M[vac, x]) < mp.mpf(10) ** (-S.precision // 4):
                 raise NonIntegralFusion(
                     "vacuum row vanishes at column %r" % (S.labels[x],))
-        # P[x][c] = S^{-1}_{xc} / S_{vac,x}
-        P = [[Minv[x, c] / M[vac, x] for c in range(n)] for x in range(n)]
+        # P_col[c][x] = S^{-1}_{xc} / S_{vac,x}
+        P_col = [[Minv[x, c] / M[vac, x] for x in range(n)] for c in range(n)]
         coeffs = {}
         for a in range(n):
             for b in range(a, n):
                 prod = [M[a, x] * M[b, x] for x in range(n)]
                 for c in range(n):
-                    v = mp.fsum(prod[x] * P[x][c] for x in range(n))
+                    v = mp.fdot(prod, P_col[c])
                     nint = int(mp.nint(mp.re(v)))
                     if abs(v - nint) > VERLINDE_GATE or nint < 0:
                         raise NonIntegralFusion(
@@ -317,6 +355,56 @@ def verlinde_standard(S: SMatrix) -> FusionTensor:
                         if a != b:
                             coeffs[(S.labels[b], S.labels[a], S.labels[c])] = nint
     return FusionTensor(S.labels, S.labels[vac], coeffs)
+
+
+def verlinde_matches(S: SMatrix, tensor: FusionTensor, unitarity=None) -> bool:
+    """Whether ``tensor`` is the Verlinde ring of S, proved in O(n^3).
+
+    Write N_a for the matrix (N_a)_{bc} = N_{ab}^c of the tensor and
+    Lambda_a = diag(S_{ax} / S_{vac,x}).  The Verlinde formula says
+    N_a = S Lambda_a S^-1, so with the residual R_a = N_a S - S Lambda_a,
+    entry (b, c) of N_a - S Lambda_a S^-1 = R_a S^-1 is at most
+    |row b of R_a|_2 |S^-1|_2 <= |R_a|_F |S^-1|_2, and
+    |S^-1|_2 <= 1/sqrt(1 - delta) with delta = n max|SS* - I|, which is at
+    least |SS* - I|_2.  The tensor is accepted when the row bound is within
+    the 1e-6 Verlinde gate for every a and b: each exact Verlinde sum of S
+    then lies within the gate of the tensor's integer, which is what
+    ``verlinde_standard`` reads off S.  Its unit, label set, vacuum-row and
+    sign checks apply here too.  N_a has a few entries per row, so forming
+    N_a S costs O(n) per nonzero coefficient.  ``unitarity`` is
+    max|SS* - I| when the caller has already computed it.
+    """
+    n = S.n
+    vac = S.vacuum_index
+    index = {a: i for i, a in enumerate(S.labels)}
+    if set(tensor.labels) != set(S.labels) or tensor.unit != S.labels[vac]:
+        return False
+    # terms[a][b] = [(N_ab^c, c), ...] over the nonzero coefficients
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    for key, m in tensor.items():
+        if m < 0 or any(x not in index for x in key):
+            return False
+        a, b, c = (index[x] for x in key)
+        terms[a][b].append((mp.mpf(m), c))
+    rows = S.rows
+    with mp.workprec(S.precision + 16):
+        if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
+            return False
+        if unitarity is None:
+            unitarity = S.unitarity_defect()
+        delta = n * unitarity
+        if delta >= 1:
+            return False
+        # |row b of R_a|_2^2 / (1 - delta) <= gate^2, without the square root
+        limit = (1 - delta) * mp.mpf(VERLINDE_GATE) ** 2
+        for a in range(n):
+            neg_lam = [-v / w for v, w in zip(rows[a], rows[vac])]
+            for b in range(n):
+                R = [mp.fdot([(m, rows[c][y]) for m, c in terms[a][b]]
+                             + [(rows[b][y], neg_lam[y])]) for y in range(n)]
+                if mp.re(mp.fdot(R, R, conjugate=True)) > limit:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -356,10 +444,13 @@ class SuperVerlinde:
 def stilde_matrix(k: int, precision: int = 256) -> SMatrix:
     """S-matrix in the (plus, minus) basis: per-entry either 2 s_{r,t} or 0,
     selected by the parity pattern of basis and label."""
-    rng = range(1, 2 * k + 3)
+    return _stilde_from_table(s_table(k, precision), precision)
+
+
+def _stilde_from_table(s, precision: int) -> SMatrix:
+    rng = range(1, len(s) + 1)
     labels = [(r, "+") for r in rng] + [(r, "-") for r in rng]
     with mp.workprec(precision + 16):
-        s = s_table(k, precision)
         rows = []
         for (r, a) in labels:
             row = []
@@ -379,32 +470,36 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
 
     Evaluates the parity-gated sums
     N^{+} = delta(r+r'+r'' odd) * 4 * sum over even t of s s s / s_{1,t},
-    N^{-} = the same over odd t, and gates both to integers.  The basis-
-    changed matrix and its honest numeric inverse are built and validated
-    alongside (the matrix is an involution, which the defects certify).
+    N^{-} = the same over odd t, and gates both to integers.  Each sum is
+    an exact dot product, rounded once, of the weight row
+    s_{r,t} s_{r',t} / s_{1,t} (built once per r, r' and parity) with
+    column r'' of the sine table.  The basis-changed matrix and its honest
+    numeric inverse are built from the same table and validated alongside
+    (the matrix is an involution, which the defects certify).
     """
     check_level(k)
     nmax = 2 * k + 2
-    St = stilde_matrix(k, precision)
+    s = s_table(k, precision)
+    St = _stilde_from_table(s, precision)
     with mp.workprec(precision + 16):
         M = St.as_matrix()
         inv_defect = _max_defect(M ** -1, M)
         invol_defect = St.square_defect_from_identity()
 
-        s = s_table(k, precision)
+        ts = [[t for t in range(nmax) if t % 2 != parity] for parity in (0, 1)]
+        # cols[parity][r3 - 1] = s_{t, r3} over t of that parity
+        cols = [[[s[t][c] for t in tp] for c in range(nmax)] for tp in ts]
         n_plus = {}
         n_minus = {}
         for r in range(1, nmax + 1):
             for r2 in range(1, nmax + 1):
+                weights = [[s[r - 1][t] * s[r2 - 1][t] / s[0][t] for t in tp]
+                           for tp in ts]
                 for r3 in range(1, nmax + 1):
                     if (r + r2 + r3) % 2 == 0:
                         continue
                     for parity, store in ((0, n_plus), (1, n_minus)):
-                        v = 4 * mp.fsum(
-                            s[r - 1][t - 1] * s[r2 - 1][t - 1] * s[t - 1][r3 - 1]
-                            / s[0][t - 1]
-                            for t in range(1, nmax + 1) if t % 2 == parity
-                        )
+                        v = 4 * mp.fdot(weights[parity], cols[parity][r3 - 1])
                         nint = int(mp.nint(v))
                         if abs(v - nint) > VERLINDE_GATE or nint < 0:
                             raise NonIntegralFusion(
