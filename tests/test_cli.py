@@ -80,6 +80,33 @@ def test_representative_dependence_is_verification_failure(monkeypatch):
     assert payload["error"] == "VerificationError"
 
 
+def test_coset_verlinde_proof_needs_ten_bits():
+    # the residual bound of the coset Verlinde proof stays above the 1e-6
+    # gate at 8 bits (24 working bits); the O(n^4) sums it replaced passed
+    res = run("coset-smatrix", "-k", "2", "--precision", "8")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {
+        "ok": False, "error": "NonIntegralFusion",
+        "detail": "Verlinde output of the coset S-matrix does not match the "
+                  "parafermion fusion tensor at k=2"}
+    for precision in ("10", "12"):
+        assert run("coset-smatrix", "-k", "2", "--precision", precision).exit_code == 0
+
+
+@pytest.mark.parametrize("command,detail", [
+    ("verlinde --family vir -k 2", "entry (VirLabel(r=1, s=5),VirLabel(r=1, s=5),"
+     "VirLabel(r=1, s=5)) = -1.03082e-6 fails the integrality gate"),
+    ("verlinde-super -k 2", "refined entry (1,1,5)/+ = -1.01613e-6 fails the gate"),
+])
+def test_low_precision_verlinde_failure_detail(command, detail):
+    # each Verlinde sum is an exact dot product rounded once, so the value
+    # reported for a failing entry is that of the single rounding
+    res = run(*command.split(), "--precision", "8")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {
+        "ok": False, "error": "NonIntegralFusion", "detail": detail}
+
+
 def test_missing_level_is_usage_error():
     for args in (("fusion", "--family", "osp"), ("smatrix", "--family", "vir"),
                  ("tmatrix", "--family", "vir", "-u", "3"), ("minweight",)):

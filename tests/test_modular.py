@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import ospq.modular as modular
 from ospq.characters import AdmissibleLevel, VirLabel
-from ospq.coset import LatticeData, coset_labels
-from ospq.fusion import (OutOfRange, check_level, osp_fusion, parafermion_fusion,
-                         sl2_fusion, vir_fusion)
+from ospq.coset import LatticeData, coset_labels, coset_smatrix
+from ospq.fusion import (FusionTensor, OutOfRange, check_level, osp_fusion,
+                         parafermion_fusion, sl2_fusion, vir_fusion)
 from ospq.modular import (
     NonIntegralFusion,
     SMatrix,
@@ -22,11 +22,13 @@ from ospq.modular import (
     fp_ratios,
     min_conformal_weight,
     s_small,
+    s_table,
     sl2_smatrix,
     st_cube_defect,
     stilde_matrix,
     t_matrix,
     unitarity_defect,
+    verlinde_matches,
     verlinde_standard,
     verlinde_super,
     vir_smatrix,
@@ -55,6 +57,17 @@ def test_small_smatrix_frozen_entries():
         assert abs(s_small(1, 2, 2) - closed) < mp.mpf(10) ** -60
         closed13 = mp.sqrt(mp.mpf(1) / 5) * mp.sinpi(mp.mpf(9) / 5)
         assert abs(s_small(1, 1, 3) - closed13) < mp.mpf(10) ** -60
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_s_table_is_s_small_bit_for_bit(k, precision):
+    table = s_table(k, precision)
+    assert len(table) == 2 * k + 2
+    for r, row in enumerate(table, 1):
+        assert len(row) == 2 * k + 2
+        for t, v in enumerate(row, 1):
+            assert v._mpf_ == s_small(k, r, t, precision)._mpf_, (r, t)
 
 
 def test_small_smatrix_window():
@@ -121,6 +134,78 @@ def test_verlinde_rejects_non_modular_input():
     broken = SMatrix(base.labels, rows, 0, 128)
     with pytest.raises(NonIntegralFusion):
         verlinde_standard(broken)
+
+
+def _standard_equals(S, tensor):
+    try:
+        return verlinde_standard(S) == tensor
+    except NonIntegralFusion:
+        return False
+
+
+def _moved(tensor, key, step):
+    coeffs = dict(tensor.items())
+    coeffs[key] = coeffs.get(key, 0) + step
+    return FusionTensor(tensor.labels, tensor.unit, coeffs)
+
+
+def _matrix_and_ring(family, k):
+    if family == "coset":
+        return coset_smatrix(k, verify=False), parafermion_fusion(k)
+    if family == "vir":
+        return vir_smatrix(k + 2, 2 * k + 3), vir_fusion(k + 2, 2 * k + 3)
+    return sl2_smatrix(k), sl2_fusion(k)
+
+
+@pytest.mark.parametrize("family,k", [
+    ("coset", 1), ("coset", 2), ("coset", 3), ("vir", 1), ("vir", 2),
+    ("sl2", 1), ("sl2", 3)])
+def test_verlinde_matches_accepts_the_fusion_rings(family, k):
+    S, ring = _matrix_and_ring(family, k)
+    assert verlinde_matches(S, ring)
+    assert verlinde_matches(S, ring) == _standard_equals(S, ring)
+
+
+@pytest.mark.parametrize("family,k", [("coset", 1), ("coset", 2), ("vir", 1), ("sl2", 2)])
+def test_verlinde_matches_rejects_a_wrong_tensor(family, k):
+    S, ring = _matrix_and_ring(family, k)
+    key = sorted(ring.items(), key=repr)[len(ring.items()) // 2][0]
+    a, b, _ = key
+    absent = next((a, b, c) for c in ring.labels if not ring.coeff(a, b, c))
+    for wrong in (_moved(ring, key, 1), _moved(ring, key, -1),
+                  _moved(ring, absent, 1)):
+        assert not verlinde_matches(S, wrong)
+        assert verlinde_matches(S, wrong) == _standard_equals(S, wrong)
+
+
+@pytest.mark.parametrize("family,k", [("coset", 2), ("vir", 1), ("sl2", 3)])
+def test_verlinde_matches_rejects_a_non_unitary_matrix(family, k):
+    S, ring = _matrix_and_ring(family, k)
+    # one non-vacuum row scaled by 1.01: S is no longer unitary and its
+    # Verlinde sums pick up factors 1.01^(+-1)
+    i = (S.vacuum_index + 1) % S.n
+    rows = [[v * mp.mpf("1.01") if j == i else v for v in row]
+            for j, row in enumerate(S.rows)]
+    bent = SMatrix(S.labels, rows, S.vacuum_index, S.precision)
+    assert bent.unitarity_defect() > mp.mpf("0.01")
+    assert not verlinde_matches(bent, ring)
+    assert verlinde_matches(bent, ring) == _standard_equals(bent, ring)
+
+
+def test_verlinde_matches_survives_a_uniform_scale():
+    # c S has the same Verlinde ring as S; the bound allows for |SS* - I|
+    S, ring = _matrix_and_ring("sl2", 3)
+    scaled = SMatrix(S.labels, [[v * mp.mpf("1.01") for v in row] for row in S.rows],
+                     S.vacuum_index, S.precision)
+    assert verlinde_matches(scaled, ring)
+    assert verlinde_matches(scaled, ring) == _standard_equals(scaled, ring)
+
+
+def test_verlinde_matches_rejects_another_unit_or_label_set():
+    S, ring = _matrix_and_ring("sl2", 2)
+    assert not verlinde_matches(S, FusionTensor(ring.labels, 2, dict(ring.items())))
+    assert not verlinde_matches(S, sl2_fusion(3))
+    assert not verlinde_matches(S, _moved(ring, (1, 1, 1), -2))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -246,6 +331,24 @@ def test_representative_dependence_is_a_verification_error(monkeypatch):
         vir_smatrix(3, 5)
 
 
+def test_kac_reflection_is_checked_on_the_sine_tables(monkeypatch):
+    # one sine at r = u - 1 moved by a relative 1e-40 breaks the reflection
+    # sr[u-1][1] = (-1)^(p+1) sr[1][1]; the real tolerance (1e-63) catches it
+    u, p = 3, 5
+    sinpi = modular.mp.sinpi
+
+    def bent_sinpi(x):
+        v = sinpi(x)
+        if x == modular.mp.mpf(p * (u - 1)) / u:
+            v = v * (1 + modular.mp.mpf(10) ** -40)
+        return v
+
+    vir_smatrix(u, p)
+    monkeypatch.setattr(modular.mp, "sinpi", bent_sinpi)
+    with pytest.raises(VerificationError, match="representative-independent"):
+        vir_smatrix(u, p)
+
+
 def test_min_conformal_weight_requires_coset_shape():
     with pytest.raises(ValueError):
         min_conformal_weight(4, 9)
@@ -296,6 +399,29 @@ def test_st_cube_rejects_label_mismatch():
     T = t_matrix("vir", (3, 5))
     with pytest.raises(ValueError):
         st_cube_defect(S, T)
+
+
+def _dense_st_cube_defect(S, T):
+    """(ST)^3 - S^2 with T as a dense diagonal matrix."""
+    with mp.workprec(S.precision + 16):
+        M = S.as_matrix()
+        ST = M * T.as_matrix()
+        P = ST * ST * ST
+        Q = M * M
+        return max(abs(P[i, j] - Q[i, j]) for i in range(S.n) for j in range(S.n))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("family", ["vir", "sl2", "extended", "coset"])
+def test_st_cube_defect_is_the_dense_product_bit_for_bit(family, k):
+    params = (k + 2, 2 * k + 3) if family == "vir" else k
+    S = {"vir": lambda: vir_smatrix(*params), "sl2": lambda: sl2_smatrix(k),
+         "extended": lambda: extended_smatrix(k),
+         "coset": lambda: coset_smatrix(k, verify=False)}[family]()
+    T = t_matrix(family, params)
+    got, want = st_cube_defect(S, T), _dense_st_cube_defect(S, T)
+    assert got._mpf_ == want._mpf_
+    assert repr(got) == repr(want)
 
 
 # -- numeric S-transform of the one-variable characters --------------------------------
