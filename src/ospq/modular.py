@@ -232,8 +232,8 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
 
 
 def _reflection_defect(table, m: int):
-    """Max over entries of |t[n-x][y] - (-1)^(m y + 1) t[x][y]| for the
-    (n-1)-square table t[x-1][y-1], x, y = 1..n-1."""
+    """Max over x, y = 1..n-1 of |t(n-x, y) - (-1)^(m y + 1) t(x, y)|, with
+    t(x, y) = table[x-1][y-1] on the (n-1)-square table."""
     d = mp.mpf(0)
     for row, mirror in zip(table, reversed(table)):
         for y, (v, w) in enumerate(zip(row, mirror), 1):

@@ -201,6 +201,27 @@ def test_verlinde_matches_survives_a_uniform_scale():
     assert verlinde_matches(scaled, ring) == _standard_equals(scaled, ring)
 
 
+def test_verlinde_matches_needs_a_unitarity_bound():
+    # |S^-1|_2 <= 1/sqrt(1 - n max|SS* - I|) only bounds S^-1 while that is < 1
+    S, ring = _matrix_and_ring("sl2", 2)
+    assert verlinde_matches(S, ring, unitarity=mp.mpf(0))
+    assert not verlinde_matches(S, ring, unitarity=mp.mpf(1))
+
+
+def test_verlinde_matches_refuses_negative_structure_constants():
+    # flipping the sign of row a multiplies N_ab^c by d_a d_b d_c, d = -1 at a
+    S, ring = _matrix_and_ring("sl2", 3)
+    flip = S.labels[1]
+    rows = [[-v for v in row] if a == flip else list(row)
+            for a, row in zip(S.labels, S.rows)]
+    signed = SMatrix(S.labels, rows, S.vacuum_index, S.precision)
+    coeffs = {key: (-1) ** sum(x == flip for x in key) * m for key, m in ring.items()}
+    assert any(m < 0 for m in coeffs.values())
+    negative = FusionTensor(ring.labels, ring.unit, coeffs)
+    assert not verlinde_matches(signed, negative)
+    assert verlinde_matches(signed, negative) == _standard_equals(signed, negative)
+
+
 def test_verlinde_matches_rejects_another_unit_or_label_set():
     S, ring = _matrix_and_ring("sl2", 2)
     assert not verlinde_matches(S, FusionTensor(ring.labels, 2, dict(ring.items())))
