@@ -213,7 +213,7 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
         ss = [[mp.sinpi(mp.mpf(u * s * s2) / p) for s2 in range(1, p)]
               for s in range(1, p)]
         e_r, e_s = _reflection_defect(sr, p), _reflection_defect(ss, u)
-        m_r, m_s = _max_abs(sr), _max_abs(ss)
+        m_r, m_s = (max(abs(v) for row in t for v in row) for t in (sr, ss))
         spread = e_r * m_s + e_s * m_r + e_r * e_s + 2 * mp.eps * m_r * m_s
         if spread > tol:
             raise VerificationError(
@@ -239,10 +239,6 @@ def _reflection_defect(table, m: int):
         for y, (v, w) in enumerate(zip(row, mirror), 1):
             d = max(d, abs(w + v if (m * y) % 2 == 0 else w - v))
     return d
-
-
-def _max_abs(table):
-    return max(abs(v) for row in table for v in row)
 
 
 def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
@@ -486,8 +482,9 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
         inv_defect = _max_defect(M ** -1, M)
         invol_defect = St.square_defect_from_identity()
 
-        ts = [[t for t in range(nmax) if t % 2 != parity] for parity in (0, 1)]
-        # cols[parity][r3 - 1] = s_{t, r3} over t of that parity
+        # 0-based t of the even and of the odd labels, and
+        # cols[parity][r3 - 1] = s_{t+1, r3} over those t
+        ts = (range(1, nmax, 2), range(0, nmax, 2))
         cols = [[[s[t][c] for t in tp] for c in range(nmax)] for tp in ts]
         n_plus = {}
         n_minus = {}
