@@ -280,6 +280,6 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
                 % (mp.nstr(d, 5), mp.nstr(tol, 5)))
         if not verlinde_matches(S, parafermion_fusion(k), unitarity=d):
             raise NonIntegralFusion(
-                "Verlinde output of the coset S-matrix does not match the "
-                "parafermion fusion tensor at k=%d" % k)
+                "the parafermion fusion tensor at k=%d is not proved to be the "
+                "Verlinde ring of the coset S-matrix within the 1e-6 gate" % k)
     return S

@@ -87,8 +87,8 @@ def test_coset_verlinde_proof_needs_ten_bits():
     assert res.exit_code == 1
     assert json.loads(res.output) == {
         "ok": False, "error": "NonIntegralFusion",
-        "detail": "Verlinde output of the coset S-matrix does not match the "
-                  "parafermion fusion tensor at k=2"}
+        "detail": "the parafermion fusion tensor at k=2 is not proved to be "
+                  "the Verlinde ring of the coset S-matrix within the 1e-6 gate"}
     for precision in ("10", "12"):
         assert run("coset-smatrix", "-k", "2", "--precision", precision).exit_code == 0
 
