@@ -372,7 +372,7 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor, unitarity=None) -> bool:
     """
     n = S.n
     vac = S.vacuum_index
-    index = {a: i for i, a in enumerate(S.labels)}
+    index = S._index
     if set(tensor.labels) != set(S.labels) or tensor.unit != S.labels[vac]:
         return False
     # terms[a][b] = [(N_ab^c, c), ...] over the nonzero coefficients
