@@ -20,8 +20,8 @@ from mpmath import mp
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
                          OspLabel, char_w1, osp_char)
 from .fusion import check_level, parafermion_fusion
-from .modular import (SMatrix, NonIntegralFusion, _mpq, derived_tolerance,
-                      s_table, verlinde_matches)
+from .modular import (SMatrix, NonIntegralFusion, _mpq, _verlinde_bound_holds,
+                      derived_tolerance, s_table)
 from .qseries import (QQ, QSeries, VerificationError, as_fraction,
                       qs_equal_below, qs_eta, qs_invert, qs_mul, qs_shift)
 from .theta import theta_q
@@ -278,7 +278,7 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
             raise InconsistentBranching(
                 "coset S-matrix unitarity defect %s exceeds %s"
                 % (mp.nstr(d, 5), mp.nstr(tol, 5)))
-        if not verlinde_matches(S, parafermion_fusion(k), unitarity=d):
+        if not _verlinde_bound_holds(S, parafermion_fusion(k), d):
             raise NonIntegralFusion(
                 "the parafermion fusion tensor at k=%d is not proved to be the "
                 "Verlinde ring of the coset S-matrix within the 1e-6 gate" % k)

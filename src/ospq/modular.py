@@ -353,7 +353,7 @@ def verlinde_standard(S: SMatrix) -> FusionTensor:
     return FusionTensor(S.labels, S.labels[vac], coeffs)
 
 
-def verlinde_matches(S: SMatrix, tensor: FusionTensor, unitarity=None) -> bool:
+def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
     """Whether ``tensor`` is the Verlinde ring of S, proved in O(n^3).
 
     Write N_a for the matrix (N_a)_{bc} = N_{ab}^c of the tensor and
@@ -365,10 +365,23 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor, unitarity=None) -> bool:
     least |SS* - I|_2.  The tensor is accepted when the row bound is within
     the 1e-6 Verlinde gate for every a and b: each exact Verlinde sum of S
     then lies within the gate of the tensor's integer, which is what
-    ``verlinde_standard`` reads off S.  Its unit, label set, vacuum-row and
+    ``verlinde_standard`` reads off S.  The bound is on the exact residual
+    of the stored entries: the rounding of delta, Lambda, R and the row
+    norms is added to it explicitly.  Its unit, label set, vacuum-row and
     sign checks apply here too.  N_a has a few entries per row, so forming
-    N_a S costs O(n) per nonzero coefficient.  ``unitarity`` is
-    max|SS* - I| when the caller has already computed it.
+    N_a S costs O(n) per nonzero coefficient.
+    """
+    return _verlinde_bound_holds(S, tensor, S.unitarity_defect())
+
+
+def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
+    """``verlinde_matches`` given ``defect = S.unitarity_defect()``.
+
+    For a caller that has already computed the defect of the same S.  The
+    defect is rounded at S.precision + 16 bits; the residual is formed 32
+    bits above that, so that its rounding stays far below the gate at every
+    precision.  The constants of the rounding terms are generous enough to
+    also cover the rounding of the bound itself.
     """
     n = S.n
     vac = S.vacuum_index
@@ -383,21 +396,31 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor, unitarity=None) -> bool:
         a, b, c = (index[x] for x in key)
         terms[a][b].append((mp.mpf(m), c))
     rows = S.rows
-    with mp.workprec(S.precision + 16):
+    with mp.workprec(S.precision + 48):
         if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
             return False
-        if unitarity is None:
-            unitarity = S.unitarity_defect()
-        delta = n * unitarity
+        s_max = max(abs(v) for row in rows for v in row)
+        # each entry of SS* is at most n s_max^2 and rounded once, then I is
+        # subtracted and the modulus taken, at S.precision + 16 bits
+        u_defect = mp.ldexp(1, -S.precision - 15)
+        delta = n * (defect + 4 * u_defect * (n * s_max ** 2 + 1))
         if delta >= 1:
             return False
-        # |row b of R_a|_2^2 / (1 - delta) <= gate^2, without the square root
-        limit = (1 - delta) * mp.mpf(VERLINDE_GATE) ** 2
+        neg_lam = [[-v / w for v, w in zip(rows[a], rows[vac])] for a in range(n)]
+        lam_max = max(abs(v) for lam in neg_lam for v in lam)
+        n_max = max(sum(m for m, _ in t) for row in terms for t in row)
+        # |exact - computed| per entry of R: Lambda rounded, then one fdot
+        u = mp.ldexp(1, 1 - mp.prec)
+        rounding = n * 8 * u * s_max * (lam_max + n_max)
+        slack = mp.mpf(VERLINDE_GATE) * mp.sqrt(1 - delta) - rounding
+        if slack <= 0:
+            return False
+        # |row b of R_a|_2 + rounding <= gate sqrt(1 - delta), squared
+        limit = (1 - 4 * u) * slack ** 2
         for a in range(n):
-            neg_lam = [-v / w for v, w in zip(rows[a], rows[vac])]
             for b in range(n):
                 R = [mp.fdot([(m, rows[c][y]) for m, c in terms[a][b]]
-                             + [(rows[b][y], neg_lam[y])]) for y in range(n)]
+                             + [(rows[b][y], neg_lam[a][y])]) for y in range(n)]
                 if mp.re(mp.fdot(R, R, conjugate=True)) > limit:
                     return False
     return True

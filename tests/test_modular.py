@@ -201,11 +201,11 @@ def test_verlinde_matches_survives_a_uniform_scale():
     assert verlinde_matches(scaled, ring) == _standard_equals(scaled, ring)
 
 
-def test_verlinde_matches_needs_a_unitarity_bound():
+def test_verlinde_bound_needs_delta_below_one():
     # |S^-1|_2 <= 1/sqrt(1 - n max|SS* - I|) only bounds S^-1 while that is < 1
     S, ring = _matrix_and_ring("sl2", 2)
-    assert verlinde_matches(S, ring, unitarity=mp.mpf(0))
-    assert not verlinde_matches(S, ring, unitarity=mp.mpf(1))
+    assert modular._verlinde_bound_holds(S, ring, S.unitarity_defect())
+    assert not modular._verlinde_bound_holds(S, ring, mp.mpf(1))
 
 
 def test_verlinde_matches_refuses_negative_structure_constants():
