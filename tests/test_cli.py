@@ -315,7 +315,8 @@ def test_selftest_fast_subset():
 # S-matrix, large enough that every sine is shared by many entries, then a k=2
 # S-transform at a tau0 off the imaginary axis, whose twisted modules carry
 # half-integer exponents and whose numbers depend on the order in which the
-# series products store their terms.  After an intended output change,
+# series products store their terms, then two coset sectors by the phase
+# projection alone (`--method both` prints the direct series).  After an intended output change,
 # re-record with `PYTHONPATH=src python tests/test_cli.py`, which prints this
 # table.
 OUTPUT_DIGESTS = {
@@ -379,6 +380,10 @@ OUTPUT_DIGESTS = {
         '5db6be554f805d6f605e37920efd26c6267e807fd383879f241945b1a05c9dbe',
     'coset-smatrix -k 2':
         'a22cdd5769cbd73ed5bbbba89eaa0c7c7e8f926d0658dc73e53d703deb028b03',
+    'coset-char -k 2 --nu 1 -r 3 --method phase':
+        '0a1936665b846e9c03ddd8723c73171032856c2ad66475f0b7a67f6acb80df8b',
+    'coset-char -k 1 --nu 1 -r 1 -N 12 --method phase':
+        'dc32f495c8d12daebc990271bfd89fc66149e0a30e02d067e80c97a3e78a0abf',
 }
 
 
