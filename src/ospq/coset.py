@@ -3,18 +3,18 @@
 A local module (odd index r) over the rank-one lattice subalgebra splits
 into 2k charge sectors; this module extracts each sector's character by two
 independent routes -- direct charge grading of the two-variable character,
-and a root-of-unity phase projection -- and builds the coset T-phases and
-S-matrix, whose Verlinde ring is proved to be the independently built
-parafermion fusion tensor.
+and a root-of-unity phase projection computed exactly in Z[zeta_m], with no
+tolerance -- and builds the coset T-phases and S-matrix, whose Verlinde ring
+is proved to be the independently built parafermion fusion tensor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
-import mpmath
 from mpmath import mp
 
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
@@ -100,6 +100,22 @@ def _sector_from_slice(ch, x: QQ, k: int, N: QQ) -> QSeries:
     return qs_mul(shifted, eta).truncate(N)
 
 
+def _sector(ch, k: int, nu: int, N: QQ) -> QSeries:
+    """Sector nu of the local-module character ``ch``, whose w-slices are
+    complete to order N + k + 2, extracted to order N from both canonical
+    representatives x = nu/2 and x = nu/2 - k; a mismatch raises
+    InconsistentBranching."""
+    x_plus = QQ(nu, 2)
+    res_plus = _sector_from_slice(ch, x_plus, k, N)
+    res_minus = _sector_from_slice(ch, x_plus - k, k, N)
+    ok, bad = qs_equal_below(res_plus, res_minus, N)
+    if not ok:
+        raise InconsistentBranching(
+            "representatives %s and %s of class %d disagree at q^%s: %s vs %s"
+            % (x_plus, x_plus - k, nu, bad[0], bad[1], bad[2]))
+    return res_plus
+
+
 def coset_char_direct(k: int, label, N) -> QSeries:
     """Coset sector character by direct charge grading of the full character.
 
@@ -110,35 +126,55 @@ def coset_char_direct(k: int, label, N) -> QSeries:
     """
     label = _check_label(k, label)
     N = as_fraction(N)
-    M = N + k + 2
-    ch = _full_char(k, label.r, M)
-    x_plus = QQ(label.nu, 2)
-    res_plus = _sector_from_slice(ch, x_plus, k, N)
-    res_minus = _sector_from_slice(ch, x_plus - k, k, N)
-    ok, bad = qs_equal_below(res_plus, res_minus, N)
-    if not ok:
-        raise InconsistentBranching(
-            "representatives %s and %s of class %d disagree at q^%s: %s vs %s"
-            % (x_plus, x_plus - k, label.nu, bad[0], bad[1], bad[2]))
-    return res_plus
+    return _sector(_full_char(k, label.r, N + k + 2), k, label.nu, N)
 
 
-def coset_char_phase_sum(k: int, label, N, variant: str = "plus",
-                         tolerance: float = 1e-20) -> QSeries:
+def _divmod_monic(a: List[int], f: List[int]) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of the integer polynomial ``a`` by the monic
+    ``f``, both as coefficient lists with the constant term first."""
+    n = len(f) - 1
+    a = list(a)
+    quo = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i]
+        if c:
+            quo[i - n] = c
+            for j in range(n + 1):
+                a[i - n + j] -= c * f[j]
+    return quo, a[:n]
+
+
+def _cyclotomic(m: int) -> List[int]:
+    """The m-th cyclotomic polynomial, constant term first: x^d - 1 divided
+    by Phi_e for every proper divisor e of d, for each divisor d of m."""
+    phi = {}
+    for d in range(1, m + 1):
+        if m % d == 0:
+            p = [-1] + [0] * (d - 1) + [1]
+            for e, f in phi.items():
+                if d % e == 0:
+                    p = _divmod_monic(p, f)[0]
+            phi[d] = p
+    return phi[m]
+
+
+def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     """Coset sector character by root-of-unity phase projection.
 
     Specialises the two-variable character at the 2k lattice phases
     w^x -> e^{2 pi i g x / k}, takes the discrete-orthogonality-normalised
     phase average against e^{-2 pi i nu g / (2k)}, divides by the class theta
-    over eta, and reconstructs exact integer coefficients (gate ``tolerance``).
-    The 'minus' variant projects the signed character and carries the extra
-    class sign; it must reproduce the same sector characters.
+    over eta, and requires integer coefficients.  The average is computed
+    exactly in Z[zeta_m], m = 2k times the lcm of the denominators of 2x,
+    with no tolerance: each q-coefficient is reduced modulo the cyclotomic
+    polynomial Phi_m and must be rational.  The 'minus' variant projects the
+    signed character and carries the extra class sign; it must reproduce the
+    same sector characters.  Every failure raises InconsistentBranching.
     """
     label = _check_label(k, label)
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
     N = as_fraction(N)
-    precision = 128
     M = N + k + 2
     ch = _full_char(k, label.r, M)
     # exact eta / (2k * theta_{L+nu}) prefactor
@@ -153,36 +189,35 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus",
             "phase sum is exact only below q^%s, short of order %s"
             % (guaranteed, N))
 
-    with mp.workprec(precision + 16):
-        # phase-projected slices: acc[q_exp] = sum_x phase(x) f_x coeff
-        acc: Dict[QQ, mpmath.mpc] = {}
-        for g in range(2 * k):
-            # w^x -> e^{2 pi i g x / k}; 'minus' shifts the phase by a half
-            # period, matching the sign character on half-integer exponents
-            g_eff = QQ(g) + (k if variant == "minus" else 0)
-            for (qe, we, c) in ch.items():
-                t = 2 * (g_eff * we / k) - QQ(label.nu * g, k)
-                ph = mp.expjpi(_mpq(t))
-                acc[qe] = acc.get(qe, mp.mpc(0)) + int(c) * ph
-        # multiply by the exact prefactor and reconstruct integers
-        out: Dict[QQ, mpmath.mpc] = {}
-        for (e2, c2) in pref.terms.items():
-            c2m = _mpq(c2)
-            for (e1, v1) in acc.items():
-                e = e1 + e2
-                if e >= N:
-                    continue
-                out[e] = out.get(e, mp.mpc(0)) + v1 * c2m
-        terms = {}
-        for e, v in out.items():
-            n = int(mp.nint(mp.re(v)))
-            if abs(v - n) > tolerance:
-                raise InconsistentBranching(
-                    "phase sum at q^%s = %s is not an integer within %g"
-                    % (e, mp.nstr(v, 10), tolerance))
-            if n:
-                terms[e] = QQ(n)
-    return QSeries(terms, N)
+    # w^x at phase g is zeta_m^((g + shift) a - nu g b) with 2x = a/b; the
+    # 'minus' shift by a half period matches the sign character on
+    # half-integer exponents
+    b = math.lcm(*((2 * we).denominator for sl in ch.terms.values() for we in sl))
+    m = 2 * k * b
+    shift = k if variant == "minus" else 0
+    phi = _cyclotomic(m)
+    acc = {}
+    for qe, sl in ch.terms.items():
+        v = [0] * m
+        for we, c in sl.items():
+            a = int(2 * we * b)
+            step = a - label.nu * b
+            c = c.numerator if c.denominator == 1 else c
+            for g in range(2 * k):
+                v[(shift * a + g * step) % m] += c
+        coords = _divmod_monic(v, phi)[1]
+        if any(coords[1:]):
+            raise InconsistentBranching(
+                "phase sum at q^%s is not rational: %s in the power basis of "
+                "Q(zeta_%d)" % (qe, coords, m))
+        if coords[0]:
+            acc[qe] = coords[0]
+    out = qs_mul(QSeries(acc, ch.q_trunc), pref).truncate(N)
+    for e, c in out.terms.items():
+        if c.denominator != 1:
+            raise InconsistentBranching(
+                "phase sum at q^%s = %s is not an integer" % (e, c))
+    return out
 
 
 def coset_t_phase(k: int, label, precision: int = 256):
@@ -224,10 +259,12 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     N = as_fraction(N)
     level = AdmissibleLevel.from_integer_level(k)
     target = char_w1(level, r, N, signed=signed)
+    _check_label(k, (0, r))
+    ch = _full_char(k, r, N + k + 3)
     total = QSeries({}, N)
     inv_eta = qs_invert(qs_eta(N + 3))
     for nu in range(2 * k):
-        sector = coset_char_direct(k, CosetLabel(nu, r), N + 1)
+        sector = _sector(ch, k, nu, N + 1)
         theta = lattice_theta(k, nu, N + 2)
         piece = qs_mul(qs_mul(theta, inv_eta), sector)
         if signed and nu % 2 == 1:

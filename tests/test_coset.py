@@ -1,6 +1,10 @@
 """Lattice coset sectors: branchings, phase sums, reassembly, modular data."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -22,7 +26,7 @@ from ospq.coset import (
 )
 from ospq.fusion import OutOfRange, parafermion_fusion
 from ospq.modular import derived_tolerance, s_small, st_cube_defect, t_matrix, verlinde_standard
-from ospq.qseries import qs_equal_below
+from ospq.qseries import qs_equal_below, qs_scalar
 from ospq.theta import WQSeries
 
 st_k = st.integers(min_value=1, max_value=4)
@@ -123,22 +127,41 @@ def test_charge_conjugation_symmetry():
 
 
 def test_phase_sum_route_agrees_with_direct():
-    for k, lab, variant in (
-        (1, (0, 1), "plus"),
-        (1, (1, 3), "plus"),
-        (1, (1, 1), "minus"),
-        (2, (1, 1), "plus"),
-        (2, (2, 3), "minus"),
-    ):
-        direct = coset_char_direct(k, lab, 6)
-        phased = coset_char_phase_sum(k, lab, 6, variant=variant)
-        ok, bad = qs_equal_below(direct, phased, order=6)
-        assert ok, (k, lab, variant, bad)
+    for k, N in ((1, 6), (2, 6), (3, 4)):
+        for lab in coset_labels(k):
+            direct = coset_char_direct(k, lab, N)
+            for variant in ("plus", "minus"):
+                phased = coset_char_phase_sum(k, lab, N, variant=variant)
+                assert phased.trunc == N
+                ok, bad = qs_equal_below(direct, phased, order=N)
+                assert ok, (k, lab, variant, bad)
 
 
-def test_phase_sum_integer_gate_fires():
-    with pytest.raises(InconsistentBranching):
-        coset_char_phase_sum(3, (1, 1), 3, tolerance=1e-60)
+def test_phase_sum_integer_gate_fires(monkeypatch):
+    # twice the class theta halves every sector coefficient: the vacuum's 1/2
+    real = coset.lattice_theta
+    monkeypatch.setattr(coset, "lattice_theta",
+                        lambda k, nu, N: qs_scalar(real(k, nu, N), 2))
+    with pytest.raises(InconsistentBranching, match="not an integer"):
+        coset_char_phase_sum(1, (0, 1), 3)
+
+
+def test_phase_sum_rationality_gate_fires(monkeypatch):
+    # w^(1/3) lives on zeta_6: its phase average 1 + zeta_6^2 = zeta_6 is not
+    # rational, so the projection cannot be a q-series coefficient
+    monkeypatch.setattr(coset, "_full_char",
+                        lambda k, r, M: WQSeries([(0, QQ(1, 3), 1)], M, None))
+    with pytest.raises(InconsistentBranching, match="not rational"):
+        coset_char_phase_sum(1, (0, 1), 3)
+
+
+def test_cyclotomic_polynomials():
+    assert coset._cyclotomic(1) == [-1, 1]
+    assert coset._cyclotomic(2) == [1, 1]
+    assert coset._cyclotomic(4) == [1, 0, 1]
+    assert coset._cyclotomic(6) == [1, -1, 1]
+    assert coset._cyclotomic(8) == [1, 0, 0, 0, 1]
+    assert coset._cyclotomic(12) == [1, 0, -1, 0, 1]
 
 
 def test_phase_sum_margin_failure_is_a_branching_error(monkeypatch):
@@ -175,6 +198,15 @@ def test_reassembly_identity(signed):
     for k, r in ((1, 1), (1, 3), (2, 3)):
         rep = coset_reassembly(k, r, 8, signed=signed)
         assert rep.ok, (k, r, rep.detail)
+
+
+def test_reassembly_builds_the_local_character_once(monkeypatch):
+    calls = []
+    real = coset.osp_char
+    monkeypatch.setattr(coset, "osp_char",
+                        lambda *args: calls.append(args) or real(*args))
+    assert coset_reassembly(2, 3, 4).ok
+    assert len(calls) == 1
 
 
 def test_reassembly_covers_local_modules_only():
@@ -230,3 +262,18 @@ def test_coset_smatrix_squares_to_charge_conjugation():
                     ones.append(b)
             # exactly one partner: the conjugate sector (-nu, r)
             assert ones == [CosetLabel((-a.nu) % 4, a.r)], (a, ones)
+
+
+# -- the round-trip script -------------------------------------------------------------
+
+
+def test_roundtrip_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run(
+        [sys.executable, str(root / "scripts" / "coset_roundtrip.py"), "-k", "1", "-N", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.rstrip().endswith("Verlinde == parafermion ring: True")
