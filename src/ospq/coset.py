@@ -189,9 +189,9 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
             "phase sum is exact only below q^%s, short of order %s"
             % (guaranteed, N))
 
-    # w^x at phase g is zeta_m^((g + shift) a - nu g b) with 2x = a/b; the
-    # 'minus' shift by a half period matches the sign character on
-    # half-integer exponents
+    # with 2x = a/b, the term w^x at phase g, weighted by e^{-2 pi i nu g/(2k)},
+    # is zeta_m^((g + shift) a - nu g b); the 'minus' shift by a half period
+    # matches the sign character on half-integer exponents
     b = math.lcm(*((2 * we).denominator for sl in ch.terms.values() for we in sl))
     m = 2 * k * b
     shift = k if variant == "minus" else 0
