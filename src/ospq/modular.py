@@ -4,22 +4,30 @@ and parity-refined), Frobenius-Perron dimension identities, and numeric
 checks of the character S-transformations.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
-cyclotomics.  The Verlinde sums (``verlinde_standard``, ``verlinde_super``)
-are gated to integers within a fixed 1e-6; ``verlinde_matches`` proves a
-given fusion tensor is the Verlinde ring of S by bounding every entry of
-N_a - S Lambda_a S^-1 by the 1e-6 gate, without forming the O(n^4) sums.
-The default working precision is 256 bits and derived tolerances are
-10^(1 - precision/4).
+cyclotomics.  Every dot product and S-matrix product (Verlinde sums, the
+unitarity, involution and (ST)^3 defects, the Verlinde proof) runs on one
+integer kernel: each vector is shifted onto ints over one power of two, the
+products are summed exactly and the sum is rounded once, bit-identical to
+``mp.fdot`` and to mpmath's matrix product.  Only the LU inverse, whose
+bits the CLI reports, still goes through ``mpmath.matrix``.  The Verlinde
+sums (``verlinde_standard``, ``verlinde_super``) are gated to integers
+within a fixed 1e-6; ``verlinde_matches`` proves a given fusion tensor is
+the Verlinde ring of S by bounding every entry of N_a - S Lambda_a S^-1 by
+the 1e-6 gate, without forming the O(n^4) sums.  ``fp_dimension_report``
+builds only the S columns it reads.  The default working precision is 256
+bits and derived tolerances are 10^(1 - precision/4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero
 
 from .characters import (AdmissibleLevel, VirLabel, component_chars_w1,
                          vir_canonical, vir_central_charge, vir_labels,
@@ -46,13 +54,76 @@ def _mpq(x) -> mpmath.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _max_defect(A: mpmath.matrix, B: mpmath.matrix):
-    """Max-norm of A - B, at the caller's working precision."""
+def _max_defect(A, B):
+    """Max-norm of A - B over row lists, at the caller's working precision."""
     d = mp.mpf(0)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            d = max(d, abs(A[i, j] - B[i, j]))
+    for ra, rb in zip(A, B):
+        for a, b in zip(ra, rb):
+            d = max(d, abs(a - b))
     return d
+
+
+def _identity(n: int) -> List[List[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+# -- exact dot products ---------------------------------------------------------
+#
+# mp.fdot forms every product exactly, adds them with mpf_sum and rounds the
+# sum once; mpmath's matrix product is one fdot per entry.  mpf_sum adds
+# exactly unless a term and the running sum lie more than 2 prec bits apart
+# (it then keeps the larger), which rounded S-matrix data never comes near.
+# So the exact sum of the int products of two vectors, each shifted onto one
+# power of two, rounded once, has the same bits, at the cost of one shift per
+# entry instead of one mpf tuple per product.  The result is an mpc exactly
+# when fdot's would be: when either vector holds an mpc.
+
+
+def _ints(ts):
+    """Raw mpf tuples as exact ints over their least exponent: (ints, e)."""
+    if any(exp and not man for _, man, exp, _ in ts):
+        raise ValueError("non-finite value in an exact dot product")
+    e = min((exp for _, man, exp, _ in ts if man), default=0)
+    return [(-man if sign else man) << (exp - e) if man else 0
+            for sign, man, exp, _ in ts], e
+
+
+def _fixed(vec, conj: bool = False):
+    """Vector of mpf/mpc values as (re, im, e): vec[i] = (re[i] + i im[i]) 2^e.
+
+    re and im are int lists, exact; im is None when no entry is an mpc, and
+    is negated with ``conj``.
+    """
+    parts = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, None) for v in vec]
+    if all(b is None for _, b in parts):
+        re, e = _ints([a for a, _ in parts])
+        return re, None, e
+    n = len(parts)
+    ints, e = _ints([a for a, _ in parts] + [b or fzero for _, b in parts])
+    im = ints[n:]
+    return ints[:n], [-v for v in im] if conj else im, e
+
+
+def _dot(x, y):
+    """mp.fdot of the two vectors behind ``_fixed`` forms x and y."""
+    (xr, xi, ex), (yr, yi, ey) = x, y
+    prec, rnd = mp._prec_rounding
+    e = ex + ey
+    re = sum(map(mul, xr, yr))
+    if xi is None and yi is None:
+        return mp.make_mpf(from_man_exp(re, e, prec, rnd))
+    xi, yi = xi or [0] * len(xr), yi or [0] * len(yr)
+    re -= sum(map(mul, xi, yi))
+    im = sum(map(mul, xi, yr)) + sum(map(mul, xr, yi))
+    return mp.make_mpc((from_man_exp(re, e, prec, rnd),
+                        from_man_exp(im, e, prec, rnd)))
+
+
+def _product(A, B, adjoint: bool = False):
+    """A B (A B^dagger with ``adjoint``) on row lists, entry for entry as
+    mpmath's matrix product rounds it at the working precision."""
+    cols = [_fixed(r, conj=True) for r in B] if adjoint else [_fixed(c) for c in zip(*B)]
+    return [[_dot(r, c) for c in cols] for r in map(_fixed, A)]
 
 
 class SMatrix:
@@ -89,19 +160,17 @@ class SMatrix:
     def unitarity_defect(self):
         """Max-norm of S S^dagger - I."""
         with mp.workprec(self.precision + 16):
-            M = self.as_matrix()
-            return _max_defect(M * M.transpose_conj(), mp.eye(self.n))
+            return _max_defect(_product(self.rows, self.rows, adjoint=True),
+                               _identity(self.n))
 
     def symmetry_defect(self):
         with mp.workprec(self.precision + 16):
-            M = self.as_matrix()
-            return _max_defect(M, M.T)
+            return _max_defect(self.rows, zip(*self.rows))
 
     def square_defect_from_identity(self):
         """Max-norm of S^2 - I (for the real involutive matrices here)."""
         with mp.workprec(self.precision + 16):
-            M = self.as_matrix()
-            return _max_defect(M * M, mp.eye(self.n))
+            return _max_defect(_product(self.rows, self.rows), _identity(self.n))
 
 
 class ExtendedSMatrix(SMatrix):
@@ -175,10 +244,10 @@ def st_cube_defect(S: SMatrix, T: TMatrix):
     if S.labels != T.labels:
         raise ValueError("S and T label orders differ")
     with mp.workprec(S.precision + 16):
-        M = S.as_matrix()
         phases = [T.phase(a) for a in T.labels]
-        ST = mp.matrix([[v * ph for v, ph in zip(row, phases)] for row in S.rows])
-        return _max_defect(ST * ST * ST, M * M)
+        ST = [[v * ph for v, ph in zip(row, phases)] for row in S.rows]
+        return _max_defect(_product(_product(ST, ST), ST),
+                           _product(S.rows, S.rows))
 
 
 # -- family S-matrices --------------------------------------------------------
@@ -205,15 +274,28 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     representative-dependence bug cannot pass silently.
     """
     labels = vir_labels(u, p)
+    rows = _vir_columns(u, p, labels, range(1, u), range(1, p), precision)
+    return SMatrix(labels, rows, labels.index(VirLabel(1, 1)), precision)
+
+
+def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
+    """The rows of ``vir_smatrix(u, p)`` cut to the column labels ``cols``.
+
+    The sine tables hold the columns r' in ``r_cols`` and s' in ``s_cols``,
+    which must cover those of ``cols``; the Kac reflection is checked on
+    every sine computed, as ``vir_smatrix`` describes, with the maxima taken
+    over the tabled columns.
+    """
+    labels = vir_labels(u, p)
     tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         pref = -2 / mp.sqrt(mp.mpf(u * p) / 2)
-        sr = [[pref * mp.sinpi(mp.mpf(p * r * r2) / u) for r2 in range(1, u)]
+        sr = [{r2: pref * mp.sinpi(mp.mpf(p * r * r2) / u) for r2 in r_cols}
               for r in range(1, u)]
-        ss = [[mp.sinpi(mp.mpf(u * s * s2) / p) for s2 in range(1, p)]
+        ss = [{s2: mp.sinpi(mp.mpf(u * s * s2) / p) for s2 in s_cols}
               for s in range(1, p)]
         e_r, e_s = _reflection_defect(sr, p), _reflection_defect(ss, u)
-        m_r, m_s = (max(abs(v) for row in t for v in row) for t in (sr, ss))
+        m_r, m_s = (max(abs(v) for row in t for v in row.values()) for t in (sr, ss))
         spread = e_r * m_s + e_s * m_r + e_r * e_s + 2 * mp.eps * m_r * m_s
         if spread > tol:
             raise VerificationError(
@@ -224,19 +306,20 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
         for a in labels:
             sr_a, ss_a = sr[a.r - 1], ss[a.s - 1]
             row = []
-            for b in labels:
-                v = sr_a[b.r - 1] * ss_a[b.s - 1]
+            for b in cols:
+                v = sr_a[b.r] * ss_a[b.s]
                 row.append(-v if (a.r * b.s + a.s * b.r) % 2 else v)
             rows.append(row)
-    return SMatrix(labels, rows, labels.index(VirLabel(1, 1)), precision)
+    return rows
 
 
 def _reflection_defect(table, m: int):
-    """Max over x, y = 1..n-1 of |t(n-x, y) - (-1)^(m y + 1) t(x, y)|, with
-    t(x, y) = table[x-1][y-1] on the (n-1)-square table."""
+    """Max over x = 1..n-1 and the tabled y of |t(n-x, y) - (-1)^(m y + 1)
+    t(x, y)|, with t(x, y) = table[x-1][y] on the n-1 rows of the table."""
     d = mp.mpf(0)
     for row, mirror in zip(table, reversed(table)):
-        for y, (v, w) in enumerate(zip(row, mirror), 1):
+        for y, v in row.items():
+            w = mirror[y]
             d = max(d, abs(w + v if (m * y) % 2 == 0 else w - v))
     return d
 
@@ -245,13 +328,15 @@ def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
     """Integrable affine sl2 S-matrix, labels 1..k+1."""
     check_level(k)
     labels = list(range(1, k + 2))
+    return SMatrix(labels, _sl2_columns(k, labels, precision), 0, precision)
+
+
+def _sl2_columns(k: int, cols, precision: int):
+    """The rows of ``sl2_smatrix(k)`` cut to the column labels ``cols``."""
     with mp.workprec(precision + 16):
         pref = mp.sqrt(mp.mpf(2) / (k + 2))
-        rows = [
-            [pref * mp.sinpi(mp.mpf(a * b) / (k + 2)) for b in labels]
-            for a in labels
-        ]
-    return SMatrix(labels, rows, 0, precision)
+        return [[pref * mp.sinpi(mp.mpf(a * b) / (k + 2)) for b in cols]
+                for a in range(1, k + 2)]
 
 
 def s_small(k: int, r: int, r_prime: int, precision: int = 256):
@@ -273,11 +358,16 @@ def s_table(k: int, precision: int = 256) -> List[List[mpmath.mpf]]:
     bit-identical to s_small's.
     """
     check_level(k)
+    return _s_columns(k, range(1, 2 * k + 3), precision)
+
+
+def _s_columns(k: int, cols, precision: int) -> List[List[mpmath.mpf]]:
+    """The rows of ``s_table(k)`` cut to the columns t in ``cols``."""
     n = 2 * k + 3
     with mp.workprec(precision + 16):
         inv = 1 / mp.sqrt(mp.mpf(n))
         return [[(-inv if (r + t) % 2 else inv) * mp.sinpi(mp.mpf(r * t * (k + 2)) / n)
-                 for t in range(1, n)] for r in range(1, n)]
+                 for t in cols] for r in range(1, n)]
 
 
 def extended_labels(k: int) -> List[Tuple[int, str]]:
@@ -293,23 +383,28 @@ def extended_smatrix(k: int, precision: int = 256) -> ExtendedSMatrix:
     parity.
     """
     labels = extended_labels(k)
-    with mp.workprec(precision + 16):
-        base = s_table(k, precision)
-        rows = []
-        for (r, pa) in labels:
-            row = []
-            for (t, pb) in labels:
-                v = base[r - 1][t - 1]
-                if pa == "even" and pb == "odd":
-                    row.append(v if r % 2 == 0 else -v)
-                elif pa == "odd" and pb == "even":
-                    row.append(v if t % 2 == 0 else -v)
-                elif pa == "odd" and pb == "odd":
-                    row.append(v if (r + t) % 2 == 0 else -v)
-                else:
-                    row.append(v)
-            rows.append(row)
+    check_level(k)
+    rows = _extended_columns(k, labels, precision)
     return ExtendedSMatrix(k, labels, rows, labels.index((1, "even")), precision)
+
+
+def _extended_columns(k: int, cols, precision: int):
+    """The rows of ``extended_smatrix(k)`` cut to the column labels ``cols``.
+    Entry ((r, pa), (t, pb)) is s_{r,t}, negated when r (for odd pb) plus t
+    (for odd pa) is odd."""
+    t_cols = sorted({t for t, _ in cols})
+    base = _s_columns(k, t_cols, precision)
+    at = {t: j for j, t in enumerate(t_cols)}
+    with mp.workprec(precision + 16):
+        rows = []
+        for (r, pa) in extended_labels(k):
+            row = []
+            for (t, pb) in cols:
+                v = base[r - 1][at[t]]
+                flip = (r if pb == "odd" else 0) + (t if pa == "odd" else 0)
+                row.append(-v if flip % 2 else v)
+            rows.append(row)
+    return rows
 
 
 # -- Verlinde formulas --------------------------------------------------------
@@ -318,29 +413,34 @@ def extended_smatrix(k: int, precision: int = 256) -> ExtendedSMatrix:
 def verlinde_standard(S: SMatrix) -> FusionTensor:
     """Fusion tensor from the matrix-inverse Verlinde sum.
 
-    N_{ab}^c = sum_x S_{ax} S_{bx} (S^{-1})_{xc} / S_{vac,x}, each sum an
-    exact dot product rounded once, checked against integers under a 1e-6
-    gate; any non-integral or negative structure constant raises
-    NonIntegralFusion.  This forms all O(n^4) sums to read the ring off S;
-    ``verlinde_matches`` checks a given tensor in O(n^3).
+    N_{ab}^c = sum_x S_{ax} S_{bx} (S^{-1})_{xc} / S_{vac,x}, checked against
+    integers under a 1e-6 gate; any non-integral or negative structure
+    constant raises NonIntegralFusion.  S^-1 is mpmath's LU inverse.  Each
+    sum is the exact dot product, rounded once, of the rounded products
+    S_{ax} S_{bx} (one integer vector per a, b) with the rounded quotients
+    S^{-1}_{xc} / S_{vac,x} (one integer vector per c), for real and
+    complex S alike; the bits are those of ``mp.fdot``.  This forms all
+    O(n^4) sums to read the ring off S; ``verlinde_matches`` checks a given
+    tensor in O(n^3).
     """
     n = S.n
     vac = S.vacuum_index
+    rows = S.rows
     with mp.workprec(S.precision + 16):
-        M = S.as_matrix()
-        Minv = M ** -1
+        Minv = S.as_matrix() ** -1
         for x in range(n):
-            if abs(M[vac, x]) < mp.mpf(10) ** (-S.precision // 4):
+            if abs(rows[vac][x]) < mp.mpf(10) ** (-S.precision // 4):
                 raise NonIntegralFusion(
                     "vacuum row vanishes at column %r" % (S.labels[x],))
-        # P_col[c][x] = S^{-1}_{xc} / S_{vac,x}
-        P_col = [[Minv[x, c] / M[vac, x] for x in range(n)] for c in range(n)]
+        # P_col[c] = (S^{-1}_{xc} / S_{vac,x})_x
+        P_col = [_fixed([Minv[x, c] / rows[vac][x] for x in range(n)])
+                 for c in range(n)]
         coeffs = {}
         for a in range(n):
             for b in range(a, n):
-                prod = [M[a, x] * M[b, x] for x in range(n)]
+                prod = _fixed([u * v for u, v in zip(rows[a], rows[b])])
                 for c in range(n):
-                    v = mp.fdot(prod, P_col[c])
+                    v = _dot(prod, P_col[c])
                     nint = int(mp.nint(mp.re(v)))
                     if abs(v - nint) > VERLINDE_GATE or nint < 0:
                         raise NonIntegralFusion(
@@ -394,7 +494,7 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
         if m < 0 or any(x not in index for x in key):
             return False
         a, b, c = (index[x] for x in key)
-        terms[a][b].append((mp.mpf(m), c))
+        terms[a][b].append((m, c))
     rows = S.rows
     with mp.workprec(S.precision + 48):
         if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
@@ -417,11 +517,32 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
             return False
         # |row b of R_a|_2 + rounding <= gate sqrt(1 - delta), squared
         limit = (1 - 4 * u) * slack ** 2
+        # R_a on the exact kernel: entry (b, y) is the exact sum of the
+        # N_ab^c S_cy and S_by (-Lambda_a)_y, rounded once, and a row's
+        # squared norm the exact sum of its squares, rounded once: the bits
+        # of mp.fdot of those terms
+        prec, rnd = mp._prec_rounding
+        s_re, s_im, e_s = _fixed([v for row in rows for v in row])
+        s_re, s_im = ([part[i * n:(i + 1) * n] for i in range(n)]
+                      for part in (s_re, s_im or [0] * n * n))
         for a in range(n):
+            l_re, l_im, e_l = _fixed(neg_lam[a])
+            l_im = l_im or [0] * n
+            e = e_s + min(e_l, 0)
+            up_n, up_p = e_s - e, e_s + e_l - e
             for b in range(n):
-                R = [mp.fdot([(m, rows[c][y]) for m, c in terms[a][b]]
-                             + [(rows[b][y], neg_lam[a][y])]) for y in range(n)]
-                if mp.re(mp.fdot(R, R, conjugate=True)) > limit:
+                sr, si = s_re[b], s_im[b]
+                prods = ([x * y - z * w for x, y, z, w in zip(sr, l_re, si, l_im)],
+                         [x * y + z * w for x, y, z, w in zip(sr, l_im, si, l_re)])
+                R = []
+                for s_part, prod in zip((s_re, s_im), prods):
+                    acc = [v << up_p for v in prod]
+                    for m, c in terms[a][b]:
+                        acc = [v + ((m * w) << up_n) for v, w in zip(acc, s_part[c])]
+                    R += [from_man_exp(v, e, prec, rnd) for v in acc]
+                ints, e_r = _ints(R)
+                norm2 = from_man_exp(sum(v * v for v in ints), 2 * e_r, prec, rnd)
+                if mp.make_mpf(norm2) > limit:
                     return False
     return True
 
@@ -492,34 +613,35 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     N^{-} = the same over odd t, and gates both to integers.  Each sum is
     an exact dot product, rounded once, of the weight row
     s_{r,t} s_{r',t} / s_{1,t} (built once per r, r' and parity) with
-    column r'' of the sine table.  The basis-changed matrix and its honest
-    numeric inverse are built from the same table and validated alongside
-    (the matrix is an involution, which the defects certify).
+    column r'' of the sine table, both as integer vectors over one power of
+    two; the bits are those of ``mp.fdot``.  The basis-changed matrix and
+    its honest numeric inverse (mpmath's LU inverse, whose distance from the
+    matrix is reported) are built from the same table and validated
+    alongside (the matrix is an involution, which the defects certify).
     """
     check_level(k)
     nmax = 2 * k + 2
     s = s_table(k, precision)
     St = _stilde_from_table(s, precision)
     with mp.workprec(precision + 16):
-        M = St.as_matrix()
-        inv_defect = _max_defect(M ** -1, M)
+        inv_defect = _max_defect((St.as_matrix() ** -1).tolist(), St.rows)
         invol_defect = St.square_defect_from_identity()
 
         # 0-based t of the even and of the odd labels, and
         # cols[parity][r3 - 1] = s_{t+1, r3} over those t
         ts = (range(1, nmax, 2), range(0, nmax, 2))
-        cols = [[[s[t][c] for t in tp] for c in range(nmax)] for tp in ts]
+        cols = [[_fixed([s[t][c] for t in tp]) for c in range(nmax)] for tp in ts]
         n_plus = {}
         n_minus = {}
         for r in range(1, nmax + 1):
             for r2 in range(1, nmax + 1):
-                weights = [[s[r - 1][t] * s[r2 - 1][t] / s[0][t] for t in tp]
+                weights = [_fixed([s[r - 1][t] * s[r2 - 1][t] / s[0][t] for t in tp])
                            for tp in ts]
                 for r3 in range(1, nmax + 1):
                     if (r + r2 + r3) % 2 == 0:
                         continue
                     for parity, store in ((0, n_plus), (1, n_minus)):
-                        v = 4 * mp.fdot(weights[parity], cols[parity][r3 - 1])
+                        v = 4 * _dot(weights[parity], cols[parity][r3 - 1])
                         nint = int(mp.nint(v))
                         if abs(v - nint) > VERLINDE_GATE or nint < 0:
                             raise NonIntegralFusion(
@@ -566,9 +688,11 @@ class FPReport:
 
 def fp_ratios(S: SMatrix, ref_label) -> Dict[Hashable, mpmath.mpf]:
     """The ring character X -> S[X, Z] / S[vac, Z] at reference column Z."""
-    z = S.index(ref_label)
-    vac_val = S.rows[S.vacuum_index][z]
-    return {a: S.rows[i][z] / vac_val for i, a in enumerate(S.labels)}
+    return _column_ratios(S.labels, S.rows, S.index(ref_label), S.vacuum_index)
+
+
+def _column_ratios(labels, rows, z: int, vac: int) -> Dict[Hashable, mpmath.mpf]:
+    return {a: row[z] / rows[vac][z] for a, row in zip(labels, rows)}
 
 
 def min_conformal_weight(u: int, p: int) -> VirLabel:
@@ -594,6 +718,13 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
     iii. ambient-category dimension (product of the two factor categories);
     iv.  extended-category dimension via extended S-matrix ratios;
     v.   the quotient identity linking ii-iv.
+
+    Only the S columns read are built: column 1 of the sl2 matrix, the
+    Virasoro column at ``min_conformal_weight(u, p)`` from u-1 + p-1 sines
+    (their Kac reflection checked as in ``vir_smatrix``), and column
+    (2, 'even') of the extended matrix from one column of ``s_table``.
+    Each entry is the expression the full matrix uses, so every item is
+    bit-identical to the ratios ``fp_ratios`` reads off the full matrices.
     """
     check_level(k)
     u, p = k + 2, 2 * k + 3
@@ -612,12 +743,11 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
         add("sin2_odd_sum", odd_sum, mp.mpf(u) / 4)
         add("sin2_full_sum", full_sum, mp.mpf(u) / 2)
 
-        # S-matrix data shared by (ii)-(iv)
-        S_sl2 = sl2_smatrix(k, precision)
-        S_vir = vir_smatrix(u, p, precision)
-        z_vir = min_conformal_weight(u, p)
-        fp_sl2 = fp_ratios(S_sl2, 1)
-        fp_vir = fp_ratios(S_vir, z_vir)
+        # S-matrix columns shared by (ii)-(iv); both vacua are row 0
+        z = min_conformal_weight(u, p)
+        fp_sl2 = _column_ratios(range(1, u), _sl2_columns(k, (1,), precision), 0, 0)
+        fp_vir = _column_ratios(vir_labels(u, p), _vir_columns(
+            u, p, (z,), (z.r,), (z.s,), precision), 0, 0)
         sin_u = mp.sinpi(mp.mpf(1) / u)
         sin_p = mp.sinpi(mp.mpf(1) / p)
 
@@ -634,8 +764,8 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
         add("fp_ambient", amb, amb_closed)
 
         # (iv) extended category dimension via extended S-column ratios
-        S_ext = extended_smatrix(k, precision)
-        fp_ext = fp_ratios(S_ext, (2, "even"))
+        fp_ext = _column_ratios(extended_labels(k), _extended_columns(
+            k, ((2, "even"),), precision), 0, 0)
         ext = mp.fsum(v ** 2 for v in fp_ext.values())
         ext_closed = mp.mpf(p) / sin_p ** 2
         add("fp_extended", ext, ext_closed)

@@ -297,6 +297,34 @@ def test_fp_ratios_reference_column():
     assert all(mp.re(v) > 0 for v in ratios.values())
 
 
+def _fp_report_from_full_matrices(k, precision):
+    """fp_dimension_report's items with every column read off a full matrix."""
+    u, p = k + 2, 2 * k + 3
+    with mp.workprec(precision + 16):
+        fp_sl2 = fp_ratios(sl2_smatrix(k, precision), 1)
+        fp_vir = fp_ratios(vir_smatrix(u, p, precision), min_conformal_weight(u, p))
+        fp_ext = fp_ratios(extended_smatrix(k, precision), (2, "even"))
+        dim_even = mp.fsum(fp_sl2[l] * fp_vir[modular.vir_canonical(u, p, l, 1)]
+                           for l in range(1, u) if l % 2 == 1)
+        amb = (mp.fsum(v ** 2 for v in fp_sl2.values())
+               * mp.fsum(v ** 2 for v in fp_vir.values()))
+        ext = mp.fsum(v ** 2 for v in fp_ext.values())
+        return {"dim_even": dim_even, "fp_ambient": amb, "fp_extended": ext,
+                "fp_quotient": amb / dim_even ** 2}
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_dimension_report_columns_are_the_full_matrix_columns(k, precision):
+    # the report builds only the S columns it reads; its values must be
+    # those of the full sl2, vir and extended matrices, bit for bit
+    rep = fp_dimension_report(k, precision)
+    want = _fp_report_from_full_matrices(k, precision)
+    for name in ("dim_even", "fp_ambient", "fp_extended"):
+        assert rep.item(name).computed._mpf_ == want[name]._mpf_, name
+    assert rep.item("fp_quotient").closed_form._mpf_ == want["fp_quotient"]._mpf_
+
+
 def test_min_conformal_weight_unique():
     for k in (1, 2, 3, 4, 5):
         u, p = k + 2, 2 * k + 3
@@ -368,6 +396,24 @@ def test_kac_reflection_is_checked_on_the_sine_tables(monkeypatch):
     monkeypatch.setattr(modular.mp, "sinpi", bent_sinpi)
     with pytest.raises(VerificationError, match="representative-independent"):
         vir_smatrix(u, p)
+
+
+def test_kac_reflection_is_checked_on_the_fp_column(monkeypatch):
+    # fp_dimension_report(1) tables the Virasoro column at (1, 2); the sine
+    # at r = u - 1, r' = 1 bent as above must fail its reflection check there
+    u, p = 3, 5
+    sinpi = modular.mp.sinpi
+
+    def bent_sinpi(x):
+        v = sinpi(x)
+        if x == modular.mp.mpf(p * (u - 1)) / u:
+            v = v * (1 + modular.mp.mpf(10) ** -40)
+        return v
+
+    assert fp_dimension_report(1).ok
+    monkeypatch.setattr(modular.mp, "sinpi", bent_sinpi)
+    with pytest.raises(VerificationError, match="representative-independent"):
+        fp_dimension_report(1)
 
 
 def test_min_conformal_weight_requires_coset_shape():
@@ -443,6 +489,46 @@ def test_st_cube_defect_is_the_dense_product_bit_for_bit(family, k):
     got, want = st_cube_defect(S, T), _dense_st_cube_defect(S, T)
     assert got._mpf_ == want._mpf_
     assert repr(got) == repr(want)
+
+
+def _bits(v):
+    return ("mpc", v._mpc_) if hasattr(v, "_mpc_") else ("mpf", v._mpf_)
+
+
+_KERNEL_FAMILIES = {
+    "vir": lambda k, prec: vir_smatrix(k + 2, 2 * k + 3, prec),
+    "sl2": sl2_smatrix,
+    "extended": extended_smatrix,
+    "coset": lambda k, prec: coset_smatrix(k, prec, verify=False),
+    "stilde": stilde_matrix,
+}
+
+
+@pytest.mark.parametrize("precision", [8, 53, 256])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_KERNEL_FAMILIES))
+def test_exact_dot_kernel_is_fdot_and_the_matrix_product(family, k, precision):
+    # every dot product of a row with a column is mp.fdot's, and every entry
+    # of S S and S S^dagger is mpmath's matrix product's, tuple for tuple
+    S = _KERNEL_FAMILIES[family](k, precision)
+    rows = [list(r) for r in S.rows]
+    cols = [list(c) for c in zip(*rows)]
+    with mp.workprec(precision + 16):
+        fixed_rows = [modular._fixed(r) for r in rows]
+        fixed_cols = [modular._fixed(c) for c in cols]
+        for r, fr in zip(rows, fixed_rows):
+            for c, fc in zip(cols, fixed_cols):
+                assert _bits(modular._dot(fr, fc)) == _bits(mp.fdot(r, c))
+        M = S.as_matrix()
+        for got, want in ((modular._product(rows, rows), M * M),
+                          (modular._product(rows, rows, adjoint=True),
+                           M * M.transpose_conj())):
+            for i in range(S.n):
+                for j in range(S.n):
+                    w = want[i, j]
+                    # the matrix stores no zeros and reads one back as mpf 0
+                    g = got[i][j] if got[i][j] else mp.mpf(0)
+                    assert _bits(g) == _bits(w), (i, j)
 
 
 # -- numeric S-transform of the one-variable characters --------------------------------
