@@ -6,7 +6,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ospq.qseries import (
     EmptySeries,
@@ -244,6 +244,8 @@ def test_mul_trunc_bookkeeping():
 
 @settings(max_examples=100, deadline=None)
 @given(st_lattice_series(), st_lattice_series())
+# q^2 cancels to zero and is produced again after q^3: it re-enters at the end
+@example(QSeries({0: 1, 1: 1, 2: 2}), QSeries({0: 1, 1: -1, 2: 1}))
 def test_mul_matches_the_fraction_keyed_convolution(a, b):
     assert_same_series(qs_mul(a, b), ref_mul(a, b))
 

@@ -285,6 +285,8 @@ def test_boxed_product_is_sound(pa, pb, t, f):
 @given(st_lattice_wq(), st_lattice_wq())
 # a floor off the w-lattice of the product: the cut must round up
 @example(make_wq({(0, 0): 1}, w_floor=QQ(-1, 3)), make_wq({(0, 0): 1, (0, -1): 1}))
+# the q^2 slice cancels to zero and is produced again after the q^3 slice
+@example(make_wq({(0, 0): 1, (1, 0): 1, (2, 0): 2}), make_wq({(0, 0): 1, (1, 0): -1, (2, 0): 1}))
 def test_mul_matches_the_fraction_keyed_convolution(a, b):
     try:
         want = ref_wq_mul(a, b)
