@@ -219,17 +219,6 @@ def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
     return out
 
 
-def wq_shift(a: WQSeries, q_exp: Rat, w_exp: Rat, coeff: Rat = 1) -> WQSeries:
-    """Multiply by the monomial coeff * w^w_exp * q^q_exp."""
-    q_exp, w_exp, coeff = as_fraction(q_exp), as_fraction(w_exp), as_fraction(coeff)
-    T = None if a.q_trunc is None else a.q_trunc + q_exp
-    F = None if a.w_floor is None else a.w_floor + w_exp
-    terms = {}
-    for qe, sl in a.terms.items():
-        terms[qe + q_exp] = {we + w_exp: c * coeff for we, c in sl.items()}
-    return WQSeries(terms, T, F)
-
-
 def _on_lattice(a: WQSeries, q0: QQ, step: QQ, Lw: int) -> Dict[int, Dict[int, object]]:
     """Slices of ``a`` keyed by (q - q0) / step and w * Lw, both ints;
     integral coefficients become Python ints."""
@@ -294,22 +283,6 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     res.q_trunc = T
     res.w_floor = F
     return res
-
-
-def wq_scale_w(a: WQSeries, factor: Rat) -> WQSeries:
-    """Multiply every w-exponent by a positive rational factor."""
-    factor = as_fraction(factor)
-    if factor <= 0:
-        raise ValueError("w scaling factor must be positive")
-    terms = {}
-    for qe, sl in a.terms.items():
-        terms[qe] = {we * factor: c for we, c in sl.items()}
-    F = None if a.w_floor is None else a.w_floor * factor
-    out = WQSeries.__new__(WQSeries)
-    out.terms = terms
-    out.q_trunc = a.q_trunc
-    out.w_floor = F
-    return out
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:

@@ -22,8 +22,6 @@ from ospq.theta import (
     wq_invert,
     wq_mul,
     wq_scalar,
-    wq_scale_w,
-    wq_shift,
     wq_specialize_w1,
     wq_specialize_w_signed,
     wq_to_q,
@@ -213,19 +211,10 @@ def test_w_slice_and_q_slice():
     assert a.q_slice(QQ(2)) == {}
 
 
-def test_scale_w_moves_exponents_and_floor():
-    a = make_wq({(0, 1): QQ(1), (1, -2): QQ(3)}, q_trunc=2, w_floor=-2)
-    b = wq_scale_w(a, QQ(1, 2))
-    assert b.q_slice(QQ(0)) == {QQ(1, 2): QQ(1)}
-    assert b.q_slice(QQ(1)) == {QQ(-1): QQ(3)}
-    assert b.w_floor == QQ(-1)
-    with pytest.raises(ValueError):
-        wq_scale_w(a, 0)
-
-
-def test_shift_moves_both_exponents():
+def test_monomial_product_moves_both_exponents():
     a = make_wq({(0, 0): QQ(1)}, q_trunc=2)
-    b = wq_shift(a, QQ(1, 3), QQ(-1, 2), coeff=QQ(5))
+    m = make_wq({(QQ(1, 3), QQ(-1, 2)): QQ(5)})
+    b = wq_mul(a, m)
     assert b.q_slice(QQ(1, 3)) == {QQ(-1, 2): QQ(5)}
     assert b.q_trunc == QQ(2) + QQ(1, 3)
 
