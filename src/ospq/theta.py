@@ -11,7 +11,9 @@ A :class:`WQSeries` stores exact coefficients on the grid of rational
 
 Stored terms are exactly the true nonzero coefficients inside the box and
 nothing is stored outside it.  All operations propagate the box honestly,
-including the floor degradation of slice convolutions.
+including the floor degradation of slice convolutions.  A series also
+records a lower bound of its whole q-support, terms hidden below the floor
+included, from which products take their q-truncation.
 
 Division (:func:`wq_div`) solves D * chi = num one q-slice at a time,
 chi_y = (num_(y+beta) - sum over m > 0 of D_m chi_(y-m)) / D_0, with the
@@ -53,7 +55,7 @@ Slice = Dict[QQ, QQ]  # w-exponent -> coefficient
 class WQSeries:
     """Truncated two-variable series, organised as q-slice -> w-polynomial."""
 
-    __slots__ = ("terms", "q_trunc", "w_floor")
+    __slots__ = ("terms", "q_trunc", "w_floor", "_q_lo")
 
     def __init__(self, terms=(), q_trunc: Optional[Rat] = None,
                  w_floor: Optional[Rat] = None):
@@ -62,6 +64,7 @@ class WQSeries:
         if w_floor is not None:
             w_floor = as_fraction(w_floor)
         acc: Dict[QQ, Slice] = {}
+        lo = q_trunc  # lowest q of the terms given below q_trunc, floored ones too
         if isinstance(terms, dict):
             items = (
                 (qe, we, c) for qe, sl in terms.items() for we, c in sl.items()
@@ -74,6 +77,8 @@ class WQSeries:
                 continue
             if q_trunc is not None and qe >= q_trunc:
                 continue
+            if lo is None or qe < lo:
+                lo = qe
             if w_floor is not None and we < w_floor:
                 continue
             sl = acc.setdefault(qe, {})
@@ -88,6 +93,7 @@ class WQSeries:
         self.terms = acc
         self.q_trunc = q_trunc
         self.w_floor = w_floor
+        self._q_lo = lo
 
     # -- accessors ----------------------------------------------------------
 
@@ -184,6 +190,17 @@ class WQSeries:
     __rmul__ = __mul__
 
 
+def _wq(terms: Dict[QQ, Slice], q_trunc: Optional[QQ], w_floor: Optional[QQ],
+        q_lo: Optional[QQ]) -> WQSeries:
+    """A series from slices that already hold exactly its nonzero terms."""
+    out = WQSeries.__new__(WQSeries)
+    out.terms = terms
+    out.q_trunc = q_trunc
+    out.w_floor = w_floor
+    out._q_lo = q_lo
+    return out
+
+
 def _max_floor(fa: Optional[QQ], fb: Optional[QQ]) -> Optional[QQ]:
     if fa is None:
         return fb
@@ -204,7 +221,9 @@ def wq_add(a: WQSeries, b: WQSeries) -> WQSeries:
             for we, c in sl.items():
                 yield qe, we, c
 
-    return WQSeries(gen(), T, F)
+    out = WQSeries(gen(), T, F)
+    out._q_lo = _min_trunc(a._q_lo, b._q_lo)
+    return out
 
 
 def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
@@ -212,11 +231,7 @@ def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
     if c == 0:
         return WQSeries((), a.q_trunc, a.w_floor)
     terms = {qe: {we: x * c for we, x in sl.items()} for qe, sl in a.terms.items()}
-    out = WQSeries.__new__(WQSeries)
-    out.terms = terms
-    out.q_trunc = a.q_trunc
-    out.w_floor = a.w_floor
-    return out
+    return _wq(terms, a.q_trunc, a.w_floor, a._q_lo)
 
 
 def _on_lattice(a: WQSeries, q0: QQ, step: QQ, Lw: int) -> Dict[int, Dict[int, object]]:
@@ -236,9 +251,10 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     for x, name in ((a, "left"), (b, "right")):
         if not x.terms and x.w_floor is not None:
             raise ValueError("%s factor is empty but w-floored; product undefined" % name)
-    ma, mb = a.min_q_bound(), b.min_q_bound()
-    if ma is None or mb is None:
+    if a.min_q_bound() is None or b.min_q_bound() is None:
         return WQSeries((), None, None)  # exact zero factor
+    # the q-support bounds count the terms hidden below a floor
+    ma, mb = a._q_lo, b._q_lo
     cands = []
     if a.q_trunc is not None:
         cands.append(a.q_trunc + mb)
@@ -277,12 +293,9 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
                         del out[wc]
                     else:
                         out[wc] = s
-    res = WQSeries.__new__(WQSeries)
-    res.terms = {QQ(qc, Q): {QQ(wc, W): QQ(c) for wc, c in sl.items()}
-                 for qc, sl in acc.items() if sl}
-    res.q_trunc = T
-    res.w_floor = F
-    return res
+    terms = {QQ(qc, Q): {QQ(wc, W): QQ(c) for wc, c in sl.items()}
+             for qc, sl in acc.items() if sl}
+    return _wq(terms, T, F, ma + mb)
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:
@@ -498,11 +511,7 @@ def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
         out = {QQ(e, Lw): QQ(c) for e, c in sl.items() if F is None or e >= Fi}
         if out:
             terms[y0 + j * step] = out
-    res = WQSeries.__new__(WQSeries)
-    res.terms = terms
-    res.q_trunc = T
-    res.w_floor = F
-    return res
+    return _wq(terms, T, F, y0)
 
 
 def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,

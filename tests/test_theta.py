@@ -53,9 +53,9 @@ def ref_wq_mul(a, b):
     for x in (a, b):
         if not x.terms and x.w_floor is not None:
             raise ValueError("empty but w-floored factor")
-    ma, mb = a.min_q_bound(), b.min_q_bound()
-    if ma is None or mb is None:
+    if a.min_q_bound() is None or b.min_q_bound() is None:
         return WQSeries((), None, None)
+    ma, mb = a._q_lo, b._q_lo
     cands = []
     if a.q_trunc is not None:
         cands.append(a.q_trunc + mb)
@@ -257,6 +257,9 @@ def test_complete_product_matches_dense_convolution(pa, pb):
 
 @settings(max_examples=100, deadline=None)
 @given(st_laurent, st_laurent, st_qexp, st_wexp)
+# a's w^-2 term hides below the floor and b's q^2 term above the truncation;
+# their product q^2 w^-1 lies inside the box q < 3 that the stored minima give
+@example({(0, -2): 1, (1, 0): 1}, {(1, 0): 1, (2, 1): 1}, QQ(1), QQ(-1))
 def test_boxed_product_is_sound(pa, pb, t, f):
     """Multiplying floored/truncated inputs agrees with the dense product on the box."""
     t = t + 1
