@@ -10,20 +10,25 @@ Operations propagate the guaranteed order honestly and never extend it.
 Coefficients are exact; numeric evaluation (``qs_eval``) is a separate,
 explicitly lossy operation.
 
-Products and inverses run on an integer exponent lattice: exponents are
-scaled to ints over a common denominator, integral coefficients stay Python
-ints, and Fractions are built only for the returned series, whose terms keep
-the order in which the loops first produced them.  Dedekind eta is summed in
-closed form from Euler's pentagonal number theorem rather than multiplied
-out factor by factor.
+Products and quotients of one- and two-variable series share two kernels
+on an integer exponent lattice: one slice convolution (``_slice_mul``) and
+one slice recursion for division (``_slice_div``).  Both work on q-slices
+{q-exponent: {w-exponent: coefficient}}; a QSeries is the w-free case, one
+w^0 term per slice, so ``qs_mul`` and ``qs_invert`` are the one-variable
+cases of ``theta.wq_mul`` and ``theta.wq_div``.  Exponents are scaled to
+ints, integral coefficients stay Python ints, and Fractions are built only
+for the returned series, whose terms keep the order in which the kernels
+first produced them.  Dedekind eta is summed in closed form from Euler's
+pentagonal number theorem rather than multiplied out factor by factor.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import mpmath
 
@@ -38,6 +43,11 @@ class EmptySeries(ArithmeticError):
 class VerificationError(ValueError):
     """Raised when an internal check of a computed result fails, as opposed to
     bad input; the CLI reports it with exit code 1."""
+
+
+class IncompleteQuotient(VerificationError):
+    """Raised when an unfloored division leaves a nonzero remainder: the
+    quotient has unbounded descending w-support, so a ``w_floor`` is needed."""
 
 
 class NonconvergentDomain(ValueError):
@@ -206,23 +216,6 @@ def qs_shift(a: QSeries, exp: Rat, coeff: Rat = 1) -> QSeries:
     return QSeries({e + exp: c * coeff for e, c in a.terms.items()}, T)
 
 
-def _from_lattice(acc: Mapping[int, Rat], D: int, trunc: Optional[QQ]) -> QSeries:
-    """The series sum of c * q^(e/D) over the nonzero int-keyed ``acc``, whose
-    exponents all lie below ``trunc``; the terms keep the order of ``acc``."""
-    out = QSeries.__new__(QSeries)
-    out.terms = {QQ(e, D): QQ(c) for e, c in acc.items()}
-    out.trunc = trunc
-    out.D = D // math.gcd(D, *acc)
-    return out
-
-
-def _scaled(a: QSeries, D: int):
-    """(e * D, c) pairs of ``a`` in stored order; integral coefficients
-    become Python ints."""
-    return [(e.numerator * (D // e.denominator),
-             c.numerator if c.denominator == 1 else c) for e, c in a.terms.items()]
-
-
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     ma, mb = a.min_exp_bound(), b.min_exp_bound()
     if ma is None or mb is None:
@@ -236,22 +229,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     T = min(cands) if cands else None
     if len(a.terms) > len(b.terms):
         a, b = b, a
-    D = math.lcm(a.D, b.D)
-    Ti = None if T is None else math.ceil(T * D)
-    acc: dict = {}
-    b_items = sorted(_scaled(b, D))
-    for ea, ca in _scaled(a, D):
-        for eb, cb in b_items:
-            e = ea + eb
-            if Ti is not None and e >= Ti:
-                break
-            s = acc.get(e)
-            s = ca * cb if s is None else s + ca * cb
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-    return _from_lattice(acc, D, T)
+    return _qseries(_slice_mul(_slices(a), _slices(b), T, None), T)
 
 
 def qs_invert(a: QSeries) -> QSeries:
@@ -261,39 +239,217 @@ def qs_invert(a: QSeries) -> QSeries:
     trunc(a) - 2*min_exp(a).  A complete (untruncated) input must be a pure
     monomial; truncate first to invert a complete multi-term series.
     """
-    if not a.terms:
-        raise EmptySeries("cannot invert a series with no terms")
-    e0 = a.min_exp()
-    c0 = a.terms[e0]
-    if a.trunc is None:
-        if len(a.terms) > 1:
-            raise ValueError(
-                "cannot invert an untruncated non-monomial series; truncate first"
-            )
+    if a.trunc is None and len(a.terms) == 1:
+        (e0, c0), = a.terms.items()
         return QSeries.monomial(1 / c0, -e0, None)
-    T_rel = a.trunc - e0
-    # coefficient recursion for (1 + u)^{-1} on int steps n of u's lattice 1/L
-    L = math.lcm(*((e - e0).denominator for e in a.terms))
-    steps = []
-    for e, c in a.terms.items():
-        if e != e0:
-            cm = c / c0
-            steps.append((int((e - e0) * L), cm.numerator if cm.denominator == 1 else cm))
-    steps.sort()
-    inv = [1] + [0] * (math.ceil(T_rel * L) - 1)
-    for n in range(1, len(inv)):
-        s = 0
-        for m, cm in steps:
-            if m > n:
+    return _qs_div(QSeries.one(None), a)
+
+
+def _qs_div(a: QSeries, b: QSeries, trunc: Optional[QQ] = None) -> QSeries:
+    """a / b below q^trunc, which defaults to the order a and b support."""
+    T, slices = _slice_div(_slices(a), a.trunc, _slices(b), b.trunc, trunc)
+    return QSeries.zero(None) if T is None else _qseries(slices, T)
+
+
+# -- the integer-lattice kernels of products and quotients ----------------------
+
+Slices = Dict[QQ, Dict[Rat, Rat]]  # q-exponent -> w-exponent -> coefficient
+
+
+def _slices(a: QSeries) -> Slices:
+    """The q-slices of a QSeries: one w^0 term each."""
+    return {e: {0: c} for e, c in a.terms.items()}
+
+
+def _qseries(slices: Slices, trunc: Optional[QQ]) -> QSeries:
+    """The QSeries of w^0 slices that hold exactly its nonzero terms."""
+    out = QSeries.__new__(QSeries)
+    out.terms = {e: c for e, sl in slices.items() for c in sl.values()}
+    out.trunc = trunc
+    out.D = math.lcm(*(e.denominator for e in out.terms))
+    return out
+
+
+def _grid(q0: QQ, step: QQ) -> Tuple[int, int, int]:
+    """(o, s, Q) with q0 = o/Q and step = s/Q."""
+    Q = math.lcm(q0.denominator, step.denominator)
+    return q0.numerator * (Q // q0.denominator), step.numerator * (Q // step.denominator), Q
+
+
+def _to_lattice(slices: Slices, q0: QQ, step: QQ, W: int) -> Dict[int, Dict[int, Rat]]:
+    """``slices`` keyed by (q - q0) / step and w * W, both ints; integral
+    coefficients become Python ints."""
+    o, s, Q = _grid(q0, step)
+    return {(qe.numerator * (Q // qe.denominator) - o) // s: {
+        we.numerator * (W // we.denominator): c.numerator if c.denominator == 1 else c
+        for we, c in sl.items()} for qe, sl in slices.items()}
+
+
+def _from_lattice(acc: Mapping[int, Mapping[int, Rat]], q0: QQ, step: QQ, W: int,
+                  Fi: Optional[int] = None) -> Slices:
+    """The Fraction-keyed slices of ``acc`` without its terms at w * W < Fi;
+    slices left empty are dropped, the rest keep their order."""
+    o, s, Q = _grid(q0, step)
+    out = {}
+    for j, sl in acc.items():
+        sl = {QQ(w, W): QQ(c) for w, c in sl.items() if Fi is None or w >= Fi}
+        if sl:
+            out[QQ(o + j * s, Q)] = sl
+    return out
+
+
+def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices:
+    """The terms of a * b at q < T and w >= F (None: no cut there).
+
+    The slices of a, in stored order, meet those of b in ascending q.  A term
+    or a whole slice that cancels to zero leaves the product, and re-enters
+    at its end if it is produced again.
+    """
+    Q = math.lcm(*(qe.denominator for x in (a, b) for qe in x))
+    W = math.lcm(*(we.denominator for x in (a, b) for sl in x.values() for we in sl))
+    Ti = None if T is None else math.ceil(T * Q)
+    Fi = None if F is None else math.ceil(F * W)
+    step = QQ(1, Q)
+    acc: Dict[int, Dict[int, Rat]] = {}
+    b_slices = sorted(_to_lattice(b, QQ(0), step, W).items())
+    for qa, sla in _to_lattice(a, QQ(0), step, W).items():
+        for qb, slb in b_slices:
+            qc = qa + qb
+            if Ti is not None and qc >= Ti:
                 break
-            prev = inv[n - m]
-            if prev:
-                s -= cm * prev
-        inv[n] = s
-    E = math.lcm(L, e0.denominator)
-    shift = int(e0 * E)
-    return _from_lattice({n * (E // L) - shift: c / c0 for n, c in enumerate(inv) if c},
-                         E, T_rel - e0)
+            out = acc.get(qc) or {}
+            for wa, ca in sla.items():
+                for wb, cb in slb.items():
+                    wc = wa + wb
+                    if Fi is not None and wc < Fi:
+                        continue
+                    s = out.get(wc)
+                    s = ca * cb if s is None else s + ca * cb
+                    if s == 0:
+                        del out[wc]
+                    else:
+                        out[wc] = s
+            if out:
+                acc[qc] = out
+            else:
+                acc.pop(qc, None)
+    return _from_lattice(acc, QQ(0), step, W)
+
+
+def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
+               T: Optional[QQ] = None, F: Optional[QQ] = None
+               ) -> Tuple[Optional[QQ], Slices]:
+    """a / b on the box q < T, w >= F by one slice recursion, for a exact
+    below q^ta and b below q^tb (None: complete).  Returns the quotient's
+    order, None for the exact zero quotient, and its slices.
+
+    With b = sum over m >= 0 of D_m q^(beta + m) and leading slice
+    D_0 = c0 w^alpha + (lower w-powers), the quotient solves
+
+        chi_y = (a_(y + beta) - sum over m > 0 of D_m chi_(y - m)) / D_0
+
+    slice by slice, and ``/ D_0`` is descending long division: the quotient
+    term at w^e reads only remainder exponents >= e + alpha.  q-slices are
+    integer steps from the lowest quotient slice y0 = min q(a) - beta, and
+    integral coefficients stay Python ints while c0 = +-1.
+
+    T defaults to, and may not exceed, min(ta - beta, tb - 2 beta + min q(a)).
+    Without F every slice must divide with a zero remainder, which proves the
+    returned w-support complete; a nonzero remainder raises
+    :class:`IncompleteQuotient`.  With F, slice y is computed down to
+    F - slack(n), where n is its distance to the top slice and slack(n) is
+    the largest sum of the positive w-extents max_w(D_m) - alpha over chains
+    of steps m > 0 totalling <= n: that is as far below F as the slices
+    above y read it, so the returned terms are exact at every w >= F.
+    """
+    ma = min(a, default=ta)
+    if ma is None:
+        return None, {}  # exact zero numerator
+    if not b:
+        raise EmptySeries("cannot divide by a series with no terms")
+    beta = min(b)
+    limits = []
+    if ta is not None:
+        limits.append(ta - beta)
+    if tb is not None:
+        limits.append(tb - 2 * beta + ma)
+    if T is None:
+        if not limits:
+            raise ValueError("a quotient of complete series needs a truncation order")
+        T = min(limits)
+    else:
+        T = as_fraction(T)
+        if limits and T > min(limits):
+            raise ValueError(
+                "requested quotient order %s exceeds the achievable %s" % (T, min(limits))
+            )
+    if not a:
+        return T, {}
+
+    y0 = ma - beta
+    offsets = [qe - ma for qe in a] + [qe - beta for qe in b]
+    L = math.lcm(*(o.denominator for o in offsets))
+    step = QQ(math.gcd(*(o.numerator * (L // o.denominator) for o in offsets)) or 1, L)
+    Lw = math.lcm(*(we.denominator for x in (a, b) for sl in x.values() for we in sl))
+    A = _to_lattice(a, ma, step, Lw)
+    D = _to_lattice(b, beta, step, Lw)
+    D0 = D.pop(0)
+    alpha, dmin = max(D0), min(D0)
+    c0 = D0[alpha]
+    lower = [(d, c) for d, c in D0.items() if d != alpha]
+    inv_c0 = c0 if c0 in (1, -1) else 1 / QQ(c0)
+    steps = sorted(D.items())
+    J = max(math.ceil((T - y0) / step), 0)
+    Fi = None if F is None else math.ceil(F * Lw)
+    if Fi is not None:
+        ext = [(m, max(sl) - alpha) for m, sl in steps if max(sl) > alpha]
+        slack = [0] * max(J, 1)
+        for n in range(1, J):
+            slack[n] = max([e + slack[n - m] for m, e in ext if m <= n], default=0)
+
+    chi: Dict[int, Dict[int, Rat]] = {}
+    for j in range(J):
+        rem = dict(A.get(j, ()))
+        # remainder exponents below lo are never read inside the box
+        lo = None if Fi is None else Fi - slack[J - 1 - j] + alpha
+        for m, Dm in steps:
+            if m > j:
+                break
+            for d, dc in Dm.items():
+                for e, c in chi.get(j - m, {}).items():
+                    g = d + e
+                    if lo is None or g >= lo:
+                        rem[g] = rem.get(g, 0) - dc * c
+        rem = {g: c for g, c in rem.items() if c}
+        if not rem:
+            continue
+        # without a floor a finite quotient ends at w^(min(rem) - min(D_0))
+        stop = min(rem) - dmin + alpha if lo is None else lo
+        heap = [-g for g in rem]
+        heapq.heapify(heap)
+        sl = chi[j] = {}
+        while heap:
+            g = -heapq.heappop(heap)
+            c = rem.pop(g)
+            if not c:
+                continue
+            if g < stop:
+                if lo is None:
+                    raise IncompleteQuotient(
+                        "q-slice %s leaves a nonzero remainder below w^%s: the "
+                        "quotient has unbounded descending w-support, so a "
+                        "w_floor is required" % (y0 + j * step, QQ(stop - alpha, Lw)))
+                break
+            e = g - alpha
+            sl[e] = qc = c * inv_c0
+            for d, dc in lower:
+                h = e + d
+                if h in rem:
+                    rem[h] -= qc * dc
+                else:
+                    rem[h] = -qc * dc
+                    heapq.heappush(heap, -h)
+    return T, _from_lattice(chi, y0, step, Lw, Fi)
 
 
 def qs_eta(N: Rat) -> QSeries:
@@ -304,14 +460,13 @@ def qs_eta(N: Rat) -> QSeries:
     N = as_fraction(N)
     if N <= 0:
         raise ValueError("truncation order must be positive")
-    cut = math.ceil(24 * N)
     acc = {}
     j = 0
     while True:
         for m in (j, -j) if j else (0,):
-            e = (6 * m - 1) ** 2
-            if e >= cut:
-                return _from_lattice(acc, 24, N)
+            e = QQ((6 * m - 1) ** 2, 24)
+            if e >= N:
+                return QSeries(acc, N)
             acc[e] = (-1) ** j
         j += 1
 

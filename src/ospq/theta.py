@@ -15,33 +15,36 @@ including the floor degradation of slice convolutions.  A series also
 records a lower bound of its whole q-support, terms hidden below the floor
 included, from which products take their q-truncation.
 
+Products and quotients run on the slice kernels of :mod:`ospq.qseries`,
+the same ones that serve one-variable series; this module adds the box.
 Division (:func:`wq_div`) solves D * chi = num one q-slice at a time,
 chi_y = (num_(y+beta) - sum over m > 0 of D_m chi_(y-m)) / D_0, with the
 step ``/ D_0`` done as descending long division by the leading w-polynomial
-of the denominator, on exponents scaled to an integer lattice.  Without a
-floor every slice must divide with a zero remainder, which proves the
-quotient's w-support complete.  A floor is unavoidable when the quotient is
-an infinite *descending* series in w, as for the characters at fractional
-level: in the expansion domain 1 <= |w| <= |q|^{-1} dividing by a multi-term
-leading w-slice such as w^a (1 - w^{-step}) never terminates.  Then each
-slice is computed down to the floor minus the w-extent that the slices above
-it can still read, so that the returned window w >= floor is exact.
+of the denominator.  Without a floor every slice must divide with a zero
+remainder, which proves the quotient's w-support complete.  A floor is
+unavoidable when the quotient is an infinite *descending* series in w, as
+for the characters at fractional level: in the expansion domain
+1 <= |w| <= |q|^{-1} dividing by a multi-term leading w-slice such as
+w^a (1 - w^{-step}) never terminates.  Then each slice is computed down to
+the floor minus the w-extent that the slices above it can still read, so
+that the returned window w >= floor is exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Dict, Optional
 
 from .qseries import (
     QQ,
     EmptySeries,
+    IncompleteQuotient,  # raised by wq_div
     QSeries,
     Rat,
-    VerificationError,
     as_fraction,
     _min_trunc,
+    _slice_div,
+    _slice_mul,
 )
 
 
@@ -234,19 +237,6 @@ def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
     return _wq(terms, a.q_trunc, a.w_floor, a._q_lo)
 
 
-def _on_lattice(a: WQSeries, q0: QQ, step: QQ, Lw: int) -> Dict[int, Dict[int, object]]:
-    """Slices of ``a`` keyed by (q - q0) / step and w * Lw, both ints;
-    integral coefficients become Python ints."""
-    return {
-        int((qe - q0) / step): {
-            we.numerator * (Lw // we.denominator):
-                c.numerator if c.denominator == 1 else c
-            for we, c in sl.items()
-        }
-        for qe, sl in a.terms.items()
-    }
-
-
 def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     for x, name in ((a, "left"), (b, "right")):
         if not x.terms and x.w_floor is not None:
@@ -268,34 +258,7 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     if b.w_floor is not None and a.terms:
         fc.append(b.w_floor + a.wmax())
     F = max(fc, default=None)
-    # convolve on q * Q and w * W, both ints
-    Q = math.lcm(*(qe.denominator for x in (a, b) for qe in x.terms))
-    W = math.lcm(*(we.denominator for x in (a, b)
-                   for sl in x.terms.values() for we in sl))
-    Ti = None if T is None else math.ceil(T * Q)
-    Fi = None if F is None else math.ceil(F * W)
-    acc: Dict[int, Dict[int, object]] = {}
-    b_slices = sorted(_on_lattice(b, QQ(0), QQ(1, Q), W).items())
-    for qa, sla in _on_lattice(a, QQ(0), QQ(1, Q), W).items():
-        for qb, slb in b_slices:
-            qc = qa + qb
-            if Ti is not None and qc >= Ti:
-                break
-            out = acc.setdefault(qc, {})
-            for wa, ca in sla.items():
-                for wb, cb in slb.items():
-                    wc = wa + wb
-                    if Fi is not None and wc < Fi:
-                        continue
-                    s = out.get(wc)
-                    s = ca * cb if s is None else s + ca * cb
-                    if s == 0:
-                        del out[wc]
-                    else:
-                        out[wc] = s
-    terms = {QQ(qc, Q): {QQ(wc, W): QQ(c) for wc, c in sl.items()}
-             for qc, sl in acc.items() if sl}
-    return _wq(terms, T, F, ma + mb)
+    return _wq(_slice_mul(a.terms, b.terms, T, F), T, F, ma + mb)
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:
@@ -381,137 +344,28 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
 # -- division ---------------------------------------------------------------
 
 
-class IncompleteQuotient(VerificationError):
-    """Raised when an unfloored division leaves a nonzero remainder: the
-    quotient has unbounded descending w-support, so a ``w_floor`` is needed."""
-
-
 def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
            w_floor: Optional[Rat] = None) -> WQSeries:
-    """a / b on the box q < q_trunc, w >= w_floor, by one slice recursion.
-
-    With b = sum over m >= 0 of D_m q^(beta + m) and leading slice
-    D_0 = c0 w^alpha + (lower w-powers), the quotient solves
-
-        chi_y = (a_(y + beta) - sum over m > 0 of D_m chi_(y - m)) / D_0
-
-    slice by slice, and ``/ D_0`` is descending long division: the quotient
-    term at w^e reads only remainder exponents >= e + alpha.  q-slices are
-    integer steps from the lowest quotient slice, w-exponents are scaled to
-    ints, and integral coefficients stay Python ints while c0 = +-1;
-    Fractions are built only for the returned series.
-
-    Without ``w_floor`` every slice must divide with a zero remainder, which
-    proves the returned w-support complete; a nonzero remainder raises
-    :class:`IncompleteQuotient`.  With ``w_floor`` F, slice y is computed
-    down to F - slack(n), where n is its distance to the top slice and
-    slack(n) is the largest sum of the positive w-extents max_w(D_m) - alpha
-    over chains of steps m > 0 totalling <= n: that is as far below F as the
-    slices above y read it, so the returned terms are exact at every w >= F.
+    """a / b on the box q < q_trunc, w >= w_floor, by the slice recursion of
+    :func:`ospq.qseries._slice_div`.
 
     ``q_trunc`` defaults to, and may not exceed, the order that the boxes of
-    a and b support.
+    a and b support.  Without ``w_floor`` every slice must divide with a zero
+    remainder, which proves the returned w-support complete; otherwise
+    :class:`IncompleteQuotient` is raised.  With ``w_floor`` the slices are
+    computed just deep enough that the returned terms are exact at every
+    w >= w_floor.  Neither a nor b may be w-floored.
     """
     if a.w_floor is not None:
         raise ValueError("dividing a w-floored series is not supported")
-    ma = a.min_q_bound()
-    if ma is None:
-        return WQSeries((), None, None)  # exact zero numerator
-    if not b.terms:
-        raise EmptySeries("cannot divide by a series with no terms")
     if b.w_floor is not None:
         raise ValueError("dividing by a w-floored series is not supported")
-    beta = b.min_q()
-    limits = []
-    if a.q_trunc is not None:
-        limits.append(a.q_trunc - beta)
-    if b.q_trunc is not None:
-        limits.append(b.q_trunc - 2 * beta + ma)
-    if q_trunc is None:
-        if not limits:
-            raise ValueError("q_trunc is required to divide complete series")
-        T = min(limits)
-    else:
-        T = as_fraction(q_trunc)
-        if limits and T > min(limits):
-            raise ValueError(
-                "requested quotient order %s exceeds the achievable %s" % (T, min(limits))
-            )
     F = None if w_floor is None else as_fraction(w_floor)
-    if not a.terms:
-        return WQSeries((), T, F)
-
-    y0 = ma - beta
-    offsets = [qe - ma for qe in a.terms] + [qe - beta for qe in b.terms]
-    L = math.lcm(*(o.denominator for o in offsets))
-    step = QQ(math.gcd(*(o.numerator * (L // o.denominator) for o in offsets)) or 1, L)
-    Lw = math.lcm(*(we.denominator for x in (a, b)
-                    for sl in x.terms.values() for we in sl))
-    A = _on_lattice(a, ma, step, Lw)
-    D = _on_lattice(b, beta, step, Lw)
-    D0 = D.pop(0)
-    alpha, dmin = max(D0), min(D0)
-    c0 = D0[alpha]
-    lower = [(d, c) for d, c in D0.items() if d != alpha]
-    inv_c0 = c0 if c0 in (1, -1) else 1 / QQ(c0)
-    steps = sorted(D.items())
-    J = max(math.ceil((T - y0) / step), 0)
-    if F is not None:
-        Fi = math.ceil(F * Lw)
-        ext = [(m, max(sl) - alpha) for m, sl in steps if max(sl) > alpha]
-        slack = [0] * max(J, 1)
-        for n in range(1, J):
-            slack[n] = max([e + slack[n - m] for m, e in ext if m <= n], default=0)
-
-    chi: Dict[int, Dict[int, object]] = {}
-    for j in range(J):
-        rem = dict(A.get(j, ()))
-        # remainder exponents below lo are never read inside the box
-        lo = None if F is None else Fi - slack[J - 1 - j] + alpha
-        for m, Dm in steps:
-            if m > j:
-                break
-            for d, dc in Dm.items():
-                for e, c in chi.get(j - m, {}).items():
-                    g = d + e
-                    if lo is None or g >= lo:
-                        rem[g] = rem.get(g, 0) - dc * c
-        rem = {g: c for g, c in rem.items() if c}
-        if not rem:
-            continue
-        # without a floor a finite quotient ends at w^(min(rem) - min(D_0))
-        stop = min(rem) - dmin + alpha if lo is None else lo
-        heap = [-g for g in rem]
-        heapq.heapify(heap)
-        sl = chi[j] = {}
-        while heap:
-            g = -heapq.heappop(heap)
-            c = rem.pop(g)
-            if not c:
-                continue
-            if g < stop:
-                if lo is None:
-                    raise IncompleteQuotient(
-                        "q-slice %s leaves a nonzero remainder below w^%s: the "
-                        "quotient has unbounded descending w-support, so a "
-                        "w_floor is required" % (y0 + j * step, QQ(stop - alpha, Lw)))
-                break
-            e = g - alpha
-            sl[e] = qc = c * inv_c0
-            for d, dc in lower:
-                h = e + d
-                if h in rem:
-                    rem[h] -= qc * dc
-                else:
-                    rem[h] = -qc * dc
-                    heapq.heappush(heap, -h)
-
-    terms: Dict[QQ, Slice] = {}
-    for j, sl in chi.items():
-        out = {QQ(e, Lw): QQ(c) for e, c in sl.items() if F is None or e >= Fi}
-        if out:
-            terms[y0 + j * step] = out
-    return _wq(terms, T, F, y0)
+    T, terms = _slice_div(a.terms, a.q_trunc, b.terms, b.q_trunc, q_trunc, F)
+    if T is None:
+        return WQSeries((), None, None)  # exact zero numerator
+    # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
+    return _wq(terms, T, F, a.min_q_bound() - b.min_q())
 
 
 def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
