@@ -87,6 +87,8 @@ def ref_wq_mul(a, b):
                         del out[wc]
                     else:
                         out[wc] = s
+            if not out:  # an empty slice re-enters at the end when produced again
+                del acc[qc]
     res = WQSeries((), T, F)
     res.terms = {qe: sl for qe, sl in acc.items() if sl}
     return res
