@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .qseries import (QQ, QSeries, Rat, VerificationError, as_fraction, qs_eta,
-                      qs_invert, qs_mul)
+                      qs_mul, _qs_div)
 from .theta import (
     WQSeries,
     theta_big,
@@ -278,6 +278,12 @@ def vir_numerator(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
 # -- characters ---------------------------------------------------------------
 
 
+def _den_order(num_min: QQ, N: QQ) -> QQ:
+    """The order to which a denominator is built for a quotient exact below
+    q^N whose numerator starts at q^num_min."""
+    return N - math.floor(min(num_min, 0)) + 2
+
+
 def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
                    N: QQ, w_floor: Optional[Rat]) -> WQSeries:
     """num / denominator(M) on the box q < N, with M large enough for that box.
@@ -289,12 +295,11 @@ def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
     """
     if num.is_zero:
         return WQSeries((), N, None)
-    M_den = N - math.floor(min(num.min_q(), 0)) + 2
     if level.is_integer_level and w_floor is None:
         F = None
     else:
         F = -(N + 4) if w_floor is None else as_fraction(w_floor)
-    return wq_div(num, denominator(M_den), q_trunc=N, w_floor=F)
+    return wq_div(num, denominator(_den_order(num.min_q(), N)), q_trunc=N, w_floor=F)
 
 
 def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat,
@@ -329,10 +334,7 @@ def vir_char(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
     num = vir_numerator(level, label, N + 1)
     if num.is_zero:
         return QSeries({}, N)
-    m = num.min_exp()
-    M_eta = N - math.floor(min(m, 0)) + 2
-    inv_eta = qs_invert(qs_eta(M_eta))
-    return qs_mul(num, inv_eta).truncate(N)
+    return _qs_div(num, qs_eta(_den_order(num.min_exp(), N)), N)
 
 
 # -- identity verification ----------------------------------------------------

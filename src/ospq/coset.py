@@ -23,7 +23,7 @@ from .fusion import check_level, parafermion_fusion
 from .modular import (SMatrix, NonIntegralFusion, _mpq, _verlinde_bound_holds,
                       derived_tolerance, s_table)
 from .qseries import (QQ, QSeries, VerificationError, as_fraction,
-                      qs_equal_below, qs_eta, qs_invert, qs_mul, qs_shift)
+                      qs_equal_below, qs_eta, qs_mul, qs_shift, _qs_div)
 from .theta import theta_q
 
 
@@ -178,9 +178,7 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     M = N + k + 2
     ch = _full_char(k, label.r, M)
     # exact eta / (2k * theta_{L+nu}) prefactor
-    theta = lattice_theta(k, label.nu, M)
-    pref = qs_mul(qs_eta(M), qs_invert(theta))
-    pref = qs_shift(pref, 0, QQ(1, 2 * k))
+    pref = qs_shift(_qs_div(qs_eta(M), lattice_theta(k, label.nu, M)), 0, QQ(1, 2 * k))
     if variant == "minus" and label.nu % 2 == 1:
         pref = qs_shift(pref, 0, -1)
     guaranteed = min(M + pref.min_exp(), pref.trunc + ch.min_q_bound())
@@ -262,11 +260,10 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     _check_label(k, (0, r))
     ch = _full_char(k, r, N + k + 3)
     total = QSeries({}, N)
-    inv_eta = qs_invert(qs_eta(N + 3))
+    eta = qs_eta(N + 3)
     for nu in range(2 * k):
         sector = _sector(ch, k, nu, N + 1)
-        theta = lattice_theta(k, nu, N + 2)
-        piece = qs_mul(qs_mul(theta, inv_eta), sector)
+        piece = qs_mul(_qs_div(lattice_theta(k, nu, N + 2), eta), sector)
         if signed and nu % 2 == 1:
             piece = qs_shift(piece, 0, -1)
         total = total + piece
