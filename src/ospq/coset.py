@@ -254,10 +254,10 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     class sign (-1)^nu in the signed variant -- compared exactly against the
     plain (resp. signed) specialised character.
     """
+    _check_label(k, (0, r))
     N = as_fraction(N)
     level = AdmissibleLevel.from_integer_level(k)
     target = char_w1(level, r, N, signed=signed)
-    _check_label(k, (0, r))
     ch = _full_char(k, r, N + k + 3)
     total = QSeries({}, N)
     eta = qs_eta(N + 3)

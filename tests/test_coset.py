@@ -214,6 +214,20 @@ def test_reassembly_covers_local_modules_only():
         coset_reassembly(1, 2, 4)
 
 
+def test_reassembly_checks_the_label_before_building_the_target(monkeypatch):
+    calls = []
+    real = coset.char_w1
+    monkeypatch.setattr(coset, "char_w1",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    with pytest.raises(InvalidLabel):
+        coset_reassembly(1, 2, 4)
+    with pytest.raises(InvalidLabel, match="module index must be odd"):
+        coset_reassembly(1, 7, 4)
+    with pytest.raises(OutOfRange):
+        coset_reassembly(0, 1, 4)
+    assert calls == []
+
+
 def test_reassembly_matches_specialised_character():
     # independent cross-check of the identity's left side at one data point
     ch = char_w1(AdmissibleLevel.from_integer_level(1), 1, 6)
