@@ -28,7 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Collection, Dict, Mapping, Optional, Tuple, Union
 
 import mpmath
 
@@ -253,18 +253,19 @@ def _qs_div(a: QSeries, b: QSeries, trunc: Optional[QQ] = None) -> QSeries:
 
 # -- the integer-lattice kernels of products and quotients ----------------------
 
-Slices = Dict[QQ, Dict[Rat, Rat]]  # q-exponent -> w-exponent -> coefficient
+# (q-exponent, {w-exponent: coefficient}) pairs, as a WQSeries' terms.items()
+Slices = Collection[Tuple[QQ, Mapping[Rat, Rat]]]
 
 
 def _slices(a: QSeries) -> Slices:
     """The q-slices of a QSeries: one w^0 term each."""
-    return {e: {0: c} for e, c in a.terms.items()}
+    return [(e, {0: c}) for e, c in a.terms.items()]
 
 
 def _qseries(slices: Slices, trunc: Optional[QQ]) -> QSeries:
     """The QSeries of w^0 slices that hold exactly its nonzero terms."""
     out = QSeries.__new__(QSeries)
-    out.terms = {e: c for e, sl in slices.items() for c in sl.values()}
+    out.terms = {e: c for e, sl in slices for c in sl.values()}
     out.trunc = trunc
     out.D = math.lcm(*(e.denominator for e in out.terms))
     return out
@@ -276,13 +277,14 @@ def _grid(q0: QQ, step: QQ) -> Tuple[int, int, int]:
     return q0.numerator * (Q // q0.denominator), step.numerator * (Q // step.denominator), Q
 
 
-def _to_lattice(slices: Slices, q0: QQ, step: QQ, W: int) -> Dict[int, Dict[int, Rat]]:
-    """``slices`` keyed by (q - q0) / step and w * W, both ints; integral
-    coefficients become Python ints."""
+def _to_lattice(slices: Slices, q0: QQ, step: QQ, W: int
+                ) -> Dict[int, Tuple[Tuple[int, Rat], ...]]:
+    """``slices`` keyed by (q - q0) / step, each a tuple of (w * W, c) pairs:
+    both exponents become ints, and integral coefficients Python ints."""
     o, s, Q = _grid(q0, step)
-    return {(qe.numerator * (Q // qe.denominator) - o) // s: {
-        we.numerator * (W // we.denominator): c.numerator if c.denominator == 1 else c
-        for we, c in sl.items()} for qe, sl in slices.items()}
+    return {(qe.numerator * (Q // qe.denominator) - o) // s: tuple(
+        (we.numerator * (W // we.denominator), c.numerator if c.denominator == 1 else c)
+        for we, c in sl.items()) for qe, sl in slices}
 
 
 def _from_lattice(acc: Mapping[int, Mapping[int, Rat]], q0: QQ, step: QQ, W: int,
@@ -290,11 +292,12 @@ def _from_lattice(acc: Mapping[int, Mapping[int, Rat]], q0: QQ, step: QQ, W: int
     """The Fraction-keyed slices of ``acc`` without its terms at w * W < Fi;
     slices left empty are dropped, the rest keep their order."""
     o, s, Q = _grid(q0, step)
-    out = {}
+    wk = {w: QQ(w, W) for w in {w for sl in acc.values() for w in sl}}
+    out = []
     for j, sl in acc.items():
-        sl = {QQ(w, W): QQ(c) for w, c in sl.items() if Fi is None or w >= Fi}
+        sl = {wk[w]: QQ(c) for w, c in sl.items() if Fi is None or w >= Fi}
         if sl:
-            out[QQ(o + j * s, Q)] = sl
+            out.append((QQ(o + j * s, Q), sl))
     return out
 
 
@@ -305,8 +308,8 @@ def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices
     or a whole slice that cancels to zero leaves the product, and re-enters
     at its end if it is produced again.
     """
-    Q = math.lcm(*(qe.denominator for x in (a, b) for qe in x))
-    W = math.lcm(*(we.denominator for x in (a, b) for sl in x.values() for we in sl))
+    Q = math.lcm(*(qe.denominator for x in (a, b) for qe, _ in x))
+    W = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we in sl))
     Ti = None if T is None else math.ceil(T * Q)
     Fi = None if F is None else math.ceil(F * W)
     step = QQ(1, Q)
@@ -317,9 +320,11 @@ def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices
             qc = qa + qb
             if Ti is not None and qc >= Ti:
                 break
-            out = acc.get(qc) or {}
-            for wa, ca in sla.items():
-                for wb, cb in slb.items():
+            out = acc.get(qc)
+            if out is None:
+                out = acc[qc] = {}
+            for wa, ca in sla:
+                for wb, cb in slb:
                     wc = wa + wb
                     if Fi is not None and wc < Fi:
                         continue
@@ -329,10 +334,8 @@ def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices
                         del out[wc]
                     else:
                         out[wc] = s
-            if out:
-                acc[qc] = out
-            else:
-                acc.pop(qc, None)
+            if not out:
+                del acc[qc]
     return _from_lattice(acc, QQ(0), step, W)
 
 
@@ -362,12 +365,12 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
     of steps m > 0 totalling <= n: that is as far below F as the slices
     above y read it, so the returned terms are exact at every w >= F.
     """
-    ma = min(a, default=ta)
+    ma = min((qe for qe, _ in a), default=ta)
     if ma is None:
-        return None, {}  # exact zero numerator
+        return None, []  # exact zero numerator
     if not b:
         raise EmptySeries("cannot divide by a series with no terms")
-    beta = min(b)
+    beta = min(qe for qe, _ in b)
     limits = []
     if ta is not None:
         limits.append(ta - beta)
@@ -384,16 +387,16 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
                 "requested quotient order %s exceeds the achievable %s" % (T, min(limits))
             )
     if not a:
-        return T, {}
+        return T, []
 
     y0 = ma - beta
-    offsets = [qe - ma for qe in a] + [qe - beta for qe in b]
+    offsets = [qe - ma for qe, _ in a] + [qe - beta for qe, _ in b]
     L = math.lcm(*(o.denominator for o in offsets))
     step = QQ(math.gcd(*(o.numerator * (L // o.denominator) for o in offsets)) or 1, L)
-    Lw = math.lcm(*(we.denominator for x in (a, b) for sl in x.values() for we in sl))
+    Lw = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we in sl))
     A = _to_lattice(a, ma, step, Lw)
     D = _to_lattice(b, beta, step, Lw)
-    D0 = D.pop(0)
+    D0 = dict(D.pop(0))
     alpha, dmin = max(D0), min(D0)
     c0 = D0[alpha]
     lower = [(d, c) for d, c in D0.items() if d != alpha]
@@ -402,7 +405,7 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
     J = max(math.ceil((T - y0) / step), 0)
     Fi = None if F is None else math.ceil(F * Lw)
     if Fi is not None:
-        ext = [(m, max(sl) - alpha) for m, sl in steps if max(sl) > alpha]
+        ext = [(m, max(sl)[0] - alpha) for m, sl in steps if max(sl)[0] > alpha]
         slack = [0] * max(J, 1)
         for n in range(1, J):
             slack[n] = max([e + slack[n - m] for m, e in ext if m <= n], default=0)
@@ -415,7 +418,7 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
         for m, Dm in steps:
             if m > j:
                 break
-            for d, dc in Dm.items():
+            for d, dc in Dm:
                 for e, c in chi.get(j - m, {}).items():
                     g = d + e
                     if lo is None or g >= lo:
@@ -460,14 +463,15 @@ def qs_eta(N: Rat) -> QSeries:
     N = as_fraction(N)
     if N <= 0:
         raise ValueError("truncation order must be positive")
+    cut = math.ceil(24 * N)
     acc = {}
     j = 0
     while True:
         for m in (j, -j) if j else (0,):
-            e = QQ((6 * m - 1) ** 2, 24)
-            if e >= N:
-                return QSeries(acc, N)
-            acc[e] = (-1) ** j
+            e = (6 * m - 1) ** 2
+            if e >= cut:
+                return _qseries(_from_lattice(acc, QQ(0), QQ(1, 24), 1), N)
+            acc[e] = {0: (-1) ** j}
         j += 1
 
 

@@ -258,7 +258,7 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     if b.w_floor is not None and a.terms:
         fc.append(b.w_floor + a.wmax())
     F = max(fc, default=None)
-    return _wq(_slice_mul(a.terms, b.terms, T, F), T, F, ma + mb)
+    return _wq(dict(_slice_mul(a.terms.items(), b.terms.items(), T, F)), T, F, ma + mb)
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:
@@ -347,25 +347,23 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
 def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
            w_floor: Optional[Rat] = None) -> WQSeries:
     """a / b on the box q < q_trunc, w >= w_floor, by the slice recursion of
-    :func:`ospq.qseries._slice_div`.
+    :func:`ospq.qseries._slice_div`; neither a nor b may be w-floored.
 
     ``q_trunc`` defaults to, and may not exceed, the order that the boxes of
-    a and b support.  Without ``w_floor`` every slice must divide with a zero
-    remainder, which proves the returned w-support complete; otherwise
-    :class:`IncompleteQuotient` is raised.  With ``w_floor`` the slices are
-    computed just deep enough that the returned terms are exact at every
-    w >= w_floor.  Neither a nor b may be w-floored.
+    a and b support.  Without ``w_floor`` a quotient with unbounded
+    descending w-support raises :class:`IncompleteQuotient`.
     """
     if a.w_floor is not None:
         raise ValueError("dividing a w-floored series is not supported")
     if b.w_floor is not None:
         raise ValueError("dividing by a w-floored series is not supported")
     F = None if w_floor is None else as_fraction(w_floor)
-    T, terms = _slice_div(a.terms, a.q_trunc, b.terms, b.q_trunc, q_trunc, F)
+    T, terms = _slice_div(a.terms.items(), a.q_trunc, b.terms.items(), b.q_trunc,
+                          q_trunc, F)
     if T is None:
         return WQSeries((), None, None)  # exact zero numerator
     # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
-    return _wq(terms, T, F, a.min_q_bound() - b.min_q())
+    return _wq(dict(terms), T, F, a.min_q_bound() - b.min_q())
 
 
 def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
