@@ -70,6 +70,12 @@ def _min_trunc(ta: Optional[QQ], tb: Optional[QQ]) -> Optional[QQ]:
     return min(ta, tb)
 
 
+def _product_trunc(ta: Optional[QQ], ma: QQ, tb: Optional[QQ], mb: QQ) -> Optional[QQ]:
+    """The order below which a product is exact, for factors exact below ta
+    and tb (None: complete) whose supports start at ma and mb."""
+    return _min_trunc(None if ta is None else ta + mb, None if tb is None else tb + ma)
+
+
 class QSeries:
     """Truncated series in q with exact rational coefficients/exponents."""
 
@@ -221,12 +227,7 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     if ma is None or mb is None:
         # one factor is the complete zero series: product is exactly zero
         return QSeries.zero(None)
-    cands = []
-    if a.trunc is not None:
-        cands.append(a.trunc + mb)
-    if b.trunc is not None:
-        cands.append(b.trunc + ma)
-    T = min(cands) if cands else None
+    T = _product_trunc(a.trunc, ma, b.trunc, mb)
     if len(a.terms) > len(b.terms):
         a, b = b, a
     return _qseries(_slice_mul(_slices(a), _slices(b), T, None), T)

@@ -43,6 +43,7 @@ from .qseries import (
     Rat,
     as_fraction,
     _min_trunc,
+    _product_trunc,
     _slice_div,
     _slice_mul,
 )
@@ -245,12 +246,7 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
         return WQSeries((), None, None)  # exact zero factor
     # the q-support bounds count the terms hidden below a floor
     ma, mb = a._q_lo, b._q_lo
-    cands = []
-    if a.q_trunc is not None:
-        cands.append(a.q_trunc + mb)
-    if b.q_trunc is not None:
-        cands.append(b.q_trunc + ma)
-    T = min(cands) if cands else None
+    T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
     # a factor with no stored terms is zero below its q_trunc at every w
     fc = []
     if a.w_floor is not None and b.terms:
