@@ -254,19 +254,20 @@ def _qs_div(a: QSeries, b: QSeries, trunc: Optional[QQ] = None) -> QSeries:
 
 # -- the integer-lattice kernels of products and quotients ----------------------
 
-# (q-exponent, {w-exponent: coefficient}) pairs, as a WQSeries' terms.items()
-Slices = Collection[Tuple[QQ, Mapping[Rat, Rat]]]
+# A series enters and leaves the kernels as (q-exponent, w-terms) pairs, its
+# w-terms as (w-exponent, coefficient) pairs.
+Slices = Collection[Tuple[QQ, Collection[Tuple[Rat, Rat]]]]
 
 
 def _slices(a: QSeries) -> Slices:
     """The q-slices of a QSeries: one w^0 term each."""
-    return [(e, {0: c}) for e, c in a.terms.items()]
+    return [(e, ((0, c),)) for e, c in a.terms.items()]
 
 
 def _qseries(slices: Slices, trunc: Optional[QQ]) -> QSeries:
     """The QSeries of w^0 slices that hold exactly its nonzero terms."""
     out = QSeries.__new__(QSeries)
-    out.terms = {e: c for e, sl in slices for c in sl.values()}
+    out.terms = {e: c for e, sl in slices for _, c in sl}
     out.trunc = trunc
     out.D = math.lcm(*(e.denominator for e in out.terms))
     return out
@@ -278,25 +279,24 @@ def _grid(q0: QQ, step: QQ) -> Tuple[int, int, int]:
     return q0.numerator * (Q // q0.denominator), step.numerator * (Q // step.denominator), Q
 
 
-def _to_lattice(slices: Slices, q0: QQ, step: QQ, W: int
-                ) -> Dict[int, Tuple[Tuple[int, Rat], ...]]:
-    """``slices`` keyed by (q - q0) / step, each a tuple of (w * W, c) pairs:
+def _to_lattice(slices: Slices, q0: QQ, step: QQ, W: int) -> Dict[int, list]:
+    """``slices`` keyed by (q - q0) / step, their w-terms as (w * W, c):
     both exponents become ints, and integral coefficients Python ints."""
     o, s, Q = _grid(q0, step)
-    return {(qe.numerator * (Q // qe.denominator) - o) // s: tuple(
+    return {(qe.numerator * (Q // qe.denominator) - o) // s: [
         (we.numerator * (W // we.denominator), c.numerator if c.denominator == 1 else c)
-        for we, c in sl.items()) for qe, sl in slices}
+        for we, c in sl] for qe, sl in slices}
 
 
 def _from_lattice(acc: Mapping[int, Mapping[int, Rat]], q0: QQ, step: QQ, W: int,
                   Fi: Optional[int] = None) -> Slices:
-    """The Fraction-keyed slices of ``acc`` without its terms at w * W < Fi;
+    """The Fraction slices of ``acc`` without its terms at w * W < Fi;
     slices left empty are dropped, the rest keep their order."""
     o, s, Q = _grid(q0, step)
     wk = {w: QQ(w, W) for w in {w for sl in acc.values() for w in sl}}
     out = []
     for j, sl in acc.items():
-        sl = {wk[w]: QQ(c) for w, c in sl.items() if Fi is None or w >= Fi}
+        sl = [(wk[w], QQ(c)) for w, c in sl.items() if Fi is None or w >= Fi]
         if sl:
             out.append((QQ(o + j * s, Q), sl))
     return out
@@ -310,7 +310,7 @@ def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices
     at its end if it is produced again.
     """
     Q = math.lcm(*(qe.denominator for x in (a, b) for qe, _ in x))
-    W = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we in sl))
+    W = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we, _ in sl))
     Ti = None if T is None else math.ceil(T * Q)
     Fi = None if F is None else math.ceil(F * W)
     step = QQ(1, Q)
@@ -394,7 +394,7 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
     offsets = [qe - ma for qe, _ in a] + [qe - beta for qe, _ in b]
     L = math.lcm(*(o.denominator for o in offsets))
     step = QQ(math.gcd(*(o.numerator * (L // o.denominator) for o in offsets)) or 1, L)
-    Lw = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we in sl))
+    Lw = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we, _ in sl))
     A = _to_lattice(a, ma, step, Lw)
     D = _to_lattice(b, beta, step, Lw)
     D0 = dict(D.pop(0))
@@ -465,14 +465,14 @@ def qs_eta(N: Rat) -> QSeries:
     if N <= 0:
         raise ValueError("truncation order must be positive")
     cut = math.ceil(24 * N)
-    acc = {}
+    slices = []
     j = 0
     while True:
         for m in (j, -j) if j else (0,):
             e = (6 * m - 1) ** 2
             if e >= cut:
-                return _qseries(_from_lattice(acc, QQ(0), QQ(1, 24), 1), N)
-            acc[e] = {0: (-1) ** j}
+                return _qseries(slices, N)
+            slices.append((QQ(e, 24), ((0, QQ((-1) ** j)),)))
         j += 1
 
 

@@ -12,8 +12,9 @@ A :class:`WQSeries` stores exact coefficients on the grid of rational
 Stored terms are exactly the true nonzero coefficients inside the box and
 nothing is stored outside it.  All operations propagate the box honestly,
 including the floor degradation of slice convolutions.  A series also
-records a lower bound of its whole q-support, terms hidden below the floor
-included, from which products take their q-truncation.
+records a lower bound of its q-support that its stored terms may not show,
+as for terms hidden below the floor; products take their q-truncation from
+it.
 
 Products and quotients run on the slice kernels of :mod:`ospq.qseries`,
 the same ones that serve one-variable series; this module adds the box.
@@ -68,7 +69,7 @@ class WQSeries:
         if w_floor is not None:
             w_floor = as_fraction(w_floor)
         acc: Dict[QQ, Slice] = {}
-        lo = q_trunc  # lowest q of the terms given below q_trunc, floored ones too
+        lo = None  # lowest q of the terms dropped below the floor
         if isinstance(terms, dict):
             items = (
                 (qe, we, c) for qe, sl in terms.items() for we, c in sl.items()
@@ -81,9 +82,9 @@ class WQSeries:
                 continue
             if q_trunc is not None and qe >= q_trunc:
                 continue
-            if lo is None or qe < lo:
-                lo = qe
             if w_floor is not None and we < w_floor:
+                if lo is None or qe < lo:
+                    lo = qe
                 continue
             sl = acc.setdefault(qe, {})
             s = sl.get(we)
@@ -123,6 +124,11 @@ class WQSeries:
         if self.terms:
             return min(self.terms)
         return self.q_trunc
+
+    def _support_lo(self) -> Optional[QQ]:
+        """A lower bound of the whole q-support, terms hidden below the floor
+        included; None for the exact zero series."""
+        return _min_trunc(self.min_q_bound(), self._q_lo)
 
     def wmax(self) -> Optional[QQ]:
         out = None
@@ -194,11 +200,17 @@ class WQSeries:
     __rmul__ = __mul__
 
 
-def _wq(terms: Dict[QQ, Slice], q_trunc: Optional[QQ], w_floor: Optional[QQ],
+def _slices(x: WQSeries):
+    """The (q-exponent, w-terms) pairs in which the kernels take a series."""
+    return [(qe, sl.items()) for qe, sl in x.terms.items()]
+
+
+def _wq(slices, q_trunc: Optional[QQ], w_floor: Optional[QQ],
         q_lo: Optional[QQ]) -> WQSeries:
-    """A series from slices that already hold exactly its nonzero terms."""
+    """A series from (q-exponent, w-terms) pairs that hold exactly its nonzero
+    terms, with q_lo a lower bound of its q-support (None: the stored one)."""
     out = WQSeries.__new__(WQSeries)
-    out.terms = terms
+    out.terms = {qe: dict(sl) for qe, sl in slices}
     out.q_trunc = q_trunc
     out.w_floor = w_floor
     out._q_lo = q_lo
@@ -226,7 +238,7 @@ def wq_add(a: WQSeries, b: WQSeries) -> WQSeries:
                 yield qe, we, c
 
     out = WQSeries(gen(), T, F)
-    out._q_lo = _min_trunc(a._q_lo, b._q_lo)
+    out._q_lo = _min_trunc(a._support_lo(), b._support_lo())
     return out
 
 
@@ -234,7 +246,7 @@ def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
     c = as_fraction(c)
     if c == 0:
         return WQSeries((), a.q_trunc, a.w_floor)
-    terms = {qe: {we: x * c for we, x in sl.items()} for qe, sl in a.terms.items()}
+    terms = [(qe, [(we, x * c) for we, x in sl.items()]) for qe, sl in a.terms.items()]
     return _wq(terms, a.q_trunc, a.w_floor, a._q_lo)
 
 
@@ -242,10 +254,10 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     for x, name in ((a, "left"), (b, "right")):
         if not x.terms and x.w_floor is not None:
             raise ValueError("%s factor is empty but w-floored; product undefined" % name)
-    if a.min_q_bound() is None or b.min_q_bound() is None:
-        return WQSeries((), None, None)  # exact zero factor
     # the q-support bounds count the terms hidden below a floor
-    ma, mb = a._q_lo, b._q_lo
+    ma, mb = a._support_lo(), b._support_lo()
+    if ma is None or mb is None:
+        return WQSeries((), None, None)  # exact zero factor
     T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
     # a factor with no stored terms is zero below its q_trunc at every w
     fc = []
@@ -254,7 +266,7 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     if b.w_floor is not None and a.terms:
         fc.append(b.w_floor + a.wmax())
     F = max(fc, default=None)
-    return _wq(dict(_slice_mul(a.terms.items(), b.terms.items(), T, F)), T, F, ma + mb)
+    return _wq(_slice_mul(_slices(a), _slices(b), T, F), T, F, ma + mb)
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:
@@ -354,12 +366,11 @@ def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
     if b.w_floor is not None:
         raise ValueError("dividing by a w-floored series is not supported")
     F = None if w_floor is None else as_fraction(w_floor)
-    T, terms = _slice_div(a.terms.items(), a.q_trunc, b.terms.items(), b.q_trunc,
-                          q_trunc, F)
+    T, terms = _slice_div(_slices(a), a.q_trunc, _slices(b), b.q_trunc, q_trunc, F)
     if T is None:
         return WQSeries((), None, None)  # exact zero numerator
     # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
-    return _wq(dict(terms), T, F, a.min_q_bound() - b.min_q())
+    return _wq(terms, T, F, a.min_q_bound() - b.min_q())
 
 
 def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,

@@ -53,9 +53,9 @@ def ref_wq_mul(a, b):
     for x in (a, b):
         if not x.terms and x.w_floor is not None:
             raise ValueError("empty but w-floored factor")
-    if a.min_q_bound() is None or b.min_q_bound() is None:
+    ma, mb = a._support_lo(), b._support_lo()
+    if ma is None or mb is None:
         return WQSeries((), None, None)
-    ma, mb = a._q_lo, b._q_lo
     cands = []
     if a.q_trunc is not None:
         cands.append(a.q_trunc + mb)
