@@ -18,17 +18,15 @@ it.
 
 Products and quotients run on the slice kernels of :mod:`ospq.qseries`,
 the same ones that serve one-variable series; this module adds the box.
-Division (:func:`wq_div`) solves D * chi = num one q-slice at a time,
-chi_y = (num_(y+beta) - sum over m > 0 of D_m chi_(y-m)) / D_0, with the
-step ``/ D_0`` done as descending long division by the leading w-polynomial
-of the denominator.  Without a floor every slice must divide with a zero
-remainder, which proves the quotient's w-support complete.  A floor is
-unavoidable when the quotient is an infinite *descending* series in w, as
-for the characters at fractional level: in the expansion domain
-1 <= |w| <= |q|^{-1} dividing by a multi-term leading w-slice such as
-w^a (1 - w^{-step}) never terminates.  Then each slice is computed down to
-the floor minus the w-extent that the slices above it can still read, so
-that the returned window w >= floor is exact.
+Division (:func:`wq_div`) solves D * chi = num one q-slice at a time, each
+by descending long division by the leading w-polynomial of D.  Without a
+floor every slice must divide with a zero remainder, which proves the
+quotient's w-support complete.  A floor is unavoidable when the quotient is
+an infinite *descending* series in w, as for the characters at fractional
+level: in the expansion domain 1 <= |w| <= |q|^{-1} dividing by a multi-term
+leading w-slice such as w^a (1 - w^{-step}) never terminates.  Then each
+slice is computed down to the floor minus the w-extent that the slices above
+it can still read, so that the returned window w >= floor is exact.
 """
 
 from __future__ import annotations
