@@ -1,5 +1,6 @@
 """Admissible levels, module labels, characters, and the branching identities."""
 
+import hashlib
 from fractions import Fraction as QQ
 
 import pytest
@@ -369,3 +370,34 @@ def test_order_shortfall_is_a_verification_error(monkeypatch):
         char_w1(LEVELS[0], 1, 3)
     with pytest.raises(VerificationError):
         component_chars_w1(LEVELS[0], 3)
+
+
+# -- the series that qs_eval sums in stored order -------------------------------------
+
+
+def _w1_digest(k, N):
+    """sha256 of the stored terms, in order, with trunc and D, of every plain
+    and signed w -> 1 character at integer level k to order N."""
+    chars = component_chars_w1(AdmissibleLevel.from_integer_level(k), N)
+    text = repr([(r, [(list(x.terms.items()), x.trunc, x.D) for x in pair])
+                 for r, pair in sorted(chars.items())])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+W1_DIGESTS = {
+    (1, 24): '28981b61f1403bd714838b0c926b029e706c01b4608f5a7dfad256b21edaedd1',
+    (2, 20): 'bd4e886c111a26ef59fd9b98a2c1d1a9ad4932ab6544202884d19a93ba34d9d6',
+}
+
+
+@pytest.mark.parametrize("k, N", list(W1_DIGESTS))
+def test_evaluated_characters_keep_their_stored_order(k, N):
+    """The s-transform check sums these series term by term in stored order,
+    so their residual bytes depend on it; (k, N) are its benchmark orders.
+    Re-record with ``PYTHONPATH=src python3 tests/test_characters.py``."""
+    assert _w1_digest(k, N) == W1_DIGESTS[(k, N)]
+
+
+if __name__ == "__main__":
+    for k, N in W1_DIGESTS:
+        print("    (%d, %d):\n        %r," % (k, N, _w1_digest(k, N)))

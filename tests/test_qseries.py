@@ -129,11 +129,24 @@ def st_lattice_series(draw):
     return QSeries(terms, trunc, D=d * draw(st.integers(1, 3)))
 
 
-def assert_same_series(got, want):
-    """Equal terms in the same stored order, all Fractions, equal trunc and D."""
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert all(type(e) is QQ and type(c) is QQ for e, c in got.terms.items())
-    assert (got.trunc, got.D) == (want.trunc, want.D)
+def assert_same_series(got, want, support_lo=None):
+    """Equal terms in the same stored order, all Fractions, and equal boxes:
+    trunc and D of a QSeries; q_trunc, w_floor and the q-support bound of a
+    WQSeries (``support_lo`` if given, else want's), whose w-terms must keep
+    their order within each q-slice too."""
+    assert type(got) is type(want)
+    if isinstance(want, QSeries):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(e) is QQ and type(c) is QQ for e, c in got.terms.items())
+        assert (got.trunc, got.D) == (want.trunc, want.D)
+        return
+    def flat(x):
+        return [(qe, list(sl.items())) for qe, sl in x.terms.items()]
+    assert flat(got) == flat(want)
+    assert all(type(x) is QQ for qe, sl in got.terms.items()
+               for we, c in sl.items() for x in (qe, we, c))
+    assert (got.q_trunc, got.w_floor) == (want.q_trunc, want.w_floor)
+    assert got._support_lo() == (want._support_lo() if support_lo is None else support_lo)
 
 
 # -- construction and bookkeeping ---------------------------------------------
@@ -248,6 +261,65 @@ def test_mul_trunc_bookkeeping():
 @example(QSeries({0: 1, 1: 1, 2: 2}), QSeries({0: 1, 1: -1, 2: 1}))
 def test_mul_matches_the_fraction_keyed_convolution(a, b):
     assert_same_series(qs_mul(a, b), ref_mul(a, b))
+
+
+def ref_add(a, b):
+    """Sum by a Fraction-keyed merge: a's terms, then b's, a term that cancels
+    leaving and re-entering at the end."""
+    cands = [t for t in (a.trunc, b.trunc) if t is not None]
+    T = min(cands) if cands else None
+    acc = dict(a.terms)
+    for e, c in b.terms.items():
+        s = acc.get(e, 0) + c
+        if s == 0:
+            del acc[e]
+        else:
+            acc[e] = s
+    return QSeries({e: c for e, c in acc.items() if T is None or e < T}, T)
+
+
+def ref_scaled(a, c, exp=0):
+    """c * q^exp * a, term by term in a's order."""
+    T = None if a.trunc is None else a.trunc + exp
+    if c == 0:
+        return QSeries({}, T)
+    return QSeries({e + exp: x * c for e, x in a.terms.items()}, T)
+
+
+st_rational = st.fractions(min_value=QQ(-3), max_value=QQ(3), max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series(), st_lattice_series())
+# q^1 cancels and q^1/2 is new: the sum keeps a's order, then b's new terms
+@example(QSeries({0: 1, 1: 2}), QSeries({QQ(1, 2): 1, 1: -2, 2: 1}, 3))
+def test_add_matches_the_fraction_keyed_merge(a, b):
+    assert_same_series(qs_add(a, b), ref_add(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series(), st_rational | st.integers(-3, 3))
+@example(QSeries({QQ(1, 2): 1}, 4, D=6), 0)
+def test_scalar_matches_the_termwise_product(a, c):
+    assert_same_series(qs_scalar(a, c), ref_scaled(a, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series(), st_rational, st_rational)
+@example(QSeries({QQ(1, 2): 1, 1: 1}, 4), QQ(1, 2), 1)
+def test_shift_matches_the_termwise_shift(a, exp, c):
+    if c == 0:
+        c = 1
+    assert_same_series(qs_shift(a, exp, c), ref_scaled(a, c, exp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series(), st.fractions(QQ(-2), QQ(9), max_denominator=24))
+@example(QSeries({QQ(1, 2): 1, 1: 1}, None, D=4), QQ(1))
+def test_truncate_matches_the_filtered_terms(a, t):
+    T = t if a.trunc is None else min(a.trunc, t)
+    want = QSeries({e: c for e, c in a.terms.items() if e < T}, T)
+    assert_same_series(a.truncate(t), want)
 
 
 # -- eta and partition numbers --------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ospq.qseries import EmptySeries, QSeries, qs_eta
+from test_qseries import assert_same_series, st_lattice_series
 from ospq.theta import (
     IncompleteQuotient,
     InvalidIndex,
@@ -89,9 +90,7 @@ def ref_wq_mul(a, b):
                         out[wc] = s
             if not out:  # an empty slice re-enters at the end when produced again
                 del acc[qc]
-    res = WQSeries((), T, F)
-    res.terms = {qe: sl for qe, sl in acc.items() if sl}
-    return res
+    return WQSeries(acc, T, F)
 
 
 @st.composite
@@ -318,6 +317,108 @@ def test_scalar_distributes_over_slices(pa):
     tripled = wq_scalar(a, 3)
     ok, bad, _ = wq_equal_on_box(tripled, wq_add(a, wq_add(a, a)))
     assert ok, bad
+
+
+def ref_support_lo(x, *summands):
+    """The q-support bound of a sum x: its stored minimum (q_trunc when it
+    has no terms) and the bounds of the summands it came from."""
+    bounds = [y._support_lo() for y in summands if y._support_lo() is not None]
+    own = min(x.terms) if x.terms else x.q_trunc
+    return min(bounds + ([] if own is None else [own]), default=None)
+
+
+def ref_w1(x, sign):
+    """The q-series of x at w^e -> sign(e), summed per slice in stored order."""
+    coeffs = {}
+    for qe, sl in x.terms.items():
+        s = sum(c * sign(we) for we, c in sl.items())
+        if s:
+            coeffs[qe] = s
+    return QSeries(coeffs, x.q_trunc)
+
+
+def half_integer_sign(we):
+    if (2 * we).denominator != 1:
+        raise ValueError("off the half-integer grid")
+    return -1 if (2 * we).numerator % 2 else 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_wq(), st_lattice_wq())
+# the q^1 slice cancels at w^0, and w^1 re-enters it at the end of the sum
+@example(make_wq({(0, 0): 1, (1, 0): 1}), make_wq({(1, 0): -1, (1, 1): 1, (0, 1): 2}))
+def test_add_matches_the_fraction_keyed_merge(a, b):
+    qt = [t for t in (a.q_trunc, b.q_trunc) if t is not None]
+    wf = [f for f in (a.w_floor, b.w_floor) if f is not None]
+    terms = [(qe, we, c) for x in (a, b) for qe, sl in x.terms.items()
+             for we, c in sl.items()]
+    want = WQSeries(terms, min(qt, default=None), max(wf, default=None))
+    assert_same_series(wq_add(a, b), want, ref_support_lo(want, a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_wq(), st.fractions(QQ(-3), QQ(3), max_denominator=6))
+@example(make_wq({(0, -2): 1, (1, 0): 1}, w_floor=-1), QQ(0))
+def test_scalar_matches_the_termwise_product(a, c):
+    got = wq_scalar(a, c)
+    if c == 0:
+        assert_same_series(got, WQSeries((), a.q_trunc, a.w_floor))
+        return
+    want = WQSeries({qe: {we: x * c for we, x in sl.items()}
+                     for qe, sl in a.terms.items()}, a.q_trunc, a.w_floor)
+    assert_same_series(got, want, a._support_lo())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_series())
+def test_from_q_and_back_keep_the_terms(a):
+    emb = wq_from_q(a)
+    want = WQSeries([(e, 0, c) for e, c in a.terms.items()], a.trunc, None)
+    assert_same_series(emb, want)
+    back = wq_to_q(emb)
+    assert_same_series(back, QSeries(a.terms, a.trunc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_wq())
+@example(make_wq({(0, 0): 1, (1, 0): 2}, q_trunc=3))
+def test_to_q_matches_the_w0_terms(a):
+    if any(we != 0 for sl in a.terms.values() for we in sl):
+        with pytest.raises(ValueError):
+            wq_to_q(a)
+        return
+    want = QSeries({qe: sl[QQ(0)] for qe, sl in a.terms.items()}, a.q_trunc)
+    assert_same_series(wq_to_q(a), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_wq())
+# w^1/2 and w^-1/2 cancel at w -> 1 and add at w -> -1
+@example(make_wq({(0, QQ(1, 2)): 1, (0, QQ(-1, 2)): -1, (1, 0): 3}, q_trunc=2))
+def test_specialisations_match_the_slice_sums(a):
+    for spec, sign in ((wq_specialize_w1, lambda we: 1),
+                       (wq_specialize_w_signed, half_integer_sign)):
+        try:
+            if a.w_floor is not None:
+                raise ValueError("floored")
+            want = ref_w1(a, sign)
+        except ValueError:
+            with pytest.raises(ValueError):
+                spec(a)
+            continue
+        assert_same_series(spec(a), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st_lattice_wq(), st.integers(-12, 12), st.integers(1, 6))
+def test_w_slice_matches_the_slice_lookup(a, num, den):
+    we = QQ(num, den)
+    if a.w_floor is not None and we < a.w_floor:
+        with pytest.raises(ValueError):
+            a.w_slice(we)
+        return
+    want = QSeries({qe: sl[we] for qe, sl in a.terms.items() if we in sl}, a.q_trunc)
+    assert_same_series(a.w_slice(we), want)
 
 
 # -- inversion and division --------------------------------------------------------
