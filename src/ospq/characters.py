@@ -486,5 +486,5 @@ def is_integer_graded(level: AdmissibleLevel, r: int, N: Rat = 6) -> bool:
     modules (even r) contain half-odd-integer spacings.
     """
     ch = char_w1(level, r, N)
-    e0 = ch.min_exp()
-    return all((e - e0).denominator == 1 for e in ch.terms)
+    q0 = (ch.min_exp() * ch.D).numerator
+    return all((q - q0) % ch.D == 0 for q in ch._s)

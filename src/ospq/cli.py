@@ -88,15 +88,15 @@ def _label_str(lab, family: str) -> str:
     return str(lab)
 
 
-def _qseries_json(a: QSeries) -> dict:
+def _one_var_json(a: QSeries) -> dict:
     return {
         "terms": [{"q": _rat(e), "coeff": _rat(c)}
-                  for e, c in sorted(a.terms.items())],
+                  for e, c in a.items()],
         "trunc": _rat_or_none(a.trunc),
     }
 
 
-def _wqseries_json(a: WQSeries) -> dict:
+def _two_var_json(a: WQSeries) -> dict:
     return {
         "terms": [{"q": _rat(qe), "w": _rat(we), "coeff": _rat(c)}
                   for (qe, we, c) in a.items()],
@@ -245,9 +245,9 @@ def char_cmd(family, k, p, pprime, r, s, order, fmt, out):
             "label": {"r": r, "s": s}, "order": _rat(N),
         }
         if isinstance(series, WQSeries):
-            payload["series"] = _wqseries_json(series)
+            payload["series"] = _two_var_json(series)
         else:
-            payload["series"] = _qseries_json(series)
+            payload["series"] = _one_var_json(series)
 
         def table():
             lines = ["# %s character, label (%d,%d), order %s" % (family, r, s, N)]
@@ -257,8 +257,8 @@ def char_cmd(family, k, p, pprime, r, s, order, fmt, out):
                     lines.append("%-12s %-12s %s" % (qe, we, c))
             else:
                 lines.append("%-12s %s" % ("q-exp", "coeff"))
-                for e in sorted(series.terms):
-                    lines.append("%-12s %s" % (e, series.terms[e]))
+                for e, c in series.items():
+                    lines.append("%-12s %s" % (e, c))
             return "\n".join(lines)
 
         _emit(payload, fmt, out, table)
@@ -661,15 +661,15 @@ def coset_char_cmd(k, nu, r, order, method, fmt, out):
         shown = series.get("direct") or series["phase"]
         payload = {"command": "coset-char", "k": k,
                    "label": {"nu": nu % (2 * k), "r": r}, "order": _rat(N),
-                   "method": method, "series": _qseries_json(shown),
+                   "method": method, "series": _one_var_json(shown),
                    "routes_agree": agree}
 
         def table():
             lines = ["# C(%d,%d) at k=%d, order %s, method %s"
                      % (nu % (2 * k), r, k, N, method)]
             lines.append("%-12s %s" % ("q-exp", "coeff"))
-            for e in sorted(shown.terms):
-                lines.append("%-12s %s" % (e, shown.terms[e]))
+            for e, c in shown.items():
+                lines.append("%-12s %s" % (e, c))
             return "\n".join(lines)
 
         _emit(payload, fmt, out, table)

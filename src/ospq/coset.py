@@ -95,7 +95,7 @@ def _sector_from_slice(ch, x: QQ, k: int, N: QQ) -> QSeries:
     """One branching sector from the w^x slice: f_x * q^{-x^2/k} * eta."""
     f = ch.w_slice(x)
     shifted = qs_shift(f, -x * x / k)
-    m0 = min(shifted.min_exp(), QQ(0)) if shifted.terms else QQ(0)
+    m0 = QQ(0) if shifted.is_zero else min(shifted.min_exp(), QQ(0))
     eta = qs_eta(N - m0 + 1)
     return qs_mul(shifted, eta).truncate(N)
 
@@ -190,31 +190,31 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     # with 2x = a/b, the term w^x at phase g, weighted by e^{-2 pi i nu g/(2k)},
     # is zeta_m^((g + shift) a - nu g b); the 'minus' shift by a half period
     # matches the sign character on half-integer exponents
-    b = math.lcm(*((2 * we).denominator for sl in ch.terms.values() for we in sl))
+    W = ch.W
+    b = math.lcm(*(W // math.gcd(2 * w, W) for sl in ch._s.values() for w in sl))
     m = 2 * k * b
     shift = k if variant == "minus" else 0
     phi = _cyclotomic(m)
     acc = {}
-    for qe, sl in ch.terms.items():
+    for q, sl in ch._s.items():
         v = [0] * m
-        for we, c in sl.items():
-            a = int(2 * we * b)
+        for w, c in sl.items():
+            a = 2 * w * b // W
             step = a - label.nu * b
-            c = c.numerator if c.denominator == 1 else c
             for g in range(2 * k):
                 v[(shift * a + g * step) % m] += c
         coords = _divmod_monic(v, phi)[1]
         if any(coords[1:]):
             raise InconsistentBranching(
                 "phase sum at q^%s is not rational: %s in the power basis of "
-                "Q(zeta_%d)" % (qe, coords, m))
+                "Q(zeta_%d)" % (QQ(q, ch.D), coords, m))
         if coords[0]:
-            acc[qe] = coords[0]
-    out = qs_mul(QSeries(acc, ch.q_trunc), pref).truncate(N)
-    for e, c in out.terms.items():
-        if c.denominator != 1:
+            acc[q] = {0: coords[0]}
+    out = qs_mul(QSeries._of(acc, ch.D, ch.q_trunc), pref).truncate(N)
+    for q, sl in out._s.items():
+        if sl[0].denominator != 1:
             raise InconsistentBranching(
-                "phase sum at q^%s = %s is not an integer" % (e, c))
+                "phase sum at q^%s = %s is not an integer" % (QQ(q, out.D), sl[0]))
     return out
 
 
@@ -232,7 +232,7 @@ def coset_t_phase(k: int, label, precision: int = 256):
     order = QQ(2)
     for _ in range(4):
         ch = coset_char_direct(k, label, order)
-        if ch.terms:
+        if not ch.is_zero:
             break
         order *= 2
     else:

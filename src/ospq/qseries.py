@@ -1,7 +1,7 @@
 """Exact truncated formal q-series.
 
 A :class:`QSeries` is a finite map exponent -> coefficient with exact
-``Fraction`` entries, exponents on a lattice (1/D)*Z, together with a
+rational entries, exponents on a lattice (1/D)*Z, together with a
 truncation order ``trunc``: the stored terms are exactly the nonzero
 coefficients of the underlying series at every exponent below ``trunc``.
 ``trunc=None`` means the series is complete (all nonzero terms stored).
@@ -10,16 +10,20 @@ Operations propagate the guaranteed order honestly and never extend it.
 Coefficients are exact; numeric evaluation (``qs_eval``) is a separate,
 explicitly lossy operation.
 
-Products and quotients of one- and two-variable series share two kernels
-on an integer exponent lattice: one slice convolution (``_slice_mul``) and
-one slice recursion for division (``_slice_div``).  Both work on q-slices
-{q-exponent: {w-exponent: coefficient}}; a QSeries is the w-free case, one
-w^0 term per slice, so ``qs_mul`` and ``qs_invert`` are the one-variable
-cases of ``theta.wq_mul`` and ``theta.wq_div``.  Exponents are scaled to
-ints, integral coefficients stay Python ints, and Fractions are built only
-for the returned series, whose terms keep the order in which the kernels
-first produced them.  Dedekind eta is summed in closed form from Euler's
-pentagonal number theorem rather than multiplied out factor by factor.
+One- and two-variable series share one store, the integer lattice the
+kernels compute on: q-slices {q: {w: c}} at exponents q/D and w/W, with
+int keys and a coefficient an int when it is integral.  A QSeries is the
+w-free case, W = 1 and one slice {0: c} per exponent, and D is the lcm of
+its exponents' denominators unless the constructor was given one.  Sums,
+scalings, shifts and comparisons share one merge, one scaling and one
+first-mismatch scan; products and quotients share one slice convolution
+(``_slice_mul``) and one slice recursion (``_slice_div``), so ``qs_mul``
+and ``qs_invert`` are the one-variable cases of ``theta.wq_mul`` and
+``theta.wq_div``.  Rescaling to a common lattice multiplies the int keys.
+Fractions appear only at the edge: the constructor takes them, and the
+``terms`` view, ``coeff``, ``items`` and the discrepancy tuples return
+them.  Dedekind eta is summed in closed form from Euler's pentagonal number
+theorem rather than multiplied out factor by factor.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import mpmath
 
@@ -76,40 +80,138 @@ def _product_trunc(ta: Optional[QQ], ma: QQ, tb: Optional[QQ], mb: QQ) -> Option
     return _min_trunc(None if ta is None else ta + mb, None if tb is None else tb + ma)
 
 
-class QSeries:
+_Store = Dict[int, Dict[int, Rat]]  # q-key -> {w-key: coefficient}
+
+
+def _cut(x: Optional[QQ], L: int) -> Optional[int]:
+    """The least key n with n/L >= x (None: no cut)."""
+    return None if x is None else math.ceil(x * L)
+
+
+def _int(c: QQ) -> Rat:
+    return c.numerator if c.denominator == 1 else c
+
+
+def _collect(terms: Iterable[Tuple[int, int, Rat]], Ti: Optional[int] = None,
+             Fi: Optional[int] = None) -> Tuple[_Store, Optional[int]]:
+    """The store of (q, w, c) key terms at q < Ti and w >= Fi, merged in
+    order; a term or a whole slice that cancels leaves, and re-enters at the
+    end if it is produced again.  Also the lowest q dropped below Fi."""
+    acc: _Store = {}
+    lo = None
+    for q, w, c in terms:
+        if not c or (Ti is not None and q >= Ti):
+            continue
+        if Fi is not None and w < Fi:
+            if lo is None or q < lo:
+                lo = q
+            continue
+        sl = acc.get(q)
+        if sl is None:
+            sl = acc[q] = {}
+        s = sl.get(w)
+        s = c if s is None else s + c
+        if s:
+            sl[w] = s
+        else:
+            del sl[w]
+            if not sl:
+                del acc[q]
+    return acc, lo
+
+
+class _Lattice:
+    """The store ``_s`` of a series and its denominators D (q) and W (w)."""
+
+    __slots__ = ("_s", "D", "W")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._s
+
+    def _on(self, D: int, W: int) -> _Store:
+        """The store with keys over D and W, multiples of the series' own."""
+        fq, fw = D // self.D, W // self.W
+        if fw == 1:
+            return self._s if fq == 1 else {q * fq: sl for q, sl in self._s.items()}
+        return {q * fq: {w * fw: c for w, c in sl.items()} for q, sl in self._s.items()}
+
+
+def _merge(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]
+           ) -> Tuple[_Store, int, int]:
+    """The store of a + b at q < T and w >= F: a's terms, then b's merged in."""
+    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    terms = ((q, w, c) for x in (a, b) for q, sl in x._on(D, W).items()
+             for w, c in sl.items())
+    return _collect(terms, _cut(T, D), _cut(F, W))[0], D, W
+
+
+def _scaled(x: _Lattice, c: Rat, e: QQ = QQ(0)) -> Tuple[_Store, int]:
+    """The store of c * q^e * x, in x's order, over lcm(D, denominator(e))."""
+    c = _int(as_fraction(c))
+    D = math.lcm(x.D, e.denominator)
+    if not c:
+        return {}, D
+    f, o = D // x.D, e.numerator * (D // e.denominator)
+    return {q * f + o: {w: v * c for w, v in sl.items()} for q, sl in x._s.items()}, D
+
+
+def _first_mismatch(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]):
+    """(q, w, c_a, c_b) as Fractions where a and b first differ on q < T,
+    w >= F: at the lowest q, and the highest w within it; None if nowhere."""
+    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    A, B = a._on(D, W), b._on(D, W)
+    Ti, Fi = _cut(T, D), _cut(F, W)
+    for q in sorted(A.keys() | B.keys()):
+        if Ti is not None and q >= Ti:
+            break
+        sa, sb = A.get(q, {}), B.get(q, {})
+        if sa == sb:
+            continue
+        bad = [w for w in sa.keys() | sb.keys()
+               if (Fi is None or w >= Fi) and sa.get(w, 0) != sb.get(w, 0)]
+        if bad:
+            w = max(bad)
+            return QQ(q, D), QQ(w, W), QQ(sa.get(w, 0)), QQ(sb.get(w, 0))
+    return None
+
+
+class QSeries(_Lattice):
     """Truncated series in q with exact rational coefficients/exponents."""
 
-    __slots__ = ("terms", "trunc", "D")
+    __slots__ = ("trunc",)
 
     def __init__(self, terms=(), trunc: Optional[Rat] = None, D: Optional[int] = None):
         if trunc is not None:
             trunc = as_fraction(trunc)
-        acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
-            e = as_fraction(e)
-            c = as_fraction(c)
-            if c == 0:
-                continue
-            if trunc is not None and e >= trunc:
-                continue
-            s = acc.get(e)
-            s = c if s is None else s + c
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
+        pairs = [(as_fraction(e), as_fraction(c)) for e, c in items]
+        L = math.lcm(*(e.denominator for e, _ in pairs))
+        acc, _ = _collect(((e.numerator * (L // e.denominator), 0, _int(c))
+                           for e, c in pairs), _cut(trunc, L))
         if D is None:
-            D = 1
-            for e in acc:
-                D = math.lcm(D, e.denominator)
-        else:
-            for e in acc:
-                if (e * D).denominator != 1:
-                    raise ValueError("exponent %s not on lattice 1/%d" % (e, D))
-        self.terms = acc
-        self.trunc = trunc
-        self.D = D
+            self._set(acc, L, trunc)
+            return
+        for q in acc:
+            if q * D % L:
+                raise ValueError("exponent %s not on lattice 1/%d" % (QQ(q, L), D))
+        self._s = {q * D // L: sl for q, sl in acc.items()}
+        self.D, self.W, self.trunc = D, 1, trunc
+
+    def _set(self, s: _Store, D: int, trunc: Optional[QQ]) -> None:
+        """Store the w^0 slices ``s`` over the least denominator their keys
+        need; D is a multiple of it."""
+        g = math.gcd(D, *s)
+        self._s = s if g == 1 else {q // g: sl for q, sl in s.items()}
+        self.D, self.W, self.trunc = D // g, 1, trunc
+
+    @classmethod
+    def _of(cls, s: _Store, D: int, trunc: Optional[QQ]) -> "QSeries":
+        """The series of the w^0 slices ``s``, which hold exactly its nonzero
+        terms, over keys q/D."""
+        out = cls.__new__(cls)
+        out._set(s, D, trunc)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -127,25 +229,29 @@ class QSeries:
 
     # -- accessors ---------------------------------------------------------
 
-    def coeff(self, exp: Rat) -> QQ:
-        return self.terms.get(as_fraction(exp), QQ(0))
-
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> Dict[QQ, QQ]:
+        """A Fraction copy {exponent: coefficient} of the terms, in stored order."""
+        D = self.D
+        return {QQ(q, D): QQ(sl[0]) for q, sl in self._s.items()}
+
+    def coeff(self, exp: Rat) -> QQ:
+        q = as_fraction(exp) * self.D
+        sl = self._s.get(q.numerator) if q.denominator == 1 else None
+        return QQ(sl[0]) if sl else QQ(0)
 
     def min_exp(self) -> QQ:
-        if not self.terms:
+        if not self._s:
             raise EmptySeries("series has no stored terms")
-        return min(self.terms)
+        return QQ(min(self._s), self.D)
 
     def min_exp_bound(self) -> Optional[QQ]:
         """Lower bound for any (stored or unknown) nonzero exponent.
 
         Returns None for the complete zero series (no nonzero term exists).
         """
-        if self.terms:
-            return min(self.terms)
+        if self._s:
+            return self.min_exp()
         return self.trunc  # may be None: complete zero
 
     def items(self):
@@ -153,7 +259,8 @@ class QSeries:
 
     def truncate(self, T: Rat) -> "QSeries":
         T = _min_trunc(self.trunc, as_fraction(T))
-        return QSeries(self.terms, T)
+        Ti = _cut(T, self.D)
+        return QSeries._of({q: sl for q, sl in self._s.items() if q < Ti}, self.D, T)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -164,15 +271,15 @@ class QSeries:
         return hash((frozenset(self.terms.items()), self.trunc))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._s:
             body = "0"
         else:
             bits = []
             for e, c in self.items()[:6]:
                 bits.append("%s*q^(%s)" % (c, e))
             body = " + ".join(bits)
-            if len(self.terms) > 6:
-                body += " + ... (%d terms)" % len(self.terms)
+            if len(self._s) > 6:
+                body += " + ... (%d terms)" % len(self._s)
         return "QSeries(%s; trunc=%s)" % (body, self.trunc)
 
     # -- arithmetic sugar ---------------------------------------------------
@@ -196,30 +303,19 @@ class QSeries:
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
     T = _min_trunc(a.trunc, b.trunc)
-    acc = dict(a.terms)
-    for e, c in b.terms.items():
-        s = acc.get(e)
-        s = c if s is None else s + c
-        if s == 0:
-            acc.pop(e, None)
-        else:
-            acc[e] = s
-    return QSeries(acc, T)
+    s, D, _ = _merge(a, b, T, None)
+    return QSeries._of(s, D, T)
 
 
 def qs_scalar(a: QSeries, c: Rat) -> QSeries:
-    c = as_fraction(c)
-    if c == 0:
-        return QSeries.zero(a.trunc)
-    return QSeries({e: x * c for e, x in a.terms.items()}, a.trunc)
+    return QSeries._of(*_scaled(a, c), a.trunc)
 
 
 def qs_shift(a: QSeries, exp: Rat, coeff: Rat = 1) -> QSeries:
     """Multiply by the monomial coeff*q^exp (exact; shifts the truncation)."""
     exp = as_fraction(exp)
-    coeff = as_fraction(coeff)
     T = None if a.trunc is None else a.trunc + exp
-    return QSeries({e + exp: c * coeff for e, c in a.terms.items()}, T)
+    return QSeries._of(*_scaled(a, coeff, exp), T)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -228,9 +324,10 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
         # one factor is the complete zero series: product is exactly zero
         return QSeries.zero(None)
     T = _product_trunc(a.trunc, ma, b.trunc, mb)
-    if len(a.terms) > len(b.terms):
+    if len(a._s) > len(b._s):
         a, b = b, a
-    return _qseries(_slice_mul(_slices(a), _slices(b), T, None), T)
+    s, D, _ = _slice_mul(a, b, T, None)
+    return QSeries._of(s, D, T)
 
 
 def qs_invert(a: QSeries) -> QSeries:
@@ -240,7 +337,7 @@ def qs_invert(a: QSeries) -> QSeries:
     trunc(a) - 2*min_exp(a).  A complete (untruncated) input must be a pure
     monomial; truncate first to invert a complete multi-term series.
     """
-    if a.trunc is None and len(a.terms) == 1:
+    if a.trunc is None and len(a._s) == 1:
         (e0, c0), = a.terms.items()
         return QSeries.monomial(1 / c0, -e0, None)
     return _qs_div(QSeries.one(None), a)
@@ -248,76 +345,29 @@ def qs_invert(a: QSeries) -> QSeries:
 
 def _qs_div(a: QSeries, b: QSeries, trunc: Optional[QQ] = None) -> QSeries:
     """a / b below q^trunc, which defaults to the order a and b support."""
-    T, slices = _slice_div(_slices(a), a.trunc, _slices(b), b.trunc, trunc)
-    return QSeries.zero(None) if T is None else _qseries(slices, T)
+    T, s, D, _ = _slice_div(a, a.trunc, b, b.trunc, trunc)
+    return QSeries.zero(None) if T is None else QSeries._of(s, D, T)
 
 
 # -- the integer-lattice kernels of products and quotients ----------------------
 
-# A series enters and leaves the kernels as (q-exponent, w-terms) pairs, its
-# w-terms as (w-exponent, coefficient) pairs.
-Slices = Collection[Tuple[QQ, Collection[Tuple[Rat, Rat]]]]
 
-
-def _slices(a: QSeries) -> Slices:
-    """The q-slices of a QSeries: one w^0 term each."""
-    return [(e, ((0, c),)) for e, c in a.terms.items()]
-
-
-def _qseries(slices: Slices, trunc: Optional[QQ]) -> QSeries:
-    """The QSeries of w^0 slices that hold exactly its nonzero terms."""
-    out = QSeries.__new__(QSeries)
-    out.terms = {e: c for e, sl in slices for _, c in sl}
-    out.trunc = trunc
-    out.D = math.lcm(*(e.denominator for e in out.terms))
-    return out
-
-
-def _grid(q0: QQ, step: QQ) -> Tuple[int, int, int]:
-    """(o, s, Q) with q0 = o/Q and step = s/Q."""
-    Q = math.lcm(q0.denominator, step.denominator)
-    return q0.numerator * (Q // q0.denominator), step.numerator * (Q // step.denominator), Q
-
-
-def _to_lattice(slices: Slices, q0: QQ, step: QQ, W: int) -> Dict[int, list]:
-    """``slices`` keyed by (q - q0) / step, their w-terms as (w * W, c):
-    both exponents become ints, and integral coefficients Python ints."""
-    o, s, Q = _grid(q0, step)
-    return {(qe.numerator * (Q // qe.denominator) - o) // s: [
-        (we.numerator * (W // we.denominator), c.numerator if c.denominator == 1 else c)
-        for we, c in sl] for qe, sl in slices}
-
-
-def _from_lattice(acc: Mapping[int, Mapping[int, Rat]], q0: QQ, step: QQ, W: int,
-                  Fi: Optional[int] = None) -> Slices:
-    """The Fraction slices of ``acc`` without its terms at w * W < Fi;
-    slices left empty are dropped, the rest keep their order."""
-    o, s, Q = _grid(q0, step)
-    wk = {w: QQ(w, W) for w in {w for sl in acc.values() for w in sl}}
-    out = []
-    for j, sl in acc.items():
-        sl = [(wk[w], QQ(c)) for w, c in sl.items() if Fi is None or w >= Fi]
-        if sl:
-            out.append((QQ(o + j * s, Q), sl))
-    return out
-
-
-def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices:
-    """The terms of a * b at q < T and w >= F (None: no cut there).
+def _slice_mul(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]
+               ) -> Tuple[_Store, int, int]:
+    """The store of a * b at q < T and w >= F (None: no cut there), and
+    the denominators D and W of its keys.
 
     The slices of a, in stored order, meet those of b in ascending q.  A term
     or a whole slice that cancels to zero leaves the product, and re-enters
     at its end if it is produced again.
     """
-    Q = math.lcm(*(qe.denominator for x in (a, b) for qe, _ in x))
-    W = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we, _ in sl))
-    Ti = None if T is None else math.ceil(T * Q)
-    Fi = None if F is None else math.ceil(F * W)
-    step = QQ(1, Q)
-    acc: Dict[int, Dict[int, Rat]] = {}
-    b_slices = sorted(_to_lattice(b, QQ(0), step, W).items())
-    for qa, sla in _to_lattice(a, QQ(0), step, W).items():
-        for qb, slb in b_slices:
+    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    Ti, Fi = _cut(T, D), _cut(F, W)
+    acc: _Store = {}
+    b_sorted = [(q, list(sl.items())) for q, sl in sorted(b._on(D, W).items())]
+    for qa, sla in a._on(D, W).items():
+        sla = list(sla.items())
+        for qb, slb in b_sorted:
             qc = qa + qb
             if Ti is not None and qc >= Ti:
                 break
@@ -337,15 +387,16 @@ def _slice_mul(a: Slices, b: Slices, T: Optional[QQ], F: Optional[QQ]) -> Slices
                         out[wc] = s
             if not out:
                 del acc[qc]
-    return _from_lattice(acc, QQ(0), step, W)
+    return acc, D, W
 
 
-def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
+def _slice_div(a: _Lattice, ta: Optional[QQ], b: _Lattice, tb: Optional[QQ],
                T: Optional[QQ] = None, F: Optional[QQ] = None
-               ) -> Tuple[Optional[QQ], Slices]:
+               ) -> Tuple[Optional[QQ], _Store, int, int]:
     """a / b on the box q < T, w >= F by one slice recursion, for a exact
     below q^ta and b below q^tb (None: complete).  Returns the quotient's
-    order, None for the exact zero quotient, and its slices.
+    order, None for the exact zero quotient, its store and the denominators
+    D and W of its keys.
 
     With b = sum over m >= 0 of D_m q^(beta + m) and leading slice
     D_0 = c0 w^alpha + (lower w-powers), the quotient solves
@@ -366,12 +417,15 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
     of steps m > 0 totalling <= n: that is as far below F as the slices
     above y read it, so the returned terms are exact at every w >= F.
     """
-    ma = min((qe for qe, _ in a), default=ta)
-    if ma is None:
-        return None, []  # exact zero numerator
-    if not b:
+    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    A, B = a._on(D, W), b._on(D, W)
+    if not A and ta is None:
+        return None, {}, D, W  # exact zero numerator
+    if not B:
         raise EmptySeries("cannot divide by a series with no terms")
-    beta = min(qe for qe, _ in b)
+    bi = min(B)
+    beta = QQ(bi, D)
+    ma = QQ(min(A), D) if A else ta
     limits = []
     if ta is not None:
         limits.append(ta - beta)
@@ -387,24 +441,20 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
             raise ValueError(
                 "requested quotient order %s exceeds the achievable %s" % (T, min(limits))
             )
-    if not a:
-        return T, []
+    if not A:
+        return T, {}, D, W
 
-    y0 = ma - beta
-    offsets = [qe - ma for qe, _ in a] + [qe - beta for qe, _ in b]
-    L = math.lcm(*(o.denominator for o in offsets))
-    step = QQ(math.gcd(*(o.numerator * (L // o.denominator) for o in offsets)) or 1, L)
-    Lw = math.lcm(*(we.denominator for x in (a, b) for _, sl in x for we, _ in sl))
-    A = _to_lattice(a, ma, step, Lw)
-    D = _to_lattice(b, beta, step, Lw)
-    D0 = dict(D.pop(0))
+    mi = min(A)
+    # q-slices are steps of g/D from y0 = (mi - bi)/D
+    g = math.gcd(*(q - mi for q in A), *(q - bi for q in B)) or 1
+    D0 = B[bi]
     alpha, dmin = max(D0), min(D0)
     c0 = D0[alpha]
     lower = [(d, c) for d, c in D0.items() if d != alpha]
     inv_c0 = c0 if c0 in (1, -1) else 1 / QQ(c0)
-    steps = sorted(D.items())
-    J = max(math.ceil((T - y0) / step), 0)
-    Fi = None if F is None else math.ceil(F * Lw)
+    steps = sorted(((q - bi) // g, list(sl.items())) for q, sl in B.items() if q != bi)
+    J = max(math.ceil((T * D - mi + bi) / g), 0)
+    Fi = _cut(F, W)
     if Fi is not None:
         ext = [(m, max(sl)[0] - alpha) for m, sl in steps if max(sl)[0] > alpha]
         slack = [0] * max(J, 1)
@@ -413,7 +463,7 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
 
     chi: Dict[int, Dict[int, Rat]] = {}
     for j in range(J):
-        rem = dict(A.get(j, ()))
+        rem = dict(A.get(mi + j * g, ()))
         # remainder exponents below lo are never read inside the box
         lo = None if Fi is None else Fi - slack[J - 1 - j] + alpha
         for m, Dm in steps:
@@ -421,39 +471,45 @@ def _slice_div(a: Slices, ta: Optional[QQ], b: Slices, tb: Optional[QQ],
                 break
             for d, dc in Dm:
                 for e, c in chi.get(j - m, {}).items():
-                    g = d + e
-                    if lo is None or g >= lo:
-                        rem[g] = rem.get(g, 0) - dc * c
-        rem = {g: c for g, c in rem.items() if c}
+                    h = d + e
+                    if lo is None or h >= lo:
+                        rem[h] = rem.get(h, 0) - dc * c
+        rem = {h: c for h, c in rem.items() if c}
         if not rem:
             continue
         # without a floor a finite quotient ends at w^(min(rem) - min(D_0))
         stop = min(rem) - dmin + alpha if lo is None else lo
-        heap = [-g for g in rem]
+        heap = [-h for h in rem]
         heapq.heapify(heap)
         sl = chi[j] = {}
         while heap:
-            g = -heapq.heappop(heap)
-            c = rem.pop(g)
+            h = -heapq.heappop(heap)
+            c = rem.pop(h)
             if not c:
                 continue
-            if g < stop:
+            if h < stop:
                 if lo is None:
                     raise IncompleteQuotient(
                         "q-slice %s leaves a nonzero remainder below w^%s: the "
                         "quotient has unbounded descending w-support, so a "
-                        "w_floor is required" % (y0 + j * step, QQ(stop - alpha, Lw)))
+                        "w_floor is required" % (QQ(mi - bi + j * g, D), QQ(stop - alpha, W)))
                 break
-            e = g - alpha
+            e = h - alpha
             sl[e] = qc = c * inv_c0
             for d, dc in lower:
-                h = e + d
-                if h in rem:
-                    rem[h] -= qc * dc
+                k = e + d
+                if k in rem:
+                    rem[k] -= qc * dc
                 else:
-                    rem[h] = -qc * dc
-                    heapq.heappush(heap, -h)
-    return T, _from_lattice(chi, y0, step, Lw, Fi)
+                    rem[k] = -qc * dc
+                    heapq.heappush(heap, -k)
+    out: _Store = {}
+    for j, sl in chi.items():
+        if Fi is not None:
+            sl = {e: c for e, c in sl.items() if e >= Fi}
+        if sl:
+            out[mi - bi + j * g] = sl
+    return T, out, D, W
 
 
 def qs_eta(N: Rat) -> QSeries:
@@ -465,14 +521,14 @@ def qs_eta(N: Rat) -> QSeries:
     if N <= 0:
         raise ValueError("truncation order must be positive")
     cut = math.ceil(24 * N)
-    slices = []
+    s: _Store = {}
     j = 0
     while True:
         for m in (j, -j) if j else (0,):
             e = (6 * m - 1) ** 2
             if e >= cut:
-                return _qseries(slices, N)
-            slices.append((QQ(e, 24), ((0, QQ((-1) ** j)),)))
+                return QSeries._of(s, 24, N)
+            s[e] = {0: (-1) ** j}
         j += 1
 
 
@@ -501,7 +557,8 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
         z = 2j * mpmath.pi * t
         val = mpmath.mpc(0)
         big = mpmath.mpf(1)
-        for e, c in a.terms.items():
+        for q, sl in a._s.items():
+            c, e = sl[0], QQ(q, a.D)
             ce = mpmath.mpf(c.numerator) / c.denominator
             val += ce * mpmath.exp(z * mpmath.mpf(e.numerator) / e.denominator)
             if abs(ce) > big:
@@ -524,15 +581,5 @@ def qs_equal_below(a: QSeries, b: QSeries, order: Optional[Rat] = None):
     T = _min_trunc(a.trunc, b.trunc)
     if order is not None:
         T = _min_trunc(T, as_fraction(order))
-    exps = set(a.terms) | set(b.terms)
-    bad = []
-    for e in exps:
-        if T is not None and e >= T:
-            continue
-        ca, cb = a.terms.get(e, QQ(0)), b.terms.get(e, QQ(0))
-        if ca != cb:
-            bad.append((e, ca, cb))
-    if bad:
-        bad.sort()
-        return False, bad[0]
-    return True, None
+    bad = _first_mismatch(a, b, T, None)
+    return (True, None) if bad is None else (False, (bad[0],) + bad[2:])

@@ -1,7 +1,9 @@
 """Two-variable (w, q) Jacobi-form expansions with exact arithmetic.
 
-A :class:`WQSeries` stores exact coefficients on the grid of rational
-(q-exponent, w-exponent) pairs, organised by q-slice.  Each series carries a
+A :class:`WQSeries` stores exact coefficients at rational (q-exponent,
+w-exponent) pairs, organised by q-slice, in the integer-lattice store of
+:mod:`ospq.qseries`: int keys over one q- and one w-denominator, Fractions
+only in the ``terms`` view and the other accessors.  Each series carries a
 *guarantee box*:
 
 * ``q_trunc``  -- coefficients are correct at every q-exponent < q_trunc
@@ -16,8 +18,9 @@ records a lower bound of its q-support that its stored terms may not show,
 as for terms hidden below the floor; products take their q-truncation from
 it.
 
-Products and quotients run on the slice kernels of :mod:`ospq.qseries`,
-the same ones that serve one-variable series; this module adds the box.
+Sums, products and quotients run on the store and kernels of
+:mod:`ospq.qseries`, the same ones that serve one-variable series; this
+module adds the box.  The theta constructors emit int keys directly.
 Division (:func:`wq_div`) solves D * chi = num one q-slice at a time, each
 by descending long division by the leading w-polynomial of D.  Without a
 floor every slice must divide with a zero remainder, which proves the
@@ -41,10 +44,18 @@ from .qseries import (
     QSeries,
     Rat,
     as_fraction,
+    _collect,
+    _cut,
+    _first_mismatch,
+    _int,
+    _Lattice,
+    _merge,
     _min_trunc,
     _product_trunc,
+    _scaled,
     _slice_div,
     _slice_mul,
+    _Store,
 )
 
 
@@ -55,10 +66,10 @@ class InvalidIndex(ValueError):
 Slice = Dict[QQ, QQ]  # w-exponent -> coefficient
 
 
-class WQSeries:
+class WQSeries(_Lattice):
     """Truncated two-variable series, organised as q-slice -> w-polynomial."""
 
-    __slots__ = ("terms", "q_trunc", "w_floor", "_q_lo")
+    __slots__ = ("q_trunc", "w_floor", "_q_lo")
 
     def __init__(self, terms=(), q_trunc: Optional[Rat] = None,
                  w_floor: Optional[Rat] = None):
@@ -66,61 +77,55 @@ class WQSeries:
             q_trunc = as_fraction(q_trunc)
         if w_floor is not None:
             w_floor = as_fraction(w_floor)
-        acc: Dict[QQ, Slice] = {}
-        lo = None  # lowest q of the terms dropped below the floor
         if isinstance(terms, dict):
-            items = (
-                (qe, we, c) for qe, sl in terms.items() for we, c in sl.items()
-            )
-        else:
-            items = terms
-        for qe, we, c in items:
-            qe, we, c = as_fraction(qe), as_fraction(we), as_fraction(c)
-            if c == 0:
-                continue
-            if q_trunc is not None and qe >= q_trunc:
-                continue
-            if w_floor is not None and we < w_floor:
-                if lo is None or qe < lo:
-                    lo = qe
-                continue
-            sl = acc.setdefault(qe, {})
-            s = sl.get(we)
-            s = c if s is None else s + c
-            if s == 0:
-                del sl[we]
-                if not sl:
-                    del acc[qe]
-            else:
-                sl[we] = s
-        self.terms = acc
-        self.q_trunc = q_trunc
-        self.w_floor = w_floor
-        self._q_lo = lo
+            terms = ((qe, we, c) for qe, sl in terms.items() for we, c in sl.items())
+        terms = [(as_fraction(qe), as_fraction(we), as_fraction(c)) for qe, we, c in terms]
+        D = math.lcm(*(qe.denominator for qe, _, _ in terms))
+        W = math.lcm(*(we.denominator for _, we, _ in terms))
+        s, lo = _collect(((qe.numerator * (D // qe.denominator),
+                           we.numerator * (W // we.denominator), _int(c))
+                          for qe, we, c in terms), _cut(q_trunc, D), _cut(w_floor, W))
+        # lo: the lowest q of the terms dropped below the floor
+        self._set(s, D, W, q_trunc, w_floor, None if lo is None else QQ(lo, D))
+
+    def _set(self, s: _Store, D: int, W: int, q_trunc: Optional[QQ],
+             w_floor: Optional[QQ], q_lo: Optional[QQ]) -> None:
+        self._s, self.D, self.W = s, D, W
+        self.q_trunc, self.w_floor, self._q_lo = q_trunc, w_floor, q_lo
+
+    @classmethod
+    def _of(cls, s: _Store, D: int, W: int, q_trunc: Optional[QQ],
+            w_floor: Optional[QQ], q_lo: Optional[QQ]) -> "WQSeries":
+        """The series of the store ``s`` over keys q/D, w/W, which holds exactly
+        its nonzero terms, with q_lo a lower bound of its q-support (None:
+        the stored one)."""
+        out = cls.__new__(cls)
+        out._set(s, D, W, q_trunc, w_floor, q_lo)
+        return out
 
     # -- accessors ----------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> Dict[QQ, Slice]:
+        """A Fraction copy {q: {w: coefficient}} of the terms, in stored order."""
+        D, W = self.D, self.W
+        return {QQ(q, D): {QQ(w, W): QQ(c) for w, c in sl.items()}
+                for q, sl in self._s.items()}
 
     def n_terms(self) -> int:
-        return sum(len(sl) for sl in self.terms.values())
+        return sum(len(sl) for sl in self._s.values())
 
     def coeff(self, qe: Rat, we: Rat) -> QQ:
-        sl = self.terms.get(as_fraction(qe))
-        if not sl:
-            return QQ(0)
-        return sl.get(as_fraction(we), QQ(0))
+        return self.q_slice(qe).get(as_fraction(we), QQ(0))
 
     def min_q(self) -> QQ:
-        if not self.terms:
+        if not self._s:
             raise EmptySeries("series has no stored terms")
-        return min(self.terms)
+        return QQ(min(self._s), self.D)
 
     def min_q_bound(self) -> Optional[QQ]:
-        if self.terms:
-            return min(self.terms)
+        if self._s:
+            return self.min_q()
         return self.q_trunc
 
     def _support_lo(self) -> Optional[QQ]:
@@ -129,39 +134,34 @@ class WQSeries:
         return _min_trunc(self.min_q_bound(), self._q_lo)
 
     def wmax(self) -> Optional[QQ]:
-        out = None
-        for sl in self.terms.values():
-            m = max(sl)
-            if out is None or m > out:
-                out = m
-        return out
+        if not self._s:
+            return None
+        return QQ(max(max(sl) for sl in self._s.values()), self.W)
 
     def w_exponents(self):
-        out = set()
-        for sl in self.terms.values():
-            out.update(sl)
-        return out
+        return {QQ(w, self.W) for sl in self._s.values() for w in sl}
 
     def w_slice(self, we: Rat) -> QSeries:
         """The q-series multiplying w^we (guaranteed to order q_trunc)."""
         we = as_fraction(we)
         if self.w_floor is not None and we < self.w_floor:
             raise ValueError("w-exponent %s is below the floor %s" % (we, self.w_floor))
-        coeffs = {}
-        for qe, sl in self.terms.items():
-            c = sl.get(we)
-            if c is not None:
-                coeffs[qe] = c
-        return QSeries(coeffs, self.q_trunc)
+        w = we * self.W
+        s = {} if w.denominator != 1 else {
+            q: {0: sl[w.numerator]} for q, sl in self._s.items() if w.numerator in sl}
+        return QSeries._of(s, self.D, self.q_trunc)
 
     def q_slice(self, qe: Rat) -> Slice:
-        return dict(self.terms.get(as_fraction(qe), {}))
+        q = as_fraction(qe) * self.D
+        sl = self._s.get(q.numerator, {}) if q.denominator == 1 else {}
+        return {QQ(w, self.W): QQ(c) for w, c in sl.items()}
 
     def items(self):
-        for qe in sorted(self.terms):
-            sl = self.terms[qe]
-            for we in sorted(sl, reverse=True):
-                yield qe, we, sl[we]
+        D, W = self.D, self.W
+        for q in sorted(self._s):
+            sl = self._s[q]
+            for w in sorted(sl, reverse=True):
+                yield QQ(q, D), QQ(w, W), QQ(sl[w])
 
     def __eq__(self, other):
         if not isinstance(other, WQSeries):
@@ -198,23 +198,6 @@ class WQSeries:
     __rmul__ = __mul__
 
 
-def _slices(x: WQSeries):
-    """The (q-exponent, w-terms) pairs in which the kernels take a series."""
-    return [(qe, sl.items()) for qe, sl in x.terms.items()]
-
-
-def _wq(slices, q_trunc: Optional[QQ], w_floor: Optional[QQ],
-        q_lo: Optional[QQ]) -> WQSeries:
-    """A series from (q-exponent, w-terms) pairs that hold exactly its nonzero
-    terms, with q_lo a lower bound of its q-support (None: the stored one)."""
-    out = WQSeries.__new__(WQSeries)
-    out.terms = {qe: dict(sl) for qe, sl in slices}
-    out.q_trunc = q_trunc
-    out.w_floor = w_floor
-    out._q_lo = q_lo
-    return out
-
-
 def _max_floor(fa: Optional[QQ], fb: Optional[QQ]) -> Optional[QQ]:
     if fa is None:
         return fb
@@ -226,31 +209,18 @@ def _max_floor(fa: Optional[QQ], fb: Optional[QQ]) -> Optional[QQ]:
 def wq_add(a: WQSeries, b: WQSeries) -> WQSeries:
     T = _min_trunc(a.q_trunc, b.q_trunc)
     F = _max_floor(a.w_floor, b.w_floor)
-
-    def gen():
-        for qe, sl in a.terms.items():
-            for we, c in sl.items():
-                yield qe, we, c
-        for qe, sl in b.terms.items():
-            for we, c in sl.items():
-                yield qe, we, c
-
-    out = WQSeries(gen(), T, F)
-    out._q_lo = _min_trunc(a._support_lo(), b._support_lo())
-    return out
+    s, D, W = _merge(a, b, T, F)
+    return WQSeries._of(s, D, W, T, F, _min_trunc(a._support_lo(), b._support_lo()))
 
 
 def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
-    c = as_fraction(c)
-    if c == 0:
-        return WQSeries((), a.q_trunc, a.w_floor)
-    terms = [(qe, [(we, x * c) for we, x in sl.items()]) for qe, sl in a.terms.items()]
-    return _wq(terms, a.q_trunc, a.w_floor, a._q_lo)
+    s, D = _scaled(a, c)
+    return WQSeries._of(s, D, a.W, a.q_trunc, a.w_floor, a._q_lo if c else None)
 
 
 def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     for x, name in ((a, "left"), (b, "right")):
-        if not x.terms and x.w_floor is not None:
+        if not x._s and x.w_floor is not None:
             raise ValueError("%s factor is empty but w-floored; product undefined" % name)
     # the q-support bounds count the terms hidden below a floor
     ma, mb = a._support_lo(), b._support_lo()
@@ -259,61 +229,58 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
     # a factor with no stored terms is zero below its q_trunc at every w
     fc = []
-    if a.w_floor is not None and b.terms:
+    if a.w_floor is not None and b._s:
         fc.append(a.w_floor + b.wmax())
-    if b.w_floor is not None and a.terms:
+    if b.w_floor is not None and a._s:
         fc.append(b.w_floor + a.wmax())
     F = max(fc, default=None)
-    return _wq(_slice_mul(_slices(a), _slices(b), T, F), T, F, ma + mb)
+    return WQSeries._of(*_slice_mul(a, b, T, F), T, F, ma + mb)
+
+
+def _specialized(a: WQSeries, sign, what: str) -> QSeries:
+    """The q-series of a at w^e -> sign(e * W), each slice summed in order;
+    requires complete w-support."""
+    if a.w_floor is not None:
+        raise ValueError("%s needs the complete w-support (w_floor is set)" % what)
+    s = {}
+    for q, sl in a._s.items():
+        c = sum(sign(w) * c for w, c in sl.items())
+        if c:
+            s[q] = {0: c}
+    return QSeries._of(s, a.D, a.q_trunc)
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:
     """Specialise w -> 1 (sum of all w-slices); requires complete w-support."""
-    if a.w_floor is not None:
-        raise ValueError(
-            "w -> 1 specialisation needs the complete w-support (w_floor is set)"
-        )
-    coeffs: Dict[QQ, QQ] = {}
-    for qe, sl in a.terms.items():
-        s = sum(sl.values())
-        if s:
-            coeffs[qe] = s
-    return QSeries(coeffs, a.q_trunc)
+    return _specialized(a, lambda w: 1, "w -> 1 specialisation")
 
 
 def wq_specialize_w_signed(a: WQSeries) -> QSeries:
     """Specialise w^x -> (-1)^{2x} (the w -> -1 slice on the half-integer grid)."""
-    if a.w_floor is not None:
-        raise ValueError(
-            "signed specialisation needs the complete w-support (w_floor is set)"
-        )
-    coeffs: Dict[QQ, QQ] = {}
-    for qe, sl in a.terms.items():
-        s = QQ(0)
-        for we, c in sl.items():
-            two_x = 2 * we
-            if two_x.denominator != 1:
-                raise ValueError("w-exponent %s is not on the half-integer grid" % we)
-            s += c if two_x.numerator % 2 == 0 else -c
-        if s:
-            coeffs[qe] = s
-    return QSeries(coeffs, a.q_trunc)
+    W = a.W
+
+    def sign(w):
+        two_x, r = divmod(2 * w, W)
+        if r:
+            raise ValueError("w-exponent %s is not on the half-integer grid" % QQ(w, W))
+        return -1 if two_x % 2 else 1
+
+    return _specialized(a, sign, "signed specialisation")
 
 
 def wq_from_q(a: QSeries) -> WQSeries:
     """Embed a pure q-series at w^0."""
-    return WQSeries(((e, QQ(0), c) for e, c in a.terms.items()), a.trunc, None)
+    return WQSeries._of(a._s, a.D, 1, a.trunc, None, None)
 
 
 def wq_to_q(a: WQSeries) -> QSeries:
     """Collapse a series supported on w^0 only back to a QSeries."""
-    coeffs = {}
-    for qe, sl in a.terms.items():
-        for we, c in sl.items():
-            if we != 0:
-                raise ValueError("series has w-exponent %s; not a pure q-series" % we)
-            coeffs[qe] = c
-    return QSeries(coeffs, a.q_trunc)
+    for sl in a._s.values():
+        for w in sl:
+            if w:
+                raise ValueError("series has w-exponent %s; not a pure q-series"
+                                 % QQ(w, a.W))
+    return QSeries._of(a._s, a.D, a.q_trunc)
 
 
 def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
@@ -327,24 +294,8 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
     if order is not None:
         T = _min_trunc(T, as_fraction(order))
     F = _max_floor(a.w_floor, b.w_floor)
-    bad = []
-    qkeys = set(a.terms) | set(b.terms)
-    for qe in qkeys:
-        if T is not None and qe >= T:
-            continue
-        sla = a.terms.get(qe, {})
-        slb = b.terms.get(qe, {})
-        for we in set(sla) | set(slb):
-            if F is not None and we < F:
-                continue
-            ca, cb = sla.get(we, QQ(0)), slb.get(we, QQ(0))
-            if ca != cb:
-                bad.append((qe, -we, ca, cb))
-    if bad:
-        bad.sort()
-        qe, nwe, ca, cb = bad[0]
-        return False, (qe, -nwe, ca, cb), (T, F)
-    return True, None, (T, F)
+    bad = _first_mismatch(a, b, T, F)
+    return bad is None, bad, (T, F)
 
 
 # -- division ---------------------------------------------------------------
@@ -364,11 +315,11 @@ def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
     if b.w_floor is not None:
         raise ValueError("dividing by a w-floored series is not supported")
     F = None if w_floor is None else as_fraction(w_floor)
-    T, terms = _slice_div(_slices(a), a.q_trunc, _slices(b), b.q_trunc, q_trunc, F)
+    T, s, D, W = _slice_div(a, a.q_trunc, b, b.q_trunc, q_trunc, F)
     if T is None:
         return WQSeries((), None, None)  # exact zero numerator
     # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
-    return _wq(terms, T, F, a.min_q_bound() - b.min_q())
+    return WQSeries._of(s, D, W, T, F, a.min_q_bound() - b.min_q())
 
 
 def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
@@ -384,6 +335,27 @@ def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
 
 
 # -- theta constructors ------------------------------------------------------
+
+
+def _theta(t0: int, step: int, den: int, w_scale: QQ, q_scale: QQ, N: QQ,
+           coeff) -> WQSeries:
+    """The series of coeff(t) w^(w_scale t/2) q^(q_scale t^2/den) at q < N,
+    over t = t0, t0 + step, ... and then t0 - step, t0 - 2 step, ...; each
+    walk stops at the first t with q >= N that lies past the vertex t = 0."""
+    D, W = den * q_scale.denominator, 2 * w_scale.denominator
+    cut = math.ceil(N * D)
+
+    def gen():
+        for t, dt in ((t0, step), (t0 - step, -step)):
+            while True:
+                q = q_scale.numerator * t * t
+                if q < cut:
+                    yield q, w_scale.numerator * t, coeff(t)
+                elif dt * t >= 0:  # the exponent grows from here on
+                    break
+                t += dt
+
+    return WQSeries._of(_collect(gen())[0], D, W, N, None, None)
 
 
 def theta_big(r: int, s: int, w_scale: Rat, q_scale: Rat, N: Rat) -> WQSeries:
@@ -404,45 +376,17 @@ def theta_big(r: int, s: int, w_scale: Rat, q_scale: Rat, N: Rat) -> WQSeries:
         raise ValueError("q scaling factor must be positive")
     if N <= 0:
         raise ValueError("truncation order must be positive")
-    base = QQ(r, 2 * s)
-
-    def gen():
-        for start, step in ((math.floor(-base), -1), (math.floor(-base) + 1, 1)):
-            m = start
-            while True:
-                t = m + base
-                qe = q_scale * s * t * t
-                if qe >= N:
-                    # past the vertex the exponent grows monotonically
-                    if (step > 0 and t > 0) or (step < 0 and t < 0) or t == 0:
-                        break
-                else:
-                    yield qe, w_scale * s * t, QQ(1)
-                m += step
-
-    return WQSeries(gen(), N, None)
+    # with t = 2s(m + r/2s): q-exponent q_scale t^2/4s, w-exponent w_scale t/2
+    return _theta(-(-r % (2 * s)), -2 * s, 4 * s, w_scale, q_scale, N, lambda t: 1)
 
 
 def _half_integer_theta(N: Rat, w_scale: Rat, q_scale: Rat, alternating: bool) -> WQSeries:
     w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), as_fraction(N)
     if N <= 0:
         raise ValueError("truncation order must be positive")
-
-    def gen():
-        for start, step in ((-1, -1), (0, 1)):
-            n = start
-            while True:
-                t = n + QQ(1, 2)
-                qe = q_scale * t * t / 2
-                if qe >= N:
-                    if (step > 0 and t > 0) or (step < 0 and t < 0):
-                        break
-                else:
-                    c = QQ(-1) if (alternating and n % 2) else QQ(1)
-                    yield qe, w_scale * t, c
-                n += step
-
-    return WQSeries(gen(), N, None)
+    # with t = 2n + 1: q-exponent q_scale t^2/8, w-exponent w_scale t/2
+    return _theta(-1, -2, 8, w_scale, q_scale, N,
+                  lambda t: -1 if alternating and (t - 1) % 4 else 1)
 
 
 def vartheta2(N: Rat, w_scale: Rat = 1, q_scale: Rat = 1) -> WQSeries:
