@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ospq.qseries import EmptySeries, QSeries, qs_eta
-from test_qseries import assert_same_series, st_lattice_series
 from ospq.theta import (
     IncompleteQuotient,
     InvalidIndex,
@@ -27,6 +26,7 @@ from ospq.theta import (
     wq_specialize_w_signed,
     wq_to_q,
 )
+from test_qseries import assert_same_series, st_lattice_series
 
 st_qexp = st.fractions(min_value=QQ(0), max_value=QQ(4), max_denominator=2)
 st_wexp = st.fractions(min_value=QQ(-2), max_value=QQ(2), max_denominator=2)
