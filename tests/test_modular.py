@@ -136,11 +136,46 @@ def test_verlinde_rejects_non_modular_input():
         verlinde_standard(broken)
 
 
+def _lu_verlinde(S):
+    """Independent reference: all O(n^4) Verlinde sums
+    N_ab^c = sum_x S_ax S_bx (S^-1)_xc / S_vac,x over mpmath's LU inverse,
+    each read off under the 1e-6 gate; None when a sum is not a
+    nonnegative integer within the gate or the vacuum row vanishes."""
+    n, vac, rows = S.n, S.vacuum_index, S.rows
+    with mp.workprec(S.precision + 16):
+        if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
+            return None
+        Minv = mp.matrix([list(r) for r in rows]) ** -1
+        P_col = [[Minv[x, c] / rows[vac][x] for x in range(n)] for c in range(n)]
+        coeffs = {}
+        for a in range(n):
+            for b in range(a, n):
+                prod = [u * v for u, v in zip(rows[a], rows[b])]
+                for c in range(n):
+                    v = mp.fdot(prod, P_col[c])
+                    m = int(mp.nint(mp.re(v)))
+                    if abs(v - m) > modular.VERLINDE_GATE or m < 0:
+                        return None
+                    if m:
+                        coeffs[(S.labels[a], S.labels[b], S.labels[c])] = m
+                        coeffs[(S.labels[b], S.labels[a], S.labels[c])] = m
+    return FusionTensor(S.labels, S.labels[vac], coeffs)
+
+
 def _standard_equals(S, tensor):
-    try:
-        return verlinde_standard(S) == tensor
-    except NonIntegralFusion:
-        return False
+    return _lu_verlinde(S) == tensor
+
+
+@pytest.mark.parametrize("S", [
+    lambda: sl2_smatrix(1), lambda: sl2_smatrix(2), lambda: sl2_smatrix(3),
+    lambda: sl2_smatrix(6), lambda: vir_smatrix(3, 5), lambda: vir_smatrix(4, 7),
+    lambda: vir_smatrix(5, 9), lambda: coset_smatrix(2, verify=False),
+    lambda: coset_smatrix(3, verify=False)],
+    ids=["sl2-1", "sl2-2", "sl2-3", "sl2-6", "vir-3-5", "vir-4-7", "vir-5-9",
+         "coset-2", "coset-3"])
+def test_verlinde_standard_is_the_lu_reference(S):
+    S = S()
+    assert verlinde_standard(S) == _lu_verlinde(S)
 
 
 def _moved(tensor, key, step):
