@@ -4,18 +4,20 @@ and parity-refined), Frobenius-Perron dimension identities, and numeric
 checks of the character S-transformations.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
-cyclotomics.  Every dot product and S-matrix product (Verlinde sums, the
-unitarity, involution and (ST)^3 defects, the Verlinde proof) runs on one
-integer kernel: each vector is shifted onto ints over one power of two, the
-products are summed exactly and the sum is rounded once, bit-identical to
-``mp.fdot`` and to mpmath's matrix product.  Only the LU inverse, whose
-bits the CLI reports, still goes through ``mpmath.matrix``.  The Verlinde
-sums (``verlinde_standard``, ``verlinde_super``) are gated to integers
-within a fixed 1e-6; ``verlinde_matches`` proves a given fusion tensor is
+cyclotomics.  Every high-precision dot product and S-matrix product (the
+refined Verlinde sums, the unitarity, involution and (ST)^3 defects, the
+Verlinde proof) runs on one integer kernel: each vector is shifted onto ints
+over one power of two, the products are summed exactly and the sum is
+rounded once, bit-identical to ``mp.fdot`` and to mpmath's matrix product;
+no matrix is inverted.  ``verlinde_matches`` proves a given fusion tensor is
 the Verlinde ring of S by bounding every entry of N_a - S Lambda_a S^-1 by
-the 1e-6 gate, without forming the O(n^4) sums.  ``fp_dimension_report``
-builds only the S columns it reads.  The default working precision is 256
-bits and derived tolerances are 10^(1 - precision/4).
+the 1e-6 gate in O(n^3).  ``verlinde_standard`` reads its candidate ring off
+S in complex doubles with S^-1 = S^dagger and returns it only through that
+proof; ``verlinde_super`` gates its parity-refined sums to integers within
+the fixed 1e-6 and bounds the distance of its basis-changed matrix from its
+inverse by its involution defect.  ``fp_dimension_report`` builds only the S
+columns it reads.  The default working precision is 256 bits and derived
+tolerances are 10^(1 - precision/4).
 """
 
 from __future__ import annotations
@@ -153,9 +155,6 @@ class SMatrix:
 
     def entry(self, a, b):
         return self.rows[self.index(a)][self.index(b)]
-
-    def as_matrix(self) -> mpmath.matrix:
-        return mp.matrix([list(r) for r in self.rows])
 
     def unitarity_defect(self):
         """Max-norm of S S^dagger - I."""
@@ -411,46 +410,41 @@ def _extended_columns(k: int, cols, precision: int):
 
 
 def verlinde_standard(S: SMatrix) -> FusionTensor:
-    """Fusion tensor from the matrix-inverse Verlinde sum.
+    """Fusion tensor read off S by the Verlinde formula, then proved.
 
-    N_{ab}^c = sum_x S_{ax} S_{bx} (S^{-1})_{xc} / S_{vac,x}, checked against
-    integers under a 1e-6 gate; any non-integral or negative structure
-    constant raises NonIntegralFusion.  S^-1 is mpmath's LU inverse.  Each
-    sum is the exact dot product, rounded once, of the rounded products
-    S_{ax} S_{bx} (one integer vector per a, b) with the rounded quotients
-    S^{-1}_{xc} / S_{vac,x} (one integer vector per c), for real and
-    complex S alike; the bits are those of ``mp.fdot``.  This forms all
-    O(n^4) sums to read the ring off S; ``verlinde_matches`` checks a given
-    tensor in O(n^3).
+    The candidate N_{ab}^c = round(Re sum_x S_{ax} S_{bx} conj(S_{cx}) /
+    S_{vac,x}) is read in complex doubles, with S^-1 = S^dagger, which needs
+    only unitarity.  It is returned only if ``verlinde_matches`` proves it
+    the Verlinde ring of S (that proof bounds the unitarity defect and
+    rejects negative coefficients); otherwise, or when the vacuum row
+    vanishes, NonIntegralFusion is raised.  The O(n^4) read-off is
+    float arithmetic; every returned ring has passed the O(n^3) proof.
     """
     n = S.n
     vac = S.vacuum_index
-    rows = S.rows
     with mp.workprec(S.precision + 16):
-        Minv = S.as_matrix() ** -1
         for x in range(n):
-            if abs(rows[vac][x]) < mp.mpf(10) ** (-S.precision // 4):
+            if abs(S.rows[vac][x]) < mp.mpf(10) ** (-S.precision // 4):
                 raise NonIntegralFusion(
                     "vacuum row vanishes at column %r" % (S.labels[x],))
-        # P_col[c] = (S^{-1}_{xc} / S_{vac,x})_x
-        P_col = [_fixed([Minv[x, c] / rows[vac][x] for x in range(n)])
-                 for c in range(n)]
-        coeffs = {}
-        for a in range(n):
-            for b in range(a, n):
-                prod = _fixed([u * v for u, v in zip(rows[a], rows[b])])
-                for c in range(n):
-                    v = _dot(prod, P_col[c])
-                    nint = int(mp.nint(mp.re(v)))
-                    if abs(v - nint) > VERLINDE_GATE or nint < 0:
-                        raise NonIntegralFusion(
-                            "entry (%r,%r,%r) = %s fails the integrality gate"
-                            % (S.labels[a], S.labels[b], S.labels[c], mp.nstr(v)))
-                    if nint:
-                        coeffs[(S.labels[a], S.labels[b], S.labels[c])] = nint
-                        if a != b:
-                            coeffs[(S.labels[b], S.labels[a], S.labels[c])] = nint
-    return FusionTensor(S.labels, S.labels[vac], coeffs)
+    rows = [[complex(v) for v in row] for row in S.rows]
+    # cols[c] = (conj(S_cx) / S_{vac,x})_x
+    cols = [[v.conjugate() / w for v, w in zip(row, rows[vac])] for row in rows]
+    coeffs = {}
+    for a in range(n):
+        for b in range(a, n):
+            prod = [u * v for u, v in zip(rows[a], rows[b])]
+            for c in range(n):
+                m = round(sum(map(mul, prod, cols[c])).real)
+                if m:
+                    coeffs[(S.labels[a], S.labels[b], S.labels[c])] = m
+                    coeffs[(S.labels[b], S.labels[a], S.labels[c])] = m
+    tensor = FusionTensor(S.labels, S.labels[vac], coeffs)
+    if not verlinde_matches(S, tensor):
+        raise NonIntegralFusion(
+            "the fusion tensor read off S is not proved to be the Verlinde "
+            "ring of S within the 1e-6 gate")
+    return tensor
 
 
 def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
@@ -464,14 +458,27 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
     |S^-1|_2 <= 1/sqrt(1 - delta) with delta = n max|SS* - I|, which is at
     least |SS* - I|_2.  The tensor is accepted when the row bound is within
     the 1e-6 Verlinde gate for every a and b: each exact Verlinde sum of S
-    then lies within the gate of the tensor's integer, which is what
-    ``verlinde_standard`` reads off S.  The bound is on the exact residual
+    then lies within the gate of the tensor's integer.  ``verlinde_standard``
+    returns only tensors this proves.  The bound is on the exact residual
     of the stored entries: the rounding of delta, Lambda, R and the row
     norms is added to it explicitly.  Its unit, label set, vacuum-row and
     sign checks apply here too.  N_a has a few entries per row, so forming
     N_a S costs O(n) per nonzero coefficient.
     """
     return _verlinde_bound_holds(S, tensor, S.unitarity_defect())
+
+
+def _defect_norm_bound(rows, defect, precision: int):
+    """Upper bound on the infinity- and 2-norms of S S^dagger - I or S^2 - I,
+    from ``defect``, its max-norm as computed at precision + 16 bits.
+
+    Each entry of the product is at most n s_max^2 and rounded once, then I
+    is subtracted and the modulus taken; n times the inflated max-norm
+    bounds both norms.
+    """
+    n = len(rows)
+    s_max = max(abs(v) for row in rows for v in row)
+    return n * (defect + 4 * mp.ldexp(1, -precision - 15) * (n * s_max ** 2 + 1))
 
 
 def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
@@ -500,10 +507,7 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
         if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
             return False
         s_max = max(abs(v) for row in rows for v in row)
-        # each entry of SS* is at most n s_max^2 and rounded once, then I is
-        # subtracted and the modulus taken, at S.precision + 16 bits
-        u_defect = mp.ldexp(1, -S.precision - 15)
-        delta = n * (defect + 4 * u_defect * (n * s_max ** 2 + 1))
+        delta = _defect_norm_bound(rows, defect, S.precision)
         if delta >= 1:
             return False
         neg_lam = [[-v / w for v, w in zip(rows[a], rows[vac])] for a in range(n)]
@@ -554,6 +558,8 @@ class SuperVerlinde:
     ``n_plus`` holds the total intertwiner dimensions (even-index sums),
     ``n_minus`` the signed dimensions before parity decoration (odd-index
     sums); ``entry`` decorates them into SuperFusionEntry values.
+    ``stilde_inverse_defect`` is a proven upper bound on |M^-1 - M| for the
+    basis-changed matrix M, from its involution defect.
     """
 
     k: int
@@ -614,18 +620,30 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     an exact dot product, rounded once, of the weight row
     s_{r,t} s_{r',t} / s_{1,t} (built once per r, r' and parity) with
     column r'' of the sine table, both as integer vectors over one power of
-    two; the bits are those of ``mp.fdot``.  The basis-changed matrix and
-    its honest numeric inverse (mpmath's LU inverse, whose distance from the
-    matrix is reported) are built from the same table and validated
-    alongside (the matrix is an involution, which the defects certify).
+    two; the bits are those of ``mp.fdot``.  The basis-changed matrix M is
+    built from the same table and validated alongside: its involution
+    defect max|M^2 - I| is computed, and with E = M^2 - I and
+    M^-1 - M = -M E (I + E)^-1 it bounds |M^-1 - M| by
+    |M|_inf n delta / (1 - n delta), delta the defect inflated by its own
+    rounding; no inverse is formed.  The integer read-off of the refined
+    sums still rests on the 1e-6 gate alone.
     """
     check_level(k)
     nmax = 2 * k + 2
     s = s_table(k, precision)
     St = _stilde_from_table(s, precision)
     with mp.workprec(precision + 16):
-        inv_defect = _max_defect((St.as_matrix() ** -1).tolist(), St.rows)
         invol_defect = St.square_defect_from_identity()
+        with mp.workprec(precision + 48):
+            # with E = M^2 - I, M^-1 - M = -M E (I + E)^-1, so
+            # |M^-1 - M|_max <= |M|_inf |E|_inf / (1 - |E|_inf)
+            delta = _defect_norm_bound(St.rows, invol_defect, precision)
+            if delta >= 1:
+                raise NonIntegralFusion(
+                    "the basis-changed matrix is too far from an involution "
+                    "to bound its inverse")
+            inv_defect = (max(sum(abs(v) for v in row) for row in St.rows)
+                          * delta / (1 - delta))
 
         # 0-based t of the even and of the odd labels, and
         # cols[parity][r3 - 1] = s_{t+1, r3} over those t

@@ -93,14 +93,27 @@ def test_coset_verlinde_proof_needs_ten_bits():
         assert run("coset-smatrix", "-k", "2", "--precision", precision).exit_code == 0
 
 
+def test_vir_verlinde_proof_needs_eleven_bits():
+    # the ring read off the (5, 9) S-matrix is returned only through the
+    # Verlinde proof, whose residual bound stays above the 1e-6 gate at 10
+    # bits; the per-entry gate it replaced passed there
+    res = run("verlinde", "--family", "vir", "-k", "3", "--precision", "10")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "NonIntegralFusion"
+    for precision in ("11", "12"):
+        res = run("verlinde", "--family", "vir", "-k", "3", "--precision", precision)
+        assert res.exit_code == 0
+
+
 @pytest.mark.parametrize("command,detail", [
-    ("verlinde --family vir -k 2", "entry (VirLabel(r=1, s=5),VirLabel(r=1, s=5),"
-     "VirLabel(r=1, s=5)) = -1.03082e-6 fails the integrality gate"),
+    ("verlinde --family vir -k 2", "the fusion tensor read off S is not proved "
+     "to be the Verlinde ring of S within the 1e-6 gate"),
     ("verlinde-super -k 2", "refined entry (1,1,5)/+ = -1.01613e-6 fails the gate"),
 ])
 def test_low_precision_verlinde_failure_detail(command, detail):
-    # each Verlinde sum is an exact dot product rounded once, so the value
-    # reported for a failing entry is that of the single rounding
+    # the standard ring fails its proof; each refined sum is an exact dot
+    # product rounded once, so the value reported for a failing entry is
+    # that of the single rounding
     res = run(*command.split(), "--precision", "8")
     assert res.exit_code == 1
     assert json.loads(res.output) == {

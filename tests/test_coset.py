@@ -262,7 +262,7 @@ def test_coset_modular_consistency(k):
 def test_coset_smatrix_squares_to_charge_conjugation():
     S = coset_smatrix(2, verify=False)
     with mp.workprec(300):
-        M = S.as_matrix()
+        M = mp.matrix([list(r) for r in S.rows])
         sq = M * M
         eps = mp.mpf(10) ** -60
         for i, a in enumerate(S.labels):

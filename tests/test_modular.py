@@ -271,6 +271,13 @@ def test_refined_verlinde_agrees_with_parity_ring(k):
     gate = derived_tolerance(sv.precision)
     assert sv.stilde_involution_defect < gate
     assert sv.stilde_inverse_defect < gate
+    # the reported defect is a bound on the distance of the LU inverse
+    St = sv.stilde
+    with mp.workprec(sv.precision + 16):
+        M = mp.matrix([list(r) for r in St.rows])
+        lu = M ** -1 - M
+        assert sv.stilde_inverse_defect >= max(
+            abs(lu[i, j]) for i in range(St.n) for j in range(St.n))
     assert sv.n_plus == sv.n_minus
     assert sv.magnitudes() == {key: ft.coeff(*key) for key in sv.n_plus}
     # parity split reproduces the decorated ring on a few sign patterns
@@ -506,7 +513,7 @@ def test_st_cube_rejects_label_mismatch():
 def _dense_st_cube_defect(S, T):
     """(ST)^3 - S^2 with T as a dense diagonal matrix."""
     with mp.workprec(S.precision + 16):
-        M = S.as_matrix()
+        M = mp.matrix([list(r) for r in S.rows])
         ST = M * T.as_matrix()
         P = ST * ST * ST
         Q = M * M
@@ -554,7 +561,7 @@ def test_exact_dot_kernel_is_fdot_and_the_matrix_product(family, k, precision):
         for r, fr in zip(rows, fixed_rows):
             for c, fc in zip(cols, fixed_cols):
                 assert _bits(modular._dot(fr, fc)) == _bits(mp.fdot(r, c))
-        M = S.as_matrix()
+        M = mp.matrix(rows)
         for got, want in ((modular._product(rows, rows), M * M),
                           (modular._product(rows, rows, adjoint=True),
                            M * M.transpose_conj())):
