@@ -350,7 +350,7 @@ OUTPUT_DIGESTS = {
     'verlinde --family coset -k 2':
         '38f845c4aa804c2528cb673b5c61083ed3d9380080e8b32bea3d14566e9c81c2',
     'verlinde-super -k 3':
-        '5bbaa88a6f210a289a2fe0a8978b83a07ea3b422c31ebeef99c041150c0014e7',
+        'ed9d62f2d83fe95df38191b0e998e9cf3d30d76d7b5089cdfb159da3f4ff3118',
     'fpdim -k 1':
         '9b8089e96a7c038b7b98a902120054ad4a722aa5f9f1551fcce440e312e96890',
     'minweight -k 4':
@@ -390,7 +390,7 @@ OUTPUT_DIGESTS = {
     'verlinde --family vir -k 3':
         '84226ee8be4fa7b2c698197a7eea1a8b837d6263939a11d14e75cc6b52e62b4c',
     'verlinde-super -k 2':
-        '5db6be554f805d6f605e37920efd26c6267e807fd383879f241945b1a05c9dbe',
+        '433419d8bf43a8dd289896c85dae50d8326f4f40cfa77cdab31eadc8a7fe8658',
     'coset-smatrix -k 2':
         'a22cdd5769cbd73ed5bbbba89eaa0c7c7e8f926d0658dc73e53d703deb028b03',
     'coset-char -k 2 --nu 1 -r 3 --method phase':
