@@ -4,18 +4,15 @@ and parity-refined), Frobenius-Perron dimension identities, and numeric
 checks of the character S-transformations.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
-cyclotomics.  Every high-precision dot product and S-matrix product (the
-refined Verlinde sums, the unitarity, involution and (ST)^3 defects, the
-Verlinde proof) runs on one integer kernel: each vector is shifted onto ints
-over one power of two, the products are summed exactly and the sum is
-rounded once, bit-identical to ``mp.fdot`` and to mpmath's matrix product;
-no matrix is inverted.  ``verlinde_matches`` proves a given fusion tensor is
-the Verlinde ring of S by bounding every entry of N_a - S Lambda_a S^-1 by
-the 1e-6 gate in O(n^3).  ``verlinde_standard`` reads its candidate ring off
-S in complex doubles with S^-1 = S^dagger and returns it only through that
-proof; ``verlinde_super`` gates its parity-refined sums to integers within
-the fixed 1e-6 and bounds the distance of its basis-changed matrix from its
-inverse by its involution defect.  ``fp_dimension_report`` builds only the S
+cyclotomics.  Every high-precision dot product and S-matrix product (refined
+Verlinde sums, defects, the Verlinde proof) runs on one integer kernel: each
+vector is shifted onto ints over one power of two, the products are summed
+exactly and the sum is rounded once, bit-identical to ``mp.fdot`` and to
+mpmath's matrix product; no matrix is inverted.  ``verlinde_matches`` proves
+in O(n^3) that a fusion tensor is the Verlinde ring of S;
+``verlinde_standard`` reads its candidate ring off S in complex doubles and
+returns it only through that proof.  ``verlinde_super`` gates its refined
+sums to integers within 1e-6.  ``fp_dimension_report`` builds only the S
 columns it reads.  The default working precision is 256 bits and derived
 tolerances are 10^(1 - precision/4).
 """
@@ -413,33 +410,27 @@ def verlinde_standard(S: SMatrix) -> FusionTensor:
     """Fusion tensor read off S by the Verlinde formula, then proved.
 
     The candidate N_{ab}^c = round(Re sum_x S_{ax} S_{bx} conj(S_{cx}) /
-    S_{vac,x}) is read in complex doubles, with S^-1 = S^dagger, which needs
-    only unitarity.  It is returned only if ``verlinde_matches`` proves it
-    the Verlinde ring of S (that proof bounds the unitarity defect and
-    rejects negative coefficients); otherwise, or when the vacuum row
-    vanishes, NonIntegralFusion is raised.  The O(n^4) read-off is
-    float arithmetic; every returned ring has passed the O(n^3) proof.
+    S_{vac,x}) is read in complex doubles (S^-1 = S^dagger for unitary S)
+    and returned only if ``verlinde_matches`` proves it, which also rejects
+    negative coefficients; otherwise NonIntegralFusion is raised.
     """
-    n = S.n
-    vac = S.vacuum_index
+    L, vac = S.labels, S.vacuum_index
     with mp.workprec(S.precision + 16):
-        for x in range(n):
-            if abs(S.rows[vac][x]) < mp.mpf(10) ** (-S.precision // 4):
-                raise NonIntegralFusion(
-                    "vacuum row vanishes at column %r" % (S.labels[x],))
+        for x, v in zip(L, S.rows[vac]):
+            if abs(v) < mp.mpf(10) ** (-S.precision // 4):
+                raise NonIntegralFusion("vacuum row vanishes at column %r" % (x,))
     rows = [[complex(v) for v in row] for row in S.rows]
     # cols[c] = (conj(S_cx) / S_{vac,x})_x
     cols = [[v.conjugate() / w for v, w in zip(row, rows[vac])] for row in rows]
     coeffs = {}
-    for a in range(n):
-        for b in range(a, n):
-            prod = [u * v for u, v in zip(rows[a], rows[b])]
-            for c in range(n):
-                m = round(sum(map(mul, prod, cols[c])).real)
+    for a, ra in enumerate(rows):
+        for b in range(a, S.n):
+            prod = [u * v for u, v in zip(ra, rows[b])]
+            for c, col in enumerate(cols):
+                m = round(sum(map(mul, prod, col)).real)
                 if m:
-                    coeffs[(S.labels[a], S.labels[b], S.labels[c])] = m
-                    coeffs[(S.labels[b], S.labels[a], S.labels[c])] = m
-    tensor = FusionTensor(S.labels, S.labels[vac], coeffs)
+                    coeffs[(L[a], L[b], L[c])] = coeffs[(L[b], L[a], L[c])] = m
+    tensor = FusionTensor(L, L[vac], coeffs)
     if not verlinde_matches(S, tensor):
         raise NonIntegralFusion(
             "the fusion tensor read off S is not proved to be the Verlinde "
@@ -469,13 +460,9 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
 
 
 def _defect_norm_bound(rows, defect, precision: int):
-    """Upper bound on the infinity- and 2-norms of S S^dagger - I or S^2 - I,
-    from ``defect``, its max-norm as computed at precision + 16 bits.
-
-    Each entry of the product is at most n s_max^2 and rounded once, then I
-    is subtracted and the modulus taken; n times the inflated max-norm
-    bounds both norms.
-    """
+    """Bound on the inf- and 2-norms of S S^dagger - I (or S^2 - I) from
+    ``defect``, their max-norm computed at precision + 16 bits: each entry
+    of S S^dagger, at most n s_max^2, is rounded once, then I subtracted."""
     n = len(rows)
     s_max = max(abs(v) for row in rows for v in row)
     return n * (defect + 4 * mp.ldexp(1, -precision - 15) * (n * s_max ** 2 + 1))
@@ -558,8 +545,6 @@ class SuperVerlinde:
     ``n_plus`` holds the total intertwiner dimensions (even-index sums),
     ``n_minus`` the signed dimensions before parity decoration (odd-index
     sums); ``entry`` decorates them into SuperFusionEntry values.
-    ``stilde_inverse_defect`` is a proven upper bound on |M^-1 - M| for the
-    basis-changed matrix M, from its involution defect.
     """
 
     k: int
@@ -621,12 +606,9 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     s_{r,t} s_{r',t} / s_{1,t} (built once per r, r' and parity) with
     column r'' of the sine table, both as integer vectors over one power of
     two; the bits are those of ``mp.fdot``.  The basis-changed matrix M is
-    built from the same table and validated alongside: its involution
-    defect max|M^2 - I| is computed, and with E = M^2 - I and
-    M^-1 - M = -M E (I + E)^-1 it bounds |M^-1 - M| by
-    |M|_inf n delta / (1 - n delta), delta the defect inflated by its own
-    rounding; no inverse is formed.  The integer read-off of the refined
-    sums still rests on the 1e-6 gate alone.
+    built from the same table; its involution defect max|M^2 - I| is
+    reported with a proven bound on |M^-1 - M| derived from it, so no
+    inverse is formed.
     """
     check_level(k)
     nmax = 2 * k + 2
@@ -634,16 +616,13 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     St = _stilde_from_table(s, precision)
     with mp.workprec(precision + 16):
         invol_defect = St.square_defect_from_identity()
+        # E = M^2 - I gives M^-1 - M = -M E (I + E)^-1, so
+        # |M^-1 - M|_max <= |M|_inf |E|_inf / (1 - |E|_inf)
         with mp.workprec(precision + 48):
-            # with E = M^2 - I, M^-1 - M = -M E (I + E)^-1, so
-            # |M^-1 - M|_max <= |M|_inf |E|_inf / (1 - |E|_inf)
             delta = _defect_norm_bound(St.rows, invol_defect, precision)
             if delta >= 1:
-                raise NonIntegralFusion(
-                    "the basis-changed matrix is too far from an involution "
-                    "to bound its inverse")
-            inv_defect = (max(sum(abs(v) for v in row) for row in St.rows)
-                          * delta / (1 - delta))
+                raise NonIntegralFusion("the basis-changed matrix is no involution")
+            inv_defect = max(sum(map(abs, r)) for r in St.rows) * delta / (1 - delta)
 
         # 0-based t of the even and of the odd labels, and
         # cols[parity][r3 - 1] = s_{t+1, r3} over those t
