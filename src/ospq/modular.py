@@ -459,12 +459,10 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
     return _verlinde_bound_holds(S, tensor, S.unitarity_defect())
 
 
-def _defect_norm_bound(rows, defect, precision: int):
+def _defect_norm_bound(n: int, s_max, defect, precision: int):
     """Bound on the inf- and 2-norms of S S^dagger - I (or S^2 - I) from
     ``defect``, their max-norm computed at precision + 16 bits: each entry
     of S S^dagger, at most n s_max^2, is rounded once, then I subtracted."""
-    n = len(rows)
-    s_max = max(abs(v) for row in rows for v in row)
     return n * (defect + 4 * mp.ldexp(1, -precision - 15) * (n * s_max ** 2 + 1))
 
 
@@ -494,7 +492,7 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
         if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
             return False
         s_max = max(abs(v) for row in rows for v in row)
-        delta = _defect_norm_bound(rows, defect, S.precision)
+        delta = _defect_norm_bound(n, s_max, defect, S.precision)
         if delta >= 1:
             return False
         neg_lam = [[-v / w for v, w in zip(rows[a], rows[vac])] for a in range(n)]
@@ -619,7 +617,8 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
         # E = M^2 - I gives M^-1 - M = -M E (I + E)^-1, so
         # |M^-1 - M|_max <= |M|_inf |E|_inf / (1 - |E|_inf)
         with mp.workprec(precision + 48):
-            delta = _defect_norm_bound(St.rows, invol_defect, precision)
+            m_max = max(abs(v) for row in St.rows for v in row)
+            delta = _defect_norm_bound(St.n, m_max, invol_defect, precision)
             if delta >= 1:
                 raise NonIntegralFusion("the basis-changed matrix is no involution")
             inv_defect = max(sum(map(abs, r)) for r in St.rows) * delta / (1 - delta)
