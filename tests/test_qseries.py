@@ -459,3 +459,103 @@ def test_equal_below_respects_order_cap():
     assert ok
     ok, bad = qs_equal_below(a, b, order=QQ(4))
     assert not ok and bad[0] == QQ(3)
+
+
+# -- evaluation against the per-term sum -----------------------------------------
+
+
+def ref_eval(a, tau, precision):
+    """(value, tail bound) by the per-term sum qs_eval was first written as:
+    one mpmath.exp per stored term, summed in stored order at precision + 16
+    bits, with the same heuristic tail bound."""
+    with mp.workprec(precision + 16):
+        t = mp.mpmathify(tau)
+        z = 2j * mp.pi * t
+        val = mp.mpc(0)
+        big = mp.mpf(1)
+        for e, c in a.terms.items():
+            ce = mp.mpf(c.numerator) / c.denominator
+            val += ce * mp.exp(z * mp.mpf(e.numerator) / e.denominator)
+            if abs(ce) > big:
+                big = abs(ce)
+        if a.trunc is None:
+            tail = mp.mpf(0)
+        else:
+            qabs = mp.exp(-2 * mp.pi * mp.im(t))
+            tt = a.trunc
+            tail = big * qabs ** (mp.mpf(tt.numerator) / tt.denominator) / (1 - qabs)
+        return +val, +tail
+
+
+def eval_error_bounds(a, tau, precision):
+    """Bounds on |value - sum of c q^e| for qs_eval and for ``ref_eval``.
+
+    qs_eval's is the one its docstring proves: |head| n 2^(1-P) (1 + sum|c|)
+    with P = precision + 48, n terms and head = q^(least exponent), plus
+    2^-(precision + 14) of the value.  The per-term sum rounds each argument
+    2 pi i tau e to a relative error of about 5u (u = 2^-(precision + 16)),
+    so its term c q^e is off by at most (5 |2 pi tau e| + 4) u of itself, and
+    each of the n additions by u of the running sum; both are doubled."""
+    with mp.workprec(precision + 64):
+        t = mp.mpmathify(tau)
+        terms = [(mp.mpf(e.numerator) / e.denominator, mp.mpf(c.numerator) / c.denominator)
+                 for e, c in a.terms.items()]
+        n = len(terms)
+        if not n:
+            return mp.mpf(0), mp.mpf(0)
+        qabs = mp.exp(-2 * mp.pi * mp.im(t))
+        head = qabs ** min(e for e, _ in terms)
+        value = abs(sum(c * mp.exp(2j * mp.pi * t * e) for e, c in terms))
+        kernel = (head * n * mp.ldexp(1, 1 - precision - 48)
+                  * (1 + sum(abs(c) for _, c in terms))
+                  + mp.ldexp(value, -precision - 14))
+        u = mp.ldexp(1, -precision - 16)
+        per_term = sum(abs(c) * qabs ** e * (5 * abs(2 * mp.pi * t * e) + 4 + n)
+                       for e, c in terms)
+        return kernel, 2 * u * per_term
+
+
+TAU0 = mp.mpc(-0.277839, 1.725435)
+with mp.workprec(256 + 16):
+    S_TAU0 = -1 / TAU0  # as check_s_transform_numeric forms -1/tau0
+
+
+def _chars(k, N):
+    from ospq.characters import AdmissibleLevel, component_chars_w1
+    chars = component_chars_w1(AdmissibleLevel.from_integer_level(k), N)
+    return [x for r in sorted(chars) for x in chars[r]]
+
+
+EVAL_SERIES = {
+    "fractions": QSeries({QQ(-1, 3): QQ(2, 7), QQ(0): QQ(-5, 3), QQ(1, 2): QQ(1, 1000),
+                          QQ(7, 4): QQ(22, 7), QQ(5): QQ(-9, 2)}, trunc=QQ(11, 2)),
+    "negative-and-zero": QSeries({QQ(-7, 6): 4, QQ(-1, 2): -1, QQ(0): 13, QQ(3, 2): 2},
+                                 trunc=3),
+    "single-term": QSeries.monomial(QQ(-3, 5), QQ(-7, 6), trunc=2),
+    "complete": QSeries({QQ(-1, 2): 3, QQ(0): -1, QQ(5, 3): 4}),
+    "empty": QSeries.zero(4),
+    "empty-complete": QSeries.zero(None),
+    "eta": qs_eta(30),
+}
+EVAL_TAUS = {"tau0": TAU0, "-1/tau0": S_TAU0, "0.05i": 0.05j, "8i": 8j}
+
+
+def _eval_cases():
+    for name, a in EVAL_SERIES.items():
+        for tname, tau in EVAL_TAUS.items():
+            yield pytest.param(lambda a=a: [a], tau, id="%s@%s" % (name, tname))
+    for k, N in ((1, 24), (2, 20)):
+        for tname, tau in EVAL_TAUS.items():
+            yield pytest.param(lambda k=k, N=N: _chars(k, N), tau,
+                               id="chars-k%d-N%d@%s" % (k, N, tname))
+
+
+@pytest.mark.parametrize("series, tau", list(_eval_cases()))
+def test_eval_agrees_with_the_per_term_sum(series, tau):
+    for a in series():
+        got = qs_eval(a, tau, precision=256)
+        value, tail = ref_eval(a, tau, 256)
+        kernel, per_term = eval_error_bounds(a, tau, 256)
+        assert abs(got.value - value) <= kernel + per_term
+        assert got.tail_bound == tail and got.tail_bound._mpf_ == tail._mpf_
+        assert got.precision == 256
