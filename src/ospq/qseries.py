@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 QQ = Fraction
 Rat = Union[int, Fraction]
@@ -547,6 +548,26 @@ class EvalResult:
 def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
     """Evaluate at q = exp(2 pi i tau), Im(tau) > 0, in binary precision bits.
 
+    With the keys ascending from q0 and g the gcd of their gaps, the stored
+    terms are c q^(q0/D) y^m with y = q^(g/D) and int m, so the value is
+    head * sum c y^m with head = q^(q0/D): two exp per series.  The sum runs
+    by Horner from the top key down on ints with P = precision + 48
+    fractional bits, s <- (s Y_d >> P) + c 2^P, where d is the gap to the key
+    above and Y_d is y^d floored to P bits per part, once per distinct d; a
+    Fraction c is rounded to nearest.  The result is converted once and
+    multiplied by head at precision + 16 bits.
+
+    Rounding bound.  Im(tau) > 0 gives |y^d| <= 1, so every exact partial
+    sum has modulus at most sum|c|.  y, head and y^d are computed with
+    enough guard bits for the size of tau and of the keys that Y_d is within
+    sqrt(2) + 1/8 units of 2^-P of y^d; the shift floors each part (under
+    sqrt(2) units together) and a Fraction c is off by 1/2 unit.  A step
+    therefore adds under (1.6 sum|c| + 1.9) 2^-P < 2^(1-P) (1 + sum|c|) to
+    the error it carries, which it multiplies by |Y_d| 2^-P <= 1 + 2^(1-P).
+    For n < 2^(P-8) terms the sum is within n 2^(1-P) (1 + sum|c|) of
+    sum c y^m, and the value within |head| times that plus 2^-(precision+14)
+    of its modulus for the conversion, head and the product.
+
     The tail bound is heuristic: C * |q|^T / (1 - |q|) with C the largest
     stored |coefficient| (at least 1); it is 0 for complete series.
     """
@@ -554,18 +575,34 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
         t = mpmath.mpmathify(tau)
         if mpmath.im(t) <= 0:
             raise NonconvergentDomain("evaluation requires Im(tau) > 0, got %s" % tau)
-        z = 2j * mpmath.pi * t
         val = mpmath.mpc(0)
-        big = mpmath.mpf(1)
-        for q, sl in a._s.items():
-            c, e = sl[0], QQ(q, a.D)
-            ce = mpmath.mpf(c.numerator) / c.denominator
-            val += ce * mpmath.exp(z * mpmath.mpf(e.numerator) / e.denominator)
-            if abs(ce) > big:
-                big = abs(ce)
+        keys = sorted(a._s)
+        if keys:
+            q0, P = keys[0], precision + 48
+            g = math.gcd(*(q - q0 for q in keys)) or 1
+            gaps = [(hi - lo) // g for lo, hi in zip(keys, keys[1:])] + [0]
+            # the rounding of 2 pi i tau grows with |tau| and the key span
+            span = max(keys[-1] - q0, abs(q0), 1) * (2 + int(8 * abs(t)))
+            with mpmath.workprec(P + 8 + span.bit_length()):
+                z = 2j * mpmath.pi * t / a.D
+                head, y = mpmath.exp(z * q0), mpmath.exp(z * g)
+                Y = {d: [to_fixed(x, P) for x in (y ** d)._mpc_] for d in set(gaps)}
+            sr = si = 0
+            for q, d in zip(reversed(keys), reversed(gaps)):
+                yr, yi = Y[d]
+                c = a._s[q][0]
+                c = (c << P if type(c) is int
+                     else ((c.numerator << (P + 1)) // c.denominator + 1) >> 1)
+                sr, si = ((sr * yr - si * yi) >> P) + c, (sr * yi + si * yr) >> P
+            prec, rnd = mpmath.mp._prec_rounding
+            val = mpmath.mp.make_mpc((from_man_exp(sr, -P, prec, rnd),
+                                      from_man_exp(si, -P, prec, rnd))) * head
         if a.trunc is None:
             tail = mpmath.mpf(0)
         else:
+            # rounding is monotone: this is the largest rounded |c|, as summed
+            c = max((abs(sl[0]) for sl in a._s.values()), default=0)
+            big = max(mpmath.mpf(1), mpmath.mpf(c.numerator) / c.denominator)
             qabs = mpmath.exp(-2 * mpmath.pi * mpmath.im(t))
             tt = a.trunc
             tail = big * qabs ** (mpmath.mpf(tt.numerator) / tt.denominator) / (1 - qabs)

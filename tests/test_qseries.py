@@ -559,3 +559,15 @@ def test_eval_agrees_with_the_per_term_sum(series, tau):
         assert abs(got.value - value) <= kernel + per_term
         assert got.tail_bound == tail and got.tail_bound._mpf_ == tail._mpf_
         assert got.precision == 256
+
+
+@pytest.mark.parametrize("series, tau", list(_eval_cases()))
+def test_eval_is_within_its_rounding_bound(series, tau):
+    # against the per-term sum 80 bits finer, whose own error is then far
+    # below the bound qs_eval's docstring proves
+    for a in series():
+        got = qs_eval(a, tau, precision=256)
+        value, _ = ref_eval(a, tau, 256 + 80)
+        kernel, _ = eval_error_bounds(a, tau, 256)
+        _, fine = eval_error_bounds(a, tau, 256 + 80)
+        assert abs(got.value - value) <= kernel + fine
