@@ -306,14 +306,22 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
             rows.append(row)
     S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision)
     if verify:
-        tol = derived_tolerance(precision)
-        d = S.unitarity_defect()
-        if d > tol:
-            raise InconsistentBranching(
-                "coset S-matrix unitarity defect %s exceeds %s"
-                % (mp.nstr(d, 5), mp.nstr(tol, 5)))
-        if not _verlinde_bound_holds(S, parafermion_fusion(k), d):
+        ok, why = _verlinde_bound_holds(S, parafermion_fusion(k), _unitarity_gate(S))
+        if not ok:
             raise NonIntegralFusion(
                 "the parafermion fusion tensor at k=%d is not proved to be the "
-                "Verlinde ring of the coset S-matrix within the 1e-6 gate" % k)
+                "Verlinde ring of the coset S-matrix within the 1e-6 gate: %s"
+                % (k, why))
     return S
+
+
+def _unitarity_gate(S: SMatrix):
+    """S.unitarity_defect(), once it is within the derived tolerance;
+    InconsistentBranching otherwise."""
+    tol = derived_tolerance(S.precision)
+    d = S.unitarity_defect()
+    if d > tol:
+        raise InconsistentBranching(
+            "coset S-matrix unitarity defect %s exceeds %s"
+            % (mp.nstr(d, 5), mp.nstr(tol, 5)))
+    return d

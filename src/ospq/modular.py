@@ -406,13 +406,15 @@ def _extended_columns(k: int, cols, precision: int):
 # -- Verlinde formulas --------------------------------------------------------
 
 
-def verlinde_standard(S: SMatrix) -> FusionTensor:
+def verlinde_standard(S: SMatrix, defect=None) -> FusionTensor:
     """Fusion tensor read off S by the Verlinde formula, then proved.
 
     The candidate N_{ab}^c = round(Re sum_x S_{ax} S_{bx} conj(S_{cx}) /
     S_{vac,x}) is read in complex doubles (S^-1 = S^dagger for unitary S)
     and returned only if ``verlinde_matches`` proves it, which also rejects
-    negative coefficients; otherwise NonIntegralFusion is raised.
+    negative coefficients; otherwise NonIntegralFusion is raised, naming
+    the first part of the proof that failed.  ``defect`` is
+    S.unitarity_defect(), for a caller that has already computed it.
     """
     L, vac = S.labels, S.vacuum_index
     with mp.workprec(S.precision + 16):
@@ -431,10 +433,12 @@ def verlinde_standard(S: SMatrix) -> FusionTensor:
                 if m:
                     coeffs[(L[a], L[b], L[c])] = coeffs[(L[b], L[a], L[c])] = m
     tensor = FusionTensor(L, L[vac], coeffs)
-    if not verlinde_matches(S, tensor):
+    ok, why = _verlinde_bound_holds(
+        S, tensor, S.unitarity_defect() if defect is None else defect)
+    if not ok:
         raise NonIntegralFusion(
             "the fusion tensor read off S is not proved to be the Verlinde "
-            "ring of S within the 1e-6 gate")
+            "ring of S within the 1e-6 gate: %s" % why)
     return tensor
 
 
@@ -456,7 +460,7 @@ def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
     sign checks apply here too.  N_a has a few entries per row, so forming
     N_a S costs O(n) per nonzero coefficient.
     """
-    return _verlinde_bound_holds(S, tensor, S.unitarity_defect())
+    return _verlinde_bound_holds(S, tensor, S.unitarity_defect())[0]
 
 
 def _defect_norm_bound(n: int, s_max, defect, precision: int):
@@ -466,8 +470,11 @@ def _defect_norm_bound(n: int, s_max, defect, precision: int):
     return n * (defect + 4 * mp.ldexp(1, -precision - 15) * (n * s_max ** 2 + 1))
 
 
-def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
-    """``verlinde_matches`` given ``defect = S.unitarity_defect()``.
+def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect
+                          ) -> Tuple[bool, Optional[str]]:
+    """(ok, why) of ``verlinde_matches`` given ``defect = S.unitarity_defect()``:
+    why says, when the proof fails, which check failed first, and for the
+    row bound the row (a, b), its norm and its limit.
 
     For a caller that has already computed the defect of the same S.  The
     defect is rounded at S.precision + 16 bits; the residual is formed 32
@@ -479,22 +486,22 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
     vac = S.vacuum_index
     index = S._index
     if set(tensor.labels) != set(S.labels) or tensor.unit != S.labels[vac]:
-        return False
+        return False, "its labels or unit differ from those of S"
     # terms[a][b] = [(N_ab^c, c), ...] over the nonzero coefficients
     terms = [[[] for _ in range(n)] for _ in range(n)]
     for key, m in tensor.items():
         if m < 0 or any(x not in index for x in key):
-            return False
+            return False, "coefficient %s = %d is negative or off the labels" % (key, m)
         a, b, c = (index[x] for x in key)
         terms[a][b].append((m, c))
     rows = S.rows
     with mp.workprec(S.precision + 48):
         if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
-            return False
+            return False, "the vacuum row of S nearly vanishes"
         s_max = max(abs(v) for row in rows for v in row)
         delta = _defect_norm_bound(n, s_max, defect, S.precision)
         if delta >= 1:
-            return False
+            return False, "the bound %s on |SS* - I|_2 is not below 1" % mp.nstr(delta, 3)
         neg_lam = [[-v / w for v, w in zip(rows[a], rows[vac])] for a in range(n)]
         lam_max = max(abs(v) for lam in neg_lam for v in lam)
         n_max = max(sum(m for m, _ in t) for row in terms for t in row)
@@ -503,7 +510,8 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
         rounding = n * 8 * u * s_max * (lam_max + n_max)
         slack = mp.mpf(VERLINDE_GATE) * mp.sqrt(1 - delta) - rounding
         if slack <= 0:
-            return False
+            return False, "the rounding bound %s leaves no room below the gate" % (
+                mp.nstr(rounding, 3))
         # |row b of R_a|_2 + rounding <= gate sqrt(1 - delta), squared
         limit = (1 - 4 * u) * slack ** 2
         # R_a on the exact kernel: entry (b, y) is the exact sum of the
@@ -532,8 +540,12 @@ def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect) -> bool:
                 ints, e_r = _ints(R)
                 norm2 = from_man_exp(sum(v * v for v in ints), 2 * e_r, prec, rnd)
                 if mp.make_mpf(norm2) > limit:
-                    return False
-    return True
+                    return False, (
+                        "row (a, b) = (%s, %s) of N_a S - S Lambda_a has norm %s, "
+                        "above its limit %s" % (S.labels[a], S.labels[b],
+                                      mp.nstr(mp.sqrt(mp.make_mpf(norm2)), 3),
+                                      mp.nstr(mp.sqrt(limit), 3)))
+    return True, None
 
 
 @dataclass(frozen=True)

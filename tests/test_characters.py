@@ -372,7 +372,7 @@ def test_order_shortfall_is_a_verification_error(monkeypatch):
         component_chars_w1(LEVELS[0], 3)
 
 
-# -- the series that qs_eval sums in stored order -------------------------------------
+# -- the series the s-transform check evaluates ----------------------------------------
 
 
 def _w1_digest(k, N):
@@ -392,9 +392,10 @@ W1_DIGESTS = {
 
 @pytest.mark.parametrize("k, N", list(W1_DIGESTS))
 def test_evaluated_characters_keep_their_stored_order(k, N):
-    """The s-transform check sums these series term by term in stored order,
-    so their residual bytes depend on it; (k, N) are its benchmark orders.
-    Re-record with ``PYTHONPATH=src python3 tests/test_characters.py``."""
+    """The s-transform check evaluates these series; (k, N) are its benchmark
+    orders.  qs_eval sums by ascending key, so its value does not depend on
+    the stored order; the digest pins the terms, that order, trunc and D
+    together.  Re-record with ``PYTHONPATH=src python3 tests/test_characters.py``."""
     assert _w1_digest(k, N) == W1_DIGESTS[(k, N)]
 
 

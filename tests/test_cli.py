@@ -6,8 +6,10 @@ from fractions import Fraction as QQ
 
 import pytest
 from click.testing import CliRunner
+from mpmath import mp
 
 import ospq.cli as cli
+import ospq.coset as coset
 import ospq.modular as modular
 from ospq.cli import main
 from ospq.theta import IncompleteQuotient
@@ -88,9 +90,40 @@ def test_coset_verlinde_proof_needs_ten_bits():
     assert json.loads(res.output) == {
         "ok": False, "error": "NonIntegralFusion",
         "detail": "the parafermion fusion tensor at k=2 is not proved to be "
-                  "the Verlinde ring of the coset S-matrix within the 1e-6 gate"}
+                  "the Verlinde ring of the coset S-matrix within the 1e-6 gate: "
+                  "row (a, b) = (CosetLabel(nu=0, r=3), CosetLabel(nu=0, r=3)) of "
+                  "N_a S - S Lambda_a has norm 1.37e-6, above its limit 1.0e-6"}
     for precision in ("10", "12"):
         assert run("coset-smatrix", "-k", "2", "--precision", precision).exit_code == 0
+
+
+def test_coset_verlinde_proves_its_ring_once(monkeypatch):
+    # the coset matrix is built without its own proof: its unitarity gate
+    # runs once, and verlinde_standard proves the ring it reads off S
+    calls = {"proof": 0, "defect": 0}
+    proof, defect = modular._verlinde_bound_holds, modular.SMatrix.unitarity_defect
+
+    def counted_proof(*args):
+        calls["proof"] += 1
+        return proof(*args)
+
+    def counted_defect(S):
+        calls["defect"] += 1
+        return defect(S)
+
+    for module in (modular, coset):
+        monkeypatch.setattr(module, "_verlinde_bound_holds", counted_proof)
+    monkeypatch.setattr(modular.SMatrix, "unitarity_defect", counted_defect)
+    assert _stdout_digest("verlinde --family coset -k 2") == (
+        0, OUTPUT_DIGESTS["verlinde --family coset -k 2"])
+    assert calls == {"proof": 1, "defect": 1}
+
+
+def test_coset_verlinde_keeps_the_unitarity_gate(monkeypatch):
+    monkeypatch.setattr(modular.SMatrix, "unitarity_defect", lambda S: mp.mpf(1))
+    res = run("verlinde", "--family", "coset", "-k", "2")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "InconsistentBranching"
 
 
 def test_vir_verlinde_proof_needs_eleven_bits():
@@ -107,7 +140,9 @@ def test_vir_verlinde_proof_needs_eleven_bits():
 
 @pytest.mark.parametrize("command,detail", [
     ("verlinde --family vir -k 2", "the fusion tensor read off S is not proved "
-     "to be the Verlinde ring of S within the 1e-6 gate"),
+     "to be the Verlinde ring of S within the 1e-6 gate: row (a, b) = "
+     "(VirLabel(r=1, s=2), VirLabel(r=1, s=6)) of N_a S - S Lambda_a has norm "
+     "1.15e-6, above its limit 1.0e-6"),
     ("verlinde-super -k 2", "refined entry (1,1,5)/+ = -1.01613e-6 fails the gate"),
 ])
 def test_low_precision_verlinde_failure_detail(command, detail):
