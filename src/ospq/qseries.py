@@ -591,7 +591,7 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
             for q, d in zip(reversed(keys), reversed(gaps)):
                 yr, yi = Y[d]
                 c = a._s[q][0]
-                c = (c << P if type(c) is int
+                c = (c << P if isinstance(c, int)
                      else ((c.numerator << (P + 1)) // c.denominator + 1) >> 1)
                 sr, si = ((sr * yr - si * yi) >> P) + c, (sr * yi + si * yr) >> P
             prec, rnd = mpmath.mp._prec_rounding
@@ -600,7 +600,7 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
         if a.trunc is None:
             tail = mpmath.mpf(0)
         else:
-            # rounding is monotone: this is the largest rounded |c|, as summed
+            # rounding is monotone, so this is the largest of the rounded |c|
             c = max((abs(sl[0]) for sl in a._s.values()), default=0)
             big = max(mpmath.mpf(1), mpmath.mpf(c.numerator) / c.denominator)
             qabs = mpmath.exp(-2 * mpmath.pi * mpmath.im(t))
