@@ -23,8 +23,8 @@ from . import __version__
 from .characters import (AdmissibleLevel, InvalidLabel, OspLabel, Sl2Label,
                          VirLabel, osp_char, sl2_char, verify_decomposition,
                          verify_theta_identity, vir_char)
-from .coset import (CosetLabel, _unitarity_gate, coset_char_direct,
-                    coset_char_phase_sum, coset_smatrix)
+from .coset import (CosetLabel, coset_char_direct, coset_char_phase_sum,
+                    coset_smatrix, coset_unitarity_gate)
 from .fusion import (FusionTensor, OutOfRange, check_level, osp_fusion,
                      parafermion_fusion, sl2_fusion, vir_fusion)
 from .modular import (SMatrix, check_s_transform_numeric,
@@ -398,13 +398,10 @@ def _smatrix_table(S: SMatrix, family: str) -> str:
     return "\n".join(lines)
 
 
-def _build_smatrix(family, k, u, p, precision, verify=True):
-    """The family's S-matrix and its parameters; ``verify=False`` builds a
-    coset matrix without its unitarity gate and Verlinde proof."""
+def _build_smatrix(family, k, u, p, precision):
     params = _family_params(family, k, u, p)
-    if family == "coset":
-        return coset_smatrix(params["k"], precision, verify), params
-    build = {"vir": vir_smatrix, "sl2": sl2_smatrix, "extended": extended_smatrix}[family]
+    build = {"vir": vir_smatrix, "sl2": sl2_smatrix,
+             "extended": extended_smatrix, "coset": coset_smatrix}[family]
     return build(*params.values(), precision), params
 
 
@@ -479,10 +476,15 @@ def verlinde_cmd(family, k, u, p, precision, fmt, out):
     """Verlinde fusion from the S-matrix, checked against the combinatorial
     tensor (exit 1 on mismatch)."""
     def body():
-        # a coset matrix passes its unitarity gate here, and its ring is
-        # proved once, by verlinde_standard
-        S, params = _build_smatrix(family, k, u, p, precision, verify=False)
-        ft = verlinde_standard(S, _unitarity_gate(S) if family == "coset" else None)
+        if family == "coset":
+            # the coset matrix passes its unitarity gate here, and its ring
+            # is proved once, by verlinde_standard
+            params = _family_params(family, k, u, p)
+            S = coset_smatrix(params["k"], precision, verify=False)
+            coset_unitarity_gate(S)
+        else:
+            S, params = _build_smatrix(family, k, u, p, precision)
+        ft = verlinde_standard(S)
         if family == "vir":
             oracle = vir_fusion(params["u"], params["p"])
         elif family == "sl2":

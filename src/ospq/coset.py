@@ -306,7 +306,7 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
             rows.append(row)
     S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision)
     if verify:
-        ok, why = _verlinde_bound_holds(S, parafermion_fusion(k), _unitarity_gate(S))
+        ok, why = _verlinde_bound_holds(S, parafermion_fusion(k), coset_unitarity_gate(S))
         if not ok:
             raise NonIntegralFusion(
                 "the parafermion fusion tensor at k=%d is not proved to be the "
@@ -315,7 +315,7 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
     return S
 
 
-def _unitarity_gate(S: SMatrix):
+def coset_unitarity_gate(S: SMatrix):
     """S.unitarity_defect(), once it is within the derived tolerance;
     InconsistentBranching otherwise."""
     tol = derived_tolerance(S.precision)

@@ -406,15 +406,14 @@ def _extended_columns(k: int, cols, precision: int):
 # -- Verlinde formulas --------------------------------------------------------
 
 
-def verlinde_standard(S: SMatrix, defect=None) -> FusionTensor:
+def verlinde_standard(S: SMatrix) -> FusionTensor:
     """Fusion tensor read off S by the Verlinde formula, then proved.
 
     The candidate N_{ab}^c = round(Re sum_x S_{ax} S_{bx} conj(S_{cx}) /
     S_{vac,x}) is read in complex doubles (S^-1 = S^dagger for unitary S)
     and returned only if ``verlinde_matches`` proves it, which also rejects
     negative coefficients; otherwise NonIntegralFusion is raised, naming
-    the first part of the proof that failed.  ``defect`` is
-    S.unitarity_defect(), for a caller that has already computed it.
+    the first part of the proof that failed.
     """
     L, vac = S.labels, S.vacuum_index
     with mp.workprec(S.precision + 16):
@@ -433,8 +432,7 @@ def verlinde_standard(S: SMatrix, defect=None) -> FusionTensor:
                 if m:
                     coeffs[(L[a], L[b], L[c])] = coeffs[(L[b], L[a], L[c])] = m
     tensor = FusionTensor(L, L[vac], coeffs)
-    ok, why = _verlinde_bound_holds(
-        S, tensor, S.unitarity_defect() if defect is None else defect)
+    ok, why = _verlinde_bound_holds(S, tensor, S.unitarity_defect())
     if not ok:
         raise NonIntegralFusion(
             "the fusion tensor read off S is not proved to be the Verlinde "
