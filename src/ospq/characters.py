@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .qseries import (QQ, QSeries, Rat, VerificationError, as_fraction, qs_eta,
                       qs_mul, _qs_div)
@@ -46,7 +45,6 @@ from .theta import (
     wq_mul,
     wq_scalar,
     wq_specialize_w1,
-    wq_specialize_w_signed,
 )
 
 
@@ -217,10 +215,6 @@ class AdmissibleLevel:
         if not (1 <= s <= self.p - 1):
             raise InvalidLabel("second index %d outside [1, %d]" % (s, self.p - 1))
         return label
-
-    def vir_canonical(self, label: VirLabel) -> VirLabel:
-        self.check_vir(label)
-        return vir_canonical(self.u, self.p, label.r, label.s)
 
     def osp_labels(self) -> List[OspLabel]:
         return [
@@ -467,15 +461,6 @@ def component_chars_w1(level: AdmissibleLevel, N: Rat
     sign.
     """
     return _chars_w1(level, range(1, level.p), N)
-
-
-def char_w_signed_direct(level: AdmissibleLevel, label: OspLabel, N: Rat) -> QSeries:
-    """Signed specialisation w^x -> (-1)^{2x} applied directly to the
-    two-variable character (integer level, local modules only); used to
-    cross-check the component-built signed character."""
-    if not level.is_integer_level:
-        raise InvalidLabel("direct specialisation requires an integer level")
-    return wq_specialize_w_signed(osp_char(level, label, N))
 
 
 def is_integer_graded(level: AdmissibleLevel, r: int, N: Rat = 6) -> bool:

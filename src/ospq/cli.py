@@ -171,7 +171,7 @@ def order_option(f):
 
 
 def precision_option(f):
-    return click.option("--precision", type=int, default=256,
+    return click.option("--precision", type=click.IntRange(min=1), default=256,
                         envvar="OSPQ_PRECISION",
                         help="Working precision in bits "
                              "(env OSPQ_PRECISION, default 256).")(f)
@@ -713,7 +713,12 @@ def selftest_cmd(fast, criteria, fmt, out):
         if progress:
             click.echo(res.line(), err=True)
 
-    results = run_all(fast=fast, only=criteria or None, report=report)
+    try:
+        results = run_all(fast=fast, only=criteria or None, report=report)
+    except VERIFY_ERRORS:
+        raise  # a criterion's own failure, not the caller's input
+    except ValueError as ex:
+        raise click.UsageError(str(ex))
     all_ok = all(r.passed for r in results)
     payload = {
         "command": "selftest", "fast": fast,

@@ -4,15 +4,14 @@ A local module (odd index r) over the rank-one lattice subalgebra splits
 into 2k charge sectors; this module extracts each sector's character by two
 independent routes -- direct charge grading of the two-variable character,
 and a root-of-unity phase projection computed exactly in Z[zeta_m], with no
-tolerance -- and builds the coset T-phases and S-matrix, whose Verlinde ring
-is proved to be the independently built parafermion fusion tensor.
+tolerance -- and builds the coset S-matrix, whose Verlinde ring is proved
+to be the independently built parafermion fusion tensor.  The sector
+T-phases are ``modular.t_matrix("coset", k)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from mpmath import mp
@@ -47,28 +46,6 @@ def _check_label(k: int, label) -> CosetLabel:
         raise InvalidLabel(
             "module index must be odd in [1, %d], got %r" % (2 * k + 2, r))
     return CosetLabel(nu % (2 * k), r)
-
-
-@dataclass(frozen=True)
-class LatticeData:
-    """The rank-one even lattice underlying the charge decomposition."""
-
-    k: int
-
-    def __post_init__(self):
-        check_level(self.k)
-
-    @property
-    def gram(self) -> int:
-        return 2 * self.k
-
-    @property
-    def dual_order(self) -> int:
-        return 2 * self.k
-
-    def pairing(self, a: int, b: int) -> Fraction:
-        """Pairing of dual-class representatives a, b in Z/2kZ."""
-        return Fraction(a * b, 2 * self.k)
 
 
 def coset_labels(k: int) -> Tuple[CosetLabel, ...]:
@@ -216,35 +193,6 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
             raise InconsistentBranching(
                 "phase sum at q^%s = %s is not an integer" % (QQ(q, out.D), sl[0]))
     return out
-
-
-def coset_t_phase(k: int, label, precision: int = 256):
-    """T-matrix phase of a coset sector, e^{2 pi i (h - c_coset/24)}.
-
-    The weight is the local-component weight minus the Heisenberg weight
-    nu^2/(4k); the phase exponent is cross-checked (mod 1, exactly) against
-    the lowest exponent of the sector character itself.
-    """
-    label = _check_label(k, label)
-    level = AdmissibleLevel.from_integer_level(k)
-    exponent = (level.component_weight(1, label.r)
-                - QQ(label.nu ** 2, 4 * k) - (level.c_osp - 1) / 24)
-    order = QQ(2)
-    for _ in range(4):
-        ch = coset_char_direct(k, label, order)
-        if not ch.is_zero:
-            break
-        order *= 2
-    else:
-        raise InconsistentBranching(
-            "sector character vanishes to order %s" % order)
-    low = ch.min_exp()
-    if (low - exponent).denominator != 1:
-        raise InconsistentBranching(
-            "T exponent %s does not match lowest series exponent %s mod 1"
-            % (exponent, low))
-    with mp.workprec(precision + 16):
-        return mp.expjpi(2 * _mpq(exponent))
 
 
 def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:

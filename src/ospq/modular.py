@@ -19,7 +19,7 @@ tolerances are 10^(1 - precision/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -169,22 +169,6 @@ class SMatrix:
             return _max_defect(_product(self.rows, self.rows), _identity(self.n))
 
 
-class ExtendedSMatrix(SMatrix):
-    """S-matrix over the 4k+4 labels (r, 'even'/'odd'), r = 1..2k+2."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k, labels, rows, vacuum_index, precision):
-        super().__init__(labels, rows, vacuum_index, precision)
-        self.k = k
-
-    def block(self, pa: str, pb: str) -> List[List[mpmath.mpf]]:
-        n2 = len(self.labels) // 2
-        oa = 0 if pa == "even" else n2
-        ob = 0 if pb == "even" else n2
-        return [[self.rows[oa + i][ob + j] for j in range(n2)] for i in range(n2)]
-
-
 class TMatrix:
     """Diagonal matrix of phases e^{2 pi i (h - c/24)}."""
 
@@ -217,17 +201,6 @@ class TMatrix:
         with mp.workprec(self.precision + 16):
             e = self.exponent(a)
             return mp.expjpi(2 * _mpq(e))
-
-    def as_matrix(self) -> mpmath.matrix:
-        with mp.workprec(self.precision + 16):
-            M = mp.zeros(self.n)
-            for i, a in enumerate(self.labels):
-                M[i, i] = self.phase(a)
-            return M
-
-
-def unitarity_defect(S: SMatrix):
-    return S.unitarity_defect()
 
 
 def st_cube_defect(S: SMatrix, T: TMatrix):
@@ -371,7 +344,7 @@ def extended_labels(k: int) -> List[Tuple[int, str]]:
     return [(r, "even") for r in rng] + [(r, "odd") for r in rng]
 
 
-def extended_smatrix(k: int, precision: int = 256) -> ExtendedSMatrix:
+def extended_smatrix(k: int, precision: int = 256) -> SMatrix:
     """S-matrix over the even/odd components of the 2k+2 modules.
 
     Blocks: even-even is the signed sine table itself; even-odd carries the
@@ -381,7 +354,7 @@ def extended_smatrix(k: int, precision: int = 256) -> ExtendedSMatrix:
     labels = extended_labels(k)
     check_level(k)
     rows = _extended_columns(k, labels, precision)
-    return ExtendedSMatrix(k, labels, rows, labels.index((1, "even")), precision)
+    return SMatrix(labels, rows, labels.index((1, "even")), precision)
 
 
 def _extended_columns(k: int, cols, precision: int):
@@ -576,17 +549,11 @@ class SuperVerlinde:
         sdim = eps * eps2 * eps3 * self.n_minus.get((r, r2, r3), 0)
         return SuperFusionEntry((total + sdim) // 2, (total - sdim) // 2)
 
-    def magnitudes(self) -> Dict[Tuple[int, int, int], int]:
-        return dict(self.n_plus)
-
-
-def stilde_matrix(k: int, precision: int = 256) -> SMatrix:
-    """S-matrix in the (plus, minus) basis: per-entry either 2 s_{r,t} or 0,
-    selected by the parity pattern of basis and label."""
-    return _stilde_from_table(s_table(k, precision), precision)
-
 
 def _stilde_from_table(s, precision: int) -> SMatrix:
+    """S-matrix in the (plus, minus) basis from the sine table ``s``: per
+    entry either 2 s_{r,t} or 0, selected by the parity pattern of basis and
+    label."""
     rng = range(1, len(s) + 1)
     labels = [(r, "+") for r in rng] + [(r, "-") for r in rng]
     with mp.workprec(precision + 16):
@@ -692,12 +659,8 @@ class FPReport:
         raise KeyError(name)
 
 
-def fp_ratios(S: SMatrix, ref_label) -> Dict[Hashable, mpmath.mpf]:
-    """The ring character X -> S[X, Z] / S[vac, Z] at reference column Z."""
-    return _column_ratios(S.labels, S.rows, S.index(ref_label), S.vacuum_index)
-
-
 def _column_ratios(labels, rows, z: int, vac: int) -> Dict[Hashable, mpmath.mpf]:
+    """The ring character X -> S[X, Z] / S[vac, Z] at reference column z."""
     return {a: row[z] / rows[vac][z] for a, row in zip(labels, rows)}
 
 
@@ -730,7 +693,7 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
     (their Kac reflection checked as in ``vir_smatrix``), and column
     (2, 'even') of the extended matrix from one column of ``s_table``.
     Each entry is the expression the full matrix uses, so every item is
-    bit-identical to the ratios ``fp_ratios`` reads off the full matrices.
+    bit-identical to the column ratios of the full matrices.
     """
     check_level(k)
     u, p = k + 2, 2 * k + 3

@@ -19,10 +19,9 @@ from .characters import (AdmissibleLevel, Sl2Label, VirLabel,
                          is_integer_graded, osp_vacuum_central_charge,
                          sl2_char, verify_decomposition, verify_theta_identity,
                          vir_char)
-from .coset import (CosetLabel, coset_char_direct, coset_char_phase_sum,
-                    coset_labels, coset_reassembly, coset_smatrix)
-from .fusion import osp_fusion, parafermion_fusion, sl2_fusion, super_fusion, \
-    vir_fusion
+from .coset import (coset_char_direct, coset_char_phase_sum, coset_labels,
+                    coset_reassembly, coset_smatrix)
+from .fusion import osp_fusion, sl2_fusion, super_fusion, vir_fusion
 from .modular import (check_s_transform_numeric, extended_smatrix,
                       fp_dimension_report, min_conformal_weight, sl2_smatrix,
                       st_cube_defect, t_matrix, verlinde_matches,
@@ -315,6 +314,10 @@ def run_all(fast: bool = False, only: Optional[Iterable[int]] = None,
             report: Optional[Callable[[CriterionResult], None]] = None
             ) -> List[CriterionResult]:
     wanted = set(only) if only else None
+    unknown = sorted(wanted - {number for number, _ in CRITERIA}) if wanted else []
+    if unknown:
+        raise ValueError("unknown criterion %s; the criteria are 1-%d"
+                         % (", ".join(map(str, unknown)), len(CRITERIA)))
     results = []
     for number, fn in CRITERIA:
         if wanted is not None and number not in wanted:

@@ -138,9 +138,6 @@ class WQSeries(_Lattice):
             return None
         return QQ(max(max(sl) for sl in self._s.values()), self.W)
 
-    def w_exponents(self):
-        return {QQ(w, self.W) for sl in self._s.values() for w in sl}
-
     def w_slice(self, we: Rat) -> QSeries:
         """The q-series multiplying w^we (guaranteed to order q_trunc)."""
         we = as_fraction(we)

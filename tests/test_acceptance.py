@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ospq.selftest import CRITERIA
+from ospq.selftest import CRITERIA, run_all
 
 NAMES = {
     1: "theta-identity",
@@ -33,3 +33,10 @@ def test_criterion(number, fn):
     result = fn(False)  # full-size run, stated tolerances
     print(result.line(), file=sys.stderr)
     assert result.passed, result.line()
+
+
+def test_run_all_rejects_unknown_numbers_before_running_any():
+    ran = []
+    with pytest.raises(ValueError, match="unknown criterion 0, 11"):
+        run_all(fast=True, only=[11, 4, 0], report=ran.append)
+    assert ran == []

@@ -14,7 +14,6 @@ from ospq.characters import (
     Sl2Label,
     VirLabel,
     char_w1,
-    char_w_signed_direct,
     component_chars_w1,
     is_integer_graded,
     osp_char,
@@ -28,7 +27,8 @@ from ospq.characters import (
 )
 from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
                           qs_invert, qs_mul)
-from ospq.theta import vartheta1_times_i, weyl_denominator, wq_equal_on_box, wq_mul
+from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_equal_on_box, wq_mul,
+                        wq_specialize_w_signed)
 
 LEVELS = (
     AdmissibleLevel(5, 1),
@@ -159,9 +159,9 @@ def test_weight_tables_at_level_one():
 
 def test_kac_table_symmetry_picks_canonical():
     lvl = LEVELS[0]
-    assert lvl.vir_canonical(VirLabel(2, 4)) == VirLabel(1, 1)
-    assert lvl.vir_canonical(VirLabel(2, 1)) == VirLabel(1, 4)
-    assert lvl.vir_canonical(VirLabel(1, 2)) == VirLabel(1, 2)
+    assert vir_canonical(lvl.u, lvl.p, 2, 4) == VirLabel(1, 1)
+    assert vir_canonical(lvl.u, lvl.p, 2, 1) == VirLabel(1, 4)
+    assert vir_canonical(lvl.u, lvl.p, 1, 2) == VirLabel(1, 2)
 
 
 # -- frozen character slices -----------------------------------------------------
@@ -250,7 +250,7 @@ def test_character_is_the_exact_quotient_on_its_box(lvl, label, char, numerator,
         # complete w-support inside the isospin + depth bound
         assert ch.w_floor is None
         bound = QQ(lvl.p, 2) + N + 1
-        assert all(abs(we) <= bound for we in ch.w_exponents())
+        assert all(abs(we) <= bound for _, we, _ in ch.items())
     else:
         lower = char(lvl, label, N, w_floor=ch.w_floor - 3)
         assert lower.w_floor == ch.w_floor - 3
@@ -325,7 +325,7 @@ def test_char_w1_routes_agree():
 def test_signed_specialisation_direct_route():
     lvl = LEVELS[0]
     for r in (1, 3):  # local modules
-        direct = char_w_signed_direct(lvl, OspLabel(r, 0), 6)
+        direct = wq_specialize_w_signed(osp_char(lvl, OspLabel(r, 0), 6))
         built = char_w1(lvl, r, 6, signed=True)
         ok, bad = qs_equal_below(direct, built, order=6)
         assert ok, (r, bad)

@@ -350,6 +350,33 @@ def test_selftest_fast_subset():
     assert all(c["passed"] for c in payload["criteria"])
 
 
+@pytest.mark.parametrize("number", ["11", "0"])
+def test_selftest_unknown_criterion_is_usage_error(number):
+    res = run("selftest", "--criterion", number)
+    assert res.exit_code == 2
+    assert "unknown criterion %s" % number in res.output
+    assert '"ok"' not in res.output  # no criteria ran, so no payload
+
+
+def test_selftest_single_known_criterion_runs():
+    res = run("selftest", "--criterion", "4")
+    assert res.exit_code == 0
+    assert [c["number"] for c in json.loads(res.output)["criteria"]] == [4]
+
+
+@pytest.mark.parametrize("args,env", [
+    (("smatrix", "--family", "sl2", "-k", "1", "--precision", "-40"), None),
+    (("smatrix", "--family", "sl2", "-k", "1", "--precision", "0"), None),
+    (("fpdim", "-k", "1", "--precision", "-20"), None),
+    (("fpdim", "-k", "1"), {"OSPQ_PRECISION": "0"}),
+])
+def test_precision_below_one_is_usage_error(args, env):
+    res = run(*args, env=env)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "--precision" in res.output and "x>=1" in res.output
+
+
 # -- byte identity of the documented outputs --------------------------------------------
 
 # sha256 of the stdout of each command, recorded before a refactor that must

@@ -11,17 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ospq.coset as coset
+import ospq.modular as modular
 from ospq.characters import AdmissibleLevel, InvalidLabel, VirLabel, char_w1, vir_char
 from ospq.coset import (
     CosetLabel,
     InconsistentBranching,
-    LatticeData,
     coset_char_direct,
     coset_char_phase_sum,
     coset_labels,
     coset_reassembly,
     coset_smatrix,
-    coset_t_phase,
     lattice_theta,
 )
 from ospq.fusion import OutOfRange, parafermion_fusion
@@ -44,14 +43,6 @@ def test_label_grid():
     )
     assert len(coset_labels(2)) == 12
     assert len(coset_labels(3)) == 24  # 2k charges x (k+1) odd module indices
-
-
-def test_lattice_data():
-    L = LatticeData(2)
-    assert L.gram == 4
-    assert L.dual_order == 4
-    assert L.pairing(1, 3) == QQ(3, 4)
-    assert L.pairing(2, 2) == 1
 
 
 def test_label_validation():
@@ -174,11 +165,41 @@ def test_phase_sum_margin_failure_is_a_branching_error(monkeypatch):
 # -- sector T phases -----------------------------------------------------------------
 
 
+def _coset_t_phase(k: int, label, precision: int = 256):
+    """T-matrix phase of a coset sector, e^{2 pi i (h - c_coset/24)}: the
+    independent reference for t_matrix("coset").
+
+    The weight is the local-component weight minus the Heisenberg weight
+    nu^2/(4k); the phase exponent is cross-checked (mod 1, exactly) against
+    the lowest exponent of the sector character itself.
+    """
+    label = coset._check_label(k, label)
+    level = AdmissibleLevel.from_integer_level(k)
+    exponent = (level.component_weight(1, label.r)
+                - QQ(label.nu ** 2, 4 * k) - (level.c_osp - 1) / 24)
+    order = QQ(2)
+    for _ in range(4):
+        ch = coset_char_direct(k, label, order)
+        if not ch.is_zero:
+            break
+        order *= 2
+    else:
+        raise InconsistentBranching(
+            "sector character vanishes to order %s" % order)
+    low = ch.min_exp()
+    if (low - exponent).denominator != 1:
+        raise InconsistentBranching(
+            "T exponent %s does not match lowest series exponent %s mod 1"
+            % (exponent, low))
+    with mp.workprec(precision + 16):
+        return mp.expjpi(2 * modular._mpq(exponent))
+
+
 def test_t_phase_frozen_values():
     with mp.workprec(300):
-        vac = coset_t_phase(1, (0, 1))
+        vac = _coset_t_phase(1, (0, 1))
         assert abs(vac - mp.expjpi(QQ(1, 20))) < mp.mpf(10) ** -60
-        charged = coset_t_phase(1, (1, 1))
+        charged = _coset_t_phase(1, (1, 1))
         assert abs(charged - mp.expjpi(2 * QQ(-9, 40))) < mp.mpf(10) ** -60
         assert abs(abs(charged) - 1) < mp.mpf(10) ** -60
 
@@ -187,7 +208,7 @@ def test_t_phase_matches_t_matrix_family():
     T = t_matrix("coset", 2)
     with mp.workprec(300):
         for lab in coset_labels(2):
-            assert abs(T.phase(lab) - coset_t_phase(2, lab)) < mp.mpf(10) ** -60
+            assert abs(T.phase(lab) - _coset_t_phase(2, lab)) < mp.mpf(10) ** -60
 
 
 # -- reassembly of the one-variable characters ------------------------------------------

@@ -1,0 +1,62 @@
+"""The package surface: what ``ospq`` exports, no import left unused, and the
+README's library example run as written."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import ospq
+
+SRC = Path(ospq.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# names the package no longer exports; each had no caller outside the tests
+REMOVED = ("CRITERIA", "ExtendedSMatrix", "LatticeData", "char_w_signed_direct",
+           "coset_t_phase", "fp_ratios", "stilde_matrix", "unitarity_defect")
+
+# (module, name) imported only to be re-exported from that module
+REEXPORTS = {("theta", "IncompleteQuotient")}
+
+
+def test_all_lists_exactly_the_public_attributes():
+    assert len(ospq.__all__) == len(set(ospq.__all__))
+    public = {name for name, value in vars(ospq).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(ospq.__all__) == public
+
+
+def test_removed_names_are_gone():
+    assert [name for name in REMOVED if hasattr(ospq, name)] == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in imported.items() if name not in used}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name, line in _unused_imports(path).items():
+            if (path.stem, name) not in REEXPORTS:
+                unused.append("%s:%d %s" % (path.name, line, name))
+    assert unused == []
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md (## Library)", "exec"), {})
