@@ -25,6 +25,7 @@ factors exact below M is exact below M - 1/8 at least.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -419,25 +420,31 @@ def osp_vacuum_central_charge(level: AdmissibleLevel) -> QQ:
 # -- specialised one-variable characters (integer level) ----------------------
 
 
-def _chars_w1(level: AdmissibleLevel, rs, N: Rat
-              ) -> Dict[int, Tuple[QSeries, QSeries]]:
-    """(plain, signed) w -> 1 characters of the modules r in ``rs``, to order N."""
+@functools.lru_cache(maxsize=8)
+def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries]]:
+    """(plain, signed) w -> 1 characters of every module r = 1..p-1, to order N.
+
+    Each sl2 factor is built once, and each Virasoro factor once per Kac
+    class, since (i, r) and (u-i, p-r) name the same character.  The table
+    depends only on (level, N) and is kept for the next caller: the series
+    it returns are shared and must not be mutated.
+    """
     if not level.is_integer_level:
         raise InvalidLabel("one-variable specialisations require an integer level")
-    for r in rs:
-        if not (1 <= r <= level.p - 1):
-            raise InvalidLabel("module index %d outside [1, %d]" % (r, level.p - 1))
-    N = as_fraction(N)
     M = N + 2
+    u, p = level.u, level.p
     sl2_parts = {
-        i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M))
-        for i in range(1, level.u)
+        i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M)) for i in range(1, u)
     }
+    vir: Dict[VirLabel, QSeries] = {}
     out = {}
-    for r in rs:
+    for r in range(1, p):
         plus = minus = QSeries({}, None)
-        for i in range(1, level.u):
-            part = qs_mul(sl2_parts[i], vir_char(level, VirLabel(i, r), M))
+        for i in range(1, u):
+            label = vir_canonical(u, p, i, r)
+            if label not in vir:
+                vir[label] = vir_char(level, label, M)
+            part = qs_mul(sl2_parts[i], vir[label])
             plus = plus + part
             minus = minus + (part if i % 2 == 1 else -1 * part)
         _require_order(plus.trunc, N, "w -> 1 character of module %d" % r)
@@ -448,7 +455,9 @@ def _chars_w1(level: AdmissibleLevel, rs, N: Rat
 def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSeries:
     """w -> 1 specialisation of the r-th module's character (integer level),
     signed with ``signed``; see :func:`component_chars_w1`."""
-    return _chars_w1(level, (r,), N)[r][1 if signed else 0]
+    if not (1 <= r <= level.p - 1):
+        raise InvalidLabel("module index %d outside [1, %d]" % (r, level.p - 1))
+    return _w1_table(level, as_fraction(N))[r][1 if signed else 0]
 
 
 def component_chars_w1(level: AdmissibleLevel, N: Rat
@@ -460,7 +469,7 @@ def component_chars_w1(level: AdmissibleLevel, N: Rat
     character the odd components (even branching index) enter with a minus
     sign.
     """
-    return _chars_w1(level, range(1, level.p), N)
+    return dict(_w1_table(level, as_fraction(N)))
 
 
 def is_integer_graded(level: AdmissibleLevel, r: int, N: Rat = 6) -> bool:

@@ -43,9 +43,17 @@ VERLINDE_GATE = 1e-6
 
 
 def derived_tolerance(precision: int):
-    """Default numeric tolerance 10^(1 - precision/4) at the given bits."""
+    """Default numeric tolerance 10^(1 - precision/4) at the given bits.
+
+    Raises ValueError when that is not below 1 (precision <= 4 bits): every
+    check gated by such a tolerance would pass whatever it compared.
+    """
     with mp.workprec(precision + 16):
-        return mp.mpf(10) ** (1 - Fraction(precision, 4))
+        tol = mp.mpf(10) ** (1 - Fraction(precision, 4))
+    if tol >= 1:
+        raise ValueError("precision %d bits gives tolerance %s, not below 1; "
+                         "need at least 5 bits" % (precision, mp.nstr(tol, 3)))
+    return tol
 
 
 def _mpq(x) -> mpmath.mpf:

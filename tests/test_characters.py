@@ -28,7 +28,7 @@ from ospq.characters import (
 from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
                           qs_invert, qs_mul)
 from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_equal_on_box, wq_mul,
-                        wq_specialize_w_signed)
+                        wq_specialize_w1, wq_specialize_w_signed)
 
 LEVELS = (
     AdmissibleLevel(5, 1),
@@ -316,10 +316,35 @@ def test_char_w1_routes_agree():
     table = component_chars_w1(lvl, 6)
     assert set(table) == {1, 2, 3, 4, 5, 6}
     for r, (plus, minus) in table.items():
-        ok, bad = qs_equal_below(plus, char_w1(lvl, r, 6), order=6)
+        assert char_w1(lvl, r, 6) is plus and char_w1(lvl, r, 6, signed=True) is minus
+    for r in (1, 3, 5):  # local modules: specialise the osp character directly
+        direct = wq_specialize_w1(osp_char(lvl, OspLabel(r, 0), 6))
+        ok, bad = qs_equal_below(direct, table[r][0], order=6)
         assert ok, (r, bad)
-        ok, bad = qs_equal_below(minus, char_w1(lvl, r, 6, signed=True), order=6)
-        assert ok, (r, bad)
+
+
+def test_w1_table_builds_each_factor_once(monkeypatch):
+    calls = {"vir_char": 0, "sl2_char": 0}
+    for name in calls:
+        real = getattr(characters, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(characters, name, counted)
+    lvl = LEVELS[1]  # k = 2: (u, p) = (4, 7)
+    table = component_chars_w1(lvl, 4)
+    assert calls == {"vir_char": (4 - 1) * (7 - 1) // 2, "sl2_char": 4 - 1}
+    table.clear()
+    again = component_chars_w1(lvl, 4)
+    assert set(again) == set(range(1, 7))
+    for r in again:
+        for signed in (False, True):
+            assert char_w1(lvl, r, 4, signed) is again[r][signed]
+    with pytest.raises(InvalidLabel):
+        char_w1(lvl, 7, 5)  # the label is checked before any table is built
+    assert calls == {"vir_char": 9, "sl2_char": 3}
 
 
 def test_signed_specialisation_direct_route():

@@ -377,6 +377,16 @@ def test_precision_below_one_is_usage_error(args, env):
     assert "--precision" in res.output and "x>=1" in res.output
 
 
+@pytest.mark.parametrize("command", ["fpdim -k 1", "coset-smatrix -k 1"])
+def test_precision_without_a_tolerance_is_usage_error(command):
+    # at 2 bits the derived tolerance 10^(1 - 2/4) is above 1, so every
+    # gated check would pass whatever it compared
+    res = run(*command.split(), "--precision", "2")
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "not below 1" in res.output
+
+
 # -- byte identity of the documented outputs --------------------------------------------
 
 # sha256 of the stdout of each command, recorded before a refactor that must

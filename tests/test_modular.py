@@ -40,6 +40,10 @@ def test_derived_tolerance_scales_with_precision():
     tol = derived_tolerance(256)
     assert mp.mpf("0.9e-63") < tol < mp.mpf("1.1e-63")
     assert derived_tolerance(128) < derived_tolerance(64)
+    assert derived_tolerance(5) < 1
+    for precision in (1, 2, 4):  # 10^(1 - p/4) >= 1: no check could fail
+        with pytest.raises(ValueError, match="not below 1"):
+            derived_tolerance(precision)
 
 
 # -- frozen S-matrix entries ------------------------------------------------------
