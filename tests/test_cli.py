@@ -396,7 +396,9 @@ def test_precision_without_a_tolerance_is_usage_error(command):
 # S-transform at a tau0 off the imaginary axis, whose twisted modules carry
 # half-integer exponents and whose numbers depend on the order in which the
 # series products store their terms, then two coset sectors by the phase
-# projection alone (`--method both` prints the direct series).  After an intended output change,
+# projection alone (`--method both` prints the direct series), then the
+# outputs that read the CLI's per-family label text, fusion oracle and S/T
+# dispatch and that no entry above covers.  After an intended output change,
 # re-record with `PYTHONPATH=src python tests/test_cli.py`, which prints this
 # table.
 OUTPUT_DIGESTS = {
@@ -464,6 +466,24 @@ OUTPUT_DIGESTS = {
         '0a1936665b846e9c03ddd8723c73171032856c2ad66475f0b7a67f6acb80df8b',
     'coset-char -k 1 --nu 1 -r 1 -N 12 --method phase':
         'dc32f495c8d12daebc990271bfd89fc66149e0a30e02d067e80c97a3e78a0abf',
+    'fusion --family parafermion -k 2':
+        '212f86c0649dfd2c0983d2b4758ecbb5731f25da93e2e0cda0e0e00cf74a198c',
+    'fusion --family parafermion -k 2 --format table':
+        '166d3c25d03046f99f4ebd7e37054363bdaa7c1e962f1384393967819019ac38',
+    'fusion --family sl2 -k 2 --format table':
+        'a0c77db9fe66ce8af17a0f5ce5313938c9d6d28e078cf50e953a9fa9e4165b84',
+    'smatrix --family sl2 -k 2 --format table':
+        '78d437110fb271441a97c6dc899882e486744a7f21b1645067668ebedc521062',
+    'smatrix --family coset -k 1 --format table':
+        '901f5e9e7b3c73c5e72ee80213f91dc328bc07d3b7a832c0cca11b83426dc417',
+    'tmatrix --family sl2 -k 2 --format table':
+        '789379f13bb2a160a6bf9963d5acd1fd469cbfdec01d0cba791ef0e0eff445df',
+    'tmatrix --family extended -k 1 --format table':
+        '5f769029be1b252755871c8f29cb88129aa6bc1299b3b1c49e878f13c8dd4123',
+    'verlinde --family sl2 -k 2 --format table':
+        'f8779cda0052cc578c7a6eb840b7e1caddc373bebad10d694938096eb8e3bbb1',
+    'verlinde --family coset -k 1 --format table':
+        '2132c4663d779096a2055aa5926291d28391c5e1a475e450c65e945089eb0e74',
 }
 
 
