@@ -280,47 +280,43 @@ def _den_order(num_min: QQ, N: QQ) -> QQ:
 
 
 def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
-                   N: QQ, w_floor: Optional[Rat]) -> WQSeries:
+                   N: QQ) -> WQSeries:
     """num / denominator(M) on the box q < N, with M large enough for that box.
 
-    At integer level with no ``w_floor`` the quotient is computed without a
-    floor, so the division itself proves every q-slice's w-support complete.
-    Otherwise the slices are descending series in w, cut at ``w_floor``
-    (default -(N+4)).
+    At integer level the quotient is computed without a floor, so the
+    division itself proves every q-slice's w-support complete.  At
+    fractional level the slices are descending series in w, cut at the
+    fixed floor w = -(N+4).
     """
     if num.is_zero:
         return WQSeries((), N, None)
-    if level.is_integer_level and w_floor is None:
-        F = None
-    else:
-        F = -(N + 4) if w_floor is None else as_fraction(w_floor)
+    F = None if level.is_integer_level else -(N + 4)
     return wq_div(num, denominator(_den_order(num.min_q(), N)), q_trunc=N, w_floor=F)
 
 
-def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat,
-             w_floor: Optional[Rat] = None) -> WQSeries:
+def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     """Character of the superalgebra module, exact on the returned box.
 
     For integer levels the result carries the complete w-support of every
     q-slice (no floor).  For fractional levels the slices are genuinely
-    infinite descending series in w and the result is cut at ``w_floor``
-    (default -(N+4)).
+    infinite descending series in w and the result is cut at the fixed
+    floor w = -(N+4).
     """
     N = as_fraction(N)
     num = osp_numerator(level, label, N + 1)
-    return _quotient_char(level, num, weyl_denominator, N, w_floor)
+    return _quotient_char(level, num, weyl_denominator, N)
 
 
-def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat,
-             w_floor: Optional[Rat] = None) -> WQSeries:
+def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
     """Character of the affine sl2 module, exact on the returned box.
 
     Same floor policy as :func:`osp_char`: complete w-support at integer
-    level, floored descending expansion otherwise.
+    level, a descending expansion cut at the fixed floor w = -(N+4)
+    otherwise.
     """
     N = as_fraction(N)
     num = sl2_numerator(level, label, N + 1)
-    return _quotient_char(level, num, vartheta1_times_i, N, w_floor)
+    return _quotient_char(level, num, vartheta1_times_i, N)
 
 
 def vir_char(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:

@@ -12,13 +12,13 @@ T-phases are ``modular.t_matrix("coset", k)``.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from mpmath import mp
 
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
                          OspLabel, char_w1, osp_char)
-from .fusion import check_level, parafermion_fusion
+from .fusion import CosetLabel, check_level, coset_labels, parafermion_fusion
 from .modular import (SMatrix, NonIntegralFusion, _mpq, _verlinde_bound_holds,
                       derived_tolerance, s_table)
 from .qseries import (QQ, QSeries, VerificationError, as_fraction,
@@ -30,13 +30,6 @@ class InconsistentBranching(VerificationError):
     """Raised when the charge identification fails an internal cross-check."""
 
 
-class CosetLabel(NamedTuple):
-    """Coset sector label: lattice charge nu mod 2k and odd module index r."""
-
-    nu: int
-    r: int
-
-
 def _check_label(k: int, label) -> CosetLabel:
     check_level(k)
     nu, r = label
@@ -46,12 +39,6 @@ def _check_label(k: int, label) -> CosetLabel:
         raise InvalidLabel(
             "module index must be odd in [1, %d], got %r" % (2 * k + 2, r))
     return CosetLabel(nu % (2 * k), r)
-
-
-def coset_labels(k: int) -> Tuple[CosetLabel, ...]:
-    check_level(k)
-    return tuple(CosetLabel(nu, r) for nu in range(2 * k)
-                 for r in range(1, 2 * k + 3) if r % 2 == 1)
 
 
 def lattice_theta(k: int, nu: int, N) -> QSeries:

@@ -10,7 +10,7 @@ parafermion coset crosses the superalgebra rule with a cyclic group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, NamedTuple, Optional, Tuple
 
 from .characters import VirLabel, vir_canonical, vir_labels
 
@@ -245,22 +245,35 @@ def super_fusion(k: int, r: int, eps: int, r_prime: int, eps_prime: int,
     return SuperFusionEntry(n, 0) if sign > 0 else SuperFusionEntry(0, n)
 
 
+class CosetLabel(NamedTuple):
+    """Coset sector label: lattice charge nu mod 2k and odd module index r."""
+
+    nu: int
+    r: int
+
+
+def coset_labels(k: int) -> Tuple[CosetLabel, ...]:
+    """The coset sector labels in the one order shared by the coset fusion
+    tensor, S-matrix and T-matrix: nu = 0..2k-1, then r odd in 1..2k+2."""
+    check_level(k)
+    return tuple(CosetLabel(nu, r) for nu in range(2 * k)
+                 for r in range(1, 2 * k + 3) if r % 2 == 1)
+
+
 def parafermion_fusion(k: int) -> FusionTensor:
     """Fusion tensor of the parafermion coset at positive integer level k.
 
-    Labels are pairs (nu mod 2k, r) with r odd in 1..2k+2; the cyclic charge
-    adds and the r-indices fuse by the window rule at 2k+3.
+    Labels are :func:`coset_labels`; the cyclic charge adds and the
+    r-indices fuse by the window rule at 2k+3.
     """
-    check_level(k)
-    n_charge = 2 * k
-    r_vals = tuple(r for r in range(1, 2 * k + 3) if r % 2 == 1)
-    labels = tuple((nu, r) for nu in range(n_charge) for r in r_vals)
+    labels = coset_labels(k)
+    r_vals = sorted({lab.r for lab in labels})
     coeffs = {}
-    for (nu, r) in labels:
-        for (lam, rp) in labels:
-            mu = (nu + lam) % n_charge
+    for a in labels:
+        for b in labels:
+            mu = (a.nu + b.nu) % (2 * k)
             for rs in r_vals:
-                n = n_coeff(2 * k + 3, r, rp, rs)
+                n = n_coeff(2 * k + 3, a.r, b.r, rs)
                 if n:
-                    coeffs[((nu, r), (lam, rp), (mu, rs))] = n
-    return FusionTensor(labels, (0, 1), coeffs)
+                    coeffs[(a, b, CosetLabel(mu, rs))] = n
+    return FusionTensor(labels, CosetLabel(0, 1), coeffs)

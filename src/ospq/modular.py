@@ -31,7 +31,8 @@ from mpmath.libmp import from_man_exp, fzero
 from .characters import (AdmissibleLevel, VirLabel, component_chars_w1,
                          vir_canonical, vir_central_charge, vir_labels,
                          vir_weight)
-from .fusion import FusionTensor, OutOfRange, SuperFusionEntry, check_level
+from .fusion import (FusionTensor, OutOfRange, SuperFusionEntry, check_level,
+                     coset_labels)
 from .qseries import NonconvergentDomain, VerificationError, qs_eval
 
 
@@ -762,7 +763,7 @@ def t_matrix(family: str, params, precision: int = 256) -> TMatrix:
 
     families: 'vir' with params (u, p); 'sl2' with params k; 'extended'
     with params k (even/odd components, locality flags recomputed from the
-    weights); 'coset' with params k.
+    weights); 'coset' with params k, labels ``fusion.coset_labels(k)``.
     """
     if family == "vir":
         u, p = params
@@ -791,8 +792,7 @@ def t_matrix(family: str, params, precision: int = 256) -> TMatrix:
     if family == "coset":
         k = params
         level = AdmissibleLevel.from_integer_level(k)
-        labels = [(nu, r) for nu in range(2 * k)
-                  for r in range(1, 2 * k + 3) if r % 2 == 1]
+        labels = coset_labels(k)
         weights = [
             level.component_weight(1, r) - Fraction(nu * nu, 4 * k)
             for (nu, r) in labels

@@ -27,8 +27,8 @@ from ospq.characters import (
 )
 from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
                           qs_invert, qs_mul)
-from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_equal_on_box, wq_mul,
-                        wq_specialize_w1, wq_specialize_w_signed)
+from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_div, wq_equal_on_box,
+                        wq_mul, wq_specialize_w1, wq_specialize_w_signed)
 
 LEVELS = (
     AdmissibleLevel(5, 1),
@@ -252,7 +252,9 @@ def test_character_is_the_exact_quotient_on_its_box(lvl, label, char, numerator,
         bound = QQ(lvl.p, 2) + N + 1
         assert all(abs(we) <= bound for _, we, _ in ch.items())
     else:
-        lower = char(lvl, label, N, w_floor=ch.w_floor - 3)
+        # the division cut three w-steps lower agrees above the fixed floor
+        lower = wq_div(numerator(lvl, label, N + 1), denominator(N + 2),
+                       q_trunc=N, w_floor=ch.w_floor - 3)
         assert lower.w_floor == ch.w_floor - 3
         above = {qe: {we: c for we, c in sl.items() if we >= ch.w_floor}
                  for qe, sl in lower.terms.items()}

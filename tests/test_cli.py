@@ -177,6 +177,35 @@ def test_level_flags_are_exclusive():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command,message", [
+    ("smatrix --family vir -k 2 -u 3 -p 5", "not both"),
+    ("verlinde --family vir -k 1 -u 3", "not both"),
+    ("minweight -k 2 -u 3 -p 5", "not both"),
+    ("fusion --family osp -k 1 -u 7", "vir family only"),
+    ("tmatrix --family sl2 -k 1 -p 5", "vir family only"),
+    ("decompose -p 3 --pprime 5 -s 1 -N 2", "together with -r"),
+    ("theta-identity -k 1 -s 0", "together with -r"),
+])
+def test_a_flag_the_command_would_ignore_is_usage_error(command, message):
+    res = run(*command.split())
+    assert res.exit_code == 2
+    assert message in res.output
+    assert '"command"' not in res.output  # nothing was computed
+
+
+@pytest.mark.parametrize("command,reads", [
+    ("fusion", ("fusion", "label")),
+    ("smatrix", ("smatrix", "label")),
+    ("tmatrix", ("label",)),
+    ("verlinde", ("smatrix", "fusion", "label")),
+])
+def test_every_family_choice_has_a_table_entry(command, reads):
+    family = next(o for o in main.commands[command].params if o.name == "family")
+    for name in family.type.choices:
+        entry = cli.FAMILIES[name]
+        assert all(callable(getattr(entry, field)) for field in reads), name
+
+
 # -- identity verification commands ------------------------------------------------
 
 
