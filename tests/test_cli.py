@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -59,6 +61,18 @@ def test_char_fractional_level():
 def test_char_invalid_label_is_usage_error():
     res = run("char", "--family", "osp", "-k", "1", "-r", "2", "-N", "2")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command,message", [
+    ("char --family sl2 -k 1 -r 9", "first index 9 outside [1, 2]"),
+    ("char --family vir -k 1 -r 1 -s 9", "second index 9 outside [1, 4]"),
+    ("theta-identity -k 1 -r 2", "indices (2, 0) must have odd sum"),
+    ("decompose -k 1 -r 7", "first index 7 outside [1, 4]"),
+])
+def test_label_outside_the_level_is_usage_error(command, message):
+    res = run(*command.split())
+    assert res.exit_code == 2
+    assert "Error: %s" % message in res.output
 
 
 def test_incomplete_quotient_is_verification_failure(monkeypatch):
@@ -427,7 +441,9 @@ def test_precision_without_a_tolerance_is_usage_error(command):
 # series products store their terms, then two coset sectors by the phase
 # projection alone (`--method both` prints the direct series), then the
 # outputs that read the CLI's per-family label text, fusion oracle and S/T
-# dispatch and that no entry above covers.  After an intended output change,
+# dispatch and that no entry above covers, then a k=3 S-transform whose
+# S-matrix rows hold exact-zero sines and a k=4 refined Verlinde table.
+# After an intended output change,
 # re-record with `PYTHONPATH=src python tests/test_cli.py`, which prints this
 # table.
 OUTPUT_DIGESTS = {
@@ -513,6 +529,10 @@ OUTPUT_DIGESTS = {
         'f8779cda0052cc578c7a6eb840b7e1caddc373bebad10d694938096eb8e3bbb1',
     'verlinde --family coset -k 1 --format table':
         '2132c4663d779096a2055aa5926291d28391c5e1a475e450c65e945089eb0e74',
+    'stransform-check -k 3 --tau0 0.3j -N 16':
+        '228b5c462b7657fdbe3d99312fbd2b3421a74cb438bdf83d7f2a3c5872bc63ba',
+    'verlinde-super -k 4 --format table':
+        '64e156dce62f0a83e9e426546c2d33d1b055ae7cfda9492fd3c59503fc6b0c18',
 }
 
 
@@ -524,6 +544,17 @@ def _stdout_digest(command):
 @pytest.mark.parametrize("command", list(OUTPUT_DIGESTS))
 def test_documented_output_is_byte_identical(command):
     assert _stdout_digest(command) == (0, OUTPUT_DIGESTS[command])
+
+
+def test_every_readme_cli_example_is_pinned():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    lines = blocks[0].splitlines()
+    assert lines and all(line.startswith("ospq ") for line in lines)
+    commands = [line.split("#", 1)[0][len("ospq "):].strip() for line in lines]
+    assert [c for c in commands if c not in OUTPUT_DIGESTS] == []
 
 
 if __name__ == "__main__":
