@@ -390,9 +390,12 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
 
     Compares the superalgebra character against the sum over i of
     (affine sl2 character at label (i, s)) * (Virasoro character at label
-    (i, r)), on the common guarantee box up to order N.
+    (i, r)), on the common guarantee box up to order N.  Raises ValueError
+    for N <= 0, whose box holds no term to compare.
     """
     N = as_fraction(N)
+    if N <= 0:
+        raise ValueError("truncation order must be positive")
     level.check_osp(label)
     M = N + 4
     lhs = osp_char(level, label, M)

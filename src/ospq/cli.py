@@ -209,9 +209,12 @@ def level_options(f):
 
 def _parse_order(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        N = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise click.UsageError("invalid order %r" % text)
+    if N <= 0:
+        raise click.UsageError("truncation order must be positive")
+    return N
 
 
 def _catch(fn):
@@ -254,11 +257,11 @@ def char_cmd(family, k, p, pprime, r, s, order, fmt, out):
     level = _resolve_level(k, p, pprime)
     N = _parse_order(order)
     if family == "osp":
-        series = osp_char(level, level.check_osp(OspLabel(r, s)), N)
+        series = osp_char(level, OspLabel(r, s), N)
     elif family == "sl2":
-        series = sl2_char(level, level.check_sl2(Sl2Label(r, s)), N)
+        series = sl2_char(level, Sl2Label(r, s), N)
     else:
-        series = vir_char(level, level.check_vir(VirLabel(r, s)), N)
+        series = vir_char(level, VirLabel(r, s), N)
     payload = {
         "command": "char", "family": family,
         "level": {"p": level.p, "p_prime": level.p_prime,
@@ -302,7 +305,7 @@ def _identity_command(name, verify_fn, default_order, help_text):
         level = _resolve_level(k, p, pprime)
         N = _parse_order(order)
         if r is not None:
-            labels = [level.check_osp(OspLabel(r, 0 if s is None else s))]
+            labels = [OspLabel(r, 0 if s is None else s)]
         else:
             labels = level.osp_labels()
         reports = [(lab, verify_fn(level, lab, N)) for lab in labels]

@@ -4,15 +4,15 @@ and parity-refined), Frobenius-Perron dimension identities, and numeric
 checks of the character S-transformations.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
-cyclotomics.  Every high-precision dot product and S-matrix product (refined
-Verlinde sums, defects, the Verlinde proof) runs on one integer kernel: each
+cyclotomics.  Every high-precision dot product and S-matrix product (defects,
+the Verlinde proof) runs on one integer kernel: each
 vector is shifted onto ints over one power of two, the products are summed
 exactly and the sum is rounded once, bit-identical to ``mp.fdot`` and to
 mpmath's matrix product; no matrix is inverted.  ``verlinde_matches`` proves
 in O(n^3) that a fusion tensor is the Verlinde ring of S;
 ``verlinde_standard`` reads its candidate ring off S in complex doubles and
-returns it only through that proof.  ``verlinde_super`` gates its refined
-sums to integers within 1e-6.  ``fp_dimension_report`` builds only the S
+returns it only through that proof.  ``verlinde_super`` counts its
+refined integers exactly.  ``fp_dimension_report`` builds only the S
 columns it reads.  The default working precision is 256 bits and derived
 tolerances are 10^(1 - precision/4).
 """
@@ -534,7 +534,8 @@ class SuperVerlinde:
 
     ``n_plus`` holds the total intertwiner dimensions (even-index sums),
     ``n_minus`` the signed dimensions before parity decoration (odd-index
-    sums); ``entry`` decorates them into SuperFusionEntry values.
+    sums), an equal dict, as ``verlinde_super`` proves; ``entry`` decorates
+    them into SuperFusionEntry values.
     """
 
     k: int
@@ -560,44 +561,45 @@ class SuperVerlinde:
 
 
 def _stilde_from_table(s, precision: int) -> SMatrix:
-    """S-matrix in the (plus, minus) basis from the sine table ``s``: per
-    entry either 2 s_{r,t} or 0, selected by the parity pattern of basis and
-    label."""
+    """S-matrix in the (plus, minus) basis from the sine table ``s``: entry
+    ((r, a), (t, b)) is 2 s_{r,t} when t is even exactly for a = '+' and r
+    is even exactly for b = '+', and 0 otherwise."""
     rng = range(1, len(s) + 1)
     labels = [(r, "+") for r in rng] + [(r, "-") for r in rng]
     with mp.workprec(precision + 16):
-        rows = []
-        for (r, a) in labels:
-            row = []
-            for (t, b) in labels:
-                re, te = r % 2 == 0, t % 2 == 0
-                hit = ((a == "+" and b == "+" and re and te)
-                       or (a == "+" and b == "-" and not re and te)
-                       or (a == "-" and b == "+" and re and not te)
-                       or (a == "-" and b == "-" and not re and not te))
-                row.append(2 * s[r - 1][t - 1] if hit else mp.mpf(0))
-            rows.append(row)
+        rows = [[2 * s[r - 1][t - 1]
+                 if (t % 2 == 0) == (a == "+") and (r % 2 == 0) == (b == "+")
+                 else mp.mpf(0) for (t, b) in labels] for (r, a) in labels]
     return SMatrix(labels, rows, labels.index((1, "+")), precision)
 
 
 def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     """Parity-refined Verlinde data in the changed (plus/minus) basis.
 
-    Evaluates the parity-gated sums
-    N^{+} = delta(r+r'+r'' odd) * 4 * sum over even t of s s s / s_{1,t},
-    N^{-} = the same over odd t, and gates both to integers.  Each sum is
-    an exact dot product, rounded once, of the weight row
-    s_{r,t} s_{r',t} / s_{1,t} (built once per r, r' and parity) with
-    column r'' of the sine table, both as integer vectors over one power of
-    two; the bits are those of ``mp.fdot``.  The basis-changed matrix M is
-    built from the same table; its involution defect max|M^2 - I| is
-    reported with a proven bound on |M^-1 - M| derived from it, so no
-    inverse is formed.
+    For r + r' + r'' odd, N^{+} = 4 * sum over even t of s_{r,t} s_{r',t}
+    s_{r'',t} / s_{1,t} and N^{-}, the same over odd t (t = 1..n-1,
+    n = 2k+3), are counted exactly, with no float and no gate.  With
+    h = k+2, s_{r,t} = (-1)^(r+t) n^(-1/2) sin(r theta), theta = pi t h/n,
+    and the signs cancel.  With z = e^(i theta), sin(r'' theta)/sin(theta)
+    = sum over j < r'' of z^(r''-1-2j) and sin(r theta) sin(r' theta) =
+    -1/4 sum over e, e' = +-1 of e e' z^(e r + e' r'), so the summand is
+    -1/(4n) sum over e, e', j of e e' z^E, E = e r + e' r' + r'' - 1 - 2j.
+    It is even and 2n-periodic in t and vanishes at t = 0 and t = n, so
+    each t-parity class of 1..n-1 is half a character sum over Z/2n under
+    the projector (1 +- (-1)^t)/2.  The plain part gives 2n [2n | hE]; the
+    (-1)^t part needs 2n | hE + n, which fails as hE is even and n odd.
+    Hence N^{+} = N^{-} = -1/2 sum over e, e', j of e e' [2n | hE], an
+    integer since (e, e') and (-e, -e') count alike.  As gcd(h, 2n) <= 2
+    (n = 2h - 1) and E is even, [2n | hE] = [2n | E]: the refined ring is
+    the sl2 window rule of height n.
+
+    The basis-changed matrix M is built from the sine table; its
+    involution defect max|M^2 - I| is reported with a proven bound on
+    |M^-1 - M| derived from it, so no inverse is formed.
     """
     check_level(k)
-    nmax = 2 * k + 2
-    s = s_table(k, precision)
-    St = _stilde_from_table(s, precision)
+    n, h = 2 * k + 3, k + 2
+    St = _stilde_from_table(s_table(k, precision), precision)
     with mp.workprec(precision + 16):
         invol_defect = St.square_defect_from_identity()
         # E = M^2 - I gives M^-1 - M = -M E (I + E)^-1, so
@@ -608,33 +610,17 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
             if delta >= 1:
                 raise NonIntegralFusion("the basis-changed matrix is no involution")
             inv_defect = max(sum(map(abs, r)) for r in St.rows) * delta / (1 - delta)
-
-        # 0-based t of the even and of the odd labels, and
-        # cols[parity][r3 - 1] = s_{t+1, r3} over those t
-        ts = (range(1, nmax, 2), range(0, nmax, 2))
-        cols = [[_fixed([s[t][c] for t in tp]) for c in range(nmax)] for tp in ts]
-        n_plus = {}
-        n_minus = {}
-        for r in range(1, nmax + 1):
-            for r2 in range(1, nmax + 1):
-                weights = [_fixed([s[r - 1][t] * s[r2 - 1][t] / s[0][t] for t in tp])
-                           for tp in ts]
-                for r3 in range(1, nmax + 1):
-                    if (r + r2 + r3) % 2 == 0:
-                        continue
-                    for parity, store in ((0, n_plus), (1, n_minus)):
-                        v = 4 * _dot(weights[parity], cols[parity][r3 - 1])
-                        nint = int(mp.nint(v))
-                        if abs(v - nint) > VERLINDE_GATE or nint < 0:
-                            raise NonIntegralFusion(
-                                "refined entry (%d,%d,%d)/%s = %s fails the gate"
-                                % (r, r2, r3, "+-"[parity], mp.nstr(v)))
-                        if nint:
-                            store[(r, r2, r3)] = nint
-        if n_plus != n_minus:
-            raise NonIntegralFusion(
-                "even- and odd-index sums disagree; wrong coefficient table")
-    return SuperVerlinde(k, precision, n_plus, n_minus, St, invol_defect,
+    rng = range(1, n)
+    n_plus = {}
+    for r in rng:
+        for r2 in rng:
+            for r3 in range(1 + (r + r2) % 2, n, 2):  # r + r2 + r3 odd
+                count = sum(e * e2 for e in (1, -1) for e2 in (1, -1)
+                            for j in range(r3)
+                            if h * (e * r + e2 * r2 + r3 - 1 - 2 * j) % (2 * n) == 0)
+                if count:
+                    n_plus[(r, r2, r3)] = -count // 2
+    return SuperVerlinde(k, precision, n_plus, dict(n_plus), St, invol_defect,
                          inv_defect)
 
 
@@ -835,41 +821,40 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
                               ) -> STransformReport:
     """Numeric check of the one-variable character S-transformations.
 
-    For each module index r, evaluates the plain and signed specialised
-    characters at -1/tau0 and compares against the sine-coefficient
-    combinations of characters at tau0: plain characters of local modules
-    map to signed characters of twisted indices (and so on through the four
-    parity cases).  Truncation tails enter the per-entry tolerance.
+    The characters are keyed by the labels of the plus/minus S-matrix S~
+    of ``verlinde_super``: (r, '+') is the plain specialised character of
+    module r, (r, '-') the signed one.  For each label (r, a), r first,
+    then plus, then minus, its character at -1/tau0 is compared against
+    the sum over the nonzero entries of S~'s row (r, a) of the entry times
+    the character of its column at tau0.  Truncation tails enter the
+    per-entry tolerance.  Raises ValueError for an order N <= 0, whose
+    empty series would leave nothing to compare.
     """
     level = AdmissibleLevel.from_integer_level(k)
     N = Fraction(N)
+    if N <= 0:
+        raise ValueError("truncation order must be positive")
     chars = component_chars_w1(level, N)
-    nmax = 2 * k + 2
     base_tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         tau0 = mp.mpc(tau0)
         if mp.im(tau0) <= 0:
             raise NonconvergentDomain("tau must lie in the upper half plane")
         tau1 = -1 / tau0
-        s = s_table(k, precision)
+        St = _stilde_from_table(s_table(k, precision), precision)
+        series = {(r, a): chars[r][0 if a == "+" else 1] for (r, a) in St.labels}
         # evaluations at tau0 (right-hand sides)
-        ev_plus = {r: qs_eval(chars[r][0], tau0, precision) for r in chars}
-        ev_minus = {r: qs_eval(chars[r][1], tau0, precision) for r in chars}
+        ev = {lab: qs_eval(ch, tau0, precision) for lab, ch in series.items()}
         entries = []
-        for r in range(1, nmax + 1):
-            for variant in ("plus", "minus"):
-                series = chars[r][0] if variant == "plus" else chars[r][1]
-                lhs = qs_eval(series, tau1, precision)
-                t_parity = 0 if variant == "plus" else 1
+        for r in range(1, 2 * k + 3):
+            for a, variant in (("+", "plus"), ("-", "minus")):
+                lhs = qs_eval(series[(r, a)], tau1, precision)
                 rhs = mp.mpf(0)
                 tail = mp.mpf(lhs.tail_bound)
-                for t in range(1, nmax + 1):
-                    if t % 2 != t_parity:
-                        continue
-                    coeff = 2 * s[r - 1][t - 1]
-                    target = ev_minus[t] if r % 2 == 1 else ev_plus[t]
-                    rhs += coeff * target.value
-                    tail += abs(coeff) * mp.mpf(target.tail_bound)
+                for lab, coeff in zip(St.labels, St.rows[St.index((r, a))]):
+                    if coeff:
+                        rhs += coeff * ev[lab].value
+                        tail += abs(coeff) * mp.mpf(ev[lab].tail_bound)
                 resid = abs(lhs.value - rhs)
                 tol = max(base_tol, 10 * tail)
                 entries.append(

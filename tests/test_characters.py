@@ -387,6 +387,12 @@ def test_kac_labels_are_one_sorted_table():
         assert [vir_canonical(u, p, u - l.r, p - l.s) for l in labels] == labels
 
 
+@pytest.mark.parametrize("N", [0, -1, QQ(-1, 2)])
+def test_decomposition_rejects_a_non_positive_order(N):
+    with pytest.raises(ValueError, match="truncation order must be positive"):
+        verify_decomposition(LEVELS[0], OspLabel(1, 0), N)
+
+
 def test_order_shortfall_is_a_verification_error(monkeypatch):
     # a Virasoro factor whose box falls short by as much as the order grows;
     # the decomposition must not report "holds to order 3" on a smaller box

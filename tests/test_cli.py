@@ -152,16 +152,21 @@ def test_vir_verlinde_proof_needs_eleven_bits():
      "to be the Verlinde ring of S within the 1e-6 gate: row (a, b) = "
      "(VirLabel(r=1, s=2), VirLabel(r=1, s=6)) of N_a S - S Lambda_a has norm "
      "1.15e-6, above its limit 1.0e-6"),
-    ("verlinde-super -k 2", "refined entry (1,1,5)/+ = -1.01613e-6 fails the gate"),
 ])
 def test_low_precision_verlinde_failure_detail(command, detail):
-    # the standard ring fails its proof; each refined sum is an exact dot
-    # product rounded once, so the value reported for a failing entry is
-    # that of the single rounding
+    # the standard ring fails its proof and names the row it failed on
     res = run(*command.split(), "--precision", "8")
     assert res.exit_code == 1
     assert json.loads(res.output) == {
         "ok": False, "error": "NonIntegralFusion", "detail": detail}
+
+
+def test_low_precision_refined_verlinde_keeps_its_entries():
+    # the refined integers are counted exactly, so no precision moves them
+    low = run("verlinde-super", "-k", "2", "--precision", "8")
+    assert low.exit_code == 0
+    full = run("verlinde-super", "-k", "2")
+    assert json.loads(low.output)["entries"] == json.loads(full.output)["entries"]
 
 
 def test_missing_level_is_usage_error():
@@ -382,6 +387,19 @@ def test_order_env_override():
 def test_bad_order_is_usage_error():
     res = run("char", "-k", "1", "-r", "1", "-N", "x/y")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [
+    "char -k 1 -r 1 -N 0",
+    "decompose -k 1 -N 0",
+    "decompose -k 1 -N -1",
+    "stransform-check -k 1 -N 0",
+    "coset-char -k 1 --nu 0 -r 1 -N 0",
+])
+def test_non_positive_order_is_usage_error(command):
+    res = run(*command.split())
+    assert res.exit_code == 2
+    assert "truncation order must be positive" in res.output
 
 
 def test_selftest_fast_subset():

@@ -299,8 +299,50 @@ def test_refined_verlinde_frozen_values():
     assert sv.n_plus.get((2, 2, 2), 0) == 0
 
 
+def _gated_refined_counts(k, precision=256):
+    """The refined read-off by fixed-point sums: N^+ and N^- as 4 times the
+    sum over even, and over odd, t of s_{r,t} s_{r',t} s_{r'',t} / s_{1,t},
+    each an exact dot product rounded once and gated to an integer within
+    1e-6."""
+    nmax = 2 * k + 2
+    s = s_table(k, precision)
+    counts = ({}, {})
+    with mp.workprec(precision + 16):
+        # 0-based t of the even and of the odd labels
+        ts = (range(1, nmax, 2), range(0, nmax, 2))
+        cols = [[modular._fixed([s[t][c] for t in tp]) for c in range(nmax)]
+                for tp in ts]
+        for r in range(1, nmax + 1):
+            for r2 in range(1, nmax + 1):
+                weights = [modular._fixed([s[r - 1][t] * s[r2 - 1][t] / s[0][t]
+                                           for t in tp]) for tp in ts]
+                for r3 in range(1, nmax + 1):
+                    if (r + r2 + r3) % 2 == 0:
+                        continue
+                    for parity, store in enumerate(counts):
+                        v = 4 * modular._dot(weights[parity], cols[parity][r3 - 1])
+                        nint = int(mp.nint(v))
+                        assert abs(v - nint) <= 1e-6 and nint >= 0, (r, r2, r3)
+                        if nint:
+                            store[(r, r2, r3)] = nint
+    return counts
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_refined_count_is_the_gated_fixed_point_read_off(k):
+    sv = verlinde_super(k)
+    assert (sv.n_plus, sv.n_minus) == _gated_refined_counts(k)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_refined_count_is_the_parity_ring(k):
+    sv = verlinde_super(k)
+    assert sv.n_plus == dict(osp_fusion(k).items())
+    assert sv.n_minus == sv.n_plus and sv.n_minus is not sv.n_plus
+
+
 def _stilde_matrix(k, precision=256):
-    """verlinde_super's basis-changed matrix, without its integrality gate."""
+    """verlinde_super's basis-changed matrix, without the refined count."""
     return modular._stilde_from_table(s_table(k, precision), precision)
 
 
@@ -308,6 +350,22 @@ def test_stilde_matrix_shape():
     S = _stilde_matrix(1)
     assert S.labels == tuple((r, e) for e in ("+", "-") for r in (1, 2, 3, 4))
     assert S.unitarity_defect() < derived_tolerance(S.precision)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stilde_parity_rule_is_the_four_case_rule(k):
+    s = s_table(k)
+    S = modular._stilde_from_table(s, 256)
+    for (r, a), row in zip(S.labels, S.rows):
+        for (t, b), v in zip(S.labels, row):
+            re, te = r % 2 == 0, t % 2 == 0
+            hit = ((a == "+" and b == "+" and re and te)
+                   or (a == "+" and b == "-" and not re and te)
+                   or (a == "-" and b == "+" and re and not te)
+                   or (a == "-" and b == "-" and not re and not te))
+            with mp.workprec(256 + 16):
+                want = 2 * s[r - 1][t - 1] if hit else mp.mpf(0)
+            assert v._mpf_ == want._mpf_, ((r, a), (t, b))
 
 
 # -- dimension identities ------------------------------------------------------------
@@ -597,6 +655,14 @@ def test_s_transform_small_order():
     for e in rep.entries:
         assert e.variant in ("plus", "minus")
         assert e.ok
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_s_transform_rejects_a_non_positive_order(N):
+    # an empty series has a tail bound of at least 1/(1 - |q|), so a check
+    # at such an order would pass on residuals of order one
+    with pytest.raises(ValueError, match="truncation order must be positive"):
+        check_s_transform_numeric(1, 1j, N)
 
 
 def test_s_transform_rejects_lower_half_plane():
