@@ -460,7 +460,9 @@ def test_precision_without_a_tolerance_is_usage_error(command):
 # projection alone (`--method both` prints the direct series), then the
 # outputs that read the CLI's per-family label text, fusion oracle and S/T
 # dispatch and that no entry above covers, then a k=3 S-transform whose
-# S-matrix rows hold exact-zero sines and a k=4 refined Verlinde table.
+# S-matrix rows hold exact-zero sines and a k=4 refined Verlinde table, then
+# one Verlinde ring of each exactly counted family: a Virasoro pair with even
+# p, a larger Virasoro table, sl2 at k=6 and the coset at k=3.
 # After an intended output change,
 # re-record with `PYTHONPATH=src python tests/test_cli.py`, which prints this
 # table.
@@ -551,6 +553,14 @@ OUTPUT_DIGESTS = {
         '228b5c462b7657fdbe3d99312fbd2b3421a74cb438bdf83d7f2a3c5872bc63ba',
     'verlinde-super -k 4 --format table':
         '64e156dce62f0a83e9e426546c2d33d1b055ae7cfda9492fd3c59503fc6b0c18',
+    'verlinde --family vir -u 3 -p 4':
+        '44420cb494d7c8c84b1b18c646120f89e310052ff4a703fd0c8010b948a7da1d',
+    'verlinde --family vir -u 5 -p 8 --format table':
+        '4d6cf26e75774421053daeea09a6e3da290039dbc9c67d10a5211d37771a0836',
+    'verlinde --family sl2 -k 6':
+        'd435b0f6150407de3a6cd295fc30d2df34acc5ccd302281387bedce79a6a7ad5',
+    'verlinde --family coset -k 3 --format table':
+        'c8813b5e8f3df0cb3969c31a4404f68efa7dc8dd3e6182c4b3e28d28967dd6f0',
 }
 
 
