@@ -57,7 +57,7 @@ def main():
                 raise SystemExit(rep.detail)
 
     print("modular data over the sectors")
-    S = coset_smatrix(k)  # verified: unitary + integral Verlinde
+    S = coset_smatrix(k)  # verified: unitary, Verlinde ring is the parafermion ring
     T = t_matrix("coset", k)
     print("  unitarity defect     ", mp.nstr(S.unitarity_defect(), 5))
     print("  (ST)^3 vs S^2 defect ", mp.nstr(st_cube_defect(S, T), 5))

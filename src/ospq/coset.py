@@ -4,9 +4,9 @@ A local module (odd index r) over the rank-one lattice subalgebra splits
 into 2k charge sectors; this module extracts each sector's character by two
 independent routes -- direct charge grading of the two-variable character,
 and a root-of-unity phase projection computed exactly in Z[zeta_m], with no
-tolerance -- and builds the coset S-matrix, whose Verlinde ring is proved
-to be the independently built parafermion fusion tensor.  The sector
-T-phases are ``modular.t_matrix("coset", k)``.
+tolerance -- and builds the coset S-matrix, whose Verlinde ring, counted
+exactly from its closed form, must be the independently built parafermion
+fusion tensor.  The sector T-phases are ``modular.t_matrix("coset", k)``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from mpmath import mp
 
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
                          OspLabel, char_w1, osp_char)
-from .fusion import CosetLabel, check_level, coset_labels, parafermion_fusion
-from .modular import (SMatrix, NonIntegralFusion, _mpq, _verlinde_bound_holds,
+from .fusion import (CosetLabel, FusionTensor, check_level, coset_labels,
+                     parafermion_fusion)
+from .modular import (SMatrix, NonIntegralFusion, _count, _mpq,
                       derived_tolerance, s_table)
 from .qseries import (QQ, QSeries, VerificationError, as_fraction,
                       qs_equal_below, qs_eta, qs_mul, qs_shift, _qs_div)
@@ -221,10 +222,9 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
     compatible with (ST)^3 = S^2 for the negative-definite Heisenberg
     direction carried by the sector weights; the sector characters are
     charge-conjugation symmetric and transform identically under either
-    sign.  With ``verify`` (default) the matrix is checked unitary and the
-    parafermion fusion tensor is proved to be its Verlinde ring by
-    ``verlinde_matches``: every entry of N_a - S Lambda_a S^-1 is bounded
-    within the 1e-6 Verlinde gate in O(n^3), without the O(n^4) sums.
+    sign.  Its ``ring`` is ``_coset_ring(k)``.  With ``verify`` (default)
+    the matrix must pass ``coset_unitarity_gate`` and its ring must be the
+    parafermion fusion tensor; NonIntegralFusion is raised otherwise.
     """
     check_level(k)
     labels = coset_labels(k)
@@ -239,15 +239,35 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
                 sign = -1 if (nu + mu) % 2 == 1 else 1
                 row.append(pref * ph * sign * s[r - 1][rp - 1])
             rows.append(row)
-    S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision)
+    S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision,
+                ring=lambda: _coset_ring(k))
     if verify:
-        ok, why = _verlinde_bound_holds(S, parafermion_fusion(k), coset_unitarity_gate(S))
-        if not ok:
+        coset_unitarity_gate(S)
+        if S.ring() != parafermion_fusion(k):
             raise NonIntegralFusion(
-                "the parafermion fusion tensor at k=%d is not proved to be the "
-                "Verlinde ring of the coset S-matrix within the 1e-6 gate: %s"
-                % (k, why))
+                "the Verlinde ring of the coset S-matrix at k=%d is not the "
+                "parafermion fusion tensor" % k)
     return S
+
+
+def _coset_ring(k: int) -> FusionTensor:
+    """The Verlinde ring of ``coset_smatrix(k)``'s closed form.
+
+    N_ab^c = sum over x = (mu, t) of S_ax S_bx conj(S_cx) / S_0x.  The
+    signs (-1)^(nu + mu) leave (-1)^(nu_a + nu_b + nu_c), and the phases
+    sum over mu to 2k [nu_c = nu_a + nu_b (mod 2k)], where that sign is +1.
+    The prefactors give 2/k, so N = 4 [nu_c = nu_a + nu_b] times the sum
+    over odd t of s_{r_a,t} s_{r_b,t} s_{r_c,t} / s_{1,t}, which is the
+    refined N^- of ``verlinde_super``:
+        N = [nu_c = nu_a + nu_b] (-1/2) _count(2k+3, k+2, r_a, r_b, r_c).
+    """
+    labels = coset_labels(k)
+    rs = [lab.r for lab in labels if lab.nu == 0]
+    refined = {(a, b, c): -_count(2 * k + 3, k + 2, a, b, c) // 2
+               for a in rs for b in rs for c in rs}
+    return FusionTensor(labels, CosetLabel(0, 1), {
+        (A, B, CosetLabel((A.nu + B.nu) % (2 * k), c)): refined[A.r, B.r, c]
+        for A in labels for B in labels for c in rs})
 
 
 def coset_unitarity_gate(S: SMatrix):

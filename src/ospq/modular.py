@@ -4,17 +4,19 @@ and parity-refined), Frobenius-Perron dimension identities, and numeric
 checks of the character S-transformations.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
-cyclotomics.  Every high-precision dot product and S-matrix product (defects,
-the Verlinde proof) runs on one integer kernel: each
-vector is shifted onto ints over one power of two, the products are summed
-exactly and the sum is rounded once, bit-identical to ``mp.fdot`` and to
-mpmath's matrix product; no matrix is inverted.  ``verlinde_matches`` proves
-in O(n^3) that a fusion tensor is the Verlinde ring of S;
-``verlinde_standard`` reads its candidate ring off S in complex doubles and
-returns it only through that proof.  ``verlinde_super`` counts its
-refined integers exactly.  ``fp_dimension_report`` builds only the S
-columns it reads.  The default working precision is 256 bits and derived
-tolerances are 10^(1 - precision/4).
+cyclotomics.  Every high-precision dot product and S-matrix product (the
+defects) runs on one integer kernel: each vector is shifted onto ints over
+one power of two, the products are summed exactly and the sum is rounded
+once, bit-identical to ``mp.fdot`` and to mpmath's matrix product; no matrix
+is inverted.  Verlinde rings are counted, not read off the rounded entries:
+every S here is a signed sine table, times a lattice root of unity for the
+coset, so each Verlinde sum is a sum of roots of unity, and ``_count``
+counts it exactly.  Each S-matrix builder attaches the ring of its closed
+form as ``SMatrix.ring``; ``verlinde_standard`` returns it once S passes its
+unitarity gate, and ``verlinde_super`` counts its refined integers with the
+same kernel.  ``fp_dimension_report`` builds only the S columns it reads.
+The default working precision is 256 bits and derived tolerances are
+10^(1 - precision/4).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -37,10 +39,9 @@ from .qseries import NonconvergentDomain, VerificationError, qs_eval
 
 
 class NonIntegralFusion(VerificationError):
-    """Raised when Verlinde output fails the integrality/positivity gate."""
-
-
-VERLINDE_GATE = 1e-6
+    """Raised when a Verlinde ring is refused: its S-matrix fails the
+    unitarity gate that ties the rows to the closed form the ring is counted
+    from, or a counted ring differs from the fusion tensor it must equal."""
 
 
 def derived_tolerance(precision: int):
@@ -135,12 +136,17 @@ def _product(A, B, adjoint: bool = False):
 
 
 class SMatrix:
-    """Square matrix of high-precision S-transformation coefficients."""
+    """Square matrix of high-precision S-transformation coefficients.
 
-    __slots__ = ("labels", "rows", "vacuum_index", "precision", "_index")
+    ``ring``, when set, is a zero-argument callable returning the Verlinde
+    ring of the closed form the rows are built from, over ``labels`` in
+    their order.
+    """
+
+    __slots__ = ("labels", "rows", "vacuum_index", "precision", "ring", "_index")
 
     def __init__(self, labels: Sequence[Hashable], rows, vacuum_index: int,
-                 precision: int):
+                 precision: int, ring: Optional[Callable[[], FusionTensor]] = None):
         self.labels = tuple(labels)
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.labels)
@@ -148,6 +154,7 @@ class SMatrix:
             raise ValueError("S-matrix must be square over its labels")
         self.vacuum_index = vacuum_index
         self.precision = precision
+        self.ring = ring
         self._index = {a: i for i, a in enumerate(self.labels)}
 
     @property
@@ -253,7 +260,8 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     """
     labels = vir_labels(u, p)
     rows = _vir_columns(u, p, labels, range(1, u), range(1, p), precision)
-    return SMatrix(labels, rows, labels.index(VirLabel(1, 1)), precision)
+    return SMatrix(labels, rows, labels.index(VirLabel(1, 1)), precision,
+                   ring=lambda: _vir_ring(u, p))
 
 
 def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
@@ -306,7 +314,8 @@ def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
     """Integrable affine sl2 S-matrix, labels 1..k+1."""
     check_level(k)
     labels = list(range(1, k + 2))
-    return SMatrix(labels, _sl2_columns(k, labels, precision), 0, precision)
+    return SMatrix(labels, _sl2_columns(k, labels, precision), 0, precision,
+                   ring=lambda: _sl2_ring(k))
 
 
 def _sl2_columns(k: int, cols, precision: int):
@@ -388,59 +397,91 @@ def _extended_columns(k: int, cols, precision: int):
 # -- Verlinde formulas --------------------------------------------------------
 
 
+def _count(m: int, h: int, a: int, b: int, c: int, shift: int = 0) -> int:
+    """Sum over e, e' = +-1 and j < c of e e' [2m | hE + shift], where
+    E = e a + e' b + c - 1 - 2j: every Verlinde sum here, counted exactly.
+
+    With theta = pi t h/m and z = e^(i theta), sin(c theta)/sin(theta) =
+    sum over j < c of z^(c-1-2j) and sin(a theta) sin(b theta) = -1/4 sum
+    over e, e' of e e' z^(e a + e' b), so
+    sin(a theta) sin(b theta) sin(c theta)/sin(theta) = -1/4 sum e e' z^E.
+    Summed over t in Z/2m against the character e^(i pi t shift/m), each
+    z^E gives 2m [2m | hE + shift]: the sum is -(m/2) _count.  Let
+    gcd(h, m) = 1, so sin(theta) != 0 for 0 < t < m, and let m divide
+    shift, so the character is (-1)^(t shift/m).  The summand is then even
+    and 2m-periodic in t and vanishes at t = 0 and t = m, so
+        sum over t = 1..m-1 of (-1)^(t shift/m) sin(a theta) sin(b theta)
+        sin(c theta)/sin(theta) = -(m/4) _count(m, h, a, b, c, shift).
+    The count is even: (e, e', j) and (-e, -e', c-1-j) count alike.
+    """
+    return sum(e * e2 for e in (1, -1) for e2 in (1, -1) for j in range(c)
+               if (h * (e * a + e2 * b + c - 1 - 2 * j) + shift) % (2 * m) == 0)
+
+
+def _sl2_ring(k: int) -> FusionTensor:
+    """The Verlinde ring of ``sl2_smatrix(k)``'s closed form.
+
+    With m = k+2, S_ab = sqrt(2/m) sin(pi a b/m) is real orthogonal, so
+    N_ab^c = (2/m) sum over x = 1..m-1 of sin(a theta) sin(b theta)
+    sin(c theta)/sin(theta) at theta = pi x/m, that is
+    -1/2 _count(m, 1, a, b, c).
+    """
+    m = k + 2
+    labels = range(1, m)
+    return FusionTensor(labels, 1, {(a, b, c): -_count(m, 1, a, b, c) // 2
+                                    for a in labels for b in labels
+                                    for c in labels})
+
+
+def _vir_ring(u: int, p: int) -> FusionTensor:
+    """The Verlinde ring of ``vir_smatrix(u, p)``'s closed form.
+
+    S is real orthogonal, so N_ab^c = sum over canonical x of
+    S_ax S_bx S_cx / S_1x.  Each row and column of S is invariant under the
+    Kac reflection, which fixes no label, so this is half the sum over the
+    whole Kac table (r', s').  With R = r_a + r_b + r_c - 1 and
+    Sigma = s_a + s_b + s_c - 1 the summand is pref^2 = 8/(u p) times
+    (-1)^(Sigma r') sin(r_a th) sin(r_b th) sin(r_c th)/sin(th) at
+    th = pi p r'/u, times the like factor (-1)^(R s') in s' at
+    th = pi u s'/p.  As (-1)^(Sigma r') = (-1)^(r' (u Sigma)/u), the r' sum
+    is -(u/4) _count(u, p, r_a, r_b, r_c, u Sigma) and the s' sum likewise,
+    so for odd and even p alike
+        N = 1/4 _count(u, p, r_a, r_b, r_c, u Sigma)
+            _count(p, u, s_a, s_b, s_c, p R).
+    Each factor depends only on its own triple and the parity of the other
+    sum, so both are tabled.
+    """
+    labels = vir_labels(u, p)
+    rs, ss = range(1, u), range(1, p)
+    # tr[x][a, b, c]: the r' factor for Sigma = x (mod 2); ts, the s' factor
+    tr = [{(a, b, c): _count(u, p, a, b, c, u * x)
+           for a in rs for b in rs for c in rs} for x in (0, 1)]
+    ts = [{(a, b, c): _count(p, u, a, b, c, p * x)
+           for a in ss for b in ss for c in ss} for x in (0, 1)]
+    return FusionTensor(labels, VirLabel(1, 1), {
+        (A, B, C): tr[(A.s + B.s + C.s - 1) % 2][A.r, B.r, C.r]
+        * ts[(A.r + B.r + C.r - 1) % 2][A.s, B.s, C.s] // 4
+        for A in labels for B in labels for C in labels})
+
+
 def verlinde_standard(S: SMatrix) -> FusionTensor:
-    """Fusion tensor read off S by the Verlinde formula, then proved.
+    """The Verlinde ring of S, over S.labels in their order.
 
-    The candidate N_{ab}^c = round(Re sum_x S_{ax} S_{bx} conj(S_{cx}) /
-    S_{vac,x}) is read in complex doubles (S^-1 = S^dagger for unitary S)
-    and returned only if ``verlinde_matches`` proves it, which also rejects
-    negative coefficients; otherwise NonIntegralFusion is raised, naming
-    the first part of the proof that failed.
+    The ring is ``S.ring()``, counted exactly from the closed form the rows
+    of S are built from; its one numeric tie to the built rows is the
+    unitarity gate: NonIntegralFusion is raised when max|S S^dagger - I|
+    exceeds the derived tolerance.  An S with no ring raises ValueError.
     """
-    L, vac = S.labels, S.vacuum_index
-    with mp.workprec(S.precision + 16):
-        for x, v in zip(L, S.rows[vac]):
-            if abs(v) < mp.mpf(10) ** (-S.precision // 4):
-                raise NonIntegralFusion("vacuum row vanishes at column %r" % (x,))
-    rows = [[complex(v) for v in row] for row in S.rows]
-    # cols[c] = (conj(S_cx) / S_{vac,x})_x
-    cols = [[v.conjugate() / w for v, w in zip(row, rows[vac])] for row in rows]
-    coeffs = {}
-    for a, ra in enumerate(rows):
-        for b in range(a, S.n):
-            prod = [u * v for u, v in zip(ra, rows[b])]
-            for c, col in enumerate(cols):
-                m = round(sum(map(mul, prod, col)).real)
-                if m:
-                    coeffs[(L[a], L[b], L[c])] = coeffs[(L[b], L[a], L[c])] = m
-    tensor = FusionTensor(L, L[vac], coeffs)
-    ok, why = _verlinde_bound_holds(S, tensor, S.unitarity_defect())
-    if not ok:
+    tol = derived_tolerance(S.precision)
+    defect = S.unitarity_defect()
+    if defect > tol:
         raise NonIntegralFusion(
-            "the fusion tensor read off S is not proved to be the Verlinde "
-            "ring of S within the 1e-6 gate: %s" % why)
-    return tensor
-
-
-def verlinde_matches(S: SMatrix, tensor: FusionTensor) -> bool:
-    """Whether ``tensor`` is the Verlinde ring of S, proved in O(n^3).
-
-    Write N_a for the matrix (N_a)_{bc} = N_{ab}^c of the tensor and
-    Lambda_a = diag(S_{ax} / S_{vac,x}).  The Verlinde formula says
-    N_a = S Lambda_a S^-1, so with the residual R_a = N_a S - S Lambda_a,
-    entry (b, c) of N_a - S Lambda_a S^-1 = R_a S^-1 is at most
-    |row b of R_a|_2 |S^-1|_2 <= |R_a|_F |S^-1|_2, and
-    |S^-1|_2 <= 1/sqrt(1 - delta) with delta = n max|SS* - I|, which is at
-    least |SS* - I|_2.  The tensor is accepted when the row bound is within
-    the 1e-6 Verlinde gate for every a and b: each exact Verlinde sum of S
-    then lies within the gate of the tensor's integer.  ``verlinde_standard``
-    returns only tensors this proves.  The bound is on the exact residual
-    of the stored entries: the rounding of delta, Lambda, R and the row
-    norms is added to it explicitly.  Its unit, label set, vacuum-row and
-    sign checks apply here too.  N_a has a few entries per row, so forming
-    N_a S costs O(n) per nonzero coefficient.
-    """
-    return _verlinde_bound_holds(S, tensor, S.unitarity_defect())[0]
+            "S-matrix unitarity defect %s exceeds %s"
+            % (mp.nstr(defect, 5), mp.nstr(tol, 5)))
+    if S.ring is None:
+        raise ValueError("the S-matrix has no closed form to count its "
+                         "Verlinde ring from")
+    return S.ring()
 
 
 def _defect_norm_bound(n: int, s_max, defect, precision: int):
@@ -448,84 +489,6 @@ def _defect_norm_bound(n: int, s_max, defect, precision: int):
     ``defect``, their max-norm computed at precision + 16 bits: each entry
     of S S^dagger, at most n s_max^2, is rounded once, then I subtracted."""
     return n * (defect + 4 * mp.ldexp(1, -precision - 15) * (n * s_max ** 2 + 1))
-
-
-def _verlinde_bound_holds(S: SMatrix, tensor: FusionTensor, defect
-                          ) -> Tuple[bool, Optional[str]]:
-    """(ok, why) of ``verlinde_matches`` given ``defect = S.unitarity_defect()``:
-    why says, when the proof fails, which check failed first, and for the
-    row bound the row (a, b), its norm and its limit.
-
-    For a caller that has already computed the defect of the same S.  The
-    defect is rounded at S.precision + 16 bits; the residual is formed 32
-    bits above that, so that its rounding stays far below the gate at every
-    precision.  The constants of the rounding terms are generous enough to
-    also cover the rounding of the bound itself.
-    """
-    n = S.n
-    vac = S.vacuum_index
-    index = S._index
-    if set(tensor.labels) != set(S.labels) or tensor.unit != S.labels[vac]:
-        return False, "its labels or unit differ from those of S"
-    # terms[a][b] = [(N_ab^c, c), ...] over the nonzero coefficients
-    terms = [[[] for _ in range(n)] for _ in range(n)]
-    for key, m in tensor.items():
-        if m < 0 or any(x not in index for x in key):
-            return False, "coefficient %s = %d is negative or off the labels" % (key, m)
-        a, b, c = (index[x] for x in key)
-        terms[a][b].append((m, c))
-    rows = S.rows
-    with mp.workprec(S.precision + 48):
-        if any(abs(v) < mp.mpf(10) ** (-S.precision // 4) for v in rows[vac]):
-            return False, "the vacuum row of S nearly vanishes"
-        s_max = max(abs(v) for row in rows for v in row)
-        delta = _defect_norm_bound(n, s_max, defect, S.precision)
-        if delta >= 1:
-            return False, "the bound %s on |SS* - I|_2 is not below 1" % mp.nstr(delta, 3)
-        neg_lam = [[-v / w for v, w in zip(rows[a], rows[vac])] for a in range(n)]
-        lam_max = max(abs(v) for lam in neg_lam for v in lam)
-        n_max = max(sum(m for m, _ in t) for row in terms for t in row)
-        # |exact - computed| per entry of R: Lambda rounded, then one fdot
-        u = mp.ldexp(1, 1 - mp.prec)
-        rounding = n * 8 * u * s_max * (lam_max + n_max)
-        slack = mp.mpf(VERLINDE_GATE) * mp.sqrt(1 - delta) - rounding
-        if slack <= 0:
-            return False, "the rounding bound %s leaves no room below the gate" % (
-                mp.nstr(rounding, 3))
-        # |row b of R_a|_2 + rounding <= gate sqrt(1 - delta), squared
-        limit = (1 - 4 * u) * slack ** 2
-        # R_a on the exact kernel: entry (b, y) is the exact sum of the
-        # N_ab^c S_cy and S_by (-Lambda_a)_y, rounded once, and a row's
-        # squared norm the exact sum of its squares, rounded once: the bits
-        # of mp.fdot of those terms
-        prec, rnd = mp._prec_rounding
-        s_re, s_im, e_s = _fixed([v for row in rows for v in row])
-        s_re, s_im = ([part[i * n:(i + 1) * n] for i in range(n)]
-                      for part in (s_re, s_im or [0] * n * n))
-        for a in range(n):
-            l_re, l_im, e_l = _fixed(neg_lam[a])
-            l_im = l_im or [0] * n
-            e = e_s + min(e_l, 0)
-            up_n, up_p = e_s - e, e_s + e_l - e
-            for b in range(n):
-                sr, si = s_re[b], s_im[b]
-                prods = ([x * y - z * w for x, y, z, w in zip(sr, l_re, si, l_im)],
-                         [x * y + z * w for x, y, z, w in zip(sr, l_im, si, l_re)])
-                R = []
-                for s_part, prod in zip((s_re, s_im), prods):
-                    acc = [v << up_p for v in prod]
-                    for m, c in terms[a][b]:
-                        acc = [v + ((m * w) << up_n) for v, w in zip(acc, s_part[c])]
-                    R += [from_man_exp(v, e, prec, rnd) for v in acc]
-                ints, e_r = _ints(R)
-                norm2 = from_man_exp(sum(v * v for v in ints), 2 * e_r, prec, rnd)
-                if mp.make_mpf(norm2) > limit:
-                    return False, (
-                        "row (a, b) = (%s, %s) of N_a S - S Lambda_a has norm %s, "
-                        "above its limit %s" % (S.labels[a], S.labels[b],
-                                      mp.nstr(mp.sqrt(mp.make_mpf(norm2)), 3),
-                                      mp.nstr(mp.sqrt(limit), 3)))
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -580,18 +543,13 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     s_{r'',t} / s_{1,t} and N^{-}, the same over odd t (t = 1..n-1,
     n = 2k+3), are counted exactly, with no float and no gate.  With
     h = k+2, s_{r,t} = (-1)^(r+t) n^(-1/2) sin(r theta), theta = pi t h/n,
-    and the signs cancel.  With z = e^(i theta), sin(r'' theta)/sin(theta)
-    = sum over j < r'' of z^(r''-1-2j) and sin(r theta) sin(r' theta) =
-    -1/4 sum over e, e' = +-1 of e e' z^(e r + e' r'), so the summand is
-    -1/(4n) sum over e, e', j of e e' z^E, E = e r + e' r' + r'' - 1 - 2j.
-    It is even and 2n-periodic in t and vanishes at t = 0 and t = n, so
-    each t-parity class of 1..n-1 is half a character sum over Z/2n under
-    the projector (1 +- (-1)^t)/2.  The plain part gives 2n [2n | hE]; the
-    (-1)^t part needs 2n | hE + n, which fails as hE is even and n odd.
-    Hence N^{+} = N^{-} = -1/2 sum over e, e', j of e e' [2n | hE], an
-    integer since (e, e') and (-e, -e') count alike.  As gcd(h, 2n) <= 2
-    (n = 2h - 1) and E is even, [2n | hE] = [2n | E]: the refined ring is
-    the sl2 window rule of height n.
+    and the signs cancel.  Each t-parity class of 1..n-1 is half the sum
+    over 1..n-1 under the projector (1 +- (-1)^t)/2, and by ``_count`` the
+    plain part is -1/4 _count(n, h, r, r', r'') and the (-1)^t part
+    -1/4 _count(n, h, r, r', r'', n), which is 0: E is even, so hE + n is
+    odd.  Hence N^{+} = N^{-} = -1/2 _count(n, h, r, r', r'').  As
+    gcd(h, 2n) <= 2 (n = 2h - 1) and E is even, [2n | hE] = [2n | E]: the
+    refined ring is the sl2 window rule of height n.
 
     The basis-changed matrix M is built from the sine table; its
     involution defect max|M^2 - I| is reported with a proven bound on
@@ -615,9 +573,7 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     for r in rng:
         for r2 in rng:
             for r3 in range(1 + (r + r2) % 2, n, 2):  # r + r2 + r3 odd
-                count = sum(e * e2 for e in (1, -1) for e2 in (1, -1)
-                            for j in range(r3)
-                            if h * (e * r + e2 * r2 + r3 - 1 - 2 * j) % (2 * n) == 0)
+                count = _count(n, h, r, r2, r3)
                 if count:
                     n_plus[(r, r2, r3)] = -count // 2
     return SuperVerlinde(k, precision, n_plus, dict(n_plus), St, invol_defect,
@@ -827,14 +783,19 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
     then plus, then minus, its character at -1/tau0 is compared against
     the sum over the nonzero entries of S~'s row (r, a) of the entry times
     the character of its column at tau0.  Truncation tails enter the
-    per-entry tolerance.  Raises ValueError for an order N <= 0, whose
-    empty series would leave nothing to compare.
+    per-entry tolerance.  Raises ValueError for an order N <= 0, and for
+    an order at which a character the check reads has no term below q^N:
+    an empty series leaves nothing to compare.
     """
     level = AdmissibleLevel.from_integer_level(k)
     N = Fraction(N)
     if N <= 0:
         raise ValueError("truncation order must be positive")
     chars = component_chars_w1(level, N)
+    empty = [r for r, pair in sorted(chars.items()) if any(ch.is_zero for ch in pair)]
+    if empty:
+        raise ValueError("a character of module %d has no term below q^%s; "
+                         "raise the order" % (empty[0], N))
     base_tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         tau0 = mp.mpc(tau0)

@@ -24,7 +24,7 @@ from .coset import (coset_char_direct, coset_char_phase_sum, coset_labels,
 from .fusion import osp_fusion, sl2_fusion, super_fusion, vir_fusion
 from .modular import (check_s_transform_numeric, extended_smatrix,
                       fp_dimension_report, min_conformal_weight, sl2_smatrix,
-                      st_cube_defect, t_matrix, verlinde_matches,
+                      st_cube_defect, t_matrix, verlinde_standard,
                       verlinde_super, vir_smatrix, vir_weight_map)
 from .qseries import QQ, qs_equal_below
 from .theta import wq_from_q, wq_mul
@@ -113,9 +113,9 @@ def criterion_3(fast: bool = False) -> CriterionResult:
     pairs = ((3, 5), (4, 7)) if fast else ((3, 5), (4, 7), (5, 9))
     checks = []
     for (u, p) in pairs:
-        checks.append(verlinde_matches(vir_smatrix(u, p), vir_fusion(u, p)))
+        checks.append(verlinde_standard(vir_smatrix(u, p)) == vir_fusion(u, p))
     for k in ks:
-        checks.append(verlinde_matches(sl2_smatrix(k), sl2_fusion(k)))
+        checks.append(verlinde_standard(sl2_smatrix(k)) == sl2_fusion(k))
     super_ok = True
     for k in ks:
         sv = verlinde_super(k)

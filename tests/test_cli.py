@@ -96,36 +96,27 @@ def test_representative_dependence_is_verification_failure(monkeypatch):
     assert payload["error"] == "VerificationError"
 
 
-def test_coset_verlinde_proof_needs_ten_bits():
-    # the residual bound of the coset Verlinde proof stays above the 1e-6
-    # gate at 8 bits (24 working bits); the O(n^4) sums it replaced passed
-    res = run("coset-smatrix", "-k", "2", "--precision", "8")
-    assert res.exit_code == 1
-    assert json.loads(res.output) == {
-        "ok": False, "error": "NonIntegralFusion",
-        "detail": "the parafermion fusion tensor at k=2 is not proved to be "
-                  "the Verlinde ring of the coset S-matrix within the 1e-6 gate: "
-                  "row (a, b) = (CosetLabel(nu=0, r=3), CosetLabel(nu=0, r=3)) of "
-                  "N_a S - S Lambda_a has norm 1.37e-6, above its limit 1.0e-6"}
-    for precision in ("10", "12"):
+def test_coset_smatrix_holds_at_eight_bits():
+    # the coset ring is counted from the closed form, so no precision moves
+    # it; at 8 bits (24 working bits) the unitarity gate still holds
+    for precision in ("8", "10", "12"):
         assert run("coset-smatrix", "-k", "2", "--precision", precision).exit_code == 0
 
 
 def test_coset_verlinde_proves_its_ring_once(monkeypatch):
-    # the coset matrix is built without its own proof, and verlinde_standard
-    # proves the ring it reads off S
+    # the coset matrix is built without its own ring check, and
+    # verlinde_standard counts the ring once
     calls = []
-    proof = modular._verlinde_bound_holds
+    ring = coset._coset_ring
 
-    def counted_proof(*args):
-        calls.append(args)
-        return proof(*args)
+    def counted_ring(k):
+        calls.append(k)
+        return ring(k)
 
-    for module in (modular, coset):
-        monkeypatch.setattr(module, "_verlinde_bound_holds", counted_proof)
+    monkeypatch.setattr(coset, "_coset_ring", counted_ring)
     assert _stdout_digest("verlinde --family coset -k 2") == (
         0, OUTPUT_DIGESTS["verlinde --family coset -k 2"])
-    assert len(calls) == 1
+    assert calls == [2]
 
 
 def test_coset_verlinde_keeps_the_unitarity_gate(monkeypatch):
@@ -135,30 +126,14 @@ def test_coset_verlinde_keeps_the_unitarity_gate(monkeypatch):
     assert json.loads(res.output)["error"] == "InconsistentBranching"
 
 
-def test_vir_verlinde_proof_needs_eleven_bits():
-    # the ring read off the (5, 9) S-matrix is returned only through the
-    # Verlinde proof, whose residual bound stays above the 1e-6 gate at 10
-    # bits; the per-entry gate it replaced passed there
-    res = run("verlinde", "--family", "vir", "-k", "3", "--precision", "10")
-    assert res.exit_code == 1
-    assert json.loads(res.output)["error"] == "NonIntegralFusion"
-    for precision in ("11", "12"):
-        res = run("verlinde", "--family", "vir", "-k", "3", "--precision", precision)
-        assert res.exit_code == 0
-
-
-@pytest.mark.parametrize("command,detail", [
-    ("verlinde --family vir -k 2", "the fusion tensor read off S is not proved "
-     "to be the Verlinde ring of S within the 1e-6 gate: row (a, b) = "
-     "(VirLabel(r=1, s=2), VirLabel(r=1, s=6)) of N_a S - S Lambda_a has norm "
-     "1.15e-6, above its limit 1.0e-6"),
-])
-def test_low_precision_verlinde_failure_detail(command, detail):
-    # the standard ring fails its proof and names the row it failed on
-    res = run(*command.split(), "--precision", "8")
-    assert res.exit_code == 1
-    assert json.loads(res.output) == {
-        "ok": False, "error": "NonIntegralFusion", "detail": detail}
+def test_low_precision_vir_verlinde_is_the_full_output():
+    # the ring is counted from the closed form, so at 8 and 10 bits the
+    # output is the 256-bit output byte for byte
+    for precision in ("8", "10"):
+        assert _stdout_digest("verlinde --family vir -k 3 --precision " + precision) == (
+            0, OUTPUT_DIGESTS["verlinde --family vir -k 3"])
+    low = run("verlinde", "--family", "vir", "-k", "2", "--precision", "8")
+    assert low.output == run("verlinde", "--family", "vir", "-k", "2").output
 
 
 def test_low_precision_refined_verlinde_keeps_its_entries():
@@ -223,6 +198,25 @@ def test_every_family_choice_has_a_table_entry(command, reads):
     for name in family.type.choices:
         entry = cli.FAMILIES[name]
         assert all(callable(getattr(entry, field)) for field in reads), name
+
+
+def test_every_verlinde_family_has_a_ring():
+    # verlinde_standard returns S.ring(): a family whose S-matrix builder
+    # sets no ring could only fail
+    family = next(o for o in main.commands["verlinde"].params if o.name == "family")
+    for name in family.type.choices:
+        params = cli._family_params(name, 1, None, None)
+        S = cli.FAMILIES[name].smatrix(*params.values(), 64)
+        assert callable(S.ring), name
+
+
+def test_s_transform_order_below_a_character_is_usage_error():
+    # at q^(1/100) the k=1 characters r = 3, 4 hold no term, and a residual
+    # against an empty series checks nothing
+    res = run("stransform-check", "-k", "1", "-N", "1/100")
+    assert res.exit_code == 2
+    assert "module 3 has no term below q^1/100" in res.output
+    assert run("stransform-check", "-k", "1", "-N", "1/2").exit_code == 0
 
 
 # -- identity verification commands ------------------------------------------------
@@ -356,7 +350,7 @@ def test_coset_char_both_routes():
 
 
 def test_coset_smatrix_verified():
-    # verify=True inside the command: unitarity + Verlinde integrality gates
+    # verify=True inside the command: unitarity gate and the counted Verlinde ring
     res = run("coset-smatrix", "-k", "2")
     assert res.exit_code == 0
     payload = json.loads(res.output)

@@ -273,7 +273,7 @@ def test_coset_smatrix_frozen_entries():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_coset_modular_consistency(k):
-    S = coset_smatrix(k)  # verify=True: unitarity + Verlinde integrality inside
+    S = coset_smatrix(k)  # verify=True: unitarity gate and Verlinde ring inside
     assert S.unitarity_defect() < derived_tolerance(S.precision)
     assert verlinde_standard(S) == parafermion_fusion(k)
     T = t_matrix("coset", k)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ospq.modular as modular
 from ospq.characters import AdmissibleLevel, VirLabel
-from ospq.coset import coset_labels, coset_smatrix
+from ospq.coset import _coset_ring, coset_labels, coset_smatrix
 from ospq.fusion import (FusionTensor, OutOfRange, check_level, osp_fusion,
                          parafermion_fusion, sl2_fusion, vir_fusion)
 from ospq.modular import (
@@ -25,7 +25,6 @@ from ospq.modular import (
     sl2_smatrix,
     st_cube_defect,
     t_matrix,
-    verlinde_matches,
     verlinde_standard,
     verlinde_super,
     vir_smatrix,
@@ -118,7 +117,7 @@ def test_extended_matrix_structure(k):
                 assert abs(S.entry((r, "odd"), (t, "odd")) - want) < eps
 
 
-# -- Verlinde integrality -----------------------------------------------------------
+# -- Verlinde rings ---------------------------------------------------------------------
 
 
 def test_verlinde_matches_combinatorial_rings():
@@ -137,10 +136,13 @@ def test_verlinde_rejects_non_modular_input():
         verlinde_standard(broken)
 
 
+_LU_GATE = 1e-6
+
+
 def _lu_verlinde(S):
     """Independent reference: all O(n^4) Verlinde sums
     N_ab^c = sum_x S_ax S_bx (S^-1)_xc / S_vac,x over mpmath's LU inverse,
-    each read off under the 1e-6 gate; None when a sum is not a
+    each read off under a 1e-6 gate; None when a sum is not a
     nonnegative integer within the gate or the vacuum row vanishes."""
     n, vac, rows = S.n, S.vacuum_index, S.rows
     with mp.workprec(S.precision + 16):
@@ -155,7 +157,7 @@ def _lu_verlinde(S):
                 for c in range(n):
                     v = mp.fdot(prod, P_col[c])
                     m = int(mp.nint(mp.re(v)))
-                    if abs(v - m) > modular.VERLINDE_GATE or m < 0:
+                    if abs(v - m) > _LU_GATE or m < 0:
                         return None
                     if m:
                         coeffs[(S.labels[a], S.labels[b], S.labels[c])] = m
@@ -163,20 +165,53 @@ def _lu_verlinde(S):
     return FusionTensor(S.labels, S.labels[vac], coeffs)
 
 
-def _standard_equals(S, tensor):
-    return _lu_verlinde(S) == tensor
-
-
 @pytest.mark.parametrize("S", [
     lambda: sl2_smatrix(1), lambda: sl2_smatrix(2), lambda: sl2_smatrix(3),
-    lambda: sl2_smatrix(6), lambda: vir_smatrix(3, 5), lambda: vir_smatrix(4, 7),
+    lambda: sl2_smatrix(6), lambda: sl2_smatrix(8), lambda: vir_smatrix(3, 4),
+    lambda: vir_smatrix(3, 5), lambda: vir_smatrix(4, 7), lambda: vir_smatrix(5, 8),
     lambda: vir_smatrix(5, 9), lambda: coset_smatrix(2, verify=False),
     lambda: coset_smatrix(3, verify=False)],
-    ids=["sl2-1", "sl2-2", "sl2-3", "sl2-6", "vir-3-5", "vir-4-7", "vir-5-9",
-         "coset-2", "coset-3"])
+    ids=["sl2-1", "sl2-2", "sl2-3", "sl2-6", "sl2-8", "vir-3-4", "vir-3-5",
+         "vir-4-7", "vir-5-8", "vir-5-9", "coset-2", "coset-3"])
 def test_verlinde_standard_is_the_lu_reference(S):
     S = S()
     assert verlinde_standard(S) == _lu_verlinde(S)
+
+
+_VIR_PAIRS = [(2, 3), (2, 5), (2, 9), (3, 4), (3, 5), (3, 8), (4, 5), (4, 7),
+              (5, 6), (5, 8), (5, 9), (6, 7), (7, 12), (8, 15)]
+
+
+@pytest.mark.parametrize("u,p", _VIR_PAIRS)
+def test_vir_ring_is_the_fusion_oracle(u, p):
+    S = vir_smatrix(u, p)
+    ring = S.ring()
+    assert ring == vir_fusion(u, p)
+    assert ring.labels == S.labels and ring.unit == S.labels[S.vacuum_index]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sl2_ring_is_the_fusion_oracle(k):
+    S = sl2_smatrix(k)
+    assert S.ring() == sl2_fusion(k)
+    assert S.ring().labels == S.labels
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_coset_ring_is_the_fusion_oracle(k):
+    ring = _coset_ring(k)
+    assert ring == parafermion_fusion(k)
+    assert ring.labels == coset_labels(k)
+
+
+def test_a_matrix_without_a_ring_is_refused():
+    S = sl2_smatrix(2)
+    raw = SMatrix(S.labels, S.rows, S.vacuum_index, S.precision)
+    assert raw.ring is None
+    with pytest.raises(ValueError, match="no closed form"):
+        verlinde_standard(raw)
+    with pytest.raises(ValueError):
+        verlinde_standard(extended_smatrix(1))
 
 
 def _moved(tensor, key, step):
@@ -198,8 +233,7 @@ def _matrix_and_ring(family, k):
     ("sl2", 1), ("sl2", 3)])
 def test_verlinde_matches_accepts_the_fusion_rings(family, k):
     S, ring = _matrix_and_ring(family, k)
-    assert verlinde_matches(S, ring)
-    assert verlinde_matches(S, ring) == _standard_equals(S, ring)
+    assert verlinde_standard(S) == ring == _lu_verlinde(S)
 
 
 @pytest.mark.parametrize("family,k", [("coset", 1), ("coset", 2), ("vir", 1), ("sl2", 2)])
@@ -208,62 +242,33 @@ def test_verlinde_matches_rejects_a_wrong_tensor(family, k):
     key = sorted(ring.items(), key=repr)[len(ring.items()) // 2][0]
     a, b, _ = key
     absent = next((a, b, c) for c in ring.labels if not ring.coeff(a, b, c))
+    counted = verlinde_standard(S)
     for wrong in (_moved(ring, key, 1), _moved(ring, key, -1),
                   _moved(ring, absent, 1)):
-        assert not verlinde_matches(S, wrong)
-        assert verlinde_matches(S, wrong) == _standard_equals(S, wrong)
+        assert counted != wrong and _lu_verlinde(S) != wrong
 
 
 @pytest.mark.parametrize("family,k", [("coset", 2), ("vir", 1), ("sl2", 3)])
 def test_verlinde_matches_rejects_a_non_unitary_matrix(family, k):
     S, ring = _matrix_and_ring(family, k)
-    # one non-vacuum row scaled by 1.01: S is no longer unitary and its
-    # Verlinde sums pick up factors 1.01^(+-1)
+    # one non-vacuum row scaled by 1.01, built with the ring of S: the rows
+    # no longer follow the closed form the ring is counted from
     i = (S.vacuum_index + 1) % S.n
     rows = [[v * mp.mpf("1.01") if j == i else v for v in row]
             for j, row in enumerate(S.rows)]
-    bent = SMatrix(S.labels, rows, S.vacuum_index, S.precision)
+    bent = SMatrix(S.labels, rows, S.vacuum_index, S.precision, ring=S.ring)
     assert bent.unitarity_defect() > mp.mpf("0.01")
-    assert not verlinde_matches(bent, ring)
-    assert verlinde_matches(bent, ring) == _standard_equals(bent, ring)
-
-
-def test_verlinde_matches_survives_a_uniform_scale():
-    # c S has the same Verlinde ring as S; the bound allows for |SS* - I|
-    S, ring = _matrix_and_ring("sl2", 3)
-    scaled = SMatrix(S.labels, [[v * mp.mpf("1.01") for v in row] for row in S.rows],
-                     S.vacuum_index, S.precision)
-    assert verlinde_matches(scaled, ring)
-    assert verlinde_matches(scaled, ring) == _standard_equals(scaled, ring)
-
-
-def test_verlinde_bound_needs_delta_below_one():
-    # |S^-1|_2 <= 1/sqrt(1 - n max|SS* - I|) only bounds S^-1 while that is < 1
-    S, ring = _matrix_and_ring("sl2", 2)
-    assert modular._verlinde_bound_holds(S, ring, S.unitarity_defect()) == (True, None)
-    ok, why = modular._verlinde_bound_holds(S, ring, mp.mpf(1))
-    assert not ok and why.endswith("is not below 1")
-
-
-def test_verlinde_matches_refuses_negative_structure_constants():
-    # flipping the sign of row a multiplies N_ab^c by d_a d_b d_c, d = -1 at a
-    S, ring = _matrix_and_ring("sl2", 3)
-    flip = S.labels[1]
-    rows = [[-v for v in row] if a == flip else list(row)
-            for a, row in zip(S.labels, S.rows)]
-    signed = SMatrix(S.labels, rows, S.vacuum_index, S.precision)
-    coeffs = {key: (-1) ** sum(x == flip for x in key) * m for key, m in ring.items()}
-    assert any(m < 0 for m in coeffs.values())
-    negative = FusionTensor(ring.labels, ring.unit, coeffs)
-    assert not verlinde_matches(signed, negative)
-    assert verlinde_matches(signed, negative) == _standard_equals(signed, negative)
+    assert _lu_verlinde(bent) is None
+    with pytest.raises(NonIntegralFusion, match="unitarity defect"):
+        verlinde_standard(bent)
 
 
 def test_verlinde_matches_rejects_another_unit_or_label_set():
     S, ring = _matrix_and_ring("sl2", 2)
-    assert not verlinde_matches(S, FusionTensor(ring.labels, 2, dict(ring.items())))
-    assert not verlinde_matches(S, sl2_fusion(3))
-    assert not verlinde_matches(S, _moved(ring, (1, 1, 1), -2))
+    counted = verlinde_standard(S)
+    assert counted != FusionTensor(ring.labels, 2, dict(ring.items()))
+    assert counted != sl2_fusion(3)
+    assert counted != _moved(ring, (1, 1, 1), -2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -13,7 +13,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # names the package no longer exports; each had no caller outside the tests
 REMOVED = ("CRITERIA", "ExtendedSMatrix", "LatticeData", "char_w_signed_direct",
-           "coset_t_phase", "fp_ratios", "stilde_matrix", "unitarity_defect")
+           "coset_t_phase", "fp_ratios", "stilde_matrix", "unitarity_defect",
+           "verlinde_matches")
 
 # (module, name) imported only to be re-exported from that module
 REEXPORTS = {("theta", "IncompleteQuotient")}
