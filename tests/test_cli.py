@@ -132,7 +132,13 @@ def test_low_precision_vir_verlinde_is_the_full_output():
     for precision in ("8", "10"):
         assert _stdout_digest("verlinde --family vir -k 3 --precision " + precision) == (
             0, OUTPUT_DIGESTS["verlinde --family vir -k 3"])
+
+
+def test_eight_bit_vir_verlinde_is_the_default_output():
+    # at 8 bits (24 working bits) the k=2 ring still passes the unitarity
+    # gate and prints what the default precision prints
     low = run("verlinde", "--family", "vir", "-k", "2", "--precision", "8")
+    assert low.exit_code == 0
     assert low.output == run("verlinde", "--family", "vir", "-k", "2").output
 
 
