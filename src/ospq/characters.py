@@ -88,16 +88,17 @@ def vir_canonical(u: int, p: int, r: int, s: int) -> VirLabel:
 
 
 def vir_labels(u: int, p: int) -> List[VirLabel]:
-    """Canonical labels of the (u, p) minimal model, in sorted order (a class
-    is first met at its smaller representative).
+    """Canonical labels of the (u, p) minimal model, in sorted order: the
+    (r, s) with (r, s) <= (u-r, p-s), each class at its smaller
+    representative.
 
     Raises ValueError unless u, p >= 2 are coprime: no other pair names a
     minimal model.
     """
     if u < 2 or p < 2 or math.gcd(u, p) != 1:
         raise ValueError("need coprime u, p >= 2, got (%r, %r)" % (u, p))
-    return list(dict.fromkeys(vir_canonical(u, p, r, s)
-                              for r in range(1, u) for s in range(1, p)))
+    return [VirLabel(r, s) for r in range(1, u) for s in range(1, p)
+            if (r, s) <= (u - r, p - s)]
 
 
 def vir_weight(u: int, p: int, r: int, s: int) -> QQ:

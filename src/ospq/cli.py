@@ -485,7 +485,8 @@ def verlinde_cmd(family, k, u, p, precision, fmt, out):
     params = _family_params(family, k, u, p)
     if family == "coset":
         # the coset matrix passes its unitarity gate here, and its ring
-        # is counted once, by verlinde_standard
+        # is counted once, by verlinde_standard; S keeps its defect, so
+        # the second gate reads it
         S = coset_smatrix(params["k"], precision, verify=False)
         coset_unitarity_gate(S)
     else:

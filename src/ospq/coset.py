@@ -231,13 +231,19 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
     with mp.workprec(precision + 16):
         s = s_table(k, precision)
         pref = mp.sqrt(mp.mpf(2) / k)
+        # pref * e^{i pi nu mu/k}, one expjpi per distinct product nu mu:
+        # nu mu/k and its value mod 2 round to different arguments, so the
+        # exact product is the key
+        phases = {}
         rows = []
         for (nu, r) in labels:
             row = []
             for (mu, rp) in labels:
-                ph = mp.expjpi(_mpq(QQ(nu * mu, k)))
+                x = nu * mu
+                if x not in phases:
+                    phases[x] = pref * mp.expjpi(_mpq(QQ(x, k)))
                 sign = -1 if (nu + mu) % 2 == 1 else 1
-                row.append(pref * ph * sign * s[r - 1][rp - 1])
+                row.append(phases[x] * sign * s[r - 1][rp - 1])
             rows.append(row)
     S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision,
                 ring=lambda: _coset_ring(k))

@@ -162,11 +162,14 @@ def n_coeff(w: int, t: int, t_prime: int, t_second: int) -> int:
             raise OutOfRange("label %r outside [1, %d]" % (t_, w - 1))
     if not isinstance(t_second, int):
         raise OutOfRange("candidate label %r is not an integer" % (t_second,))
-    if (t + t_prime + t_second) % 2 == 0:
-        return 0
-    lo = abs(t - t_prime) + 1
-    hi = min(t + t_prime - 1, 2 * w - t - t_prime)
-    return 1 if lo <= t_second <= hi else 0
+    return int(t_second in _window(w, t, t_prime))
+
+
+def _window(w: int, t: int, t_prime: int) -> range:
+    """The t'' with n_coeff(w, t, t', t'') = 1, ascending: every other
+    integer from |t-t'|+1 (where t+t'+t'' is odd) up to min(t+t'-1,
+    2w-t-t').  For labels t, t' in [1, w-1] it lies in [1, w-1]."""
+    return range(abs(t - t_prime) + 1, min(t + t_prime - 1, 2 * w - t - t_prime) + 1, 2)
 
 
 def vir_fusion(u: int, p: int) -> FusionTensor:
@@ -180,32 +183,25 @@ def vir_fusion(u: int, p: int) -> FusionTensor:
     coeffs = {}
     for a in labels:
         for b in labels:
-            for r2 in range(1, u):
-                nr = n_coeff(u, a.r, b.r, r2)
-                if not nr:
-                    continue
-                for s2 in range(1, p):
-                    ns = n_coeff(p, a.s, b.s, s2)
-                    if not ns:
-                        continue
-                    c = vir_canonical(u, p, r2, s2)
-                    key = (a, b, c)
-                    coeffs[key] = coeffs.get(key, 0) + nr * ns
+            for r2 in _window(u, a.r, b.r):
+                for s2 in _window(p, a.s, b.s):
+                    key = (a, b, vir_canonical(u, p, r2, s2))
+                    coeffs[key] = coeffs.get(key, 0) + 1
     return FusionTensor(labels, VirLabel(1, 1), coeffs)
+
+
+def _window_ring(w: int) -> Dict[Tuple[int, int, int], int]:
+    """The window rule at size w over the labels 1..w-1, as coefficients
+    keyed (a, b, c) in label order."""
+    labels = range(1, w)
+    return {(a, b, c): 1 for a in labels for b in labels for c in _window(w, a, b)}
 
 
 def sl2_fusion(k: int) -> FusionTensor:
     """Fusion tensor of integrable affine sl2 at positive integer level k."""
     check_level(k)
     labels = tuple(range(1, k + 2))
-    coeffs = {}
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                n = n_coeff(k + 2, a, b, c)
-                if n:
-                    coeffs[(a, b, c)] = n
-    return FusionTensor(labels, 1, coeffs)
+    return FusionTensor(labels, 1, _window_ring(k + 2))
 
 
 def osp_fusion(k: int) -> FusionTensor:
@@ -216,15 +212,19 @@ def osp_fusion(k: int) -> FusionTensor:
     """
     check_level(k)
     labels = tuple(range(1, 2 * k + 3))
-    coeffs = {}
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                n = n_coeff(2 * k + 3, a, b, c)
-                if n:
-                    coeffs[(a, b, c)] = n
     flags = {r: ("local" if r % 2 == 1 else "twisted") for r in labels}
-    return FusionTensor(labels, 1, coeffs, label_flags=flags)
+    return FusionTensor(labels, 1, _window_ring(2 * k + 3),
+                        label_flags=flags)
+
+
+# the three values a parity-resolved 0/1 multiplicity takes, built once
+_INTERTWINERS = {key: SuperFusionEntry(*key) for key in ((0, 0), (1, 0), (0, 1))}
+
+
+def _intertwiners(even: int, odd: int) -> SuperFusionEntry:
+    """SuperFusionEntry(even, odd), the shared value when it is one of the
+    three 0/1 multiplicities."""
+    return _INTERTWINERS.get((even, odd)) or SuperFusionEntry(even, odd)
 
 
 def super_fusion(k: int, r: int, eps: int, r_prime: int, eps_prime: int,
@@ -239,10 +239,7 @@ def super_fusion(k: int, r: int, eps: int, r_prime: int, eps_prime: int,
         if e not in (1, -1):
             raise OutOfRange("parity signs must be +1 or -1, got %r" % (e,))
     n = n_coeff(2 * k + 3, r, r_prime, r_second)
-    sign = eps * eps_prime * eps_second
-    if n == 0:
-        return SuperFusionEntry(0, 0)
-    return SuperFusionEntry(n, 0) if sign > 0 else SuperFusionEntry(0, n)
+    return _intertwiners(n, 0) if eps * eps_prime * eps_second > 0 else _intertwiners(0, n)
 
 
 class CosetLabel(NamedTuple):
@@ -267,13 +264,11 @@ def parafermion_fusion(k: int) -> FusionTensor:
     r-indices fuse by the window rule at 2k+3.
     """
     labels = coset_labels(k)
-    r_vals = sorted({lab.r for lab in labels})
     coeffs = {}
     for a in labels:
         for b in labels:
             mu = (a.nu + b.nu) % (2 * k)
-            for rs in r_vals:
-                n = n_coeff(2 * k + 3, a.r, b.r, rs)
-                if n:
-                    coeffs[(a, b, CosetLabel(mu, rs))] = n
+            # a.r and b.r are odd, so the window holds odd r only
+            for rs in _window(2 * k + 3, a.r, b.r):
+                coeffs[(a, b, CosetLabel(mu, rs))] = 1
     return FusionTensor(labels, CosetLabel(0, 1), coeffs)

@@ -8,15 +8,19 @@ cyclotomics.  Every high-precision dot product and S-matrix product (the
 defects) runs on one integer kernel: each vector is shifted onto ints over
 one power of two, the products are summed exactly and the sum is rounded
 once, bit-identical to ``mp.fdot`` and to mpmath's matrix product; no matrix
-is inverted.  Verlinde rings are counted, not read off the rounded entries:
-every S here is a signed sine table, times a lattice root of unity for the
-coset, so each Verlinde sum is a sum of roots of unity, and ``_count``
-counts it exactly.  Each S-matrix builder attaches the ring of its closed
-form as ``SMatrix.ring``; ``verlinde_standard`` returns it once S passes its
-unitarity gate, and ``verlinde_super`` counts its refined integers with the
-same kernel.  ``fp_dimension_report`` builds only the S columns it reads.
-The default working precision is 256 bits and derived tolerances are
-10^(1 - precision/4).
+is inverted.  No value is computed twice, and every returned bit is that of
+the direct computation: an S-matrix forms its Gram product S S^dagger once
+and reads S S off it when S is real and symmetric, a max-norm takes one
+square root, a sine or phase table computes one value per distinct exact
+argument, and each Verlinde count is a closed form.  Verlinde rings are
+counted, not read off the rounded entries: every S here is a signed sine
+table, times a lattice root of unity for the coset, so each Verlinde sum is
+a sum of roots of unity, and ``_count`` counts it exactly, in O(1).  Each
+S-matrix builder attaches the ring of its closed form as ``SMatrix.ring``;
+``verlinde_standard`` returns it once S passes its unitarity gate, and
+``verlinde_super`` counts its refined integers with the same kernel.
+``fp_dimension_report`` builds only the S columns it reads.  The default
+working precision is 256 bits and derived tolerances are 10^(1 - precision/4).
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_lt,
+                          mpf_mul, mpf_sqrt)
 
 from .characters import (AdmissibleLevel, VirLabel, component_chars_w1,
                          vir_canonical, vir_central_charge, vir_labels,
                          vir_weight)
-from .fusion import (FusionTensor, OutOfRange, SuperFusionEntry, check_level,
-                     coset_labels)
+from .fusion import (FusionTensor, OutOfRange, SuperFusionEntry, _intertwiners,
+                     check_level, coset_labels)
 from .qseries import NonconvergentDomain, VerificationError, qs_eval
 
 
@@ -64,12 +69,33 @@ def _mpq(x) -> mpmath.mpf:
 
 
 def _max_defect(A, B):
-    """Max-norm of A - B over row lists, at the caller's working precision."""
-    d = mp.mpf(0)
-    for ra, rb in zip(A, B):
-        for a, b in zip(ra, rb):
-            d = max(d, abs(a - b))
-    return d
+    """Max-norm of A - B over row lists of equal shape, at the caller's
+    working precision; bit-identical to max(abs(a - b)).
+
+    abs of an mpc is mpf_hypot: |x| when a part is zero, else the sqrt of
+    x^2 + y^2 rounded at prec + 4.  Both roundings are monotone, so the max
+    is the larger of the max |x| over the entries with a zero part and one
+    sqrt of the largest square sum over the others.
+    """
+    prec, rnd = mp._prec_rounding
+    d, sq = fzero, None
+    for ra, rb in zip(A, B, strict=True):
+        for a, b in zip(ra, rb, strict=True):
+            v = a - b
+            x, y = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
+            if y == fzero or x == fzero:
+                x = mpf_abs(x if y == fzero else y, prec, rnd)
+                if mpf_lt(d, x):
+                    d = x
+            else:
+                x = mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec + 4)
+                if sq is None or mpf_lt(sq, x):
+                    sq = x
+    if sq is not None:
+        x = mpf_sqrt(sq, prec, rnd)
+        if mpf_lt(d, x):
+            d = x
+    return mp.make_mpf(d)
 
 
 def _identity(n: int) -> List[List[int]]:
@@ -98,32 +124,43 @@ def _ints(ts):
 
 
 def _fixed(vec, conj: bool = False):
-    """Vector of mpf/mpc values as (re, im, e): vec[i] = (re[i] + i im[i]) 2^e.
+    """Vector of mpf/mpc values as (re, im, re + im, e): vec[i] = (re[i] +
+    i im[i]) 2^e.
 
-    re and im are int lists, exact; im is None when no entry is an mpc, and
-    is negated with ``conj``.
+    re, im and their sum are int lists, exact; im and the sum are None when
+    no entry is an mpc, and im is negated with ``conj``.
     """
     parts = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, None) for v in vec]
     if all(b is None for _, b in parts):
         re, e = _ints([a for a, _ in parts])
-        return re, None, e
+        return re, None, None, e
     n = len(parts)
     ints, e = _ints([a for a, _ in parts] + [b or fzero for _, b in parts])
-    im = ints[n:]
-    return ints[:n], [-v for v in im] if conj else im, e
+    re, im = ints[:n], ints[n:]
+    if conj:
+        im = [-v for v in im]
+    return re, im, [a + b for a, b in zip(re, im)], e
 
 
 def _dot(x, y):
-    """mp.fdot of the two vectors behind ``_fixed`` forms x and y."""
-    (xr, xi, ex), (yr, yi, ey) = x, y
+    """mp.fdot of the two vectors behind ``_fixed`` forms x and y.
+
+    Two complex vectors take three exact sums (Gauss): with P = xr.yr,
+    Q = xi.yi and R = (xr + xi).(yr + yi), re = P - Q and im = R - P - Q.
+    """
+    (xr, xi, xs, ex), (yr, yi, ys, ey) = x, y
     prec, rnd = mp._prec_rounding
     e = ex + ey
     re = sum(map(mul, xr, yr))
     if xi is None and yi is None:
         return mp.make_mpf(from_man_exp(re, e, prec, rnd))
-    xi, yi = xi or [0] * len(xr), yi or [0] * len(yr)
-    re -= sum(map(mul, xi, yi))
-    im = sum(map(mul, xi, yr)) + sum(map(mul, xr, yi))
+    if xi is None:
+        im = sum(map(mul, xr, yi))
+    elif yi is None:
+        im = sum(map(mul, xi, yr))
+    else:
+        q = sum(map(mul, xi, yi))
+        re, im = re - q, sum(map(mul, xs, ys)) - re - q
     return mp.make_mpc((from_man_exp(re, e, prec, rnd),
                         from_man_exp(im, e, prec, rnd)))
 
@@ -132,6 +169,11 @@ def _product(A, B, adjoint: bool = False):
     """A B (A B^dagger with ``adjoint``) on row lists, entry for entry as
     mpmath's matrix product rounds it at the working precision."""
     cols = [_fixed(r, conj=True) for r in B] if adjoint else [_fixed(c) for c in zip(*B)]
+    return _times(A, cols)
+
+
+def _times(A, cols):
+    """A times the columns ``cols``, given in ``_fixed`` form."""
     return [[_dot(r, c) for c in cols] for r in map(_fixed, A)]
 
 
@@ -140,10 +182,13 @@ class SMatrix:
 
     ``ring``, when set, is a zero-argument callable returning the Verlinde
     ring of the closed form the rows are built from, over ``labels`` in
-    their order.
+    their order.  The Gram product S S^dagger and the unitarity defect are
+    computed on first use and kept, so the rows and precision are fixed
+    once a matrix is built.
     """
 
-    __slots__ = ("labels", "rows", "vacuum_index", "precision", "ring", "_index")
+    __slots__ = ("labels", "rows", "vacuum_index", "precision", "ring", "_index",
+                 "_gram", "_unitarity")
 
     def __init__(self, labels: Sequence[Hashable], rows, vacuum_index: int,
                  precision: int, ring: Optional[Callable[[], FusionTensor]] = None):
@@ -156,6 +201,7 @@ class SMatrix:
         self.precision = precision
         self.ring = ring
         self._index = {a: i for i, a in enumerate(self.labels)}
+        self._gram = self._unitarity = None
 
     @property
     def n(self) -> int:
@@ -169,11 +215,33 @@ class SMatrix:
     def entry(self, a, b):
         return self.rows[self.index(a)][self.index(b)]
 
+    def _gram_product(self):
+        """S S^dagger at precision + 16 bits, computed once."""
+        if self._gram is None:
+            with mp.workprec(self.precision + 16):
+                self._gram = _product(self.rows, self.rows, adjoint=True)
+        return self._gram
+
+    def _square(self):
+        """S S at precision + 16 bits.  When every entry is an mpf and the
+        rows are the columns bit for bit, each column of S is the
+        conjugated row and S S is the Gram product; that is checked on the
+        rows, not assumed."""
+        rows = self.rows
+        if (not any(hasattr(v, "_mpc_") for row in rows for v in row)
+                and all(a._mpf_ == b._mpf_ for row, col in zip(rows, zip(*rows))
+                        for a, b in zip(row, col))):
+            return self._gram_product()
+        with mp.workprec(self.precision + 16):
+            return _product(rows, rows)
+
     def unitarity_defect(self):
         """Max-norm of S S^dagger - I."""
-        with mp.workprec(self.precision + 16):
-            return _max_defect(_product(self.rows, self.rows, adjoint=True),
-                               _identity(self.n))
+        if self._unitarity is None:
+            with mp.workprec(self.precision + 16):
+                self._unitarity = _max_defect(self._gram_product(),
+                                              _identity(self.n))
+        return self._unitarity
 
     def symmetry_defect(self):
         with mp.workprec(self.precision + 16):
@@ -182,7 +250,7 @@ class SMatrix:
     def square_defect_from_identity(self):
         """Max-norm of S^2 - I (for the real involutive matrices here)."""
         with mp.workprec(self.precision + 16):
-            return _max_defect(_product(self.rows, self.rows), _identity(self.n))
+            return _max_defect(self._square(), _identity(self.n))
 
 
 class TMatrix:
@@ -224,15 +292,17 @@ def st_cube_defect(S: SMatrix, T: TMatrix):
 
     S T scales column j of S by the phase of label j: one rounded product
     per entry, bit-identical to the dense product with the diagonal T,
-    whose other terms are exact zeros.
+    whose other terms are exact zeros.  The columns of ST are put in
+    ``_fixed`` form once and serve both products, and S^2 is read off the
+    Gram product when S is real and symmetric.
     """
     if S.labels != T.labels:
         raise ValueError("S and T label orders differ")
     with mp.workprec(S.precision + 16):
         phases = [T.phase(a) for a in T.labels]
         ST = [[v * ph for v, ph in zip(row, phases)] for row in S.rows]
-        return _max_defect(_product(_product(ST, ST), ST),
-                           _product(S.rows, S.rows))
+        cols = [_fixed(c) for c in zip(*ST)]
+        return _max_defect(_times(_times(ST, cols), cols), S._square())
 
 
 # -- family S-matrices --------------------------------------------------------
@@ -276,10 +346,9 @@ def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
     tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         pref = -2 / mp.sqrt(mp.mpf(u * p) / 2)
-        sr = [{r2: pref * mp.sinpi(mp.mpf(p * r * r2) / u) for r2 in r_cols}
-              for r in range(1, u)]
-        ss = [{s2: mp.sinpi(mp.mpf(u * s * s2) / p) for s2 in s_cols}
-              for s in range(1, p)]
+        sin_r, sin_s = _Sines(u), _Sines(p)
+        sr = [{r2: pref * sin_r[p * r * r2] for r2 in r_cols} for r in range(1, u)]
+        ss = [{s2: sin_s[u * s * s2] for s2 in s_cols} for s in range(1, p)]
         e_r, e_s = _reflection_defect(sr, p), _reflection_defect(ss, u)
         m_r, m_s = (max(abs(v) for row in t for v in row.values()) for t in (sr, ss))
         spread = e_r * m_s + e_s * m_r + e_r * e_s + 2 * mp.eps * m_r * m_s
@@ -297,6 +366,20 @@ def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
                 row.append(-v if (a.r * b.s + a.s * b.r) % 2 else v)
             rows.append(row)
     return rows
+
+
+class _Sines(dict):
+    """sin(pi x/m) by the integer x, one ``mp.sinpi`` per distinct x, at
+    the working precision of first use: the same bits as the per-entry
+    ``mp.sinpi(mp.mpf(x) / m)``."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, x: int):
+        v = self[x] = mp.sinpi(mp.mpf(x) / self.m)
+        return v
 
 
 def _reflection_defect(table, m: int):
@@ -322,8 +405,8 @@ def _sl2_columns(k: int, cols, precision: int):
     """The rows of ``sl2_smatrix(k)`` cut to the column labels ``cols``."""
     with mp.workprec(precision + 16):
         pref = mp.sqrt(mp.mpf(2) / (k + 2))
-        return [[pref * mp.sinpi(mp.mpf(a * b) / (k + 2)) for b in cols]
-                for a in range(1, k + 2)]
+        sines = _Sines(k + 2)
+        return [[pref * sines[a * b] for b in cols] for a in range(1, k + 2)]
 
 
 def s_small(k: int, r: int, r_prime: int, precision: int = 256):
@@ -353,7 +436,8 @@ def _s_columns(k: int, cols, precision: int) -> List[List[mpmath.mpf]]:
     n = 2 * k + 3
     with mp.workprec(precision + 16):
         inv = 1 / mp.sqrt(mp.mpf(n))
-        return [[(-inv if (r + t) % 2 else inv) * mp.sinpi(mp.mpf(r * t * (k + 2)) / n)
+        sines = _Sines(n)
+        return [[(-inv if (r + t) % 2 else inv) * sines[r * t * (k + 2)]
                  for t in cols] for r in range(1, n)]
 
 
@@ -413,9 +497,20 @@ def _count(m: int, h: int, a: int, b: int, c: int, shift: int = 0) -> int:
         sum over t = 1..m-1 of (-1)^(t shift/m) sin(a theta) sin(b theta)
         sin(c theta)/sin(theta) = -(m/4) _count(m, h, a, b, c, shift).
     The count is even: (e, e', j) and (-e, -e', c-1-j) count alike.
+
+    Each (e, e') term is counted in O(1).  With E0 = e a + e' b + c - 1,
+    hE + shift = (hE0 + shift) - 2hj, so 2m divides it iff hE0 + shift = 2t
+    is even and m divides t - hj, that is j = t h^-1 (mod m) as
+    gcd(h, m) = 1: the j < c in that class are range(t h^-1 mod m, c, m).
     """
-    return sum(e * e2 for e in (1, -1) for e2 in (1, -1) for j in range(c)
-               if (h * (e * a + e2 * b + c - 1 - 2 * j) + shift) % (2 * m) == 0)
+    h_inv = pow(h, -1, m)
+    total = 0
+    for e in (1, -1):
+        for e2 in (1, -1):
+            t, odd = divmod(h * (e * a + e2 * b + c - 1) + shift, 2)
+            if not odd:
+                total += e * e2 * len(range(t * h_inv % m, c, m))
+    return total
 
 
 def _sl2_ring(k: int) -> FusionTensor:
@@ -449,19 +544,38 @@ def _vir_ring(u: int, p: int) -> FusionTensor:
         N = 1/4 _count(u, p, r_a, r_b, r_c, u Sigma)
             _count(p, u, s_a, s_b, s_c, p R).
     Each factor depends only on its own triple and the parity of the other
-    sum, so both are tabled.
+    sum, so both are tabled, and only the (r_c, s_c) where each factor is
+    nonzero for some parity are visited.
     """
     labels = vir_labels(u, p)
-    rs, ss = range(1, u), range(1, p)
-    # tr[x][a, b, c]: the r' factor for Sigma = x (mod 2); ts, the s' factor
-    tr = [{(a, b, c): _count(u, p, a, b, c, u * x)
-           for a in rs for b in rs for c in rs} for x in (0, 1)]
-    ts = [{(a, b, c): _count(p, u, a, b, c, p * x)
-           for a in ss for b in ss for c in ss} for x in (0, 1)]
-    return FusionTensor(labels, VirLabel(1, 1), {
-        (A, B, C): tr[(A.s + B.s + C.s - 1) % 2][A.r, B.r, C.r]
-        * ts[(A.r + B.r + C.r - 1) % 2][A.s, B.s, C.s] // 4
-        for A in labels for B in labels for C in labels})
+    # fr[a, b]: the (c, (factor at even, at odd parity)) with a nonzero
+    # factor, c ascending; fr for the r' sum, fs for the s' sum
+    fr, fs = (_parity_factors(m, h) for m, h in ((u, p), (p, u)))
+    coeffs = {}
+    for A in labels:
+        for B in labels:
+            r_ab, s_ab = A.r + B.r - 1, A.s + B.s - 1
+            for rc, vr in fr[A.r, B.r]:
+                for sc, vs in fs[A.s, B.s]:
+                    n = vr[(s_ab + sc) % 2] * vs[(r_ab + rc) % 2]
+                    if n and (rc, sc) <= (u - rc, p - sc):
+                        coeffs[A, B, VirLabel(rc, sc)] = n // 4
+    return FusionTensor(labels, VirLabel(1, 1), coeffs)
+
+
+def _parity_factors(m: int, h: int):
+    """(a, b) -> [(c, (_count(m, h, a, b, c), _count(m, h, a, b, c, m)))]
+    over 1 <= a, b, c < m, keeping the c where either count is nonzero."""
+    rng = range(1, m)
+    out = {}
+    for a in rng:
+        for b in rng:
+            row = out[a, b] = []
+            for c in rng:
+                f = (_count(m, h, a, b, c), _count(m, h, a, b, c, m))
+                if any(f):
+                    row.append((c, f))
+    return out
 
 
 def verlinde_standard(S: SMatrix) -> FusionTensor:
@@ -520,7 +634,7 @@ class SuperVerlinde:
                 raise OutOfRange("label %r outside [1, %d]" % (t, nmax))
         total = self.n_plus.get((r, r2, r3), 0)
         sdim = eps * eps2 * eps3 * self.n_minus.get((r, r2, r3), 0)
-        return SuperFusionEntry((total + sdim) // 2, (total - sdim) // 2)
+        return _intertwiners((total + sdim) // 2, (total - sdim) // 2)
 
 
 def _stilde_from_table(s, precision: int) -> SMatrix:
@@ -656,10 +770,11 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
         items.append(FPItem(name, computed, closed, diff, tol, diff <= tol))
 
     with mp.workprec(precision + 16):
-        # (i) angle sums
-        odd_sum = mp.fsum(mp.sinpi(mp.mpf(l) / u) ** 2
-                          for l in range(1, u) if l % 2 == 1)
-        full_sum = mp.fsum(mp.sinpi(mp.mpf(l) / u) ** 2 for l in range(1, u))
+        # (i) angle sums, one sin^2(pi l/u) per l, odd l at even index
+        sines = [mp.sinpi(mp.mpf(l) / u) for l in range(1, u)]
+        squares = [v ** 2 for v in sines]
+        odd_sum = mp.fsum(squares[::2])
+        full_sum = mp.fsum(squares)
         add("sin2_odd_sum", odd_sum, mp.mpf(u) / 4)
         add("sin2_full_sum", full_sum, mp.mpf(u) / 2)
 
@@ -668,7 +783,7 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
         fp_sl2 = _column_ratios(range(1, u), _sl2_columns(k, (1,), precision), 0, 0)
         fp_vir = _column_ratios(vir_labels(u, p), _vir_columns(
             u, p, (z,), (z.r,), (z.s,), precision), 0, 0)
-        sin_u = mp.sinpi(mp.mpf(1) / u)
+        sin_u = sines[0]
         sin_p = mp.sinpi(mp.mpf(1) / p)
 
         # (ii) even-subalgebra dimension: sum over odd l of FP(L_l) FP(V_{l,1})

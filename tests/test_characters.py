@@ -1,6 +1,7 @@
 """Admissible levels, module labels, characters, and the branching identities."""
 
 import hashlib
+import math
 from fractions import Fraction as QQ
 
 import pytest
@@ -385,6 +386,17 @@ def test_kac_labels_are_one_sorted_table():
         assert labels == sorted(labels, key=lambda l: (l.r, l.s))
         assert len(labels) == (u - 1) * (p - 1) // 2
         assert [vir_canonical(u, p, u - l.r, p - l.s) for l in labels] == labels
+
+
+def test_kac_labels_are_the_canonicalised_table_in_first_met_order():
+    # the labels are listed by the rule (r, s) <= (u-r, p-s); canonicalising
+    # every (r, s) and keeping each class where first met gives the same list
+    for u in range(2, 31):
+        for p in range(2, 31):
+            if math.gcd(u, p) == 1:
+                old = list(dict.fromkeys(vir_canonical(u, p, r, s)
+                                         for r in range(1, u) for s in range(1, p)))
+                assert vir_labels(u, p) == old, (u, p)
 
 
 @pytest.mark.parametrize("N", [0, -1, QQ(-1, 2)])

@@ -126,6 +126,22 @@ def test_coset_verlinde_keeps_the_unitarity_gate(monkeypatch):
     assert json.loads(res.output)["error"] == "InconsistentBranching"
 
 
+@pytest.mark.parametrize("command", ["verlinde --family coset -k 2", "coset-smatrix -k 2"])
+def test_coset_commands_form_one_gram_product(monkeypatch, command):
+    # the unitarity gate and verlinde_standard (verlinde), or the gate and
+    # the payload (coset-smatrix), read the one S S^dagger the matrix keeps
+    calls = []
+    product = modular._product
+
+    def counted(A, B, adjoint=False):
+        calls.append(adjoint)
+        return product(A, B, adjoint)
+
+    monkeypatch.setattr(modular, "_product", counted)
+    assert _stdout_digest(command) == (0, OUTPUT_DIGESTS[command])
+    assert calls.count(True) == 1
+
+
 def test_low_precision_vir_verlinde_is_the_full_output():
     # the ring is counted from the closed form, so at 8 and 10 bits the
     # output is the 256-bit output byte for byte

@@ -1,5 +1,6 @@
 """Modular data: S/T matrices, Verlinde rings, dimension identities, S-transform."""
 
+import math
 from fractions import Fraction as QQ
 
 import mpmath as mp
@@ -647,6 +648,139 @@ def test_exact_dot_kernel_is_fdot_and_the_matrix_product(family, k, precision):
                     # the matrix stores no zeros and reads one back as mpf 0
                     g = got[i][j] if got[i][j] else mp.mpf(0)
                     assert _bits(g) == _bits(w), (i, j)
+
+
+# Random kernel data.  A part is a full-width or short mantissa scaled into
+# [2^(-wp/4 - 1), 1), so every product fdot sums lies within 2 wp bits of the
+# others and fdot adds them exactly, as it does for S-matrix data.
+_KINDS = ("real", "complex", "zero-real", "zero-imag", "zero")
+
+
+@st.composite
+def _number(draw, wp, kinds=_KINDS):
+    kind = draw(st.sampled_from(kinds))
+
+    def part():
+        man = draw(st.integers(min_value=1, max_value=2 ** wp - 1))
+        v = mp.ldexp(mp.mpf(man), -man.bit_length() - draw(st.integers(0, wp // 4)))
+        return -v if draw(st.booleans()) else v
+
+    with mp.workprec(wp):
+        if kind == "real":
+            return part()
+        if kind == "zero":
+            return draw(st.sampled_from((mp.mpf(0), mp.mpc(0), 0, 1)))
+        re = mp.mpf(0) if kind == "zero-real" else part()
+        im = mp.mpf(0) if kind == "zero-imag" else part()
+        return mp.mpc(re, im)
+
+
+@st.composite
+def _matrix(draw, wp, rows, cols, kinds=_KINDS):
+    return [[draw(_number(wp, kinds)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _no_ints(rows):
+    return [[mp.mpf(v) if isinstance(v, int) else v for v in r] for r in rows]
+
+
+_PRECISIONS = st.sampled_from((8, 53, 256))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_PRECISIONS, st.integers(1, 4), st.integers(1, 4), st.data())
+def test_max_defect_is_the_max_of_abs_bit_for_bit(precision, n, m, data):
+    # B may hold ints, as the identity does; A holds products
+    wp = precision + 16
+    A = _no_ints(data.draw(_matrix(wp, n, m)))
+    B = data.draw(_matrix(wp, n, m))
+    with mp.workprec(wp):
+        want = max([mp.mpf(0)] + [abs(a - b) for ra, rb in zip(A, B)
+                                  for a, b in zip(ra, rb)])
+        assert modular._max_defect(A, B)._mpf_ == want._mpf_
+
+
+def test_max_defect_refuses_a_shape_mismatch():
+    A = [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]]
+    for B in (A[:1], [A[0], A[1][:1]], A + [A[0]]):
+        with pytest.raises(ValueError):
+            modular._max_defect(A, B)
+        with pytest.raises(ValueError):
+            modular._max_defect(B, A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRECISIONS, st.integers(1, 8), st.booleans(), st.data())
+def test_three_sum_dot_is_fdot_bit_for_bit(precision, n, conj, data):
+    wp = precision + 16
+    x, y = _no_ints([[data.draw(_number(wp)) for _ in range(n)] for _ in "xy"])
+    with mp.workprec(wp):
+        got = modular._dot(modular._fixed(x), modular._fixed(y, conj=conj))
+        want = mp.fdot(x, [mp.conj(v) for v in y] if conj else y)
+        assert _bits(got) == _bits(want)
+
+
+def _square_matrix(draw, wp, n, real, symmetric):
+    """n x n rows of mpf (``real``) or mixed mpf/mpc entries, mirrored
+    across the diagonal when ``symmetric``."""
+    rows = _no_ints(draw(_matrix(wp, n, n, ("real", "zero") if real else _KINDS)))
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PRECISIONS, st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_defects_do_not_depend_on_their_order(precision, n, real, symmetric, data):
+    # S S^dagger is kept after first use and S S read off it for real
+    # symmetric rows: every defect has the bits of its own fresh products,
+    # whichever is asked first
+    wp = precision + 16
+    rows = _square_matrix(data.draw, wp, n, real, symmetric)
+    weights = [data.draw(st.fractions(-3, 3, max_denominator=12)) for _ in range(n)]
+    T = modular.TMatrix(range(n), weights, QQ(1, 2), precision)
+    with mp.workprec(wp):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        unitarity = modular._max_defect(modular._product(rows, rows, adjoint=True), eye)
+        square = modular._product(rows, rows)
+        ST = [[v * T.phase(a) for v, a in zip(r, T.labels)] for r in rows]
+        cube = modular._max_defect(
+            modular._product(modular._product(ST, ST), ST), square)
+        involution = modular._max_defect(square, eye)
+    first = SMatrix(range(n), rows, 0, precision)
+    got_first = (first.unitarity_defect(), st_cube_defect(first, T),
+                 first.square_defect_from_identity())
+    second = SMatrix(range(n), rows, 0, precision)
+    got_second = (second.square_defect_from_identity(),
+                  st_cube_defect(second, T), second.unitarity_defect())
+    want = [v._mpf_ for v in (unitarity, cube, involution)]
+    assert [v._mpf_ for v in got_first] == want
+    assert [v._mpf_ for v in got_second[::-1]] == want
+
+
+def _brute_count(m, h, a, b, c, shift=0):
+    """The defining sum of ``_count``, term by term."""
+    return sum(e * e2 for e in (1, -1) for e2 in (1, -1) for j in range(c)
+               if (h * (e * a + e2 * b + c - 1 - 2 * j) + shift) % (2 * m) == 0)
+
+
+def test_count_closed_form_is_the_brute_force_sum():
+    for m in range(2, 14):
+        rng = range(1, m)
+        for h in range(1, 2 * m):
+            if math.gcd(h, m) != 1:
+                continue
+            for shift in (0, m):
+                for a in rng:
+                    for b in rng:
+                        for c in rng:
+                            assert (modular._count(m, h, a, b, c, shift)
+                                    == _brute_count(m, h, a, b, c, shift)), (m, h, a, b, c, shift)
+
+
+def test_count_needs_h_prime_to_m():
+    with pytest.raises(ValueError):
+        modular._count(6, 4, 1, 1, 1)
 
 
 # -- numeric S-transform of the one-variable characters --------------------------------
