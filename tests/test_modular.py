@@ -652,8 +652,9 @@ def test_exact_dot_kernel_is_fdot_and_the_matrix_product(family, k, precision):
 
 # Random kernel data.  A part is a full-width or short mantissa scaled into
 # [2^(-wp/4 - 1), 1), so every product fdot sums lies within 2 wp bits of the
-# others and fdot adds them exactly, as it does for S-matrix data.
-_KINDS = ("real", "complex", "zero-real", "zero-imag", "zero")
+# others and fdot adds them exactly, as it does for S-matrix data.  "exact"
+# draws a zero or one of the identity's ints.
+_KINDS = ("real", "complex", "zero-real", "zero-imag", "exact")
 
 
 @st.composite
@@ -668,7 +669,7 @@ def _number(draw, wp, kinds=_KINDS):
     with mp.workprec(wp):
         if kind == "real":
             return part()
-        if kind == "zero":
+        if kind == "exact":
             return draw(st.sampled_from((mp.mpf(0), mp.mpc(0), 0, 1)))
         re = mp.mpf(0) if kind == "zero-real" else part()
         im = mp.mpf(0) if kind == "zero-imag" else part()
@@ -723,7 +724,7 @@ def test_three_sum_dot_is_fdot_bit_for_bit(precision, n, conj, data):
 def _square_matrix(draw, wp, n, real, symmetric):
     """n x n rows of mpf (``real``) or mixed mpf/mpc entries, mirrored
     across the diagonal when ``symmetric``."""
-    rows = _no_ints(draw(_matrix(wp, n, n, ("real", "zero") if real else _KINDS)))
+    rows = _no_ints(draw(_matrix(wp, n, n, ("real", "exact") if real else _KINDS)))
     if symmetric:
         rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     return rows
