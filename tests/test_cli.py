@@ -487,6 +487,8 @@ OUTPUT_DIGESTS = {
         '1b2ebddfb777cd7d9659653f8a815eebbd7277de70fcc5bbda4a00d2a76a2eef',
     'char --family vir -p 3 --pprime 5 -r 1 -s 2':
         '13b2b35d81826743a732bbe643f81853508f24093ad2f25b4d3501f5be572851',
+    'char --family vir -k 1 -r 2 -s 4':
+        'd9610af1b4444a5804d415fa5672b57d5e9c101bfd1ad40b9c444a17f1459ebd',
     'theta-identity -p 5 --pprime 1 -r 1 -s 0 -N 20':
         'cbc1c0050ae499b5715b7dfb056b60d43a766ae66fbe4e833bd7a41baf8f0cd6',
     'decompose -k 2 -N 8':
