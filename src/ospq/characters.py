@@ -13,6 +13,11 @@ Integer levels correspond to p' = 1.  All characters are produced as exact
 truncated series by dividing theta-function numerators by the relevant
 denominator (two-variable Weyl denominator, i*theta_1, or eta).
 
+Memoised builders.  Each exact character is built once per process for
+each (level, label, order) -- for a Virasoro character, each Kac class --
+and the result is shared by every later call, so it must never be mutated.
+Each memo keeps at most ``CHAR_MEMO_SIZE`` results.
+
 Truncation orders.  A check that claims order N builds its factors once, at
 a fixed margin above N (N+4 for the decomposition, N+2 for the w -> 1
 characters, N+k+2 for the coset phase sum), and raises if the box it
@@ -77,6 +82,15 @@ class VirLabel:
 
     r: int
     s: int
+
+
+def _indices(label) -> Tuple[int, int]:
+    """The (r, s) of a label, which must be integers: a label that merely
+    equals an integer one (1.0, Fraction(1)) would share its memo entry."""
+    r, s = label.r, label.s
+    if not (isinstance(r, int) and isinstance(s, int)):
+        raise InvalidLabel("label indices must be integers, got (%r, %r)" % (r, s))
+    return r, s
 
 
 # -- Virasoro Kac labels ------------------------------------------------------
@@ -187,7 +201,7 @@ class AdmissibleLevel:
     # -- label validation and enumeration ------------------------------------
 
     def check_osp(self, label: OspLabel) -> OspLabel:
-        r, s = label.r, label.s
+        r, s = _indices(label)
         if not (1 <= r <= self.p - 1):
             raise InvalidLabel("first index %d outside [1, %d]" % (r, self.p - 1))
         if not (0 <= s <= self.p_prime - 1):
@@ -199,7 +213,7 @@ class AdmissibleLevel:
         return label
 
     def check_sl2(self, label: Sl2Label) -> Sl2Label:
-        r, s = label.r, label.s
+        r, s = _indices(label)
         if not (1 <= r <= self.u - 1):
             raise InvalidLabel("first index %d outside [1, %d]" % (r, self.u - 1))
         if not (0 <= s <= self.p_prime - 1):
@@ -211,7 +225,7 @@ class AdmissibleLevel:
         return label
 
     def check_vir(self, label: VirLabel) -> VirLabel:
-        r, s = label.r, label.s
+        r, s = _indices(label)
         if not (1 <= r <= self.u - 1):
             raise InvalidLabel("first index %d outside [1, %d]" % (r, self.u - 1))
         if not (1 <= s <= self.p - 1):
@@ -295,6 +309,38 @@ def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
     return wq_div(num, denominator(_den_order(num.min_q(), N)), q_trunc=N, w_floor=F)
 
 
+# results each character memo keeps: one benchmark pass needs at most 79
+# Virasoro classes, 52 sl2 and 28 superalgebra characters
+CHAR_MEMO_SIZE = 256
+
+
+def _positive_order(N: Rat) -> QQ:
+    N = as_fraction(N)
+    if N <= 0:
+        raise ValueError("truncation order must be positive")
+    return N
+
+
+@functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
+def _osp_char(level: AdmissibleLevel, label: OspLabel, N: QQ) -> WQSeries:
+    num = osp_numerator(level, label, N + 1)
+    return _quotient_char(level, num, weyl_denominator, N)
+
+
+@functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
+def _sl2_char(level: AdmissibleLevel, label: Sl2Label, N: QQ) -> WQSeries:
+    num = sl2_numerator(level, label, N + 1)
+    return _quotient_char(level, num, vartheta1_times_i, N)
+
+
+@functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
+def _vir_char(level: AdmissibleLevel, label: VirLabel, N: QQ) -> QSeries:
+    num = vir_numerator(level, label, N + 1)
+    if num.is_zero:
+        return QSeries({}, N)
+    return _qs_div(num, qs_eta(_den_order(num.min_exp(), N)), N)
+
+
 def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     """Character of the superalgebra module, exact on the returned box.
 
@@ -302,10 +348,14 @@ def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     q-slice (no floor).  For fractional levels the slices are genuinely
     infinite descending series in w and the result is cut at the fixed
     floor w = -(N+4).
+
+    Built once per process for each (level, label, order), with 4 and
+    Fraction(4) one order; the result is shared and must not be mutated,
+    and at most ``CHAR_MEMO_SIZE`` results are kept.  The label and the
+    order (ValueError unless positive) are checked on every call.
     """
-    N = as_fraction(N)
-    num = osp_numerator(level, label, N + 1)
-    return _quotient_char(level, num, weyl_denominator, N)
+    N = _positive_order(N)
+    return _osp_char(level, level.check_osp(label), N)
 
 
 def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
@@ -313,20 +363,27 @@ def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
 
     Same floor policy as :func:`osp_char`: complete w-support at integer
     level, a descending expansion cut at the fixed floor w = -(N+4)
-    otherwise.
+    otherwise.  Memoised like it: built once per process for each (level,
+    label, order), shared and never to be mutated, at most
+    ``CHAR_MEMO_SIZE`` kept.
     """
-    N = as_fraction(N)
-    num = sl2_numerator(level, label, N + 1)
-    return _quotient_char(level, num, vartheta1_times_i, N)
+    N = _positive_order(N)
+    return _sl2_char(level, level.check_sl2(label), N)
 
 
 def vir_char(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
-    """Virasoro minimal-model character, exact to order N."""
-    N = as_fraction(N)
-    num = vir_numerator(level, label, N + 1)
-    if num.is_zero:
-        return QSeries({}, N)
-    return _qs_div(num, qs_eta(_den_order(num.min_exp(), N)), N)
+    """Virasoro minimal-model character, exact to order N.
+
+    (r, s) and (u-r, p-s) name the same character, so it is built once per
+    process for each (level, Kac class, order), from the class's canonical
+    label; the result is shared and must not be mutated, and at most
+    ``CHAR_MEMO_SIZE`` results are kept.  Both labels give the same stored
+    series bit for bit: their numerators are the same series, and the
+    quotient is stored slice by slice in ascending q.
+    """
+    N = _positive_order(N)
+    level.check_vir(label)
+    return _vir_char(level, vir_canonical(level.u, level.p, label.r, label.s), N)
 
 
 # -- identity verification ----------------------------------------------------
@@ -426,8 +483,9 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
 
     Each sl2 factor is built once, and each Virasoro factor once per Kac
     class, since (i, r) and (u-i, p-r) name the same character.  The table
-    depends only on (level, N) and is kept for the next caller: the series
-    it returns are shared and must not be mutated.
+    depends only on (level, N) and is kept for the next caller, on the
+    contract of the character memos (see :func:`osp_char`): the series it
+    returns are shared and must not be mutated.
     """
     if not level.is_integer_level:
         raise InvalidLabel("one-variable specialisations require an integer level")

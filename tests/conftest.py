@@ -4,7 +4,9 @@ from ospq import characters
 
 
 @pytest.fixture(autouse=True)
-def _fresh_w1_table():
-    """Start every test with no w -> 1 table kept from an earlier one, so a
-    test that monkeypatches a character builder sees it called."""
-    characters._w1_table.cache_clear()
+def _fresh_memos():
+    """Start every test with no character or w -> 1 table kept from an
+    earlier one, so a test that monkeypatches a builder sees it called."""
+    for memo in (characters._osp_char, characters._sl2_char,
+                 characters._vir_char, characters._w1_table):
+        memo.cache_clear()

@@ -10,6 +10,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ospq.characters as characters
 import ospq.coset as coset
 import ospq.modular as modular
 from ospq.characters import AdmissibleLevel, InvalidLabel, VirLabel, char_w1, vir_char
@@ -228,6 +229,16 @@ def test_reassembly_builds_the_local_character_once(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     assert coset_reassembly(2, 3, 4).ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k, label", [(1, CosetLabel(1, 1)), (2, CosetLabel(1, 3))])
+def test_both_sector_routes_build_the_local_character_once(k, label):
+    built = characters._osp_char.cache_info
+    direct = coset_char_direct(k, label, 3)
+    for variant in ("plus", "minus"):
+        ok, bad = qs_equal_below(coset_char_phase_sum(k, label, 3, variant), direct, 3)
+        assert ok, (variant, bad)
+    assert (built().misses, built().hits) == (1, 2)
 
 
 def test_reassembly_covers_local_modules_only():
