@@ -451,9 +451,7 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
     (i, r)), on the common guarantee box up to order N.  Raises ValueError
     for N <= 0, whose box holds no term to compare.
     """
-    N = as_fraction(N)
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
+    N = _positive_order(N)
     level.check_osp(label)
     M = N + 4
     lhs = osp_char(level, label, M)

@@ -272,12 +272,16 @@ MEMO_LEVELS = (
     AdmissibleLevel(5, 3),
     AdmissibleLevel(7, 3),
 )
+
+
+def _all_vir_labels(lvl):
+    return [VirLabel(r, s) for r in range(1, lvl.u) for s in range(1, lvl.p)]
+
+
 MEMOS = (
-    (osp_char, characters._osp_char, lambda lvl: lvl.osp_labels(), OspLabel),
-    (sl2_char, characters._sl2_char, lambda lvl: lvl.sl2_labels(), Sl2Label),
-    (vir_char, characters._vir_char,
-     lambda lvl: [VirLabel(r, s) for r in range(1, lvl.u) for s in range(1, lvl.p)],
-     VirLabel),
+    (osp_char, characters._osp_char, AdmissibleLevel.osp_labels),
+    (sl2_char, characters._sl2_char, AdmissibleLevel.sl2_labels),
+    (vir_char, characters._vir_char, _all_vir_labels),
 )
 
 
@@ -285,35 +289,35 @@ def _bits(x):
     """Everything a series stores, slice order included."""
     fields = ("q_trunc", "w_floor", "_q_lo") if hasattr(x, "w_floor") else ("trunc",)
     return (type(x), [(q, list(sl.items())) for q, sl in x._s.items()], x.D, x.W,
-            list(x.terms.items()), [getattr(x, f) for f in fields])
+            [getattr(x, f) for f in fields])
 
 
 @pytest.mark.parametrize("lvl", MEMO_LEVELS, ids=lambda l: "%d-%d" % (l.p, l.p_prime))
 def test_memoised_characters_are_the_uncached_builds_bit_for_bit(lvl):
     for N in (3, QQ(7, 2), 4):
-        for char, memo, labels, _ in MEMOS:
+        for char, memo, labels in MEMOS:
             for lab in labels(lvl):
                 kept = char(lvl, lab, N)
                 # built from the label as given, not from its Kac class
                 fresh = memo.__wrapped__(lvl, lab, QQ(N))
                 assert _bits(kept) == _bits(fresh), (char.__name__, lvl, lab, N)
                 assert char(lvl, lab, QQ(N)) is kept
-        for lab in lvl.osp_labels():
-            assert osp_char(lvl, lab, 4) is osp_char(lvl, lab, QQ(4))
-        for lab in MEMOS[2][2](lvl):
+        for lab in _all_vir_labels(lvl):
             twin = VirLabel(lvl.u - lab.r, lvl.p - lab.s)
             assert vir_char(lvl, lab, N) is vir_char(lvl, twin, N)
 
 
-@pytest.mark.parametrize("char, memo, _, make", MEMOS, ids=lambda m: getattr(m, "__name__", ""))
-def test_memoised_characters_raise_on_every_call(char, memo, _, make):
+@pytest.mark.parametrize("char, memo, good, outside", [
+    (osp_char, characters._osp_char, OspLabel(1, 0), OspLabel(5, 0)),
+    (sl2_char, characters._sl2_char, Sl2Label(1, 0), Sl2Label(3, 0)),
+    (vir_char, characters._vir_char, VirLabel(1, 1), VirLabel(1, 5)),
+], ids=["osp", "sl2", "vir"])
+def test_memoised_characters_raise_on_every_call(char, memo, good, outside):
     lvl = AdmissibleLevel(5, 1)
-    good = make(1, 0) if make is not VirLabel else VirLabel(1, 1)
     char(lvl, good, 4)
     size = memo.cache_info().currsize
-    outside = make(lvl.p + 1, 0) if make is not VirLabel else VirLabel(1, lvl.p)
     # 1.0 equals 1, so such a label would find the integer label's entry
-    inexact = make(1.0, good.s)
+    inexact = type(good)(1.0, good.s)
     for _ in range(2):
         for label in (outside, inexact):
             with pytest.raises(InvalidLabel):
