@@ -18,10 +18,13 @@ each (level, label, order) -- for a Virasoro character, each Kac class --
 and the result is shared by every later call, so it must never be mutated.
 Each memo keeps at most ``CHAR_MEMO_SIZE`` results.
 
-Truncation orders.  A check that claims order N builds its factors once, at
-a fixed margin above N (N+4 for the decomposition, N+2 for the w -> 1
-characters, N+k+2 for the coset phase sum), and raises if the box it
-achieved still falls short of N.  The margins always suffice because every character and eta-quotient
+Truncation orders.  Every builder and check refuses an order N <= 0 through
+``qseries._positive_order``.  A check that claims order N builds its factors
+once, at a fixed margin above N (N+4 for the decomposition, N+2 for the
+w -> 1 characters, N+k+2 for the coset sectors), and raises through
+``qseries._require_order`` if the box it achieved still falls short of N;
+every coset route (direct, phase sum, reassembly) verifies its box so.  The
+margins always suffice because every character and eta-quotient
 here has q-exponents >= -1/8: theta numerators start at q^0; the Weyl
 denominator, i*theta_1 and eta start at q^(1/24), q^(1/8) and q^(1/24); and
 a lattice theta class starts at q^(k/4) at the latest.  So a product of
@@ -35,8 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .qseries import (QQ, QSeries, Rat, VerificationError, as_fraction, qs_eta,
-                      qs_mul, _qs_div)
+from .qseries import (QQ, QSeries, Rat, VerificationError, qs_eta, qs_mul,
+                      _positive_order, _qs_div, _require_order)
 from .theta import (
     WQSeries,
     theta_big,
@@ -314,13 +317,6 @@ def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
 CHAR_MEMO_SIZE = 256
 
 
-def _positive_order(N: Rat) -> QQ:
-    N = as_fraction(N)
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
-    return N
-
-
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
 def _osp_char(level: AdmissibleLevel, label: OspLabel, N: QQ) -> WQSeries:
     num = osp_numerator(level, label, N + 1)
@@ -402,13 +398,6 @@ class IdentityReport:
         return self.ok
 
 
-def _require_order(achieved: Optional[QQ], N: QQ, what: str) -> None:
-    """Raise unless a box exact below ``achieved`` (None: complete) reaches N."""
-    if achieved is not None and achieved < N:
-        raise VerificationError(
-            "%s is exact only below q^%s, short of order %s" % (what, achieved, N))
-
-
 def _report(ok, order, bad, what) -> IdentityReport:
     if ok:
         return IdentityReport(True, order, None, "%s holds to order %s" % (what, order))
@@ -429,7 +418,7 @@ def verify_theta_identity(level: AdmissibleLevel, label: OspLabel,
     the half argument against the sum over the branching index i of
     sl2-numerator(i, s) * Virasoro-numerator(i, r), all to order N.
     """
-    N = as_fraction(N)
+    N = _positive_order(N)
     level.check_osp(label)
     lhs = wq_mul(osp_numerator(level, label, N), vartheta2(N, w_scale=QQ(1, 2)))
     rhs = WQSeries((), N, None)
@@ -462,7 +451,7 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
         total = wq_add(total, wq_mul(part_w, wq_from_q(part_q)))
     ok, bad, (T, _) = wq_equal_on_box(lhs, total, order=N)
     what = "character decomposition at %s, label (%d,%d)" % (level, label.r, label.s)
-    _require_order(T, N, what)
+    _require_order(T, N, what, VerificationError)
     return _report(ok, N, bad, what)
 
 
@@ -480,7 +469,7 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
     """(plain, signed) w -> 1 characters of every module r = 1..p-1, to order N.
 
     Each sl2 factor is built once, and each Virasoro factor once per Kac
-    class, since (i, r) and (u-i, p-r) name the same character.  The table
+    class, by the Virasoro memo (see :func:`vir_char`).  The table
     depends only on (level, N) and is kept for the next caller, on the
     contract of the character memos (see :func:`osp_char`): the series it
     returns are shared and must not be mutated.
@@ -492,18 +481,15 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
     sl2_parts = {
         i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M)) for i in range(1, u)
     }
-    vir: Dict[VirLabel, QSeries] = {}
     out = {}
     for r in range(1, p):
         plus = minus = QSeries({}, None)
         for i in range(1, u):
-            label = vir_canonical(u, p, i, r)
-            if label not in vir:
-                vir[label] = vir_char(level, label, M)
-            part = qs_mul(sl2_parts[i], vir[label])
+            part = qs_mul(sl2_parts[i], vir_char(level, VirLabel(i, r), M))
             plus = plus + part
             minus = minus + (part if i % 2 == 1 else -1 * part)
-        _require_order(plus.trunc, N, "w -> 1 character of module %d" % r)
+        _require_order(plus.trunc, N, "w -> 1 character of module %d" % r,
+                       VerificationError)
         out[r] = (plus.truncate(N), minus.truncate(N))
     return out
 
@@ -513,7 +499,7 @@ def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSe
     signed with ``signed``; see :func:`component_chars_w1`."""
     if not (1 <= r <= level.p - 1):
         raise InvalidLabel("module index %d outside [1, %d]" % (r, level.p - 1))
-    return _w1_table(level, as_fraction(N))[r][1 if signed else 0]
+    return _w1_table(level, _positive_order(N))[r][1 if signed else 0]
 
 
 def component_chars_w1(level: AdmissibleLevel, N: Rat
@@ -525,7 +511,7 @@ def component_chars_w1(level: AdmissibleLevel, N: Rat
     character the odd components (even branching index) enter with a minus
     sign.
     """
-    return dict(_w1_table(level, as_fraction(N)))
+    return dict(_w1_table(level, _positive_order(N)))
 
 
 def is_integer_graded(level: AdmissibleLevel, r: int, N: Rat = 6) -> bool:

@@ -24,8 +24,7 @@ from . import __version__
 from .characters import (AdmissibleLevel, OspLabel, Sl2Label, VirLabel,
                          osp_char, sl2_char, verify_decomposition,
                          verify_theta_identity, vir_char)
-from .coset import (coset_char_direct, coset_char_phase_sum, coset_smatrix,
-                    coset_unitarity_gate)
+from .coset import coset_char_direct, coset_char_phase_sum, coset_smatrix
 from .fusion import (CosetLabel, FusionTensor, check_level, osp_fusion,
                      parafermion_fusion, sl2_fusion, vir_fusion)
 from .modular import (SMatrix, check_s_transform_numeric,
@@ -484,11 +483,8 @@ def verlinde_cmd(family, k, u, p, precision, fmt, out):
     tensor (exit 1 on mismatch)."""
     params = _family_params(family, k, u, p)
     if family == "coset":
-        # the coset matrix passes its unitarity gate here, and its ring
-        # is counted once, by verlinde_standard; S keeps its defect, so
-        # the second gate reads it
+        # its ring is counted once, by verlinde_standard below
         S = coset_smatrix(params["k"], precision, verify=False)
-        coset_unitarity_gate(S)
     else:
         S = FAMILIES[family].smatrix(*params.values(), precision)
     ft = verlinde_standard(S)

@@ -20,10 +20,11 @@ from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
                          OspLabel, char_w1, osp_char)
 from .fusion import (CosetLabel, FusionTensor, check_level, coset_labels,
                      parafermion_fusion)
-from .modular import (SMatrix, NonIntegralFusion, _count, _mpq,
-                      derived_tolerance, s_table)
-from .qseries import (QQ, QSeries, VerificationError, as_fraction,
-                      qs_equal_below, qs_eta, qs_mul, qs_shift, _qs_div)
+from .modular import (SMatrix, NonIntegralFusion, _count, _mpq, s_table,
+                      verlinde_standard)
+from .qseries import (QQ, QSeries, VerificationError, qs_equal_below, qs_eta,
+                      qs_mul, qs_shift, _min_trunc, _positive_order, _qs_div,
+                      _require_order)
 from .theta import theta_q
 
 
@@ -65,33 +66,29 @@ def _sector_from_slice(ch, x: QQ, k: int, N: QQ) -> QSeries:
     return qs_mul(shifted, eta).truncate(N)
 
 
-def _sector(ch, k: int, nu: int, N: QQ) -> QSeries:
-    """Sector nu of the local-module character ``ch``, whose w-slices are
-    complete to order N + k + 2, extracted to order N from both canonical
-    representatives x = nu/2 and x = nu/2 - k; a mismatch raises
-    InconsistentBranching."""
-    x_plus = QQ(nu, 2)
-    res_plus = _sector_from_slice(ch, x_plus, k, N)
-    res_minus = _sector_from_slice(ch, x_plus - k, k, N)
-    ok, bad = qs_equal_below(res_plus, res_minus, N)
-    if not ok:
-        raise InconsistentBranching(
-            "representatives %s and %s of class %d disagree at q^%s: %s vs %s"
-            % (x_plus, x_plus - k, nu, bad[0], bad[1], bad[2]))
-    return res_plus
-
-
 def coset_char_direct(k: int, label, N) -> QSeries:
     """Coset sector character by direct charge grading of the full character.
 
     A term w^x belongs to class nu = 2x mod 2k with accompanying Heisenberg
     weight x^2/k.  Both canonical representatives x = nu/2 and x = nu/2 - k
-    are extracted and must produce the same series; a mismatch raises
-    InconsistentBranching.
+    are extracted, from w-slices complete to order N + k + 2, and must
+    produce the same series on a box reaching order N; a mismatch or a
+    shorter box raises InconsistentBranching.
     """
     label = _check_label(k, label)
-    N = as_fraction(N)
-    return _sector(_full_char(k, label.r, N + k + 2), k, label.nu, N)
+    N = _positive_order(N)
+    ch = _full_char(k, label.r, N + k + 2)
+    x_plus = QQ(label.nu, 2)
+    res_plus = _sector_from_slice(ch, x_plus, k, N)
+    res_minus = _sector_from_slice(ch, x_plus - k, k, N)
+    _require_order(_min_trunc(res_plus.trunc, res_minus.trunc), N,
+                   "sector %d" % label.nu, InconsistentBranching)
+    ok, bad = qs_equal_below(res_plus, res_minus, N)
+    if not ok:
+        raise InconsistentBranching(
+            "representatives %s and %s of class %d disagree at q^%s: %s vs %s"
+            % (x_plus, x_plus - k, label.nu, bad[0], bad[1], bad[2]))
+    return res_plus
 
 
 def _divmod_monic(a: List[int], f: List[int]) -> Tuple[List[int], List[int]]:
@@ -139,18 +136,15 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     label = _check_label(k, label)
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
-    N = as_fraction(N)
+    N = _positive_order(N)
     M = N + k + 2
     ch = _full_char(k, label.r, M)
     # exact eta / (2k * theta_{L+nu}) prefactor
     pref = qs_shift(_qs_div(qs_eta(M), lattice_theta(k, label.nu, M)), 0, QQ(1, 2 * k))
     if variant == "minus" and label.nu % 2 == 1:
         pref = qs_shift(pref, 0, -1)
-    guaranteed = min(M + pref.min_exp(), pref.trunc + ch.min_q_bound())
-    if guaranteed < N:
-        raise InconsistentBranching(
-            "phase sum is exact only below q^%s, short of order %s"
-            % (guaranteed, N))
+    _require_order(min(M + pref.min_exp(), pref.trunc + ch.min_q_bound()), N,
+                   "phase sum", InconsistentBranching)
 
     # with 2x = a/b, the term w^x at phase g, weighted by e^{-2 pi i nu g/(2k)},
     # is zeta_m^((g + shift) a - nu g b); the 'minus' shift by a half period
@@ -188,21 +182,24 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
 
     Sum over classes of (theta_{L+nu}/eta) * sector character -- with the
     class sign (-1)^nu in the signed variant -- compared exactly against the
-    plain (resp. signed) specialised character.
+    plain (resp. signed) specialised character, on a box that must reach
+    order N.  Each sector is read from :func:`coset_char_direct` to order
+    N + 1.
     """
     _check_label(k, (0, r))
-    N = as_fraction(N)
+    N = _positive_order(N)
     level = AdmissibleLevel.from_integer_level(k)
     target = char_w1(level, r, N, signed=signed)
-    ch = _full_char(k, r, N + k + 3)
     total = QSeries({}, N)
     eta = qs_eta(N + 3)
     for nu in range(2 * k):
-        sector = _sector(ch, k, nu, N + 1)
+        sector = coset_char_direct(k, (nu, r), N + 1)
         piece = qs_mul(_qs_div(lattice_theta(k, nu, N + 2), eta), sector)
         if signed and nu % 2 == 1:
             piece = qs_shift(piece, 0, -1)
         total = total + piece
+    _require_order(total.trunc, N, "sector reassembly (r=%d, signed=%s)"
+                   % (r, signed), InconsistentBranching)
     ok, bad = qs_equal_below(total, target, N)
     if ok:
         return IdentityReport(True, N, None,
@@ -223,8 +220,9 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
     direction carried by the sector weights; the sector characters are
     charge-conjugation symmetric and transform identically under either
     sign.  Its ``ring`` is ``_coset_ring(k)``.  With ``verify`` (default)
-    the matrix must pass ``coset_unitarity_gate`` and its ring must be the
-    parafermion fusion tensor; NonIntegralFusion is raised otherwise.
+    the matrix must pass the unitarity gate of ``verlinde_standard`` and
+    its ring must be the parafermion fusion tensor; NonIntegralFusion is
+    raised otherwise.
     """
     check_level(k)
     labels = coset_labels(k)
@@ -247,12 +245,10 @@ def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
             rows.append(row)
     S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision,
                 ring=lambda: _coset_ring(k))
-    if verify:
-        coset_unitarity_gate(S)
-        if S.ring() != parafermion_fusion(k):
-            raise NonIntegralFusion(
-                "the Verlinde ring of the coset S-matrix at k=%d is not the "
-                "parafermion fusion tensor" % k)
+    if verify and verlinde_standard(S) != parafermion_fusion(k):
+        raise NonIntegralFusion(
+            "the Verlinde ring of the coset S-matrix at k=%d is not the "
+            "parafermion fusion tensor" % k)
     return S
 
 
@@ -274,15 +270,3 @@ def _coset_ring(k: int) -> FusionTensor:
     return FusionTensor(labels, CosetLabel(0, 1), {
         (A, B, CosetLabel((A.nu + B.nu) % (2 * k), c)): refined[A.r, B.r, c]
         for A in labels for B in labels for c in rs})
-
-
-def coset_unitarity_gate(S: SMatrix):
-    """S.unitarity_defect(), once it is within the derived tolerance;
-    InconsistentBranching otherwise."""
-    tol = derived_tolerance(S.precision)
-    d = S.unitarity_defect()
-    if d > tol:
-        raise InconsistentBranching(
-            "coset S-matrix unitarity defect %s exceeds %s"
-            % (mp.nstr(d, 5), mp.nstr(tol, 5)))
-    return d

@@ -40,7 +40,8 @@ from .characters import (AdmissibleLevel, VirLabel, component_chars_w1,
                          vir_weight)
 from .fusion import (FusionTensor, OutOfRange, SuperFusionEntry, _intertwiners,
                      check_level, coset_labels)
-from .qseries import NonconvergentDomain, VerificationError, qs_eval
+from .qseries import (NonconvergentDomain, VerificationError, _positive_order,
+                      qs_eval)
 
 
 class NonIntegralFusion(VerificationError):
@@ -903,9 +904,7 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
     an empty series leaves nothing to compare.
     """
     level = AdmissibleLevel.from_integer_level(k)
-    N = Fraction(N)
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
+    N = _positive_order(N)
     chars = component_chars_w1(level, N)
     empty = [r for r, pair in sorted(chars.items()) if any(ch.is_zero for ch in pair)]
     if empty:

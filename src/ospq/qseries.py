@@ -67,6 +67,23 @@ def as_fraction(x: Rat) -> QQ:
     raise TypeError("expected int or Fraction, got %s" % type(x).__name__)
 
 
+def _positive_order(N: Rat) -> QQ:
+    """N as a Fraction; ValueError unless it is positive, since the box
+    below q^N then holds no term.  The one refusal of such an order."""
+    N = as_fraction(N)
+    if N <= 0:
+        raise ValueError("truncation order must be positive")
+    return N
+
+
+def _require_order(achieved: Optional[QQ], N: QQ, what: str, error) -> None:
+    """Raise ``error`` unless a box exact below ``achieved`` (None:
+    complete) reaches order N.  The one refusal of a short box."""
+    if achieved is not None and achieved < N:
+        raise error("%s is exact only below q^%s, short of order %s"
+                    % (what, achieved, N))
+
+
 def _min_trunc(ta: Optional[QQ], tb: Optional[QQ]) -> Optional[QQ]:
     if ta is None:
         return tb
@@ -518,9 +535,7 @@ def qs_eta(N: Rat) -> QSeries:
     pentagonal number theorem: q^{1/24} * sum over m of (-1)^m q^{m(3m-1)/2},
     whose exponents are (6m - 1)^2 / 24.  They grow along m = 0, 1, -1, 2,
     -2, ..., so the terms are stored in ascending order."""
-    N = as_fraction(N)
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
+    N = _positive_order(N)
     cut = math.ceil(24 * N)
     s: _Store = {}
     j = 0

@@ -51,6 +51,7 @@ from .qseries import (
     _Lattice,
     _merge,
     _min_trunc,
+    _positive_order,
     _product_trunc,
     _scaled,
     _slice_div,
@@ -368,19 +369,15 @@ def theta_big(r: int, s: int, w_scale: Rat, q_scale: Rat, N: Rat) -> WQSeries:
         raise InvalidIndex("second theta index must be a positive integer, got %r" % (s,))
     if not isinstance(r, int):
         raise InvalidIndex("first theta index must be an integer, got %r" % (r,))
-    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), as_fraction(N)
+    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), _positive_order(N)
     if q_scale <= 0:
         raise ValueError("q scaling factor must be positive")
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
     # with t = 2s(m + r/2s): q-exponent q_scale t^2/4s, w-exponent w_scale t/2
     return _theta(-(-r % (2 * s)), -2 * s, 4 * s, w_scale, q_scale, N, lambda t: 1)
 
 
 def _half_integer_theta(N: Rat, w_scale: Rat, q_scale: Rat, alternating: bool) -> WQSeries:
-    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), as_fraction(N)
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
+    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), _positive_order(N)
     # with t = 2n + 1: q-exponent q_scale t^2/8, w-exponent w_scale t/2
     return _theta(-1, -2, 8, w_scale, q_scale, N,
                   lambda t: -1 if alternating and (t - 1) % 4 else 1)
@@ -418,9 +415,7 @@ def weyl_denominator(N: Rat, form: str = "theta") -> WQSeries:
 
     Both forms agree exactly to order N; that agreement is a regression test.
     """
-    N = as_fraction(N)
-    if N <= 0:
-        raise ValueError("truncation order must be positive")
+    N = _positive_order(N)
     if form == "theta":
         h = QQ(1, 2)
         return wq_add(

@@ -395,18 +395,15 @@ def test_char_w1_routes_agree():
 
 
 def test_w1_table_builds_each_factor_once(monkeypatch):
-    calls = {"vir_char": 0, "sl2_char": 0}
-    for name in calls:
-        real = getattr(characters, name)
-
-        def counted(*args, _real=real, _name=name, **kw):
-            calls[_name] += 1
-            return _real(*args, **kw)
-
-        monkeypatch.setattr(characters, name, counted)
+    # a Virasoro factor is built once per Kac class, by its memo
+    sl2_calls = []
+    real = characters.sl2_char
+    monkeypatch.setattr(characters, "sl2_char",
+                        lambda *args: sl2_calls.append(args) or real(*args))
+    vir_built = characters._vir_char.cache_info
     lvl = LEVELS[1]  # k = 2: (u, p) = (4, 7)
     table = component_chars_w1(lvl, 4)
-    assert calls == {"vir_char": (4 - 1) * (7 - 1) // 2, "sl2_char": 4 - 1}
+    assert (vir_built().misses, len(sl2_calls)) == ((4 - 1) * (7 - 1) // 2, 4 - 1)
     table.clear()
     again = component_chars_w1(lvl, 4)
     assert set(again) == set(range(1, 7))
@@ -415,7 +412,7 @@ def test_w1_table_builds_each_factor_once(monkeypatch):
             assert char_w1(lvl, r, 4, signed) is again[r][signed]
     with pytest.raises(InvalidLabel):
         char_w1(lvl, 7, 5)  # the label is checked before any table is built
-    assert calls == {"vir_char": 9, "sl2_char": 3}
+    assert (vir_built().misses, len(sl2_calls)) == (9, 3)
 
 
 def test_signed_specialisation_direct_route():

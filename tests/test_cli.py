@@ -123,7 +123,7 @@ def test_coset_verlinde_keeps_the_unitarity_gate(monkeypatch):
     monkeypatch.setattr(modular.SMatrix, "unitarity_defect", lambda S: mp.mpf(1))
     res = run("verlinde", "--family", "coset", "-k", "2")
     assert res.exit_code == 1
-    assert json.loads(res.output)["error"] == "InconsistentBranching"
+    assert json.loads(res.output)["error"] == "NonIntegralFusion"
 
 
 @pytest.mark.parametrize("command", ["verlinde --family coset -k 2", "coset-smatrix -k 2"])

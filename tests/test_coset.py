@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import ospq.characters as characters
 import ospq.coset as coset
 import ospq.modular as modular
-from ospq.characters import AdmissibleLevel, InvalidLabel, VirLabel, char_w1, vir_char
+from ospq.characters import (AdmissibleLevel, InvalidLabel, OspLabel, VirLabel, char_w1,
+                             component_chars_w1, verify_theta_identity, vir_char)
 from ospq.coset import (
     CosetLabel,
     InconsistentBranching,
@@ -25,7 +26,8 @@ from ospq.coset import (
     lattice_theta,
 )
 from ospq.fusion import OutOfRange, parafermion_fusion
-from ospq.modular import derived_tolerance, s_small, st_cube_defect, t_matrix, verlinde_standard
+from ospq.modular import (NonIntegralFusion, derived_tolerance, s_small, st_cube_defect,
+                          t_matrix, verlinde_standard)
 from ospq.qseries import qs_equal_below, qs_scalar
 from ospq.theta import WQSeries
 
@@ -156,11 +158,43 @@ def test_cyclotomic_polynomials():
     assert coset._cyclotomic(12) == [1, 0, -1, 0, 1]
 
 
-def test_phase_sum_margin_failure_is_a_branching_error(monkeypatch):
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda: coset_char_direct(1, (0, 1), 3), id="direct"),
+    pytest.param(lambda: coset_char_phase_sum(1, (0, 1), 3), id="phase_sum"),
+    pytest.param(lambda: coset_reassembly(1, 1, 3), id="reassembly"),
+])
+def test_phase_sum_margin_failure_is_a_branching_error(monkeypatch, route):
     # a character whose box falls short by as much as the order grows
     monkeypatch.setattr(coset, "_full_char", lambda k, r, M: WQSeries((), -M, None))
     with pytest.raises(InconsistentBranching):
-        coset_char_phase_sum(1, (0, 1), 3)
+        route()
+
+
+def test_reassembly_refuses_a_short_sum(monkeypatch):
+    # sound sectors, but class thetas exact only below q^(1/2)
+    theta = coset.lattice_theta
+    monkeypatch.setattr(coset, "lattice_theta",
+                        lambda k, nu, N: theta(k, nu, N).truncate(QQ(1, 2)))
+    with pytest.raises(InconsistentBranching, match="short of order 3"):
+        coset_reassembly(1, 1, 3)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda N: coset_char_direct(1, (0, 1), N), id="coset_char_direct"),
+    pytest.param(lambda N: coset_char_phase_sum(1, (0, 1), N), id="coset_char_phase_sum"),
+    pytest.param(lambda N: coset_reassembly(1, 1, N), id="coset_reassembly"),
+    pytest.param(lambda N: char_w1(AdmissibleLevel.from_integer_level(1), 1, N),
+                 id="char_w1"),
+    pytest.param(lambda N: component_chars_w1(AdmissibleLevel.from_integer_level(1), N),
+                 id="component_chars_w1"),
+    pytest.param(lambda N: verify_theta_identity(AdmissibleLevel.from_integer_level(1),
+                                                 OspLabel(1, 0), N),
+                 id="verify_theta_identity"),
+])
+def test_every_route_refuses_a_non_positive_order(route, N):
+    with pytest.raises(ValueError, match="^truncation order must be positive$"):
+        route(N)
 
 
 # -- sector T phases -----------------------------------------------------------------
@@ -222,13 +256,9 @@ def test_reassembly_identity(signed):
         assert rep.ok, (k, r, rep.detail)
 
 
-def test_reassembly_builds_the_local_character_once(monkeypatch):
-    calls = []
-    real = coset.osp_char
-    monkeypatch.setattr(coset, "osp_char",
-                        lambda *args: calls.append(args) or real(*args))
+def test_reassembly_builds_the_local_character_once():
     assert coset_reassembly(2, 3, 4).ok
-    assert len(calls) == 1
+    assert characters._osp_char.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("k, label", [(1, CosetLabel(1, 1)), (2, CosetLabel(1, 3))])
@@ -289,6 +319,13 @@ def test_coset_modular_consistency(k):
     assert verlinde_standard(S) == parafermion_fusion(k)
     T = t_matrix("coset", k)
     assert st_cube_defect(S, T) < mp.mpf(10) ** -60
+
+
+def test_coset_smatrix_verify_keeps_the_unitarity_gate(monkeypatch):
+    monkeypatch.setattr(modular.SMatrix, "unitarity_defect", lambda S: mp.mpf(1))
+    with pytest.raises(NonIntegralFusion, match="unitarity defect"):
+        coset_smatrix(2)
+    coset_smatrix(2, verify=False)
 
 
 def test_coset_smatrix_squares_to_charge_conjugation():

@@ -56,6 +56,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_the_order_refusal_is_written_once():
+    # every builder refuses N <= 0 through qseries._positive_order; the CLI
+    # turns the same refusal into a usage error
+    message = "truncation order must be positive"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        for node in ast.parse(source, filename=str(path)).body:
+            if message in (ast.get_source_segment(source, node) or ""):
+                found.append((path.stem, getattr(node, "name", None)))
+    assert sorted(found) == [("cli", "_parse_order"), ("qseries", "_positive_order")]
+
+
 def test_readme_library_example_runs():
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, re.S)
