@@ -25,6 +25,7 @@ working precision is 256 bits and derived tolerances are 10^(1 - precision/4).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -651,6 +652,14 @@ def _stilde_from_table(s, precision: int) -> SMatrix:
     return SMatrix(labels, rows, labels.index((1, "+")), precision)
 
 
+@functools.lru_cache(maxsize=16)
+def _check_stilde(k: int, precision: int) -> SMatrix:
+    """S~ as ``check_s_transform_numeric`` reads it, built once per (k,
+    precision) and shared: its callers only read labels, rows and index.
+    ``verlinde_super`` builds its own, which it returns."""
+    return _stilde_from_table(s_table(k, precision), precision)
+
+
 def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     """Parity-refined Verlinde data in the changed (plus/minus) basis.
 
@@ -901,7 +910,9 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
     the character of its column at tau0.  Truncation tails enter the
     per-entry tolerance.  Raises ValueError for an order N <= 0, and for
     an order at which a character the check reads has no term below q^N:
-    an empty series leaves nothing to compare.
+    an empty series leaves nothing to compare.  S~ is built once per (k,
+    precision) and each series is evaluated by one ``qs_eval`` call per
+    tau, whose memo shares the transcendentals of a tau between series.
     """
     level = AdmissibleLevel.from_integer_level(k)
     N = _positive_order(N)
@@ -916,7 +927,7 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
         if mp.im(tau0) <= 0:
             raise NonconvergentDomain("tau must lie in the upper half plane")
         tau1 = -1 / tau0
-        St = _stilde_from_table(s_table(k, precision), precision)
+        St = _check_stilde(k, precision)
         series = {(r, a): chars[r][0 if a == "+" else 1] for (r, a) in St.labels}
         # evaluations at tau0 (right-hand sides)
         ev = {lab: qs_eval(ch, tau0, precision) for lab, ch in series.items()}

@@ -28,6 +28,7 @@ theorem rather than multiplied out factor by factor.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -560,6 +561,34 @@ class EvalResult:
         return complex(self.value)
 
 
+# qs_eval's transcendentals, each a function of exact, hashable inputs: a
+# rounded tau as its ``_mpc_`` tuple, ints, a Fraction and bit counts
+_EVAL_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_EVAL_MEMO_SIZE)
+def _exp_step(t, D: int, m: int, wp: int):
+    """exp(z m) with z = 2 pi i tau / D, tau = t, both at wp bits."""
+    with mpmath.workprec(wp):
+        z = 2j * mpmath.pi * mpmath.mp.make_mpc(t) / D
+        return mpmath.exp(z * m)
+
+
+@functools.lru_cache(maxsize=_EVAL_MEMO_SIZE)
+def _fixed_power(t, D: int, g: int, d: int, wp: int, P: int) -> Tuple[int, int]:
+    """y^d at wp bits, y = exp(z g), floored to P fractional bits per part."""
+    with mpmath.workprec(wp):
+        return tuple(to_fixed(x, P) for x in (_exp_step(t, D, g, wp) ** d)._mpc_)
+
+
+@functools.lru_cache(maxsize=_EVAL_MEMO_SIZE)
+def _tail_factors(im_t, T: QQ, prec: int):
+    """(|q|^T, 1 - |q|) at prec bits, |q| = exp(-2 pi Im tau), Im tau = im_t."""
+    with mpmath.workprec(prec):
+        qabs = mpmath.exp(-2 * mpmath.pi * mpmath.mp.make_mpf(im_t))
+        return qabs ** (mpmath.mpf(T.numerator) / T.denominator), 1 - qabs
+
+
 def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
     """Evaluate at q = exp(2 pi i tau), Im(tau) > 0, in binary precision bits.
 
@@ -585,6 +614,17 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
 
     The tail bound is heuristic: C * |q|^T / (1 - |q|) with C the largest
     stored |coefficient| (at least 1); it is 0 for complete series.
+
+    Memoised.  Series evaluated at the same tau share their transcendentals,
+    so three bounded private memos (``functools.lru_cache``) keep them:
+    exp(z m), for head (m = q0) and y (m = g), keyed by (tau, D, m, wp) with
+    tau rounded as here and wp the working precision of z; Y_d keyed by
+    (tau, D, g, d, wp, P); and the tail factors |q|^T and 1 - |q| keyed by
+    (Im tau, T, precision + 16), the tail still formed as C |q|^T / (1 - |q|).
+    A key holds every input its value is computed from, and a hit returns
+    what the same operations at the same precision on the same inputs
+    returned before, so every result is the same bit for bit as with an
+    empty memo.
     """
     with mpmath.workprec(precision + 16):
         t = mpmath.mpmathify(tau)
@@ -598,10 +638,9 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
             gaps = [(hi - lo) // g for lo, hi in zip(keys, keys[1:])] + [0]
             # the rounding of 2 pi i tau grows with |tau| and the key span
             span = max(keys[-1] - q0, abs(q0), 1) * (2 + int(8 * abs(t)))
-            with mpmath.workprec(P + 8 + span.bit_length()):
-                z = 2j * mpmath.pi * t / a.D
-                head, y = mpmath.exp(z * q0), mpmath.exp(z * g)
-                Y = {d: [to_fixed(x, P) for x in (y ** d)._mpc_] for d in set(gaps)}
+            wp = P + 8 + span.bit_length()
+            head = _exp_step(t._mpc_, a.D, q0, wp)
+            Y = {d: _fixed_power(t._mpc_, a.D, g, d, wp, P) for d in set(gaps)}
             sr = si = 0
             for q, d in zip(reversed(keys), reversed(gaps)):
                 yr, yi = Y[d]
@@ -618,9 +657,8 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
             # rounding is monotone, so this is the largest of the rounded |c|
             c = max((abs(sl[0]) for sl in a._s.values()), default=0)
             big = max(mpmath.mpf(1), mpmath.mpf(c.numerator) / c.denominator)
-            qabs = mpmath.exp(-2 * mpmath.pi * mpmath.im(t))
-            tt = a.trunc
-            tail = big * qabs ** (mpmath.mpf(tt.numerator) / tt.denominator) / (1 - qabs)
+            pw, den = _tail_factors(t.imag._mpf_, a.trunc, precision + 16)
+            tail = big * pw / den
         return EvalResult(+val, +tail, precision)
 
 

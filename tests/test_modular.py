@@ -31,7 +31,7 @@ from ospq.modular import (
     vir_smatrix,
     vir_weight_map,
 )
-from ospq.qseries import NonconvergentDomain, VerificationError
+from ospq.qseries import NonconvergentDomain, VerificationError, qs_eval
 
 st_k = st.integers(min_value=1, max_value=4)
 
@@ -808,3 +808,27 @@ def test_s_transform_rejects_a_non_positive_order(N):
 def test_s_transform_rejects_lower_half_plane():
     with pytest.raises(NonconvergentDomain):
         check_s_transform_numeric(1, -1j, 8, precision=128)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_s_transform_calls_qs_eval_once_per_series_and_tau(monkeypatch, k):
+    # the benchmark tracer counts qs_eval through this binding, so its memos
+    # must sit below it: one call per series at tau0 and one at -1/tau0; a
+    # warm second check returns the cold first check's entries bit for bit
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return qs_eval(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "qs_eval", counting)
+    tau0 = mp.mpc(-0.277839, 1.725435)
+    reports = []
+    for _ in range(2):
+        calls.clear()
+        reports.append(check_s_transform_numeric(k, tau0, 12))
+        assert len(calls) == 2 * (4 * k + 4)
+    cold, warm = ([(e.r, e.variant, e.residual._mpf_, e.tail_bound._mpf_,
+                    e.tolerance._mpf_) for e in rep.entries] for rep in reports)
+    assert warm == cold
+    assert reports[0].ok

@@ -2,12 +2,14 @@
 
 from fractions import Fraction as QQ
 
+import functools
 import math
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ospq import qseries
 from ospq.qseries import (
     EmptySeries,
     NonconvergentDomain,
@@ -118,14 +120,21 @@ def ref_invert(a):
     return QSeries({n - e0: c / c0 for n, c in inv.items()}, T_rel - e0)
 
 
+# built once: a strategy built inside a draw is built and validated anew on
+# every draw, which costs more than the kernels under test
+LATTICE_TERMS = {d: st.dictionaries(st.integers(-3 * d, 6 * d).map(lambda k, d=d: QQ(k, d)),
+                                    st_coeff, max_size=8)
+                 for d in range(1, 25)}
+LATTICE_TRUNC = st.none() | st.fractions(QQ(-1), QQ(9), max_denominator=24)
+
+
 @st.composite
 def st_lattice_series(draw):
     """A series on one lattice 1/d (d <= 24), complete or truncated, whose
     declared D may be a multiple of the one its exponents need."""
     d = draw(st.integers(1, 24))
-    exps = st.integers(-3 * d, 6 * d).map(lambda k: QQ(k, d))
-    terms = draw(st.dictionaries(exps, st_coeff, max_size=8))
-    trunc = draw(st.none() | st.fractions(QQ(-1), QQ(9), max_denominator=24))
+    terms = draw(LATTICE_TERMS[d])
+    trunc = draw(LATTICE_TRUNC)
     return QSeries(terms, trunc, D=d * draw(st.integers(1, 3)))
 
 
@@ -571,3 +580,66 @@ def test_eval_is_within_its_rounding_bound(series, tau):
         kernel, _ = eval_error_bounds(a, tau, 256)
         _, fine = eval_error_bounds(a, tau, 256 + 80)
         assert abs(got.value - value) <= kernel + fine
+
+
+# -- the evaluation memos -----------------------------------------------------------
+
+
+EVAL_MEMOS = (qseries._exp_step, qseries._fixed_power, qseries._tail_factors)
+
+
+# the same int keys and box on the lattices 1/2 and 1/3: only D tells them apart
+LATTICE_TWINS = (QSeries({QQ(1, 2): 1, QQ(1): -2}, trunc=3),
+                 QSeries({QQ(1, 3): 1, QQ(2, 3): -2}, trunc=3))
+
+
+@functools.lru_cache(maxsize=None)
+def _memo_groups():
+    return (tuple(EVAL_SERIES.values()) + LATTICE_TWINS,
+            tuple(_chars(1, 24)), tuple(_chars(2, 20)))
+
+
+def _clear_eval_memos():
+    for memo in EVAL_MEMOS:
+        memo.cache_clear()
+
+
+def _bits(a, tau, precision):
+    got = qs_eval(a, tau, precision)
+    return got.value._mpc_, got.tail_bound._mpf_
+
+
+@pytest.mark.parametrize("precision", [128, 256])
+@pytest.mark.parametrize("tau", list(EVAL_TAUS.values()), ids=list(EVAL_TAUS))
+def test_eval_memo_is_transparent_bit_for_bit(tau, precision):
+    groups = _memo_groups()
+    series = [a for group in groups for a in group]
+    cold = []
+    for a in series:
+        _clear_eval_memos()
+        cold.append(_bits(a, tau, precision))
+    # warm: forwards and backwards, each series comes after every other at tau
+    for order in (range(len(series)), range(len(series) - 1, -1, -1)):
+        _clear_eval_memos()
+        for i in order:
+            assert _bits(series[i], tau, precision) == cold[i]
+    # after every series at the same tau and the other precision, and after
+    # every series at every other tau and at -conj(tau), which has the same
+    # |tau| and Im(tau) and so the same working precision and tail factors
+    taus = list(EVAL_TAUS.values()) + [-mp.conj(tau)]
+    for others in ([(tau, 384 - precision)],
+                   [(u, precision) for u in taus if u is not tau]):
+        _clear_eval_memos()
+        for u, prec in others:
+            for a in series:
+                qs_eval(a, u, prec)
+        for a, want in zip(series, cold):
+            assert _bits(a, tau, precision) == want
+    # a module's minus series shares its head, step and tail with the plus one
+    for chars in groups[1:]:
+        _clear_eval_memos()
+        qs_eval(chars[0], tau, precision)
+        before = [memo.cache_info().hits for memo in EVAL_MEMOS]
+        qs_eval(chars[1], tau, precision)
+        assert all(memo.cache_info().hits > hits
+                   for memo, hits in zip(EVAL_MEMOS, before))

@@ -93,17 +93,27 @@ def ref_wq_mul(a, b):
     return WQSeries(acc, T, F)
 
 
+# built once, as in test_qseries: q-exponents per dq, w-exponents per dw,
+# the (q, w) -> coefficient dictionaries per (dq, dw), and the boxes
+WQ_Q_EXPS = {dq: st.tuples(st.integers(0, 3), st.integers(0, 1)).map(
+                 lambda t, dq=dq: t[0] + QQ(t[1], dq)) for dq in range(1, 25)}
+WQ_W_EXPS = {dw: st.integers(-2 * dw, 2 * dw).map(lambda k, dw=dw: QQ(k, dw))
+             for dw in range(1, 7)}
+WQ_PAIRS = {(dq, dw): st.dictionaries(st.tuples(qe, we), st_coeff, max_size=10)
+            for dq, qe in WQ_Q_EXPS.items() for dw, we in WQ_W_EXPS.items()}
+WQ_Q_TRUNC = st.none() | st.fractions(QQ(1, 2), QQ(5), max_denominator=24)
+WQ_W_FLOOR = st.none() | st.fractions(QQ(-2), QQ(1), max_denominator=6)
+
+
 @st.composite
 def st_lattice_wq(draw):
     """A series on one lattice (q in Z/dq, dq <= 24; w in Z/dw, dw <= 6),
     complete, truncated, floored or both.  Its q-exponents m + j/dq (m < 4,
     j < 2) are few, so that slices hold several w-terms."""
     dq, dw = draw(st.integers(1, 24)), draw(st.integers(1, 6))
-    qe = st.tuples(st.integers(0, 3), st.integers(0, 1)).map(lambda t: t[0] + QQ(t[1], dq))
-    we = st.integers(-2 * dw, 2 * dw).map(lambda k: QQ(k, dw))
-    pairs = draw(st.dictionaries(st.tuples(qe, we), st_coeff, max_size=10))
-    q_trunc = draw(st.none() | st.fractions(QQ(1, 2), QQ(5), max_denominator=24))
-    w_floor = draw(st.none() | st.fractions(QQ(-2), QQ(1), max_denominator=6))
+    pairs = draw(WQ_PAIRS[dq, dw])
+    q_trunc = draw(WQ_Q_TRUNC)
+    w_floor = draw(WQ_W_FLOOR)
     return make_wq(pairs, q_trunc, w_floor)
 
 
