@@ -1,6 +1,7 @@
 """Modular data: S/T matrices, Verlinde rings, dimension identities, S-transform."""
 
 import math
+from collections import Counter
 from fractions import Fraction as QQ
 
 import mpmath as mp
@@ -828,6 +829,7 @@ def test_s_transform_calls_qs_eval_once_per_series_and_tau(monkeypatch, k):
         calls.clear()
         reports.append(check_s_transform_numeric(k, tau0, 12))
         assert len(calls) == 2 * (4 * k + 4)
+        assert sorted(Counter(calls).values()) == [4 * k + 4] * 2
     cold, warm = ([(e.r, e.variant, e.residual._mpf_, e.tail_bound._mpf_,
                     e.tolerance._mpf_) for e in rep.entries] for rep in reports)
     assert warm == cold
