@@ -1,5 +1,6 @@
 """Modular data: S/T matrices, Verlinde rings, dimension identities, S-transform."""
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as QQ
@@ -649,6 +650,68 @@ def test_exact_dot_kernel_is_fdot_and_the_matrix_product(family, k, precision):
                     # the matrix stores no zeros and reads one back as mpf 0
                     g = got[i][j] if got[i][j] else mp.mpf(0)
                     assert _bits(g) == _bits(w), (i, j)
+
+
+# Every S row and T phase of the four S/T families, pinned bit for bit: one
+# sha256 per (family, precision) over k = 1..4 of the labels, the _mpf_ or
+# _mpc_ tuple of each S entry, row by row, and that of each T phase.
+def _st_builders(family, k, precision):
+    if family == "vir":
+        params = (k + 2, 2 * k + 3)
+        S = vir_smatrix(*params, precision)
+    elif family == "coset":
+        params = k
+        S = coset_smatrix(k, precision, verify=False)
+    else:
+        params = k
+        S = {"sl2": sl2_smatrix, "extended": extended_smatrix}[family](k, precision)
+    return S, t_matrix(family, params, precision)
+
+
+def _st_digest(family, precision):
+    h = hashlib.sha256()
+    for k in range(1, 5):
+        S, T = _st_builders(family, k, precision)
+        h.update(repr(S.labels).encode())
+        for row in S.rows:
+            h.update(repr([_bits(v) for v in row]).encode())
+        h.update(repr(T.labels).encode())
+        h.update(repr([_bits(T.phase(a)) for a in T.labels]).encode())
+    return h.hexdigest()
+
+
+_ST_DIGESTS = {
+    ('vir', 8):
+        '7bfb84556e30984c5bc08e9e851d3acbb4d143c8dbcbabfee5c325ace29d645b',
+    ('vir', 53):
+        'e9d80b83f83ed7ae68eeda6c13f3e32e74fbc705e1d942871b947aef390d18e8',
+    ('vir', 256):
+        '678acfc048150f79e785102864430656df4f39489ea3d29cb9140a2e21762b42',
+    ('sl2', 8):
+        'cbd6c6372fbf8a47cafdbecae108dc03fb132dbaa0cbc69f1c71d2ef30a4e629',
+    ('sl2', 53):
+        '1b3b4e6c179ec58113f85f9c3f795590b7d75c5abeab1bbe2a7ba8e3da8cb7ee',
+    ('sl2', 256):
+        '0808ab0855bc749187a94fde465094c5fe86ad571686dd33d5a6a9774f630e09',
+    ('extended', 8):
+        'bc02487f9936dcb5c47d8a7b4e77017220e68c3ce8391c2e6a9186b5114e8b11',
+    ('extended', 53):
+        'd23f2d599eafe016479df147363a01736ce6a3a3795755f4be91069bfef007a6',
+    ('extended', 256):
+        '62a8b261df43e63ca5ea20252fcb21060f7c6eb013f0402d3bf297933b0c0f6c',
+    ('coset', 8):
+        '59380981c68d7311886050a0e930d8a40f30006d39c84de7a62d5ea5e1600669',
+    ('coset', 53):
+        'f55f700da919d2b6b01c7bd3fcfb9d6b9b02d9f1ecdcdf049d62729a36091ee9',
+    ('coset', 256):
+        'e8fd27e1aad81d1447dc6185c723790153edd929dc8c41e683c4a10e69687261',
+}
+
+
+@pytest.mark.parametrize("precision", [8, 53, 256])
+@pytest.mark.parametrize("family", ["vir", "sl2", "extended", "coset"])
+def test_s_rows_and_t_phases_keep_their_bits(family, precision):
+    assert _st_digest(family, precision) == _ST_DIGESTS[family, precision]
 
 
 # Random kernel data.  A part is a full-width or short mantissa scaled into
