@@ -19,11 +19,10 @@ import mpmath as mp
 from ospq.coset import (
     coset_char_direct,
     coset_char_phase_sum,
-    coset_labels,
     coset_reassembly,
     coset_smatrix,
 )
-from ospq.fusion import parafermion_fusion
+from ospq.fusion import coset_labels, parafermion_fusion
 from ospq.modular import st_cube_defect, t_matrix, verlinde_standard
 from ospq.qseries import qs_equal_below
 

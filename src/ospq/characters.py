@@ -61,6 +61,17 @@ class InvalidLabel(ValueError):
     """Raised when a module label is outside the valid range for a level."""
 
 
+class OutOfRange(ValueError):
+    """Raised when a level or a fusion or matrix label is out of range."""
+
+
+def check_level(k) -> int:
+    """The positive integer level k, or OutOfRange (a bool is no level)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise OutOfRange("level must be a positive integer, got %r" % (k,))
+    return k
+
+
 @dataclass(frozen=True)
 class OspLabel:
     """Superalgebra highest-weight label (r, s): 1 <= r <= p-1, 0 <= s <= p'-1,
@@ -109,10 +120,11 @@ def vir_labels(u: int, p: int) -> List[VirLabel]:
     (r, s) with (r, s) <= (u-r, p-s), each class at its smaller
     representative.
 
-    Raises ValueError unless u, p >= 2 are coprime: no other pair names a
-    minimal model.
+    Raises ValueError unless u, p >= 2 are coprime integers: no other pair
+    names a minimal model.
     """
-    if u < 2 or p < 2 or math.gcd(u, p) != 1:
+    if (not isinstance(u, int) or not isinstance(p, int) or u < 2 or p < 2
+            or math.gcd(u, p) != 1):
         raise ValueError("need coprime u, p >= 2, got (%r, %r)" % (u, p))
     return [VirLabel(r, s) for r in range(1, u) for s in range(1, p)
             if (r, s) <= (u - r, p - s)]
@@ -150,9 +162,7 @@ class AdmissibleLevel:
 
     @classmethod
     def from_integer_level(cls, k: int) -> "AdmissibleLevel":
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("integer level must be a positive integer")
-        return cls(2 * k + 3, 1)
+        return cls(2 * check_level(k) + 3, 1)
 
     @property
     def k(self) -> QQ:

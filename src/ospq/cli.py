@@ -15,23 +15,19 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import click
 from mpmath import mp
 
 from . import __version__
-from .characters import (AdmissibleLevel, OspLabel, Sl2Label, VirLabel,
-                         osp_char, sl2_char, verify_decomposition,
-                         verify_theta_identity, vir_char)
+from .characters import (AdmissibleLevel, OspLabel, VirLabel,
+                         verify_decomposition, verify_theta_identity)
 from .coset import coset_char_direct, coset_char_phase_sum, coset_smatrix
-from .fusion import (CosetLabel, FusionTensor, check_level, osp_fusion,
-                     parafermion_fusion, sl2_fusion, vir_fusion)
-from .modular import (SMatrix, check_s_transform_numeric,
-                      extended_smatrix, fp_dimension_report,
-                      min_conformal_weight, sl2_smatrix, t_matrix,
-                      verlinde_standard, verlinde_super, vir_smatrix,
-                      vir_weight_map)
+from .fusion import CosetLabel, FusionTensor
+from .modular import (FAMILIES, SMatrix, check_s_transform_numeric,
+                      fp_dimension_report, min_conformal_weight, t_matrix,
+                      verlinde_standard, verlinde_super, vir_weight_map)
 from .qseries import (NonconvergentDomain, QSeries, VerificationError,
                       qs_equal_below)
 from .selftest import run_all
@@ -69,30 +65,6 @@ def _label_json(lab):
     if isinstance(lab, tuple):
         return {"nu": lab[0], "r": lab[1]}
     return lab
-
-
-class _Family(NamedTuple):
-    """What the CLI reads of one --family: its S-matrix builder
-    (params..., precision), its combinatorial fusion tensor (params...) and
-    the table text of one label."""
-
-    smatrix: Optional[Callable]
-    fusion: Optional[Callable]
-    label: Callable
-
-
-def _coset_str(lab) -> str:
-    return "C(%d,%d)" % lab
-
-
-FAMILIES = {
-    "osp": _Family(None, osp_fusion, lambda r: "M%d" % r),
-    "sl2": _Family(sl2_smatrix, sl2_fusion, lambda r: "L%d" % r),
-    "vir": _Family(vir_smatrix, vir_fusion, lambda lab: "V(%d,%d)" % (lab.r, lab.s)),
-    "extended": _Family(extended_smatrix, None, lambda lab: "M%d^%s" % lab),
-    "coset": _Family(coset_smatrix, parafermion_fusion, _coset_str),
-    "parafermion": _Family(None, parafermion_fusion, _coset_str),
-}
 
 
 def _one_var_json(a: QSeries) -> dict:
@@ -143,11 +115,12 @@ def _resolve_level(k, p, pprime) -> AdmissibleLevel:
 
 
 def _family_params(family, k, u, p) -> dict:
-    """{"u", "p"} for the vir family (from -u -p, else (k+2, 2k+3)), {"k"}
-    for every other family; a flag the family would ignore is a usage
-    error."""
+    """The family's builder parameters by name: {"u", "p"} for the vir
+    family (from -u -p, else its pair at level k), {"k"} for every other
+    family; a flag the family would ignore is a usage error."""
+    fam = FAMILIES[family]
     minimal_model = u is not None or p is not None
-    if minimal_model and family != "vir":
+    if minimal_model and "u" not in fam.keys:
         raise click.UsageError("-u and -p apply to the vir family only")
     if minimal_model and k is not None:
         raise click.UsageError("give either -k or (-u, -p), not both")
@@ -155,10 +128,7 @@ def _family_params(family, k, u, p) -> dict:
         return {"u": u, "p": p}
     if k is None:
         raise click.UsageError("give an integer level -k (vir also takes -u -p)")
-    if family == "vir":
-        check_level(k)
-        return {"u": k + 2, "p": 2 * k + 3}
-    return {"k": k}
+    return dict(zip(fam.keys, fam.params(k)))
 
 
 # -- common option decorators ---------------------------------------------------
@@ -255,12 +225,7 @@ def char_cmd(family, k, p, pprime, r, s, order, fmt, out):
     """Character series of one module (two-variable for osp/sl2)."""
     level = _resolve_level(k, p, pprime)
     N = _parse_order(order)
-    if family == "osp":
-        series = osp_char(level, OspLabel(r, s), N)
-    elif family == "sl2":
-        series = sl2_char(level, Sl2Label(r, s), N)
-    else:
-        series = vir_char(level, VirLabel(r, s), N)
+    series = FAMILIES[family].char(level, r, s, N)
     payload = {
         "command": "char", "family": family,
         "level": {"p": level.p, "p_prime": level.p_prime,
@@ -357,7 +322,7 @@ def _fusion_payload(ft: FusionTensor) -> dict:
 
 
 def _fusion_table(ft: FusionTensor, family: str) -> str:
-    label = FAMILIES[family].label
+    label = FAMILIES[family].text
     lines = []
     labels = list(ft.labels)
     for i, a in enumerate(labels):
@@ -404,7 +369,7 @@ def _smatrix_payload(S: SMatrix, precision: int) -> dict:
 
 
 def _smatrix_table(S: SMatrix, family: str) -> str:
-    lines = ["# labels: " + ", ".join(map(FAMILIES[family].label, S.labels))]
+    lines = ["# labels: " + ", ".join(map(FAMILIES[family].text, S.labels))]
     for row in S.rows:
         cells = []
         for v in row:
@@ -428,7 +393,7 @@ def _smatrix_table(S: SMatrix, family: str) -> str:
 def smatrix_cmd(family, k, u, p, precision, fmt, out):
     """Modular S-matrix of a family."""
     params = _family_params(family, k, u, p)
-    S = FAMILIES[family].smatrix(*params.values(), precision)
+    S = FAMILIES[family].smatrix(tuple(params.values()), precision)
     payload = {"command": "smatrix", "family": family, **params,
                **_smatrix_payload(S, precision)}
     _emit(payload, fmt, out, lambda: _smatrix_table(S, family))
@@ -445,8 +410,7 @@ def smatrix_cmd(family, k, u, p, precision, fmt, out):
 def tmatrix_cmd(family, k, u, p, precision, fmt, out):
     """Modular T-matrix (diagonal phases) of a family."""
     params = _family_params(family, k, u, p)
-    T = t_matrix(family, tuple(params.values()) if family == "vir"
-                 else params["k"], precision)
+    T = t_matrix(family, tuple(params.values()), precision)
     payload = {
         "command": "tmatrix", "family": family, **params,
         "labels": [_label_json(l) for l in T.labels],
@@ -463,7 +427,7 @@ def tmatrix_cmd(family, k, u, p, precision, fmt, out):
         lines = ["# central charge %s" % T.central_charge]
         for lab in T.labels:
             lines.append("%-14s h=%-10s phase=%s" %
-                         (FAMILIES[family].label(lab), T.exponent(lab)
+                         (FAMILIES[family].text(lab), T.exponent(lab)
                           + T.central_charge / 24,
                           mp.nstr(mp.mpc(T.phase(lab)), 8)))
         return "\n".join(lines)
@@ -482,12 +446,8 @@ def verlinde_cmd(family, k, u, p, precision, fmt, out):
     """Verlinde fusion from the S-matrix, checked against the combinatorial
     tensor (exit 1 on mismatch)."""
     params = _family_params(family, k, u, p)
-    if family == "coset":
-        # its ring is counted once, by verlinde_standard below
-        S = coset_smatrix(params["k"], precision, verify=False)
-    else:
-        S = FAMILIES[family].smatrix(*params.values(), precision)
-    ft = verlinde_standard(S)
+    S = FAMILIES[family].smatrix(tuple(params.values()), precision)
+    ft = verlinde_standard(S)  # the one count of the ring
     matches = ft == FAMILIES[family].fusion(*params.values())
     payload = {"command": "verlinde", "family": family, **params,
                "matches_combinatorial": matches,

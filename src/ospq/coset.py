@@ -4,9 +4,10 @@ A local module (odd index r) over the rank-one lattice subalgebra splits
 into 2k charge sectors; this module extracts each sector's character by two
 independent routes -- direct charge grading of the two-variable character,
 and a root-of-unity phase projection computed exactly in Z[zeta_m], with no
-tolerance -- and builds the coset S-matrix, whose Verlinde ring, counted
-exactly from its closed form, must be the independently built parafermion
-fusion tensor.  The sector T-phases are ``modular.t_matrix("coset", k)``.
+tolerance.  The coset S-matrix and T-phases are built by the coset entry of
+``modular.FAMILIES``; ``coset_smatrix`` only verifies that the Verlinde ring
+of the S-matrix, counted exactly from its closed form, is the independently
+built parafermion fusion tensor.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from mpmath import mp
-
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
                          OspLabel, char_w1, osp_char)
-from .fusion import (CosetLabel, FusionTensor, check_level, coset_labels,
-                     parafermion_fusion)
-from .modular import (SMatrix, NonIntegralFusion, _count, _mpq, s_table,
-                      verlinde_standard)
+from .fusion import CosetLabel, check_level, parafermion_fusion
+from .modular import FAMILIES, SMatrix, NonIntegralFusion, verlinde_standard
 from .qseries import (QQ, QSeries, VerificationError, qs_equal_below, qs_eta,
                       qs_mul, qs_shift, _min_trunc, _positive_order, _qs_div,
                       _require_order)
@@ -211,62 +208,13 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
 
 
 def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:
-    """S-matrix over the coset sectors.
-
-    Entry = sqrt(2/k) * e^{2 pi i nu mu / (2k)} * (sign) * s_{r,r'}, the
-    sign being -1 exactly when one of the two charges lies outside the even
-    dual subgroup and the other inside.  The pairing-phase sign is the one
-    compatible with (ST)^3 = S^2 for the negative-definite Heisenberg
-    direction carried by the sector weights; the sector characters are
-    charge-conjugation symmetric and transform identically under either
-    sign.  Its ``ring`` is ``_coset_ring(k)``.  With ``verify`` (default)
-    the matrix must pass the unitarity gate of ``verlinde_standard`` and
-    its ring must be the parafermion fusion tensor; NonIntegralFusion is
-    raised otherwise.
-    """
-    check_level(k)
-    labels = coset_labels(k)
-    with mp.workprec(precision + 16):
-        s = s_table(k, precision)
-        pref = mp.sqrt(mp.mpf(2) / k)
-        # pref * e^{i pi nu mu/k}, one expjpi per distinct product nu mu:
-        # nu mu/k and its value mod 2 round to different arguments, so the
-        # exact product is the key
-        phases = {}
-        rows = []
-        for (nu, r) in labels:
-            row = []
-            for (mu, rp) in labels:
-                x = nu * mu
-                if x not in phases:
-                    phases[x] = pref * mp.expjpi(_mpq(QQ(x, k)))
-                sign = -1 if (nu + mu) % 2 == 1 else 1
-                row.append(phases[x] * sign * s[r - 1][rp - 1])
-            rows.append(row)
-    S = SMatrix(labels, rows, labels.index(CosetLabel(0, 1)), precision,
-                ring=lambda: _coset_ring(k))
+    """S-matrix over the coset sectors, as ``modular.FAMILIES["coset"]``
+    builds it.  With ``verify`` (default) it must pass the unitarity gate of
+    ``verlinde_standard`` and its ring must be the parafermion fusion
+    tensor; NonIntegralFusion is raised otherwise."""
+    S = FAMILIES["coset"].smatrix((k,), precision)
     if verify and verlinde_standard(S) != parafermion_fusion(k):
         raise NonIntegralFusion(
             "the Verlinde ring of the coset S-matrix at k=%d is not the "
             "parafermion fusion tensor" % k)
     return S
-
-
-def _coset_ring(k: int) -> FusionTensor:
-    """The Verlinde ring of ``coset_smatrix(k)``'s closed form.
-
-    N_ab^c = sum over x = (mu, t) of S_ax S_bx conj(S_cx) / S_0x.  The
-    signs (-1)^(nu + mu) leave (-1)^(nu_a + nu_b + nu_c), and the phases
-    sum over mu to 2k [nu_c = nu_a + nu_b (mod 2k)], where that sign is +1.
-    The prefactors give 2/k, so N = 4 [nu_c = nu_a + nu_b] times the sum
-    over odd t of s_{r_a,t} s_{r_b,t} s_{r_c,t} / s_{1,t}, which is the
-    refined N^- of ``verlinde_super``:
-        N = [nu_c = nu_a + nu_b] (-1/2) _count(2k+3, k+2, r_a, r_b, r_c).
-    """
-    labels = coset_labels(k)
-    rs = [lab.r for lab in labels if lab.nu == 0]
-    refined = {(a, b, c): -_count(2 * k + 3, k + 2, a, b, c) // 2
-               for a in rs for b in rs for c in rs}
-    return FusionTensor(labels, CosetLabel(0, 1), {
-        (A, B, CosetLabel((A.nu + B.nu) % (2 * k), c)): refined[A.r, B.r, c]
-        for A in labels for B in labels for c in rs})

@@ -12,18 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, NamedTuple, Optional, Tuple
 
-from .characters import VirLabel, vir_canonical, vir_labels
-
-
-class OutOfRange(ValueError):
-    """Raised when a fusion label lies outside the ring's label set."""
-
-
-def check_level(k) -> int:
-    """The positive integer level k, or OutOfRange."""
-    if not isinstance(k, int) or k < 1:
-        raise OutOfRange("level must be a positive integer, got %r" % (k,))
-    return k
+from .characters import (OutOfRange, VirLabel, check_level, vir_canonical,
+                         vir_labels)
 
 
 @dataclass(frozen=True)
@@ -235,6 +225,7 @@ def super_fusion(k: int, r: int, eps: int, r_prime: int, eps_prime: int,
     multiplicity sits entirely in the even or odd part according to that
     sign.
     """
+    check_level(k)
     for e in (eps, eps_prime, eps_second):
         if e not in (1, -1):
             raise OutOfRange("parity signs must be +1 or -1, got %r" % (e,))

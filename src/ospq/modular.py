@@ -1,7 +1,8 @@
 """Modular data: S and T matrices for the Virasoro, affine sl2, extended
-even-subalgebra, and parafermion-coset families, Verlinde formulas (standard
-and parity-refined), Frobenius-Perron dimension identities, and numeric
-checks of the character S-transformations.
+even-subalgebra, and parafermion-coset families, each named once by its
+``Family`` record in ``FAMILIES`` (labels, S entry rule, ring, T data, fusion
+tensor, characters), Verlinde formulas (standard and parity-refined),
+Frobenius-Perron dimension identities, and numeric S-transformation checks.
 
 S-matrix entries are high-precision floating values (mpmath), not exact
 cyclotomics.  Every high-precision dot product and S-matrix product (the
@@ -16,7 +17,7 @@ argument, and each Verlinde count is a closed form.  Verlinde rings are
 counted, not read off the rounded entries: every S here is a signed sine
 table, times a lattice root of unity for the coset, so each Verlinde sum is
 a sum of roots of unity, and ``_count`` counts it exactly, in O(1).  Each
-S-matrix builder attaches the ring of its closed form as ``SMatrix.ring``;
+S-matrix carries the ring of its closed form as ``SMatrix.ring``;
 ``verlinde_standard`` returns it once S passes its unitarity gate, and
 ``verlinde_super`` counts its refined integers with the same kernel.
 ``fp_dimension_report`` builds only the S columns it reads.  The default
@@ -36,11 +37,13 @@ from mpmath import mp
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_lt,
                           mpf_mul, mpf_sqrt)
 
-from .characters import (AdmissibleLevel, VirLabel, component_chars_w1,
-                         vir_canonical, vir_central_charge, vir_labels,
-                         vir_weight)
-from .fusion import (FusionTensor, OutOfRange, SuperFusionEntry, _intertwiners,
-                     check_level, coset_labels)
+from .characters import (AdmissibleLevel, OspLabel, OutOfRange, Sl2Label,
+                         VirLabel, check_level, component_chars_w1, osp_char,
+                         sl2_char, vir_canonical, vir_central_charge, vir_char,
+                         vir_labels, vir_weight)
+from .fusion import (CosetLabel, FusionTensor, SuperFusionEntry, _intertwiners,
+                     coset_labels, osp_fusion, parafermion_fusion, sl2_fusion,
+                     vir_fusion)
 from .qseries import (NonconvergentDomain, VerificationError, _positive_order,
                       qs_eval)
 
@@ -330,10 +333,7 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     products; that sum must stay within the derived tolerance, so a
     representative-dependence bug cannot pass silently.
     """
-    labels = vir_labels(u, p)
-    rows = _vir_columns(u, p, labels, range(1, u), range(1, p), precision)
-    return SMatrix(labels, rows, labels.index(VirLabel(1, 1)), precision,
-                   ring=lambda: _vir_ring(u, p))
+    return FAMILIES["vir"].smatrix((u, p), precision)
 
 
 def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
@@ -397,10 +397,7 @@ def _reflection_defect(table, m: int):
 
 def sl2_smatrix(k: int, precision: int = 256) -> SMatrix:
     """Integrable affine sl2 S-matrix, labels 1..k+1."""
-    check_level(k)
-    labels = list(range(1, k + 2))
-    return SMatrix(labels, _sl2_columns(k, labels, precision), 0, precision,
-                   ring=lambda: _sl2_ring(k))
+    return FAMILIES["sl2"].smatrix((k,), precision)
 
 
 def _sl2_columns(k: int, cols, precision: int):
@@ -444,27 +441,19 @@ def _s_columns(k: int, cols, precision: int) -> List[List[mpmath.mpf]]:
 
 
 def extended_labels(k: int) -> List[Tuple[int, str]]:
-    rng = range(1, 2 * k + 3)
+    rng = range(1, 2 * check_level(k) + 3)
     return [(r, "even") for r in rng] + [(r, "odd") for r in rng]
 
 
 def extended_smatrix(k: int, precision: int = 256) -> SMatrix:
-    """S-matrix over the even/odd components of the 2k+2 modules.
-
-    Blocks: even-even is the signed sine table itself; even-odd carries the
-    sign of the even label's parity; odd-odd carries the sign of the total
-    parity.
-    """
-    labels = extended_labels(k)
-    check_level(k)
-    rows = _extended_columns(k, labels, precision)
-    return SMatrix(labels, rows, labels.index((1, "even")), precision)
+    """S-matrix over the even/odd components of the 2k+2 modules: entry
+    ((r, pa), (t, pb)) is s_{r,t}, negated when r (for odd pb) plus t (for
+    odd pa) is odd."""
+    return FAMILIES["extended"].smatrix((k,), precision)
 
 
 def _extended_columns(k: int, cols, precision: int):
-    """The rows of ``extended_smatrix(k)`` cut to the column labels ``cols``.
-    Entry ((r, pa), (t, pb)) is s_{r,t}, negated when r (for odd pb) plus t
-    (for odd pa) is odd."""
+    """The rows of ``extended_smatrix(k)`` cut to the column labels ``cols``."""
     t_cols = sorted({t for t, _ in cols})
     base = _s_columns(k, t_cols, precision)
     at = {t: j for j, t in enumerate(t_cols)}
@@ -476,6 +465,37 @@ def _extended_columns(k: int, cols, precision: int):
                 v = base[r - 1][at[t]]
                 flip = (r if pb == "odd" else 0) + (t if pa == "odd" else 0)
                 row.append(-v if flip % 2 else v)
+            rows.append(row)
+    return rows
+
+
+def _coset_columns(k: int, cols, precision: int):
+    """The rows of ``coset.coset_smatrix(k)`` cut to the column labels ``cols``.
+
+    Entry = sqrt(2/k) * e^{2 pi i nu mu / (2k)} * (sign) * s_{r,r'}, the
+    sign being -1 exactly when one of the two charges lies outside the even
+    dual subgroup and the other inside.  The pairing-phase sign is the one
+    compatible with (ST)^3 = S^2 for the negative-definite Heisenberg
+    direction carried by the sector weights; the sector characters are
+    charge-conjugation symmetric and transform identically under either
+    sign.
+    """
+    with mp.workprec(precision + 16):
+        s = s_table(k, precision)
+        pref = mp.sqrt(mp.mpf(2) / k)
+        # pref * e^{i pi nu mu/k}, one expjpi per distinct product nu mu:
+        # nu mu/k and its value mod 2 round to different arguments, so the
+        # exact product is the key
+        phases = {}
+        rows = []
+        for (nu, r) in coset_labels(k):
+            row = []
+            for (mu, rp) in cols:
+                x = nu * mu
+                if x not in phases:
+                    phases[x] = pref * mp.expjpi(_mpq(Fraction(x, k)))
+                sign = -1 if (nu + mu) % 2 == 1 else 1
+                row.append(phases[x] * sign * s[r - 1][rp - 1])
             rows.append(row)
     return rows
 
@@ -563,6 +583,26 @@ def _vir_ring(u: int, p: int) -> FusionTensor:
                     if n and (rc, sc) <= (u - rc, p - sc):
                         coeffs[A, B, VirLabel(rc, sc)] = n // 4
     return FusionTensor(labels, VirLabel(1, 1), coeffs)
+
+
+def _coset_ring(k: int) -> FusionTensor:
+    """The Verlinde ring of ``coset.coset_smatrix(k)``'s closed form.
+
+    N_ab^c = sum over x = (mu, t) of S_ax S_bx conj(S_cx) / S_0x.  The
+    signs (-1)^(nu + mu) leave (-1)^(nu_a + nu_b + nu_c), and the phases
+    sum over mu to 2k [nu_c = nu_a + nu_b (mod 2k)], where that sign is +1.
+    The prefactors give 2/k, so N = 4 [nu_c = nu_a + nu_b] times the sum
+    over odd t of s_{r_a,t} s_{r_b,t} s_{r_c,t} / s_{1,t}, which is the
+    refined N^- of ``verlinde_super``:
+        N = [nu_c = nu_a + nu_b] (-1/2) _count(2k+3, k+2, r_a, r_b, r_c).
+    """
+    labels = coset_labels(k)
+    rs = [lab.r for lab in labels if lab.nu == 0]
+    refined = {(a, b, c): -_count(2 * k + 3, k + 2, a, b, c) // 2
+               for a in rs for b in rs for c in rs}
+    return FusionTensor(labels, CosetLabel(0, 1), {
+        (A, B, CosetLabel((A.nu + B.nu) % (2 * k), c)): refined[A.r, B.r, c]
+        for A in labels for B in labels for c in rs})
 
 
 def _parity_factors(m: int, h: int):
@@ -821,53 +861,6 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
     return FPReport(k, precision, tuple(items))
 
 
-# -- T-matrices ----------------------------------------------------------------
-
-
-def t_matrix(family: str, params, precision: int = 256) -> TMatrix:
-    """Diagonal T-matrix for a family, with labels ordered to match the
-    corresponding S-matrix.
-
-    families: 'vir' with params (u, p); 'sl2' with params k; 'extended'
-    with params k (even/odd components, locality flags recomputed from the
-    weights); 'coset' with params k, labels ``fusion.coset_labels(k)``.
-    """
-    if family == "vir":
-        u, p = params
-        labels = vir_labels(u, p)
-        weights = [vir_weight(u, p, l.r, l.s) for l in labels]
-        return TMatrix(labels, weights, vir_central_charge(u, p), precision)
-    if family == "sl2":
-        k = params
-        level = AdmissibleLevel.from_integer_level(k)
-        labels = list(range(1, k + 2))
-        weights = [level.h_sl2(r) for r in labels]
-        return TMatrix(labels, weights, level.c_sl2, precision)
-    if family == "extended":
-        k = params
-        level = AdmissibleLevel.from_integer_level(k)
-        labels = extended_labels(k)
-        weights = [
-            level.component_weight(1 if par == "even" else 2, r)
-            for (r, par) in labels
-        ]
-        flags = {}
-        for r in range(1, 2 * k + 3):
-            gap = level.component_weight(2, r) - level.component_weight(1, r)
-            flags[r] = "local" if gap.denominator == 1 else "twisted"
-        return TMatrix(labels, weights, level.c_osp, precision, label_flags=flags)
-    if family == "coset":
-        k = params
-        level = AdmissibleLevel.from_integer_level(k)
-        labels = coset_labels(k)
-        weights = [
-            level.component_weight(1, r) - Fraction(nu * nu, 4 * k)
-            for (nu, r) in labels
-        ]
-        return TMatrix(labels, weights, level.c_osp - 1, precision)
-    raise ValueError("unknown family %r" % (family,))
-
-
 # -- numeric S-transformation check --------------------------------------------
 
 
@@ -946,3 +939,100 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
                 entries.append(
                     STransformEntry(r, variant, resid, tail, tol, resid <= tol))
     return STransformReport(k, tau0, N, precision, tuple(entries))
+
+
+# -- the family record ---------------------------------------------------------
+
+
+def _sl2_weights(k: int, labels):
+    level = AdmissibleLevel.from_integer_level(k)
+    return [level.h_sl2(r) for r in labels], level.c_sl2, None
+
+
+def _extended_weights(k: int, labels):
+    """Module r is local when its two component weights differ by an
+    integer, else twisted."""
+    level = AdmissibleLevel.from_integer_level(k)
+    weights = [level.component_weight(1 if par == "even" else 2, r)
+               for (r, par) in labels]
+    flags = {}
+    for r in range(1, 2 * k + 3):
+        gap = level.component_weight(2, r) - level.component_weight(1, r)
+        flags[r] = "local" if gap.denominator == 1 else "twisted"
+    return weights, level.c_osp, flags
+
+
+def _coset_weights(k: int, labels):
+    level = AdmissibleLevel.from_integer_level(k)
+    return ([level.component_weight(1, r) - Fraction(nu * nu, 4 * k)
+             for (nu, r) in labels], level.c_osp - 1, None)
+
+
+def t_matrix(family: str, params, precision: int = 256) -> TMatrix:
+    """Diagonal T-matrix of ``FAMILIES[family]`` over its S-matrix labels:
+    params (u, p) for 'vir', k for 'sl2', 'extended' and 'coset'.  Raises
+    ValueError for another family and for params of another shape."""
+    fam = FAMILIES.get(family)
+    if fam is None or fam.weights is None:
+        raise ValueError("unknown family %r" % (family,))
+    args = params if isinstance(params, tuple) else (params,)
+    if len(args) != len(fam.keys):
+        raise ValueError("family %r takes params (%s), got %r"
+                         % (family, ", ".join(fam.keys), params))
+    labels = fam.labels(*args)
+    weights, c, flags = fam.weights(*args, labels)
+    return TMatrix(labels, weights, c, precision, label_flags=flags)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family, named once: ``params`` gives its builder parameters, named
+    by ``keys``, at integer level k, and the callables take them first.  A
+    family with ``labels`` has S data, the entry rule ``rows`` cut to given
+    columns and the ``ring`` of that closed form, and T data ``weights``
+    (weights, central charge, locality flags)."""
+
+    text: Callable  # table text of one label
+    keys: Tuple[str, ...] = ("k",)
+    params: Callable = lambda k: (check_level(k),)
+    fusion: Optional[Callable] = None  # the combinatorial fusion tensor
+    char: Optional[Callable] = None  # (level, r, s, N) -> character series
+    labels: Optional[Callable] = None
+    vacuum: Hashable = None
+    rows: Optional[Callable] = None  # (*params, cols, precision) -> S rows
+    ring: Optional[Callable] = None
+    weights: Optional[Callable] = None
+
+    def smatrix(self, args: tuple, precision: int = 256) -> SMatrix:
+        """The S-matrix over ``labels`` at the parameters ``args``."""
+        labels = self.labels(*args)
+        return SMatrix(labels, self.rows(*args, labels, precision),
+                       labels.index(self.vacuum), precision,
+                       ring=self.ring and functools.partial(self.ring, *args))
+
+
+FAMILIES: Dict[str, Family] = {
+    "osp": Family(lambda r: "M%d" % r, fusion=osp_fusion,
+                  char=lambda level, r, s, N: osp_char(level, OspLabel(r, s), N)),
+    "sl2": Family(lambda r: "L%d" % r, fusion=sl2_fusion,
+                  char=lambda level, r, s, N: sl2_char(level, Sl2Label(r, s), N),
+                  labels=lambda k: list(range(1, check_level(k) + 2)), vacuum=1,
+                  rows=_sl2_columns, ring=_sl2_ring, weights=_sl2_weights),
+    "vir": Family(lambda lab: "V(%d,%d)" % (lab.r, lab.s), keys=("u", "p"),
+                  params=lambda k: (check_level(k) + 2, 2 * k + 3),
+                  fusion=vir_fusion,
+                  char=lambda level, r, s, N: vir_char(level, VirLabel(r, s), N),
+                  labels=vir_labels, vacuum=VirLabel(1, 1),
+                  rows=lambda u, p, cols, precision: _vir_columns(
+                      u, p, cols, range(1, u), range(1, p), precision),
+                  ring=_vir_ring, weights=lambda u, p, labels: (
+                      [vir_weight(u, p, l.r, l.s) for l in labels],
+                      vir_central_charge(u, p), None)),
+    "extended": Family(lambda lab: "M%d^%s" % lab, labels=extended_labels,
+                       vacuum=(1, "even"), rows=_extended_columns,
+                       weights=_extended_weights),
+    "coset": Family(lambda lab: "C(%d,%d)" % lab, fusion=parafermion_fusion,
+                    labels=coset_labels, vacuum=CosetLabel(0, 1),
+                    rows=_coset_columns, ring=_coset_ring, weights=_coset_weights),
+}
+FAMILIES["parafermion"] = Family(FAMILIES["coset"].text, fusion=parafermion_fusion)

@@ -19,13 +19,14 @@ from .characters import (AdmissibleLevel, Sl2Label, VirLabel,
                          is_integer_graded, osp_vacuum_central_charge,
                          sl2_char, verify_decomposition, verify_theta_identity,
                          vir_char)
-from .coset import (coset_char_direct, coset_char_phase_sum, coset_labels,
+from .coset import (coset_char_direct, coset_char_phase_sum,
                     coset_reassembly, coset_smatrix)
-from .fusion import osp_fusion, sl2_fusion, super_fusion, vir_fusion
-from .modular import (check_s_transform_numeric, extended_smatrix,
-                      fp_dimension_report, min_conformal_weight, sl2_smatrix,
-                      st_cube_defect, t_matrix, verlinde_standard,
-                      verlinde_super, vir_smatrix, vir_weight_map)
+from .fusion import (coset_labels, osp_fusion, sl2_fusion, super_fusion,
+                     vir_fusion)
+from .modular import (FAMILIES, check_s_transform_numeric, fp_dimension_report,
+                      min_conformal_weight, sl2_smatrix, st_cube_defect,
+                      t_matrix, verlinde_standard, verlinde_super, vir_smatrix,
+                      vir_weight_map)
 from .qseries import QQ, qs_equal_below
 from .theta import wq_from_q, wq_mul
 
@@ -148,12 +149,11 @@ def criterion_4(fast: bool = False) -> CriterionResult:
     worst_st = mp.mpf(0)
     families = []
     for k in ks:
-        u, p = k + 2, 2 * k + 3
-        families.append((vir_smatrix(u, p, prec), t_matrix("vir", (u, p), prec)))
-        families.append((sl2_smatrix(k, prec), t_matrix("sl2", k, prec)))
-        families.append((extended_smatrix(k, prec), t_matrix("extended", k, prec)))
-        families.append((coset_smatrix(k, prec, verify=False),
-                         t_matrix("coset", k, prec)))
+        for name, fam in FAMILIES.items():
+            if fam.weights:
+                params = fam.params(k)
+                families.append((fam.smatrix(params, prec),
+                                 t_matrix(name, params, prec)))
     for (S, T) in families:
         worst_u = max(worst_u, S.unitarity_defect())
         worst_st = max(worst_st, st_cube_defect(S, T))

@@ -1,5 +1,6 @@
 """Command-line interface: payload shapes, exit codes, format/env handling."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +12,6 @@ from click.testing import CliRunner
 from mpmath import mp
 
 import ospq.cli as cli
-import ospq.coset as coset
 import ospq.modular as modular
 from ospq.cli import main
 from ospq.theta import IncompleteQuotient
@@ -79,7 +79,7 @@ def test_incomplete_quotient_is_verification_failure(monkeypatch):
     def incomplete(*args, **kwargs):
         raise IncompleteQuotient("q-slice 0 leaves a nonzero remainder")
 
-    monkeypatch.setattr(cli, "osp_char", incomplete)
+    monkeypatch.setattr(modular, "osp_char", incomplete)
     res = run("char", "--family", "osp", "-k", "1", "-r", "1", "-N", "2")
     assert res.exit_code == 1
     payload = json.loads(res.output)
@@ -105,15 +105,18 @@ def test_coset_smatrix_holds_at_eight_bits():
 
 def test_coset_verlinde_proves_its_ring_once(monkeypatch):
     # the coset matrix is built without its own ring check, and
-    # verlinde_standard counts the ring once
+    # verlinde_standard counts the ring once; the coset record reads its
+    # ring counter, modular._coset_ring
     calls = []
-    ring = coset._coset_ring
+    ring = modular._coset_ring
+    assert modular.FAMILIES["coset"].ring is ring
 
     def counted_ring(k):
         calls.append(k)
         return ring(k)
 
-    monkeypatch.setattr(coset, "_coset_ring", counted_ring)
+    monkeypatch.setitem(modular.FAMILIES, "coset", dataclasses.replace(
+        modular.FAMILIES["coset"], ring=counted_ring))
     assert _stdout_digest("verlinde --family coset -k 2") == (
         0, OUTPUT_DIGESTS["verlinde --family coset -k 2"])
     assert calls == [2]
@@ -210,15 +213,16 @@ def test_a_flag_the_command_would_ignore_is_usage_error(command, message):
 
 
 @pytest.mark.parametrize("command,reads", [
-    ("fusion", ("fusion", "label")),
-    ("smatrix", ("smatrix", "label")),
-    ("tmatrix", ("label",)),
-    ("verlinde", ("smatrix", "fusion", "label")),
+    ("fusion", ("fusion", "text")),
+    ("smatrix", ("labels", "rows", "text")),
+    ("tmatrix", ("labels", "weights", "text")),
+    ("verlinde", ("labels", "rows", "ring", "fusion", "text")),
+    ("char", ("char",)),
 ])
 def test_every_family_choice_has_a_table_entry(command, reads):
     family = next(o for o in main.commands[command].params if o.name == "family")
     for name in family.type.choices:
-        entry = cli.FAMILIES[name]
+        entry = modular.FAMILIES[name]
         assert all(callable(getattr(entry, field)) for field in reads), name
 
 
@@ -228,7 +232,7 @@ def test_every_verlinde_family_has_a_ring():
     family = next(o for o in main.commands["verlinde"].params if o.name == "family")
     for name in family.type.choices:
         params = cli._family_params(name, 1, None, None)
-        S = cli.FAMILIES[name].smatrix(*params.values(), 64)
+        S = modular.FAMILIES[name].smatrix(tuple(params.values()), 64)
         assert callable(S.ring), name
 
 

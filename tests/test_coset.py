@@ -20,12 +20,11 @@ from ospq.coset import (
     InconsistentBranching,
     coset_char_direct,
     coset_char_phase_sum,
-    coset_labels,
     coset_reassembly,
     coset_smatrix,
     lattice_theta,
 )
-from ospq.fusion import OutOfRange, parafermion_fusion
+from ospq.fusion import OutOfRange, coset_labels, parafermion_fusion
 from ospq.modular import (NonIntegralFusion, derived_tolerance, s_small, st_cube_defect,
                           t_matrix, verlinde_standard)
 from ospq.qseries import qs_equal_below, qs_scalar

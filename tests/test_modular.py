@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import ospq.modular as modular
 from ospq.characters import AdmissibleLevel, VirLabel
-from ospq.coset import _coset_ring, coset_labels, coset_smatrix
-from ospq.fusion import (FusionTensor, OutOfRange, check_level, osp_fusion,
-                         parafermion_fusion, sl2_fusion, vir_fusion)
+from ospq.coset import (coset_char_direct, coset_char_phase_sum,
+                        coset_reassembly, coset_smatrix, lattice_theta)
+from ospq.fusion import (FusionTensor, OutOfRange, check_level, coset_labels,
+                         osp_fusion, parafermion_fusion, sl2_fusion, super_fusion,
+                         vir_fusion)
 from ospq.modular import (
+    FAMILIES,
     NonIntegralFusion,
     SMatrix,
     check_s_transform_numeric,
@@ -202,7 +205,7 @@ def test_sl2_ring_is_the_fusion_oracle(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_coset_ring_is_the_fusion_oracle(k):
-    ring = _coset_ring(k)
+    ring = modular._coset_ring(k)
     assert ring == parafermion_fusion(k)
     assert ring.labels == coset_labels(k)
 
@@ -224,11 +227,9 @@ def _moved(tensor, key, step):
 
 
 def _matrix_and_ring(family, k):
-    if family == "coset":
-        return coset_smatrix(k, verify=False), parafermion_fusion(k)
-    if family == "vir":
-        return vir_smatrix(k + 2, 2 * k + 3), vir_fusion(k + 2, 2 * k + 3)
-    return sl2_smatrix(k), sl2_fusion(k)
+    fam = FAMILIES[family]
+    params = fam.params(k)
+    return fam.smatrix(params), fam.fusion(*params)
 
 
 @pytest.mark.parametrize("family,k", [
@@ -457,12 +458,36 @@ def test_min_conformal_weight_unique():
     assert min_conformal_weight(3, 5) == VirLabel(1, 2)
 
 
+# every public builder that takes an integer level k, called with k first
+_LEVEL_BUILDERS = [
+    check_level, AdmissibleLevel.from_integer_level, sl2_fusion, osp_fusion,
+    parafermion_fusion, coset_labels, lambda k: super_fusion(k, 1, 1, 1, 1, 1, 1),
+    sl2_smatrix, extended_smatrix, extended_labels, coset_smatrix,
+    lambda k: s_small(k, 1, 1), s_table, verlinde_super, fp_dimension_report,
+    lambda k: check_s_transform_numeric(k, 1j, 4),
+    lambda k: lattice_theta(k, 0, 4), lambda k: coset_char_direct(k, (0, 1), 4),
+    lambda k: coset_char_phase_sum(k, (0, 1), 4),
+    lambda k: coset_reassembly(k, 1, 4),
+    *[lambda k, name=name: t_matrix(name, k) for name in ("sl2", "extended", "coset")],
+    *[fam.params for fam in FAMILIES.values()],
+]
+
+
 def test_one_level_check_everywhere():
-    for bad in (0, -2, 1.5):
-        for fn in (check_level, sl2_fusion, sl2_smatrix, verlinde_super,
-                   fp_dimension_report, coset_labels):
-            with pytest.raises(OutOfRange):
+    # one check, one message and one exception type; a bool is no level
+    for bad in (0, -1, 1.5, True):
+        for fn in _LEVEL_BUILDERS:
+            with pytest.raises(OutOfRange, match="^level must be a positive integer, got"):
                 fn(bad)
+
+
+def test_a_level_family_takes_no_pair_and_vir_no_level():
+    for family, params in (("vir", 3), ("vir", (3, 5, 7)), ("sl2", (1, 2)),
+                           ("coset", ())):
+        with pytest.raises(ValueError, match="takes params"):
+            t_matrix(family, params)
+    with pytest.raises(ValueError, match="unknown family"):
+        t_matrix("osp", 1)
 
 
 def _vir_entry_per_formula(u, p, a, b, precision):
@@ -489,7 +514,7 @@ def test_vir_smatrix_matches_per_entry_formula(u, p, precision):
 @pytest.mark.parametrize("build", [
     vir_smatrix, vir_fusion, lambda u, p: t_matrix("vir", (u, p))],
     ids=["smatrix", "fusion", "tmatrix"])
-@pytest.mark.parametrize("u,p", [(4, 6), (1, 3), (3, 1)])
+@pytest.mark.parametrize("u,p", [(4, 6), (1, 3), (3, 1), (3, 5.0), (True, 5)])
 def test_vir_pair_without_a_model_is_rejected(build, u, p):
     with pytest.raises(ValueError, match="coprime"):
         build(u, p)
@@ -571,12 +596,7 @@ def test_extended_t_matrix_weights():
     "family,params", [("vir", (3, 5)), ("sl2", 1), ("extended", 1), ("extended", 2)]
 )
 def test_st_cube_collapses_to_charge_conjugation(family, params):
-    if family == "vir":
-        S = vir_smatrix(*params)
-    elif family == "sl2":
-        S = sl2_smatrix(params)
-    else:
-        S = extended_smatrix(params)
+    S = FAMILIES[family].smatrix(params if isinstance(params, tuple) else (params,))
     T = t_matrix(family, params)
     assert st_cube_defect(S, T) < mp.mpf(10) ** -60
     assert S.unitarity_defect() < derived_tolerance(S.precision)
@@ -599,14 +619,15 @@ def _dense_st_cube_defect(S, T):
         return max(abs(P[i, j] - Q[i, j]) for i in range(S.n) for j in range(S.n))
 
 
+# the families with S and T data
+_ST_FAMILIES = [name for name, fam in FAMILIES.items() if fam.weights]
+
+
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("family", ["vir", "sl2", "extended", "coset"])
+@pytest.mark.parametrize("family", _ST_FAMILIES)
 def test_st_cube_defect_is_the_dense_product_bit_for_bit(family, k):
-    params = (k + 2, 2 * k + 3) if family == "vir" else k
-    S = {"vir": lambda: vir_smatrix(*params), "sl2": lambda: sl2_smatrix(k),
-         "extended": lambda: extended_smatrix(k),
-         "coset": lambda: coset_smatrix(k, verify=False)}[family]()
-    T = t_matrix(family, params)
+    params = FAMILIES[family].params(k)
+    S, T = FAMILIES[family].smatrix(params), t_matrix(family, params)
     got, want = st_cube_defect(S, T), _dense_st_cube_defect(S, T)
     assert got._mpf_ == want._mpf_
     assert repr(got) == repr(want)
@@ -617,10 +638,8 @@ def _bits(v):
 
 
 _KERNEL_FAMILIES = {
-    "vir": lambda k, prec: vir_smatrix(k + 2, 2 * k + 3, prec),
-    "sl2": sl2_smatrix,
-    "extended": extended_smatrix,
-    "coset": lambda k, prec: coset_smatrix(k, prec, verify=False),
+    **{name: lambda k, prec, fam=FAMILIES[name]: fam.smatrix(fam.params(k), prec)
+       for name in _ST_FAMILIES},
     "stilde": _stilde_matrix,
 }
 

@@ -7,6 +7,7 @@ import types
 from pathlib import Path
 
 import ospq
+from ospq import modular
 
 SRC = Path(ospq.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,6 +68,42 @@ def test_the_order_refusal_is_written_once():
             if message in (ast.get_source_segment(source, node) or ""):
                 found.append((path.stem, getattr(node, "name", None)))
     assert sorted(found) == [("cli", "_parse_order"), ("qseries", "_positive_order")]
+
+
+def test_the_level_refusal_is_written_once():
+    # every builder refuses a level that is not a positive integer (a bool
+    # included) through characters.check_level, with one message
+    message = "level must be a positive integer"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        for node in ast.parse(source, filename=str(path)).body:
+            if message in (ast.get_source_segment(source, node) or ""):
+                found.append((path.stem, getattr(node, "name", None)))
+    assert found == [("characters", "check_level")]
+
+
+def _strings(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*map(_strings, node.elts))
+    return set()
+
+
+def test_no_module_compares_a_family_name():
+    # every family is read from its modular.FAMILIES record; a comparison
+    # with a family name (family == "vir", name in ("sl2", "coset")) is a
+    # second dispatch that the record would not see
+    names = set(modular.FAMILIES)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                hit = names & set().union(*map(_strings, [node.left, *node.comparators]))
+                if hit:
+                    found.append("%s:%d %s" % (path.name, node.lineno, sorted(hit)))
+    assert found == []
 
 
 def test_readme_library_example_runs():
