@@ -481,7 +481,7 @@ def test_one_level_check_everywhere():
                 fn(bad)
 
 
-def test_a_level_family_takes_no_pair_and_vir_no_level():
+def test_t_matrix_refuses_another_params_shape():
     for family, params in (("vir", 3), ("vir", (3, 5, 7)), ("sl2", (1, 2)),
                            ("coset", ())):
         with pytest.raises(ValueError, match="takes params"):
