@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the exact character-decomposition identity across the level family.
 
-For every admissible level in the built-in list and every module label, the
-superalgebra character is compared against the sum of (affine sl2) x
-(Virasoro) component products, exactly, to the requested order.
+For every admissible level of the acceptance gate (``selftest.LEVEL_SET``)
+and every module label, the superalgebra character is compared against the
+sum of (affine sl2) x (Virasoro) component products, exactly, to the
+requested order.
 
 Usage: python3 scripts/decomposition_sweep.py -N 10
 """
@@ -13,8 +14,7 @@ import time
 from fractions import Fraction
 
 from ospq.characters import AdmissibleLevel, verify_decomposition, verify_theta_identity
-
-LEVEL_PAIRS = ((5, 1), (7, 1), (9, 1), (3, 5))
+from ospq.selftest import LEVEL_SET
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
 
     check = verify_theta_identity if args.numerator_only else verify_decomposition
     failures = 0
-    for p, pp in LEVEL_PAIRS:
+    for p, pp in LEVEL_SET:
         level = AdmissibleLevel(p, pp)
         for label in level.osp_labels():
             t0 = time.time()

@@ -29,7 +29,7 @@ from .modular import (FAMILIES, SMatrix, check_s_transform_numeric,
                       fp_dimension_report, min_conformal_weight, t_matrix,
                       verlinde_standard, verlinde_super, vir_weight_map)
 from .qseries import (NonconvergentDomain, QSeries, VerificationError,
-                      qs_equal_below)
+                      _positive_order, qs_equal_below)
 from .selftest import run_all
 from .theta import WQSeries
 
@@ -95,13 +95,8 @@ def _report_json(rep) -> dict:
     return out
 
 
-def _emit(payload, fmt: str, out: Optional[str], table_fn):
-    text = table_fn() if fmt == "table" else json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+def _level_json(level: AdmissibleLevel) -> dict:
+    return {"p": level.p, "p_prime": level.p_prime, "k": _rat(level.k)}
 
 
 def _resolve_level(k, p, pprime) -> AdmissibleLevel:
@@ -143,11 +138,11 @@ def common_output(f):
     return f
 
 
-def order_option(f):
-    return click.option("-N", "--order", type=str, default="20",
+def order_option(default: int):
+    return click.option("-N", "--order", type=str, default=str(default),
                         envvar="OSPQ_ORDER",
                         help="Truncation order, rational allowed "
-                             "(env OSPQ_ORDER, default 20).")(f)
+                             "(env OSPQ_ORDER, default %d)." % default)
 
 
 def precision_option(f):
@@ -155,6 +150,11 @@ def precision_option(f):
                         envvar="OSPQ_PRECISION",
                         help="Working precision in bits "
                              "(env OSPQ_PRECISION, default 256).")(f)
+
+
+def family_option(default: str, *choices: str):
+    return click.option("--family", type=click.Choice(choices),
+                        default=default, show_default=True)
 
 
 def family_options(f):
@@ -181,24 +181,7 @@ def _parse_order(text: str) -> Fraction:
         N = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise click.UsageError("invalid order %r" % text)
-    if N <= 0:
-        raise click.UsageError("truncation order must be positive")
-    return N
-
-
-def _catch(fn):
-    """Wrap a command, mapping domain errors to exit codes."""
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except VERIFY_ERRORS as ex:
-            click.echo(json.dumps({"ok": False, "error": type(ex).__name__,
-                                   "detail": str(ex)}, indent=2))
-            sys.exit(1)
-        except (ValueError, ZeroDivisionError) as ex:  # bad labels or levels
-            raise click.UsageError(str(ex))
-    return wrapped
+    return _positive_order(N)
 
 
 @click.group()
@@ -208,28 +191,58 @@ def main():
     the admissible-level osp(1|2) superalgebra families."""
 
 
+def command(name: str, *options, help: Optional[str] = None):
+    """Register a command of ``main`` with its own ``options``.
+
+    The body takes only those options and returns (payload, table, ok),
+    ``table`` a callable that renders the plain-text view.  The registrar
+    adds --format and --out, writes JSON or the table to stdout or FILE, and
+    exits 1 unless ok.  A failed verification prints a JSON error payload
+    and exits 1; ValueError and ZeroDivisionError (bad labels or levels)
+    are usage errors.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(fmt, out, **kwargs):
+            try:
+                payload, table, ok = body(**kwargs)
+                text = table() if fmt == "table" else json.dumps(payload, indent=2)
+            except VERIFY_ERRORS as ex:
+                click.echo(json.dumps({"ok": False, "error": type(ex).__name__,
+                                       "detail": str(ex)}, indent=2))
+                sys.exit(1)
+            except (ValueError, ZeroDivisionError) as ex:
+                raise click.UsageError(str(ex))
+            if out:
+                with open(out, "w") as fh:
+                    fh.write(text + "\n")
+            else:
+                click.echo(text)
+            if not ok:
+                sys.exit(1)
+        for option in reversed((*options, common_output)):
+            run = option(run)
+        return main.command(name, help=help)(run)
+    return register
+
+
 # -- characters -----------------------------------------------------------------
 
 
-@main.command("char")
-@click.option("--family", type=click.Choice(["osp", "sl2", "vir"]),
-              default="osp", show_default=True)
-@level_options
-@click.option("-r", type=int, required=True, help="First label index.")
-@click.option("-s", type=int, default=0, show_default=True,
-              help="Second label index.")
-@order_option
-@common_output
-@_catch
-def char_cmd(family, k, p, pprime, r, s, order, fmt, out):
+@command("char",
+         family_option("osp", "osp", "sl2", "vir"),
+         level_options,
+         click.option("-r", type=int, required=True, help="First label index."),
+         click.option("-s", type=int, default=0, show_default=True,
+                      help="Second label index."),
+         order_option(20))
+def char_cmd(family, k, p, pprime, r, s, order):
     """Character series of one module (two-variable for osp/sl2)."""
     level = _resolve_level(k, p, pprime)
     N = _parse_order(order)
     series = FAMILIES[family].char(level, r, s, N)
     payload = {
-        "command": "char", "family": family,
-        "level": {"p": level.p, "p_prime": level.p_prime,
-                  "k": _rat(level.k)},
+        "command": "char", "family": family, "level": _level_json(level),
         "label": {"r": r, "s": s}, "order": _rat(N),
     }
     if isinstance(series, WQSeries):
@@ -249,21 +262,17 @@ def char_cmd(family, k, p, pprime, r, s, order, fmt, out):
                 lines.append("%-12s %s" % (e, c))
         return "\n".join(lines)
 
-    _emit(payload, fmt, out, table)
+    return payload, table, True
 
 
 def _identity_command(name, verify_fn, default_order, help_text):
-    @main.command(name, help=help_text)
-    @level_options
-    @click.option("-r", type=int, default=None,
-                  help="First label index (omit to run all labels).")
-    @click.option("-s", type=int, default=None,
-                  help="Second label index (omit to run all labels).")
-    @click.option("-N", "--order", type=str, default=str(default_order),
-                  envvar="OSPQ_ORDER", help="Truncation order.")
-    @common_output
-    @_catch
-    def cmd(k, p, pprime, r, s, order, fmt, out):
+    @command(name, level_options,
+             click.option("-r", type=int, default=None,
+                          help="First label index (omit to run all labels)."),
+             click.option("-s", type=int, default=None,
+                          help="Second label index (omit to run all labels)."),
+             order_option(default_order), help=help_text)
+    def cmd(k, p, pprime, r, s, order):
         if s is not None and r is None:
             raise click.UsageError("-s selects a label only together with -r")
         level = _resolve_level(k, p, pprime)
@@ -275,9 +284,7 @@ def _identity_command(name, verify_fn, default_order, help_text):
         reports = [(lab, verify_fn(level, lab, N)) for lab in labels]
         all_ok = all(rep.ok for (_, rep) in reports)
         payload = {
-            "command": name, "order": _rat(N),
-            "level": {"p": level.p, "p_prime": level.p_prime,
-                      "k": _rat(level.k)},
+            "command": name, "order": _rat(N), "level": _level_json(level),
             "results": [dict(label={"r": lab.r, "s": lab.s},
                              **_report_json(rep))
                         for (lab, rep) in reports],
@@ -292,9 +299,7 @@ def _identity_command(name, verify_fn, default_order, help_text):
                               rep.detail))
             return "\n".join(lines)
 
-        _emit(payload, fmt, out, table)
-        if not all_ok:
-            sys.exit(1)
+        return payload, table, all_ok
     return cmd
 
 
@@ -339,20 +344,15 @@ def _fusion_table(ft: FusionTensor, family: str) -> str:
     return "\n".join(lines)
 
 
-@main.command("fusion")
-@click.option("--family",
-              type=click.Choice(["osp", "sl2", "vir", "parafermion"]),
-              default="osp", show_default=True)
-@family_options
-@common_output
-@_catch
-def fusion_cmd(family, k, u, p, fmt, out):
+@command("fusion",
+         family_option("osp", "osp", "sl2", "vir", "parafermion"), family_options)
+def fusion_cmd(family, k, u, p):
     """Combinatorial fusion tensor of a family."""
     params = _family_params(family, k, u, p)
     ft = FAMILIES[family].fusion(*params.values())
     payload = {"command": "fusion", "family": family, **params,
                **_fusion_payload(ft)}
-    _emit(payload, fmt, out, lambda: _fusion_table(ft, family))
+    return payload, lambda: _fusion_table(ft, family), True
 
 
 # -- modular matrices -------------------------------------------------------------
@@ -382,32 +382,22 @@ def _smatrix_table(S: SMatrix, family: str) -> str:
     return "\n".join(lines)
 
 
-@main.command("smatrix")
-@click.option("--family",
-              type=click.Choice(["vir", "sl2", "extended", "coset"]),
-              default="extended", show_default=True)
-@family_options
-@precision_option
-@common_output
-@_catch
-def smatrix_cmd(family, k, u, p, precision, fmt, out):
+@command("smatrix",
+         family_option("extended", "vir", "sl2", "extended", "coset"),
+         family_options, precision_option)
+def smatrix_cmd(family, k, u, p, precision):
     """Modular S-matrix of a family."""
     params = _family_params(family, k, u, p)
     S = FAMILIES[family].smatrix(tuple(params.values()), precision)
     payload = {"command": "smatrix", "family": family, **params,
                **_smatrix_payload(S, precision)}
-    _emit(payload, fmt, out, lambda: _smatrix_table(S, family))
+    return payload, lambda: _smatrix_table(S, family), True
 
 
-@main.command("tmatrix")
-@click.option("--family",
-              type=click.Choice(["vir", "sl2", "extended", "coset"]),
-              default="extended", show_default=True)
-@family_options
-@precision_option
-@common_output
-@_catch
-def tmatrix_cmd(family, k, u, p, precision, fmt, out):
+@command("tmatrix",
+         family_option("extended", "vir", "sl2", "extended", "coset"),
+         family_options, precision_option)
+def tmatrix_cmd(family, k, u, p, precision):
     """Modular T-matrix (diagonal phases) of a family."""
     params = _family_params(family, k, u, p)
     T = t_matrix(family, tuple(params.values()), precision)
@@ -432,17 +422,13 @@ def tmatrix_cmd(family, k, u, p, precision, fmt, out):
                           mp.nstr(mp.mpc(T.phase(lab)), 8)))
         return "\n".join(lines)
 
-    _emit(payload, fmt, out, table)
+    return payload, table, True
 
 
-@main.command("verlinde")
-@click.option("--family", type=click.Choice(["vir", "sl2", "coset"]),
-              default="sl2", show_default=True)
-@family_options
-@precision_option
-@common_output
-@_catch
-def verlinde_cmd(family, k, u, p, precision, fmt, out):
+@command("verlinde",
+         family_option("sl2", "vir", "sl2", "coset"), family_options,
+         precision_option)
+def verlinde_cmd(family, k, u, p, precision):
     """Verlinde fusion from the S-matrix, checked against the combinatorial
     tensor (exit 1 on mismatch)."""
     params = _family_params(family, k, u, p)
@@ -452,18 +438,17 @@ def verlinde_cmd(family, k, u, p, precision, fmt, out):
     payload = {"command": "verlinde", "family": family, **params,
                "matches_combinatorial": matches,
                **_fusion_payload(ft)}
-    _emit(payload, fmt, out, lambda: _fusion_table(ft, family)
-          + "\n# matches combinatorial tensor: %s" % matches)
-    if not matches:
-        sys.exit(1)
+
+    def table():
+        return (_fusion_table(ft, family)
+                + "\n# matches combinatorial tensor: %s" % matches)
+
+    return payload, table, matches
 
 
-@main.command("verlinde-super")
-@click.option("-k", type=int, required=True)
-@precision_option
-@common_output
-@_catch
-def verlinde_super_cmd(k, precision, fmt, out):
+@command("verlinde-super", click.option("-k", type=int, required=True),
+         precision_option)
+def verlinde_super_cmd(k, precision):
     """Parity-refined Verlinde data (even/odd intertwiner dimensions)."""
     sv = verlinde_super(k, precision)
     entries = []
@@ -490,15 +475,11 @@ def verlinde_super_cmd(k, precision, fmt, out):
                           it["odd"]))
         return "\n".join(lines)
 
-    _emit(payload, fmt, out, table)
+    return payload, table, True
 
 
-@main.command("fpdim")
-@click.option("-k", type=int, required=True)
-@precision_option
-@common_output
-@_catch
-def fpdim_cmd(k, precision, fmt, out):
+@command("fpdim", click.option("-k", type=int, required=True), precision_option)
+def fpdim_cmd(k, precision):
     """Frobenius-Perron dimension identities (exit 1 if any fails)."""
     rep = fp_dimension_report(k, precision)
     items = [{"name": it.name,
@@ -525,16 +506,11 @@ def fpdim_cmd(k, precision, fmt, out):
                           mp.nstr(mp.mpf(it.difference), 3)))
         return "\n".join(lines)
 
-    _emit(payload, fmt, out, table)
-    if not rep.ok:
-        sys.exit(1)
+    return payload, table, rep.ok
 
 
-@main.command("minweight")
-@family_options
-@common_output
-@_catch
-def minweight_cmd(k, u, p, fmt, out):
+@command("minweight", family_options)
+def minweight_cmd(k, u, p):
     """Minimal conformal weight label of the Virasoro factor."""
     uu, pp = _family_params("vir", k, u, p).values()
     lab = min_conformal_weight(uu, pp)
@@ -545,20 +521,16 @@ def minweight_cmd(k, u, p, fmt, out):
     payload = {"command": "minweight", "u": uu, "p": pp,
                "label": {"r": lab.r, "s": lab.s}, "weight": _rat(h),
                "unique": unique}
-    _emit(payload, fmt, out,
-          lambda: "V(%d,%d)  h = %s  unique = %s" % (lab.r, lab.s, h,
-                                                     unique))
+    return payload, lambda: "V(%d,%d)  h = %s  unique = %s" % (
+        lab.r, lab.s, h, unique), True
 
 
-@main.command("stransform-check")
-@click.option("-k", type=int, default=1, show_default=True)
-@click.option("--tau0", type=str, default="1j", show_default=True,
-              help="Base point in the upper half plane, e.g. 2j or 0.3+1.1j.")
-@order_option
-@precision_option
-@common_output
-@_catch
-def stransform_cmd(k, tau0, order, precision, fmt, out):
+@command("stransform-check",
+         click.option("-k", type=int, default=1, show_default=True),
+         click.option("--tau0", type=str, default="1j", show_default=True,
+                      help="Base point in the upper half plane, e.g. 2j or 0.3+1.1j."),
+         order_option(20), precision_option)
+def stransform_cmd(k, tau0, order, precision):
     """Numeric S-transformation check of the one-variable characters
     (exit 1 if any residual exceeds its tolerance)."""
     try:
@@ -588,21 +560,17 @@ def stransform_cmd(k, tau0, order, precision, fmt, out):
                           mp.nstr(e.residual, 3), mp.nstr(e.tail_bound, 3)))
         return "\n".join(lines)
 
-    _emit(payload, fmt, out, table)
-    if not rep.ok:
-        sys.exit(1)
+    return payload, table, rep.ok
 
 
-@main.command("coset-char")
-@click.option("-k", type=int, required=True)
-@click.option("--nu", type=int, required=True, help="Lattice charge class.")
-@click.option("-r", type=int, required=True, help="Odd module index.")
-@click.option("-N", "--order", type=str, default="12", envvar="OSPQ_ORDER")
-@click.option("--method", type=click.Choice(["direct", "phase", "both"]),
-              default="both", show_default=True)
-@common_output
-@_catch
-def coset_char_cmd(k, nu, r, order, method, fmt, out):
+@command("coset-char",
+         click.option("-k", type=int, required=True),
+         click.option("--nu", type=int, required=True, help="Lattice charge class."),
+         click.option("-r", type=int, required=True, help="Odd module index."),
+         order_option(12),
+         click.option("--method", type=click.Choice(["direct", "phase", "both"]),
+                      default="both", show_default=True))
+def coset_char_cmd(k, nu, r, order, method):
     """Coset sector character, by either or both extraction routes
     (exit 1 if the routes disagree)."""
     N = _parse_order(order)
@@ -629,44 +597,34 @@ def coset_char_cmd(k, nu, r, order, method, fmt, out):
             lines.append("%-12s %s" % (e, c))
         return "\n".join(lines)
 
-    _emit(payload, fmt, out, table)
-    if not agree:
-        sys.exit(1)
+    return payload, table, agree
 
 
-@main.command("coset-smatrix")
-@click.option("-k", type=int, required=True)
-@precision_option
-@common_output
-@_catch
-def coset_smatrix_cmd(k, precision, fmt, out):
+@command("coset-smatrix", click.option("-k", type=int, required=True),
+         precision_option)
+def coset_smatrix_cmd(k, precision):
     """Coset S-matrix (unitarity and Verlinde checks run internally)."""
     S = coset_smatrix(k, precision)
     payload = {"command": "coset-smatrix", "k": k,
                **_smatrix_payload(S, precision)}
-    _emit(payload, fmt, out, lambda: _smatrix_table(S, "coset"))
+    return payload, lambda: _smatrix_table(S, "coset"), True
 
 
-@main.command("selftest")
-@click.option("--fast", is_flag=True, default=False,
-              help="Reduced orders and ranges for a quick run.")
-@click.option("--criterion", "criteria", type=int, multiple=True,
-              help="Run only the given criterion numbers (repeatable).")
-@common_output
-def selftest_cmd(fast, criteria, fmt, out):
+@command("selftest",
+         click.option("--fast", is_flag=True, default=False,
+                      help="Reduced orders and ranges for a quick run."),
+         click.option("--criterion", "criteria", type=int, multiple=True,
+                      help="Run only the given criterion numbers (repeatable)."))
+def selftest_cmd(fast, criteria):
     """Run the acceptance criteria suite (exit 1 on any failure)."""
+    out = click.get_current_context().params["out"]
     progress = sys.stderr.isatty() or out is not None
 
     def report(res):
         if progress:
             click.echo(res.line(), err=True)
 
-    try:
-        results = run_all(fast=fast, only=criteria or None, report=report)
-    except VERIFY_ERRORS:
-        raise  # a criterion's own failure, not the caller's input
-    except ValueError as ex:
-        raise click.UsageError(str(ex))
+    results = run_all(fast=fast, only=criteria or None, report=report)
     all_ok = all(r.passed for r in results)
     payload = {
         "command": "selftest", "fast": fast,
@@ -675,9 +633,7 @@ def selftest_cmd(fast, criteria, fmt, out):
                       "detail": r.detail} for r in results],
         "ok": all_ok,
     }
-    _emit(payload, fmt, out, lambda: "\n".join(r.line() for r in results))
-    if not all_ok:
-        sys.exit(1)
+    return payload, lambda: "\n".join(r.line() for r in results), all_ok
 
 
 if __name__ == "__main__":

@@ -679,10 +679,15 @@ class SuperVerlinde:
         return _intertwiners((total + sdim) // 2, (total - sdim) // 2)
 
 
-def _stilde_from_table(s, precision: int) -> SMatrix:
-    """S-matrix in the (plus, minus) basis from the sine table ``s``: entry
-    ((r, a), (t, b)) is 2 s_{r,t} when t is even exactly for a = '+' and r
-    is even exactly for b = '+', and 0 otherwise."""
+@functools.lru_cache(maxsize=16)
+def _stilde(k: int, precision: int) -> SMatrix:
+    """S~, the S-matrix in the (plus, minus) basis, from the sine table
+    s = ``s_table(k, precision)``: entry ((r, a), (t, b)) is 2 s_{r,t} when
+    t is even exactly for a = '+' and r is even exactly for b = '+', and 0
+    otherwise.  Built once per (k, precision) and shared by
+    ``verlinde_super`` and ``check_s_transform_numeric``; an SMatrix's rows
+    and precision are fixed once it is built."""
+    s = s_table(k, precision)
     rng = range(1, len(s) + 1)
     labels = [(r, "+") for r in rng] + [(r, "-") for r in rng]
     with mp.workprec(precision + 16):
@@ -690,14 +695,6 @@ def _stilde_from_table(s, precision: int) -> SMatrix:
                  if (t % 2 == 0) == (a == "+") and (r % 2 == 0) == (b == "+")
                  else mp.mpf(0) for (t, b) in labels] for (r, a) in labels]
     return SMatrix(labels, rows, labels.index((1, "+")), precision)
-
-
-@functools.lru_cache(maxsize=16)
-def _check_stilde(k: int, precision: int) -> SMatrix:
-    """S~ as ``check_s_transform_numeric`` reads it, built once per (k,
-    precision) and shared: its callers only read labels, rows and index.
-    ``verlinde_super`` builds its own, which it returns."""
-    return _stilde_from_table(s_table(k, precision), precision)
 
 
 def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
@@ -721,7 +718,7 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
     """
     check_level(k)
     n, h = 2 * k + 3, k + 2
-    St = _stilde_from_table(s_table(k, precision), precision)
+    St = _stilde(k, precision)
     with mp.workprec(precision + 16):
         invol_defect = St.square_defect_from_identity()
         # E = M^2 - I gives M^-1 - M = -M E (I + E)^-1, so
@@ -920,7 +917,7 @@ def check_s_transform_numeric(k: int, tau0, N, precision: int = 256
         if mp.im(tau0) <= 0:
             raise NonconvergentDomain("tau must lie in the upper half plane")
         tau1 = -1 / tau0
-        St = _check_stilde(k, precision)
+        St = _stilde(k, precision)
         series = {(r, a): chars[r][0 if a == "+" else 1] for (r, a) in St.labels}
         # evaluations at tau0 (right-hand sides)
         ev = {lab: qs_eval(ch, tau0, precision) for lab, ch in series.items()}
@@ -1004,7 +1001,10 @@ class Family:
     weights: Optional[Callable] = None
 
     def smatrix(self, args: tuple, precision: int = 256) -> SMatrix:
-        """The S-matrix over ``labels`` at the parameters ``args``."""
+        """The S-matrix over ``labels`` at the parameters ``args``.  Raises
+        ValueError at a precision whose ``derived_tolerance`` is not below
+        1, at which no check of the matrix could fail."""
+        derived_tolerance(precision)
         labels = self.labels(*args)
         return SMatrix(labels, self.rows(*args, labels, precision),
                        labels.index(self.vacuum), precision,

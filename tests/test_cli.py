@@ -1,5 +1,6 @@
 """Command-line interface: payload shapes, exit codes, format/env handling."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,9 @@ from mpmath import mp
 
 import ospq.cli as cli
 import ospq.modular as modular
+import ospq.selftest as selftest
 from ospq.cli import main
+from ospq.qseries import VerificationError
 from ospq.theta import IncompleteQuotient
 
 
@@ -396,6 +399,57 @@ def test_out_option_writes_file(tmp_path):
     assert payload["command"] == "fusion"
 
 
+@pytest.mark.parametrize("command", [
+    "coset-char -k 1 --nu 0 -r 1 -N 2", "verlinde --family sl2 -k 1",
+    "selftest --criterion 7"])
+def test_a_failed_check_writes_its_payload_and_exits_one(monkeypatch, tmp_path,
+                                                        command):
+    # each patch fails the check of one command: the two coset routes, the
+    # sl2 ring against its oracle, and a selftest criterion
+    monkeypatch.setattr(cli, "qs_equal_below", lambda a, b, N: (False, None))
+    monkeypatch.setitem(modular.FAMILIES, "sl2", dataclasses.replace(
+        modular.FAMILIES["sl2"], fusion=lambda k: None))
+    monkeypatch.setattr(selftest, "CRITERIA", [(7, lambda fast: selftest._result(
+        7, "planted", 0.0, False, "a planted failure"))])
+    target = tmp_path / "payload.json"
+    res = CliRunner().invoke(main, command.split() + ["--out", str(target)],
+                             catch_exceptions=False)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    payload = json.loads(target.read_text())
+    assert payload["command"] == command.split()[0]
+    assert False in (payload.get("ok"), payload.get("routes_agree"),
+                     payload.get("matches_combinatorial"))
+    if command.startswith("selftest"):  # --out turns the progress lines on
+        assert res.stderr.startswith("FAIL  criterion  7  planted")
+
+
+def test_a_criterion_that_raises_is_verification_failure(monkeypatch):
+    def raises(fast):
+        raise VerificationError("a planted criterion failure")
+
+    monkeypatch.setattr(selftest, "CRITERIA", [(4, raises)])
+    res = run("selftest", "--criterion", "4")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {"ok": False, "error": "VerificationError",
+                                      "detail": "a planted criterion failure"}
+
+
+def test_only_the_registrar_registers_and_exits():
+    # every command is registered, rendered and given its exit code by
+    # cli.command; a body returns (payload, table, ok)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = set()
+    for node in tree.body:
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name)
+                    and (call.func.value.id, call.func.attr) in {("main", "command"),
+                                                                 ("sys", "exit")}):
+                found.add((getattr(node, "name", None), call.func.attr))
+    assert found == {("command", "command"), ("command", "exit")}
+
+
 def test_order_env_override():
     res = run("char", "--family", "vir", "-k", "1", "-r", "1", "-s", "1",
               env={"OSPQ_ORDER": "3/2"})
@@ -458,7 +512,11 @@ def test_precision_below_one_is_usage_error(args, env):
     assert "--precision" in res.output and "x>=1" in res.output
 
 
-@pytest.mark.parametrize("command", ["fpdim -k 1", "coset-smatrix -k 1"])
+@pytest.mark.parametrize("command", [
+    "fpdim -k 1", "coset-smatrix -k 1", "smatrix --family vir -k 1",
+    "smatrix --family sl2 -k 1", "smatrix --family extended -k 1",
+    "smatrix --family coset -k 1",
+])
 def test_precision_without_a_tolerance_is_usage_error(command):
     # at 2 bits the derived tolerance 10^(1 - 2/4) is above 1, so every
     # gated check would pass whatever it compared

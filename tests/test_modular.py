@@ -352,7 +352,7 @@ def test_refined_count_is_the_parity_ring(k):
 
 def _stilde_matrix(k, precision=256):
     """verlinde_super's basis-changed matrix, without the refined count."""
-    return modular._stilde_from_table(s_table(k, precision), precision)
+    return modular._stilde(k, precision)
 
 
 def test_stilde_matrix_shape():
@@ -361,10 +361,17 @@ def test_stilde_matrix_shape():
     assert S.unitarity_defect() < derived_tolerance(S.precision)
 
 
+def test_one_stilde_serves_the_refined_ring_and_the_s_transform_check():
+    sv = verlinde_super(2, 128)
+    check_s_transform_numeric(2, 1j, 4, 128)
+    assert sv.stilde is modular._stilde(2, 128)
+    assert modular._stilde.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stilde_parity_rule_is_the_four_case_rule(k):
     s = s_table(k)
-    S = modular._stilde_from_table(s, 256)
+    S = modular._stilde(k, 256)
     for (r, a), row in zip(S.labels, S.rows):
         for (t, b), v in zip(S.labels, row):
             re, te = r % 2 == 0, t % 2 == 0

@@ -57,30 +57,41 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_the_order_refusal_is_written_once():
-    # every builder refuses N <= 0 through qseries._positive_order; the CLI
-    # turns the same refusal into a usage error
-    message = "truncation order must be positive"
+def _holders(message):
+    """(module, top-level name) of each top-level statement of the package
+    whose lines hold ``message``; each file is split into lines once."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
+        lines = source.splitlines()
         for node in ast.parse(source, filename=str(path)).body:
-            if message in (ast.get_source_segment(source, node) or ""):
+            if message in "\n".join(lines[node.lineno - 1:node.end_lineno]):
                 found.append((path.stem, getattr(node, "name", None)))
-    assert sorted(found) == [("cli", "_parse_order"), ("qseries", "_positive_order")]
+    return found
+
+
+def test_the_order_refusal_is_written_once():
+    # every builder, and the CLI's order parser, refuses N <= 0 through
+    # qseries._positive_order
+    assert _holders("truncation order must be positive") == [
+        ("qseries", "_positive_order")]
 
 
 def test_the_level_refusal_is_written_once():
     # every builder refuses a level that is not a positive integer (a bool
     # included) through characters.check_level, with one message
-    message = "level must be a positive integer"
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text()
-        for node in ast.parse(source, filename=str(path)).body:
-            if message in (ast.get_source_segment(source, node) or ""):
-                found.append((path.stem, getattr(node, "name", None)))
-    assert found == [("characters", "check_level")]
+    assert _holders("level must be a positive integer") == [("characters", "check_level")]
+
+
+def test_every_memo_is_found_and_cleared(ospq_memos):
+    # tests/conftest.py clears each of these before every test
+    assert sorted(ospq_memos) == [
+        "ospq.characters._osp_char", "ospq.characters._sl2_char",
+        "ospq.characters._vir_char", "ospq.characters._w1_table",
+        "ospq.modular._stilde", "ospq.qseries._exp_step",
+        "ospq.qseries._fixed_power", "ospq.qseries._tail_factors"]
+    assert [name for name, memo in ospq_memos.items()
+            if memo.cache_info().currsize] == []
 
 
 def _strings(node):
