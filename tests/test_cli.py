@@ -540,7 +540,8 @@ def test_precision_without_a_tolerance_is_usage_error(command):
 # dispatch and that no entry above covers, then a k=3 S-transform whose
 # S-matrix rows hold exact-zero sines and a k=4 refined Verlinde table, then
 # one Verlinde ring of each exactly counted family: a Virasoro pair with even
-# p, a larger Virasoro table, sl2 at k=6 and the coset at k=3.
+# p, a larger Virasoro table, sl2 at k=6 and the coset at k=3, then two
+# decompositions at fractional level, whose factors are cut at a w floor.
 # After an intended output change,
 # re-record with `PYTHONPATH=src python tests/test_cli.py`, which prints this
 # table.
@@ -641,6 +642,10 @@ OUTPUT_DIGESTS = {
         'd435b0f6150407de3a6cd295fc30d2df34acc5ccd302281387bedce79a6a7ad5',
     'verlinde --family coset -k 3 --format table':
         'c8813b5e8f3df0cb3969c31a4404f68efa7dc8dd3e6182c4b3e28d28967dd6f0',
+    'decompose -p 3 --pprime 5 -N 4':
+        '4d4d7458a6619ada344698c109876236eca9dd18dc8721043e2947c1dbb6e6a9',
+    'decompose -p 7 --pprime 3 -N 6':
+        '686784d53a83e258ccc4efdd3c436b5934eb87eb3abf87dc90f94d81b094f065',
 }
 
 
