@@ -217,20 +217,20 @@ def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
 
 
 def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
-    for x, name in ((a, "left"), (b, "right")):
-        if not x._s and x.w_floor is not None:
-            raise ValueError("%s factor is empty but w-floored; product undefined" % name)
     # the q-support bounds count the terms hidden below a floor
     ma, mb = a._support_lo(), b._support_lo()
     if ma is None or mb is None:
         return WQSeries((), None, None)  # exact zero factor
     T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
-    # a factor with no stored terms is zero below its q_trunc at every w
+    # the terms hidden below one factor's floor meet the other's terms, which
+    # lie at w <= its top stored w, or below its floor if it stores none; an
+    # unfloored factor with no stored terms is zero below its q_trunc at
+    # every w and bounds no floor
     fc = []
-    if a.w_floor is not None and b._s:
-        fc.append(a.w_floor + b.wmax())
-    if b.w_floor is not None and a._s:
-        fc.append(b.w_floor + a.wmax())
+    for x, y in ((a, b), (b, a)):
+        top = y.wmax() if y._s else y.w_floor
+        if x.w_floor is not None and top is not None:
+            fc.append(x.w_floor + top)
     F = max(fc, default=None)
     return WQSeries._of(*_slice_mul(a, b, T, F), T, F, ma + mb)
 

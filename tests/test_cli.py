@@ -268,6 +268,16 @@ def test_decompose_all_labels_fractional():
     assert all(r["ok"] and r["first_discrepancy"] is None for r in payload["results"])
 
 
+def test_decompose_multiplies_a_factor_with_no_terms_above_its_floor():
+    # at N = 1 some sl2 factor stores no term at w >= its floor; its product
+    # with a Virasoro factor is still exact on a box
+    res = run("decompose", "-p", "3", "--pprime", "7", "-N", "1")
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["ok"] is True
+    assert len(payload["results"]) == 7
+
+
 # -- fusion ---------------------------------------------------------------------------
 
 

@@ -51,9 +51,6 @@ def brute_product(pa, pb):
 def ref_wq_mul(a, b):
     """Product by a Fraction-keyed slice convolution, with wq_mul's box rule and
     term order (a's slices in stored order against b's sorted)."""
-    for x in (a, b):
-        if not x.terms and x.w_floor is not None:
-            raise ValueError("empty but w-floored factor")
     ma, mb = a._support_lo(), b._support_lo()
     if ma is None or mb is None:
         return WQSeries((), None, None)
@@ -63,11 +60,17 @@ def ref_wq_mul(a, b):
     if b.q_trunc is not None:
         cands.append(b.q_trunc + ma)
     T = min(cands) if cands else None
+    # a floored factor's hidden terms reach up to the other factor's top
+    # stored w, or to its floor when it stores none; an unfloored factor
+    # without terms is zero on its box and bounds nothing
     fc = []
-    if a.w_floor is not None and b.terms:
-        fc.append(a.w_floor + b.wmax())
-    if b.w_floor is not None and a.terms:
-        fc.append(b.w_floor + a.wmax())
+    for x, y in ((a, b), (b, a)):
+        if x.w_floor is None:
+            continue
+        if y.terms:
+            fc.append(x.w_floor + max(w for sl in y.terms.values() for w in sl))
+        elif y.w_floor is not None:
+            fc.append(x.w_floor + y.w_floor)
     F = max(fc, default=None)
     acc = {}
     b_slices = sorted(b.terms.items())
@@ -271,13 +274,13 @@ def test_complete_product_matches_dense_convolution(pa, pb):
 # a's w^-2 term hides below the floor and b's q^2 term above the truncation;
 # their product q^2 w^-1 lies inside the box q < 3 that the stored minima give
 @example({(0, -2): 1, (1, 0): 1}, {(1, 0): 1, (2, 1): 1}, QQ(1), QQ(-1))
+# a stores no term above the floor; its w^-2 times b's w^1 lands at w^-1
+@example({(0, -2): 1}, {(0, 1): 1, (1, 0): 1}, QQ(1), QQ(-1))
 def test_boxed_product_is_sound(pa, pb, t, f):
     """Multiplying floored/truncated inputs agrees with the dense product on the box."""
     t = t + 1
     a = make_wq(pa, q_trunc=t, w_floor=f)
     b = make_wq(pb, q_trunc=t, w_floor=f)
-    if a.is_zero or b.is_zero:
-        return  # an empty floored factor has no well-defined product box
     prod = wq_mul(a, b)
     dense = make_wq(brute_product(pa, pb))
     ok, bad, _ = wq_equal_on_box(prod, dense)
@@ -291,12 +294,7 @@ def test_boxed_product_is_sound(pa, pb, t, f):
 # the q^2 slice cancels to zero and is produced again after the q^3 slice
 @example(make_wq({(0, 0): 1, (1, 0): 1, (2, 0): 2}), make_wq({(0, 0): 1, (1, 0): -1, (2, 0): 1}))
 def test_mul_matches_the_fraction_keyed_convolution(a, b):
-    try:
-        want = ref_wq_mul(a, b)
-    except ValueError:  # an empty, floored factor
-        with pytest.raises(ValueError):
-            wq_mul(a, b)
-        return
+    want = ref_wq_mul(a, b)
     got = wq_mul(a, b)
     assert slices_in_order(got) == slices_in_order(want)
     assert all(type(x) is QQ for qe, we, c in got.items() for x in (qe, we, c))
@@ -310,6 +308,21 @@ def test_product_with_a_factor_without_terms_is_zero_on_its_box():
         prod = wq_mul(a, b)
         assert prod.is_zero
         assert (prod.q_trunc, prod.w_floor) == (QQ(2), None)
+
+
+def test_a_floored_factor_without_terms_bounds_the_product_floor():
+    # every term of `hidden` lies below w = -2, so its products with the
+    # other factor's terms (w <= 1) lie below w = -1
+    hidden = make_wq({(0, -3): 1}, q_trunc=3, w_floor=-2)
+    other = make_wq({(0, 1): 1, (1, 0): 1})
+    for a, b in ((hidden, other), (other, hidden)):
+        prod = wq_mul(a, b)
+        assert prod.is_zero
+        assert (prod.q_trunc, prod.w_floor) == (QQ(3), QQ(-1))
+    # two such factors: every product term lies below w = -2 + -1
+    both = wq_mul(hidden, make_wq({(0, -2): 1}, q_trunc=2, w_floor=-1))
+    assert both.is_zero
+    assert (both.q_trunc, both.w_floor) == (QQ(2), QQ(-3))
 
 
 @settings(max_examples=100, deadline=None)
