@@ -20,7 +20,7 @@ Each memo keeps at most ``CHAR_MEMO_SIZE`` results.
 
 Truncation orders.  Every builder and check refuses an order N <= 0 through
 ``qseries._positive_order``.  A check that claims order N builds its factors
-once, at a fixed margin above N (N+4 for the decomposition, N+2 for the
+once, at a fixed margin above N (N+1/8 for the decomposition, N+2 for the
 w -> 1 characters, N+k+2 for the coset sectors), and raises through
 ``qseries._require_order`` if the box it achieved still falls short of N;
 every coset route (direct, phase sum, reassembly) verifies its box so.  The
@@ -28,7 +28,14 @@ margins always suffice because every character and eta-quotient
 here has q-exponents >= -1/8: theta numerators start at q^0; the Weyl
 denominator, i*theta_1 and eta start at q^(1/24), q^(1/8) and q^(1/24); and
 a lattice theta class starts at q^(k/4) at the latest.  So a product of
-factors exact below M is exact below M - 1/8 at least.
+factors exact below M is exact below M - 1/8 at least, and N+1/8 is the
+least margin the decomposition's products allow.
+
+w floors.  At fractional level the public ``osp_char`` and ``sl2_char`` at
+order N are cut at w = -(N+4).  The decomposition at order N cuts its
+superalgebra and sl2 factors at w = -(N+8) whatever order it builds them
+at, so it compares the box q < N, w >= -(N+8).  The floor is an argument
+of the private builders and part of their memo keys.
 """
 
 from __future__ import annotations
@@ -307,19 +314,22 @@ def _den_order(num_min: QQ, N: QQ) -> QQ:
     return N - math.floor(min(num_min, 0)) + 2
 
 
-def _quotient_char(level: AdmissibleLevel, num: WQSeries, denominator,
-                   N: QQ) -> WQSeries:
-    """num / denominator(M) on the box q < N, with M large enough for that box.
+def _floor(level: AdmissibleLevel, w: QQ) -> Optional[QQ]:
+    """The w floor of a two-variable character at ``level``: none at integer
+    level, where the division itself proves every q-slice's w-support
+    complete, else w; at fractional level the slices are descending series
+    in w."""
+    return None if level.is_integer_level else w
 
-    At integer level the quotient is computed without a floor, so the
-    division itself proves every q-slice's w-support complete.  At
-    fractional level the slices are descending series in w, cut at the
-    fixed floor w = -(N+4).
-    """
+
+def _quotient_char(num: WQSeries, denominator, N: QQ,
+                   w_floor: Optional[QQ]) -> WQSeries:
+    """num / denominator(M) on the box q < N, w >= w_floor, with M large
+    enough for that box."""
     if num.is_zero:
         return WQSeries((), N, None)
-    F = None if level.is_integer_level else -(N + 4)
-    return wq_div(num, denominator(_den_order(num.min_q(), N)), q_trunc=N, w_floor=F)
+    return wq_div(num, denominator(_den_order(num.min_q(), N)), q_trunc=N,
+                  w_floor=w_floor)
 
 
 # results each character memo keeps: one benchmark pass needs at most 79
@@ -328,15 +338,17 @@ CHAR_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
-def _osp_char(level: AdmissibleLevel, label: OspLabel, N: QQ) -> WQSeries:
+def _osp_char(level: AdmissibleLevel, label: OspLabel, N: QQ,
+              w_floor: Optional[QQ]) -> WQSeries:
     num = osp_numerator(level, label, N + 1)
-    return _quotient_char(level, num, weyl_denominator, N)
+    return _quotient_char(num, weyl_denominator, N, w_floor)
 
 
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
-def _sl2_char(level: AdmissibleLevel, label: Sl2Label, N: QQ) -> WQSeries:
+def _sl2_char(level: AdmissibleLevel, label: Sl2Label, N: QQ,
+              w_floor: Optional[QQ]) -> WQSeries:
     num = sl2_numerator(level, label, N + 1)
-    return _quotient_char(level, num, vartheta1_times_i, N)
+    return _quotient_char(num, vartheta1_times_i, N, w_floor)
 
 
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
@@ -361,7 +373,7 @@ def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     order (ValueError unless positive) are checked on every call.
     """
     N = _positive_order(N)
-    return _osp_char(level, level.check_osp(label), N)
+    return _osp_char(level, level.check_osp(label), N, _floor(level, -(N + 4)))
 
 
 def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
@@ -374,7 +386,7 @@ def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
     ``CHAR_MEMO_SIZE`` kept.
     """
     N = _positive_order(N)
-    return _sl2_char(level, level.check_sl2(label), N)
+    return _sl2_char(level, level.check_sl2(label), N, _floor(level, -(N + 4)))
 
 
 def vir_char(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
@@ -441,6 +453,12 @@ def verify_theta_identity(level: AdmissibleLevel, label: OspLabel,
     return _report(ok, N, bad, what)
 
 
+def _working_order(N: QQ) -> QQ:
+    """The order at which the decomposition builds its factors: each starts
+    at q^(-1/8) or higher, so their products are exact below N."""
+    return N + QQ(1, 8)
+
+
 def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
                          N: Rat) -> IdentityReport:
     """Exact character-level branching check.
@@ -449,14 +467,20 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
     (affine sl2 character at label (i, s)) * (Virasoro character at label
     (i, r)), on the common guarantee box up to order N.  Raises ValueError
     for N <= 0, whose box holds no term to compare.
+
+    Every factor is built at order N + 1/8, the least that the -1/8 bound of
+    the module header allows, and at fractional level the superalgebra and
+    sl2 factors are cut at w = -(N+8), so the box compared is q < N,
+    w >= -(N+8) (q < N alone at integer level).  The order the sum achieved
+    is checked, not assumed: a box short of N raises VerificationError.
     """
     N = _positive_order(N)
     level.check_osp(label)
-    M = N + 4
-    lhs = osp_char(level, label, M)
+    M, F = _working_order(N), _floor(level, -(N + 8))
+    lhs = _osp_char(level, label, M, F)
     total = WQSeries((), None, None)
     for i in range(1, level.u):
-        part_w = sl2_char(level, Sl2Label(i, label.s), M)
+        part_w = _sl2_char(level, Sl2Label(i, label.s), M, F)
         part_q = vir_char(level, VirLabel(i, label.r), M)
         total = wq_add(total, wq_mul(part_w, wq_from_q(part_q)))
     ok, bad, (T, _) = wq_equal_on_box(lhs, total, order=N)

@@ -278,10 +278,15 @@ def _all_vir_labels(lvl):
     return [VirLabel(r, s) for r in range(1, lvl.u) for s in range(1, lvl.p)]
 
 
+def _public_floor(lvl, N):
+    """The floor argument the public osp_char and sl2_char pass their memos."""
+    return (None if lvl.is_integer_level else -(N + 4),)
+
+
 MEMOS = (
-    (osp_char, characters._osp_char, AdmissibleLevel.osp_labels),
-    (sl2_char, characters._sl2_char, AdmissibleLevel.sl2_labels),
-    (vir_char, characters._vir_char, _all_vir_labels),
+    (osp_char, characters._osp_char, AdmissibleLevel.osp_labels, _public_floor),
+    (sl2_char, characters._sl2_char, AdmissibleLevel.sl2_labels, _public_floor),
+    (vir_char, characters._vir_char, _all_vir_labels, lambda lvl, N: ()),
 )
 
 
@@ -295,11 +300,11 @@ def _bits(x):
 @pytest.mark.parametrize("lvl", MEMO_LEVELS, ids=lambda l: "%d-%d" % (l.p, l.p_prime))
 def test_memoised_characters_are_the_uncached_builds_bit_for_bit(lvl):
     for N in (3, QQ(7, 2), 4):
-        for char, memo, labels in MEMOS:
+        for char, memo, labels, floor in MEMOS:
             for lab in labels(lvl):
                 kept = char(lvl, lab, N)
                 # built from the label as given, not from its Kac class
-                fresh = memo.__wrapped__(lvl, lab, QQ(N))
+                fresh = memo.__wrapped__(lvl, lab, QQ(N), *floor(lvl, QQ(N)))
                 assert _bits(kept) == _bits(fresh), (char.__name__, lvl, lab, N)
                 assert char(lvl, lab, QQ(N)) is kept
         for lab in _all_vir_labels(lvl):
@@ -480,6 +485,37 @@ def test_order_shortfall_is_a_verification_error(monkeypatch):
         char_w1(LEVELS[0], 1, 3)
     with pytest.raises(VerificationError):
         component_chars_w1(LEVELS[0], 3)
+
+
+@pytest.mark.parametrize("lvl, box", [
+    (AdmissibleLevel(3, 5), (4, -12)),
+    (AdmissibleLevel(7, 3), (4, -12)),
+    (AdmissibleLevel(5, 1), (4, None)),
+], ids=["3-5", "7-3", "5-1"])
+def test_decomposition_compares_q_below_N_and_w_from_minus_N_minus_8(monkeypatch, lvl, box):
+    # the factors are built at order N + 1/8; the box they are compared on
+    # is the one that factors built at N + 4 gave
+    boxes = []
+    real = characters.wq_equal_on_box
+
+    def spy(a, b, order=None):
+        out = real(a, b, order=order)
+        boxes.append(out[2])
+        return out
+
+    monkeypatch.setattr(characters, "wq_equal_on_box", spy)
+    for label in lvl.osp_labels():
+        assert verify_decomposition(lvl, label, 4).ok
+    assert len(boxes) == len(lvl.osp_labels()) and set(boxes) == {box}
+
+
+def test_a_working_order_without_margin_is_refused(monkeypatch):
+    # factors built at order N are exact below N - 1/8 only: the achieved
+    # box is checked, so the decomposition raises rather than holds
+    monkeypatch.setattr(characters, "_working_order", lambda N: N)
+    for lvl in (LEVELS[0], LEVELS[3]):
+        with pytest.raises(VerificationError):
+            verify_decomposition(lvl, OspLabel(1, 0), 4)
 
 
 # -- the series the s-transform check evaluates ----------------------------------------
