@@ -314,7 +314,7 @@ def _den_order(num_min: QQ, N: QQ) -> QQ:
     return N - math.floor(min(num_min, 0)) + 2
 
 
-def _floor(level: AdmissibleLevel, w: QQ) -> Optional[QQ]:
+def _char_floor(level: AdmissibleLevel, w: QQ) -> Optional[QQ]:
     """The w floor of a two-variable character at ``level``: none at integer
     level, where the division itself proves every q-slice's w-support
     complete, else w; at fractional level the slices are descending series
@@ -373,7 +373,7 @@ def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     order (ValueError unless positive) are checked on every call.
     """
     N = _positive_order(N)
-    return _osp_char(level, level.check_osp(label), N, _floor(level, -(N + 4)))
+    return _osp_char(level, level.check_osp(label), N, _char_floor(level, -(N + 4)))
 
 
 def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
@@ -386,7 +386,7 @@ def sl2_char(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
     ``CHAR_MEMO_SIZE`` kept.
     """
     N = _positive_order(N)
-    return _sl2_char(level, level.check_sl2(label), N, _floor(level, -(N + 4)))
+    return _sl2_char(level, level.check_sl2(label), N, _char_floor(level, -(N + 4)))
 
 
 def vir_char(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
@@ -476,7 +476,7 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
     """
     N = _positive_order(N)
     level.check_osp(label)
-    M, F = _working_order(N), _floor(level, -(N + 8))
+    M, F = _working_order(N), _char_floor(level, -(N + 8))
     lhs = _osp_char(level, label, M, F)
     total = WQSeries((), None, None)
     for i in range(1, level.u):

@@ -493,8 +493,8 @@ def test_order_shortfall_is_a_verification_error(monkeypatch):
     (AdmissibleLevel(5, 1), (4, None)),
 ], ids=["3-5", "7-3", "5-1"])
 def test_decomposition_compares_q_below_N_and_w_from_minus_N_minus_8(monkeypatch, lvl, box):
-    # the factors are built at order N + 1/8; the box they are compared on
-    # is the one that factors built at N + 4 gave
+    # the factors are built at order N + 1/8, yet the box compared is
+    # q < N and, at fractional level, w >= -(N+8)
     boxes = []
     real = characters.wq_equal_on_box
 

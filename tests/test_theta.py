@@ -304,25 +304,16 @@ def test_mul_matches_the_fraction_keyed_convolution(a, b):
 def test_product_with_a_factor_without_terms_is_zero_on_its_box():
     empty = WQSeries((), 2, None)
     floored = WQSeries([(0, -1, 1)], 3, -2)
-    for a, b in ((empty, floored), (floored, empty)):
-        prod = wq_mul(a, b)
-        assert prod.is_zero
-        assert (prod.q_trunc, prod.w_floor) == (QQ(2), None)
-
-
-def test_a_floored_factor_without_terms_bounds_the_product_floor():
-    # every term of `hidden` lies below w = -2, so its products with the
-    # other factor's terms (w <= 1) lie below w = -1
+    # every term of `hidden` lies below its floor w = -2, so its products
+    # lie below -2 plus the other factor's top stored w, or its floor
     hidden = make_wq({(0, -3): 1}, q_trunc=3, w_floor=-2)
-    other = make_wq({(0, 1): 1, (1, 0): 1})
-    for a, b in ((hidden, other), (other, hidden)):
+    for a, b, box in ((empty, floored, (2, None)), (floored, empty, (2, None)),
+                      (empty, hidden, (2, None)), (hidden, empty, (2, None)),
+                      (hidden, floored, (3, -3)), (floored, hidden, (3, -3)),
+                      (hidden, hidden, (3, -4))):
         prod = wq_mul(a, b)
         assert prod.is_zero
-        assert (prod.q_trunc, prod.w_floor) == (QQ(3), QQ(-1))
-    # two such factors: every product term lies below w = -2 + -1
-    both = wq_mul(hidden, make_wq({(0, -2): 1}, q_trunc=2, w_floor=-1))
-    assert both.is_zero
-    assert (both.q_trunc, both.w_floor) == (QQ(2), QQ(-3))
+        assert (prod.q_trunc, prod.w_floor) == box
 
 
 @settings(max_examples=100, deadline=None)
