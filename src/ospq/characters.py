@@ -29,7 +29,10 @@ here has q-exponents >= -1/8: theta numerators start at q^0; the Weyl
 denominator, i*theta_1 and eta start at q^(1/24), q^(1/8) and q^(1/24); and
 a lattice theta class starts at q^(k/4) at the latest.  So a product of
 factors exact below M is exact below M - 1/8 at least, and N+1/8 is the
-least margin the decomposition's products allow.
+least margin the decomposition's products allow.  A character exact below
+q^N divides its numerator by a denominator built at N+2: the numerator is
+a theta series and so starts at q^0 or above, so the quotient is exact
+below N+2 - 2/8 at least (``qseries._slice_div``'s bound).
 
 w floors.  At fractional level the public ``osp_char`` and ``sl2_char`` at
 order N are cut at w = -(N+4).  The decomposition at order N cuts its
@@ -49,8 +52,7 @@ from .qseries import (QQ, QSeries, Rat, VerificationError, qs_eta, qs_mul,
                       _positive_order, _qs_div, _require_order)
 from .theta import (
     WQSeries,
-    theta_big,
-    theta_q,
+    _theta_difference,
     vartheta1_times_i,
     vartheta2,
     weyl_denominator,
@@ -59,8 +61,8 @@ from .theta import (
     wq_equal_on_box,
     wq_from_q,
     wq_mul,
-    wq_scalar,
     wq_specialize_w1,
+    wq_to_q,
 )
 
 
@@ -271,47 +273,28 @@ class AdmissibleLevel:
 # -- theta numerators ---------------------------------------------------------
 
 
-def _theta_difference(a: int, b: int, c: int, p_prime: int, N: Rat) -> WQSeries:
-    """theta_(b-c, a) - theta_(-b-c, a) at scaled arguments (1/(2p'), 1/2)."""
-    ws, qs = QQ(1, 2 * p_prime), QQ(1, 2)
-    return wq_add(
-        theta_big(b - c, a, ws, qs, N),
-        wq_scalar(theta_big(-b - c, a, ws, qs, N), -1),
-    )
-
-
 def osp_numerator(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
     """Two-variable theta numerator of the superalgebra character."""
     level.check_osp(label)
     p, pp = level.p, level.p_prime
-    return _theta_difference(p * pp, pp * label.r, p * label.s, pp, N)
+    return _theta_difference(p * pp, pp * label.r, p * label.s, QQ(1, 2 * pp), N)
 
 
 def sl2_numerator(level: AdmissibleLevel, label: Sl2Label, N: Rat) -> WQSeries:
     """Two-variable theta numerator of the affine sl2 character."""
     level.check_sl2(label)
     d, pp = level.delta, level.p_prime
-    return _theta_difference(d * pp, 2 * pp * label.r, d * label.s, pp, N)
+    return _theta_difference(d * pp, 2 * pp * label.r, d * label.s, QQ(1, 2 * pp), N)
 
 
 def vir_numerator(level: AdmissibleLevel, label: VirLabel, N: Rat) -> QSeries:
     """One-variable theta numerator of the Virasoro character."""
     level.check_vir(label)
     d, p = level.delta, level.p
-    a = d * p
-    b_plus = 2 * p * label.r - d * label.s
-    b_minus = -2 * p * label.r - d * label.s
-    num = theta_q(b_plus, a, QQ(1, 2), N) - theta_q(b_minus, a, QQ(1, 2), N)
-    return num
+    return wq_to_q(_theta_difference(d * p, 2 * p * label.r, d * label.s, 0, N))
 
 
 # -- characters ---------------------------------------------------------------
-
-
-def _den_order(num_min: QQ, N: QQ) -> QQ:
-    """The order to which a denominator is built for a quotient exact below
-    q^N whose numerator starts at q^num_min."""
-    return N - math.floor(min(num_min, 0)) + 2
 
 
 def _char_floor(level: AdmissibleLevel, w: QQ) -> Optional[QQ]:
@@ -324,12 +307,10 @@ def _char_floor(level: AdmissibleLevel, w: QQ) -> Optional[QQ]:
 
 def _quotient_char(num: WQSeries, denominator, N: QQ,
                    w_floor: Optional[QQ]) -> WQSeries:
-    """num / denominator(M) on the box q < N, w >= w_floor, with M large
-    enough for that box."""
+    """num / denominator(N + 2) on the box q < N, w >= w_floor."""
     if num.is_zero:
         return WQSeries((), N, None)
-    return wq_div(num, denominator(_den_order(num.min_q(), N)), q_trunc=N,
-                  w_floor=w_floor)
+    return wq_div(num, denominator(N + 2), q_trunc=N, w_floor=w_floor)
 
 
 # results each character memo keeps: one benchmark pass needs at most 79
@@ -356,7 +337,7 @@ def _vir_char(level: AdmissibleLevel, label: VirLabel, N: QQ) -> QSeries:
     num = vir_numerator(level, label, N + 1)
     if num.is_zero:
         return QSeries({}, N)
-    return _qs_div(num, qs_eta(_den_order(num.min_exp(), N)), N)
+    return _qs_div(num, qs_eta(N + 2), N)
 
 
 def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:

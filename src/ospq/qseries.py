@@ -22,8 +22,10 @@ and ``qs_invert`` are the one-variable cases of ``theta.wq_mul`` and
 ``theta.wq_div``.  Rescaling to a common lattice multiplies the int keys.
 Fractions appear only at the edge: the constructor takes them, and the
 ``terms`` view, ``coeff``, ``items`` and the discrepancy tuples return
-them.  Dedekind eta is summed in closed form from Euler's pentagonal number
-theorem rather than multiplied out factor by factor.
+them.  One signed coset walk (``_theta_walk``) builds every theta series:
+the two-variable numerators and denominators of :mod:`ospq.theta`, and
+Dedekind eta, summed in closed form from Euler's pentagonal number theorem
+rather than multiplied out factor by factor.
 """
 
 from __future__ import annotations
@@ -137,6 +139,34 @@ def _collect(terms: Iterable[Tuple[int, int, Rat]], Ti: Optional[int] = None,
             if not sl:
                 del acc[q]
     return acc, lo
+
+
+def _theta_walk(cosets: Iterable[Tuple[int, int]], step: int, qn: int, wn: int,
+                cut: int) -> Tuple[_Store, Optional[int]]:
+    """The store of a signed theta series: sign * w^(wn t) q^(qn t^2) over
+    (t0, sign) in cosets and t in t0 + step Z, at q < cut, with qn > 0.
+    Each coset is walked along t0, t0 + step, ... and then t0 - step,
+    t0 - 2 step, ..., each walk stopping at the first t with q >= cut that
+    lies past the vertex t = 0; the terms are merged by :func:`_collect` in
+    that order.  Also the lowest q walked below cut (None: none), a lower
+    bound of the support that a cancelled term may not show."""
+    lo = None
+
+    def walk():
+        nonlocal lo
+        for t0, sign in cosets:
+            for t, dt in ((t0, step), (t0 - step, -step)):
+                while True:
+                    q = qn * t * t
+                    if q < cut:
+                        if lo is None or q < lo:
+                            lo = q
+                        yield q, wn * t, sign
+                    elif dt * t >= 0:  # the exponent grows from here on
+                        break
+                    t += dt
+
+    return _collect(walk())[0], lo
 
 
 class _Lattice:
@@ -534,19 +564,12 @@ def _slice_div(a: _Lattice, ta: Optional[QQ], b: _Lattice, tb: Optional[QQ],
 def qs_eta(N: Rat) -> QSeries:
     """Dedekind eta q^{1/24} * prod_{n>=1} (1 - q^n) to order N, from Euler's
     pentagonal number theorem: q^{1/24} * sum over m of (-1)^m q^{m(3m-1)/2},
-    whose exponents are (6m - 1)^2 / 24.  They grow along m = 0, 1, -1, 2,
-    -2, ..., so the terms are stored in ascending order."""
+    whose exponents are (6m - 1)^2 / 24.  So eta is the signed theta series
+    of t = 6m - 1 over q^(t^2/24): sign +1 on the coset -1 + 12Z (m even)
+    and -1 on 5 + 12Z (m odd), built by :func:`_theta_walk`."""
     N = _positive_order(N)
-    cut = math.ceil(24 * N)
-    s: _Store = {}
-    j = 0
-    while True:
-        for m in (j, -j) if j else (0,):
-            e = (6 * m - 1) ** 2
-            if e >= cut:
-                return QSeries._of(s, 24, N)
-            s[e] = {0: (-1) ** j}
-        j += 1
+    s, _ = _theta_walk(((-1, 1), (5, -1)), -12, 1, 0, math.ceil(24 * N))
+    return QSeries._of(s, 24, N)
 
 
 @dataclass(frozen=True)

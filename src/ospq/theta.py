@@ -20,7 +20,11 @@ it.
 
 Sums, products and quotients run on the store and kernels of
 :mod:`ospq.qseries`, the same ones that serve one-variable series; this
-module adds the box.  The theta constructors emit int keys directly.
+module adds the box.  Every theta series here is a signed sum of
+q^(Q(t)) w^(l(t)) over cosets t0 + step Z: a constructor names its cosets
+((t0, sign), ...) and step, and one walk (``qseries._theta_walk``) emits
+the int keys of them all -- the numerators (two cosets of opposite sign),
+the Weyl denominator, both varthetas and, in :mod:`ospq.qseries`, eta.
 Division (:func:`wq_div`) solves D * chi = num one q-slice at a time, each
 by descending long division by the leading w-polynomial of D.  Without a
 floor every slice must divide with a zero remainder, which proves the
@@ -57,6 +61,7 @@ from .qseries import (
     _slice_div,
     _slice_mul,
     _Store,
+    _theta_walk,
 )
 
 
@@ -335,25 +340,19 @@ def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
 # -- theta constructors ------------------------------------------------------
 
 
-def _theta(t0: int, step: int, den: int, w_scale: QQ, q_scale: QQ, N: QQ,
-           coeff) -> WQSeries:
-    """The series of coeff(t) w^(w_scale t/2) q^(q_scale t^2/den) at q < N,
-    over t = t0, t0 + step, ... and then t0 - step, t0 - 2 step, ...; each
-    walk stops at the first t with q >= N that lies past the vertex t = 0."""
+def _theta(cosets, step: int, den: int, w_scale: Rat, q_scale: Rat,
+           N: Rat) -> WQSeries:
+    """The signed theta series sum of sign * w^(w_scale t/2) q^(q_scale t^2/den)
+    at q < N over (t0, sign) in cosets and t in t0 + step Z, by
+    :func:`ospq.qseries._theta_walk`; it records the lowest q walked as a
+    bound of its q-support, which a cancelled term may not show."""
+    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), _positive_order(N)
+    if q_scale <= 0:
+        raise ValueError("q scaling factor must be positive")
     D, W = den * q_scale.denominator, 2 * w_scale.denominator
-    cut = math.ceil(N * D)
-
-    def gen():
-        for t, dt in ((t0, step), (t0 - step, -step)):
-            while True:
-                q = q_scale.numerator * t * t
-                if q < cut:
-                    yield q, w_scale.numerator * t, coeff(t)
-                elif dt * t >= 0:  # the exponent grows from here on
-                    break
-                t += dt
-
-    return WQSeries._of(_collect(gen())[0], D, W, N, None, None)
+    s, lo = _theta_walk(cosets, step, q_scale.numerator, w_scale.numerator,
+                        math.ceil(N * D))
+    return WQSeries._of(s, D, W, N, None, None if lo is None else QQ(lo, D))
 
 
 def theta_big(r: int, s: int, w_scale: Rat, q_scale: Rat, N: Rat) -> WQSeries:
@@ -369,23 +368,21 @@ def theta_big(r: int, s: int, w_scale: Rat, q_scale: Rat, N: Rat) -> WQSeries:
         raise InvalidIndex("second theta index must be a positive integer, got %r" % (s,))
     if not isinstance(r, int):
         raise InvalidIndex("first theta index must be an integer, got %r" % (r,))
-    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), _positive_order(N)
-    if q_scale <= 0:
-        raise ValueError("q scaling factor must be positive")
     # with t = 2s(m + r/2s): q-exponent q_scale t^2/4s, w-exponent w_scale t/2
-    return _theta(-(-r % (2 * s)), -2 * s, 4 * s, w_scale, q_scale, N, lambda t: 1)
+    return _theta(((-(-r % (2 * s)), 1),), -2 * s, 4 * s, w_scale, q_scale, N)
 
 
-def _half_integer_theta(N: Rat, w_scale: Rat, q_scale: Rat, alternating: bool) -> WQSeries:
-    w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), _positive_order(N)
-    # with t = 2n + 1: q-exponent q_scale t^2/8, w-exponent w_scale t/2
-    return _theta(-1, -2, 8, w_scale, q_scale, N,
-                  lambda t: -1 if alternating and (t - 1) % 4 else 1)
+def _theta_difference(a: int, b: int, c: int, w_scale: Rat, N: Rat) -> WQSeries:
+    """theta_(b-c, a) - theta_(-b-c, a) at scaled arguments (w_scale, 1/2):
+    the two cosets of :func:`theta_big` in one walk."""
+    cosets = ((-(-(b - c) % (2 * a)), 1), (-((b + c) % (2 * a)), -1))
+    return _theta(cosets, -2 * a, 4 * a, w_scale, QQ(1, 2), N)
 
 
 def vartheta2(N: Rat, w_scale: Rat = 1, q_scale: Rat = 1) -> WQSeries:
     """Sum over n of w^{n+1/2} q^{(n+1/2)^2/2} (argument scalings on exponents)."""
-    return _half_integer_theta(N, w_scale, q_scale, alternating=False)
+    # with t = 2n + 1: q-exponent q_scale t^2/8, w-exponent w_scale t/2
+    return _theta(((-1, 1),), -2, 8, w_scale, q_scale, N)
 
 
 def vartheta1_times_i(N: Rat, w_scale: Rat = 1, q_scale: Rat = 1) -> WQSeries:
@@ -394,7 +391,8 @@ def vartheta1_times_i(N: Rat, w_scale: Rat = 1, q_scale: Rat = 1) -> WQSeries:
     The overall sign is pinned so that the affine sl2 vacuum character it
     divides comes out with leading coefficient +1.
     """
-    return _half_integer_theta(N, w_scale, q_scale, alternating=True)
+    # t = 2n + 1 as in vartheta2, with sign -1 on t = -1 + 4Z, +1 on t = 1 + 4Z
+    return _theta(((-1, -1), (-3, 1)), -4, 8, w_scale, q_scale, N)
 
 
 def theta_q(b: int, a: int, q_scale: Rat, N: Rat) -> QSeries:
@@ -417,11 +415,7 @@ def weyl_denominator(N: Rat, form: str = "theta") -> WQSeries:
     """
     N = _positive_order(N)
     if form == "theta":
-        h = QQ(1, 2)
-        return wq_add(
-            theta_big(1, 3, h, h, N),
-            wq_scalar(theta_big(-1, 3, h, h, N), -1),
-        )
+        return _theta_difference(3, 1, 0, QQ(1, 2), N)
     if form != "product":
         raise ValueError("form must be 'theta' or 'product', got %r" % (form,))
     acc = WQSeries(

@@ -117,6 +117,39 @@ def test_no_module_compares_a_family_name():
     assert found == []
 
 
+# exported names that no module, benchmark or script references, each with
+# the reason it stays exported
+UNREFERENCED_EXPORTS = {
+    # the independent oracle of the signed w -> 1 characters in
+    # test_characters.py::test_signed_specialisation_direct_route
+    "wq_specialize_w_signed",
+}
+
+
+def test_every_export_is_referenced_outside_the_tests():
+    # a reference is a loaded name, an attribute or a whole string constant
+    # (the benchmark tracer names the functions it wraps), in a module of the
+    # package other than __init__, in perfbench/ or in scripts/
+    root = README.parent
+    paths = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+             + sorted((root / "perfbench").glob("*.py")) + sorted((root / "scripts").glob("*.py")))
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+    assert sorted(set(ospq.__all__) - refs) == sorted(UNREFERENCED_EXPORTS)
+
+
+def test_the_q_scale_refusal_is_written_once():
+    # every theta constructor refuses a q scale <= 0 in the one walk wrapper
+    assert _holders("q scaling factor must be positive") == [("theta", "_theta")]
+
+
 def test_readme_library_example_runs():
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, re.S)

@@ -1,15 +1,19 @@
 """Two-variable theta series: frozen slices, box bookkeeping, product identities."""
 
+import inspect
+import math
 from fractions import Fraction as QQ
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ospq import theta
 from ospq.qseries import EmptySeries, QSeries, qs_eta
 from ospq.theta import (
     IncompleteQuotient,
     InvalidIndex,
     WQSeries,
+    _theta_difference,
     theta_big,
     theta_q,
     vartheta1_times_i,
@@ -195,6 +199,72 @@ def test_denominator_bridge_identity():
     rhs = wq_mul(vartheta1_times_i(N), wq_from_q(qs_eta(N)))
     ok, bad, _ = wq_equal_on_box(lhs, rhs)
     assert ok, bad
+
+
+# -- the signed coset walk against what it replaced ----------------------------
+
+
+@pytest.mark.parametrize("a, b, c, w_scale, N", [
+    (15, 6, 5, QQ(1, 6), QQ(33, 8)),  # osp numerator, level (5, 3), label (2, 1)
+    (12, 6, 8, QQ(1, 6), QQ(9)),  # sl2 numerator, level (5, 3), label (1, 2)
+    (35, 14, 6, 0, QQ(21)),  # Virasoro numerator of u = 6, p = 7 at (2, 1)
+    (3, 1, 0, QQ(1, 2), QQ(7, 3)),  # the Weyl denominator
+    (15, 6, 5, QQ(1, 10), QQ(1, 2)),  # only the first coset has a term below N
+    (15, 6, 5, QQ(1, 2), QQ(1, 200)),  # neither coset has a term below N
+    (3, 3, 1, QQ(1, 2), QQ(10)),  # b = 0 mod a: the cosets coincide and cancel
+    (3, 1, 3, 0, QQ(10)),  # c = 0 mod a at w^0: the cosets mirror and cancel
+])
+def test_theta_difference_is_the_difference_of_two_thetas(a, b, c, w_scale, N):
+    got = _theta_difference(a, b, c, w_scale, N)
+    want = (theta_big(b - c, a, w_scale, QQ(1, 2), N)
+            - theta_big(-b - c, a, w_scale, QQ(1, 2), N))
+    assert_same_series(got, want)
+    assert (got.D, got.W) == (want.D, want.W)
+
+
+def ref_eta_store(N):
+    """Euler's pentagonal sum with its terms in ascending order: sign (-1)^m at
+    (6m - 1)^2 / 24, over m = 0, 1, -1, 2, -2, ..."""
+    cut, s, j = math.ceil(24 * N), {}, 0
+    while True:
+        for m in (j, -j) if j else (0,):
+            e = (6 * m - 1) ** 2
+            if e >= cut:
+                return s
+            s[e] = {0: (-1) ** j}
+        j += 1
+
+
+@pytest.mark.parametrize("N", [QQ(1, 24), QQ(1, 8), QQ(1), QQ(7, 3), QQ(30), QQ(60)])
+def test_eta_is_the_pentagonal_sum(N):
+    eta, want = qs_eta(N), QSeries._of(ref_eta_store(N), 24, N)
+    assert sorted(eta.terms.items()) == sorted(want.terms.items())
+    assert (eta.trunc, eta.D) == (want.trunc, want.D)
+
+
+@pytest.mark.parametrize("N, w_scale, q_scale", [
+    (QQ(3), 1, 1), (QQ(33, 8), QQ(1, 2), QQ(1, 2)), (QQ(20), QQ(1, 6), QQ(3, 2)),
+    (QQ(1, 8), 1, 1), (QQ(5), 0, 1)])
+def test_vartheta1_times_i_follows_the_per_term_sign(N, w_scale, q_scale):
+    # t = 2n + 1 carries (-1)^n, that is -1 on t = 3 mod 4
+    top = math.isqrt(int(8 * N / q_scale)) + 1
+    want = WQSeries(((q_scale * QQ(t * t, 8), w_scale * QQ(t, 2), -1 if t % 4 == 3 else 1)
+                     for t in range(-top, top + 1) if t % 2), N, None)
+    got = vartheta1_times_i(N, w_scale, q_scale)
+    assert sorted(got.items()) == sorted(want.items())
+    assert (got.q_trunc, got.w_floor) == (N, None)
+    # the lowest q walked bounds the support, cancelled terms included
+    assert got._support_lo() == min(N, q_scale / 8)
+
+
+def test_every_theta_constructor_refuses_a_non_positive_q_scale():
+    # a theta walk at q scale <= 0 never stops, so the refusal must come
+    # before it: call the constructors only once the walk's wrapper holds it
+    assert "q scaling factor must be positive" in inspect.getsource(theta._theta)
+    for build in (lambda: vartheta2(3, q_scale=0), lambda: vartheta1_times_i(3, q_scale=-1),
+                  lambda: theta_big(1, 2, 1, 0, 4)):
+        with pytest.raises(ValueError, match="q scaling factor must be positive"):
+            build()
 
 
 # -- structural operations --------------------------------------------------------
