@@ -262,10 +262,6 @@ class AdmissibleLevel:
             if (r + s) % 2 == 1
         ]
 
-    def sl2_labels(self) -> List[Sl2Label]:
-        smax = 1 if self.is_integer_level else self.p_prime
-        return [Sl2Label(r, s) for r in range(1, self.u) for s in range(smax)]
-
     def vir_labels(self) -> List[VirLabel]:
         return vir_labels(self.u, self.p)
 
@@ -512,8 +508,8 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
 def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSeries:
     """w -> 1 specialisation of the r-th module's character (integer level),
     signed with ``signed``; see :func:`component_chars_w1`."""
-    if not (1 <= r <= level.p - 1):
-        raise InvalidLabel("module index %d outside [1, %d]" % (r, level.p - 1))
+    if not isinstance(r, int) or not 1 <= r <= level.p - 1:
+        raise InvalidLabel("module index %r outside [1, %d]" % (r, level.p - 1))
     return _w1_table(level, _positive_order(N))[r][1 if signed else 0]
 
 

@@ -332,13 +332,8 @@ def _fusion_table(ft: FusionTensor, family: str) -> str:
     labels = list(ft.labels)
     for i, a in enumerate(labels):
         for b in labels[i:]:
-            parts = []
-            for c in labels:
-                n = ft.coeff(a, b, c)
-                if n == 1:
-                    parts.append(label(c))
-                elif n > 1:
-                    parts.append("%d*%s" % (n, label(c)))
+            parts = [label(c) if n == 1 else "%d*%s" % (n, label(c))
+                     for c, n in ft.product(a, b).items()]
             lines.append("%s x %s = %s" % (label(a), label(b),
                                            " + ".join(parts) if parts else "0"))
     return "\n".join(lines)

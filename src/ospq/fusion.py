@@ -27,10 +27,6 @@ class SuperFusionEntry:
     def sdim(self) -> int:
         return self.even_dim - self.odd_dim
 
-    @property
-    def total_dim(self) -> int:
-        return self.even_dim + self.odd_dim
-
 
 Label = Hashable
 
@@ -82,60 +78,22 @@ class FusionTensor:
         return "FusionTensor(%d labels, %d nonzero entries)" % (
             len(self.labels), len(self._coeffs))
 
-    # -- ring axioms ----------------------------------------------------------
 
-    def verify_unit(self) -> bool:
-        for b in self.labels:
-            for c in self.labels:
-                want = 1 if b == c else 0
-                if self.coeff(self.unit, b, c) != want:
-                    return False
-        return True
+def _check_labels(n: int, labels) -> None:
+    """Refuse any label that is not an integer in [1, n]: the one label check
+    of the window rule, of both super-fusion routes (``super_fusion`` and
+    ``modular.SuperVerlinde.entry``) and of ``modular.s_small``."""
+    for t in labels:
+        if not isinstance(t, int) or not 1 <= t <= n:
+            raise OutOfRange("label %r outside [1, %d]" % (t, n))
 
-    def verify_commutativity(self) -> bool:
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    if self.coeff(a, b, c) != self.coeff(b, a, c):
-                        return False
-        return True
 
-    def verify_associativity(self) -> bool:
-        """Exhaustive check of sum_e N(a,b,e)N(e,c,d) = sum_f N(b,c,f)N(a,f,d)."""
-        L = self.labels
-        for a in L:
-            ab = {b: self.product(a, b) for b in L}
-            for b in L:
-                for c in L:
-                    bc = self.product(b, c)
-                    for d in L:
-                        lhs = sum(n * self._coeffs.get((e, c, d), 0)
-                                  for e, n in ab[b].items())
-                        rhs = sum(n * self._coeffs.get((a, f, d), 0)
-                                  for f, n in bc.items())
-                        if lhs != rhs:
-                            return False
-        return True
-
-    def dual(self, a: Label) -> Label:
-        self._check(a)
-        partners = [b for b in self.labels if self.coeff(a, b, self.unit) == 1]
-        if len(partners) != 1:
-            raise OutOfRange("label %r has %d dual candidates" % (a, len(partners)))
-        return partners[0]
-
-    def verify_duality(self) -> bool:
-        """Each label has a unique dual and N(a,b,c) = N(a*,c,b)."""
-        try:
-            duals = {a: self.dual(a) for a in self.labels}
-        except OutOfRange:
-            return False
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    if self.coeff(a, b, c) != self.coeff(duals[a], c, b):
-                        return False
-        return True
+def _check_signs(signs) -> None:
+    """Refuse any parity sign other than +1 or -1, for both super-fusion
+    routes."""
+    for e in signs:
+        if e not in (1, -1):
+            raise OutOfRange("parity signs must be +1 or -1, got %r" % (e,))
 
 
 def n_coeff(w: int, t: int, t_prime: int, t_second: int) -> int:
@@ -147,9 +105,7 @@ def n_coeff(w: int, t: int, t_prime: int, t_second: int) -> int:
     """
     if not isinstance(w, int) or w < 2:
         raise OutOfRange("window size must be an integer >= 2, got %r" % (w,))
-    for t_ in (t, t_prime):
-        if not isinstance(t_, int) or not (1 <= t_ <= w - 1):
-            raise OutOfRange("label %r outside [1, %d]" % (t_, w - 1))
+    _check_labels(w - 1, (t, t_prime))
     if not isinstance(t_second, int):
         raise OutOfRange("candidate label %r is not an integer" % (t_second,))
     return int(t_second in _window(w, t, t_prime))
@@ -226,9 +182,9 @@ def super_fusion(k: int, r: int, eps: int, r_prime: int, eps_prime: int,
     sign.
     """
     check_level(k)
-    for e in (eps, eps_prime, eps_second):
-        if e not in (1, -1):
-            raise OutOfRange("parity signs must be +1 or -1, got %r" % (e,))
+    _check_signs((eps, eps_prime, eps_second))
+    # n_coeff checks r and r'; the output label lies in [1, 2k+2] too
+    _check_labels(2 * k + 2, (r_second,))
     n = n_coeff(2 * k + 3, r, r_prime, r_second)
     return _intertwiners(n, 0) if eps * eps_prime * eps_second > 0 else _intertwiners(0, n)
 

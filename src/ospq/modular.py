@@ -41,9 +41,9 @@ from .characters import (AdmissibleLevel, OspLabel, OutOfRange, Sl2Label,
                          VirLabel, check_level, component_chars_w1, osp_char,
                          sl2_char, vir_canonical, vir_central_charge, vir_char,
                          vir_labels, vir_weight)
-from .fusion import (CosetLabel, FusionTensor, SuperFusionEntry, _intertwiners,
-                     coset_labels, osp_fusion, parafermion_fusion, sl2_fusion,
-                     vir_fusion)
+from .fusion import (CosetLabel, FusionTensor, SuperFusionEntry, _check_labels,
+                     _check_signs, _intertwiners, coset_labels, osp_fusion,
+                     parafermion_fusion, sl2_fusion, vir_fusion)
 from .qseries import (NonconvergentDomain, VerificationError, _positive_order,
                       qs_eval)
 
@@ -411,9 +411,7 @@ def _sl2_columns(k: int, cols, precision: int):
 def s_small(k: int, r: int, r_prime: int, precision: int = 256):
     """Signed sine coefficient driving the extended-family modular data."""
     check_level(k)
-    for t in (r, r_prime):
-        if not isinstance(t, int) or not (1 <= t <= 2 * k + 2):
-            raise OutOfRange("label %r outside [1, %d]" % (t, 2 * k + 2))
+    _check_labels(2 * k + 2, (r, r_prime))
     with mp.workprec(precision + 16):
         sign = -1 if (r + r_prime) % 2 else 1
         return (sign / mp.sqrt(mp.mpf(2 * k + 3))
@@ -667,13 +665,8 @@ class SuperVerlinde:
 
     def entry(self, r: int, eps: int, r2: int, eps2: int, r3: int,
               eps3: int) -> SuperFusionEntry:
-        for e in (eps, eps2, eps3):
-            if e not in (1, -1):
-                raise OutOfRange("parity signs must be +1 or -1")
-        nmax = 2 * self.k + 2
-        for t in (r, r2, r3):
-            if not (1 <= t <= nmax):
-                raise OutOfRange("label %r outside [1, %d]" % (t, nmax))
+        _check_signs((eps, eps2, eps3))
+        _check_labels(2 * self.k + 2, (r, r2, r3))
         total = self.n_plus.get((r, r2, r3), 0)
         sdim = eps * eps2 * eps3 * self.n_minus.get((r, r2, r3), 0)
         return _intertwiners((total + sdim) // 2, (total - sdim) // 2)
@@ -771,9 +764,10 @@ class FPReport:
         raise KeyError(name)
 
 
-def _column_ratios(labels, rows, z: int, vac: int) -> Dict[Hashable, mpmath.mpf]:
-    """The ring character X -> S[X, Z] / S[vac, Z] at reference column z."""
-    return {a: row[z] / rows[vac][z] for a, row in zip(labels, rows)}
+def _column_ratios(labels, rows) -> Dict[Hashable, mpmath.mpf]:
+    """The ring character X -> S[X, Z] / S[vac, Z] at the reference column
+    Z = 0, with the vacuum in row 0."""
+    return {a: row[0] / rows[0][0] for a, row in zip(labels, rows)}
 
 
 def min_conformal_weight(u: int, p: int) -> VirLabel:
@@ -827,9 +821,9 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
 
         # S-matrix columns shared by (ii)-(iv); both vacua are row 0
         z = min_conformal_weight(u, p)
-        fp_sl2 = _column_ratios(range(1, u), _sl2_columns(k, (1,), precision), 0, 0)
+        fp_sl2 = _column_ratios(range(1, u), _sl2_columns(k, (1,), precision))
         fp_vir = _column_ratios(vir_labels(u, p), _vir_columns(
-            u, p, (z,), (z.r,), (z.s,), precision), 0, 0)
+            u, p, (z,), (z.r,), (z.s,), precision))
         sin_u = sines[0]
         sin_p = mp.sinpi(mp.mpf(1) / p)
 
@@ -847,7 +841,7 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
 
         # (iv) extended category dimension via extended S-column ratios
         fp_ext = _column_ratios(extended_labels(k), _extended_columns(
-            k, ((2, "even"),), precision), 0, 0)
+            k, ((2, "even"),), precision))
         ext = mp.fsum(v ** 2 for v in fp_ext.values())
         ext_closed = mp.mpf(p) / sin_p ** 2
         add("fp_extended", ext, ext_closed)

@@ -13,10 +13,10 @@ explicitly lossy operation.
 One- and two-variable series share one store, the integer lattice the
 kernels compute on: q-slices {q: {w: c}} at exponents q/D and w/W, with
 int keys and a coefficient an int when it is integral.  A QSeries is the
-w-free case, W = 1 and one slice {0: c} per exponent, and D is the lcm of
-its exponents' denominators unless the constructor was given one.  Sums,
-scalings, shifts and comparisons share one merge, one scaling and one
-first-mismatch scan; products and quotients share one slice convolution
+w-free case, W = 1 and one slice {0: c} per exponent, and D is the least
+denominator of its stored exponents.  Sums, scalings, shifts and
+comparisons share one merge, one scaling and one first-mismatch scan;
+products and quotients share one slice convolution
 (``_slice_mul``) and one slice recursion (``_slice_div``), so ``qs_mul``
 and ``qs_invert`` are the one-variable cases of ``theta.wq_mul`` and
 ``theta.wq_div``.  Rescaling to a common lattice multiplies the int keys.
@@ -230,7 +230,7 @@ class QSeries(_Lattice):
 
     __slots__ = ("trunc",)
 
-    def __init__(self, terms=(), trunc: Optional[Rat] = None, D: Optional[int] = None):
+    def __init__(self, terms=(), trunc: Optional[Rat] = None):
         if trunc is not None:
             trunc = as_fraction(trunc)
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -238,14 +238,7 @@ class QSeries(_Lattice):
         L = math.lcm(*(e.denominator for e, _ in pairs))
         acc, _ = _collect(((e.numerator * (L // e.denominator), 0, _int(c))
                            for e, c in pairs), _cut(trunc, L))
-        if D is None:
-            self._set(acc, L, trunc)
-            return
-        for q in acc:
-            if q * D % L:
-                raise ValueError("exponent %s not on lattice 1/%d" % (QQ(q, L), D))
-        self._s = {q * D // L: sl for q, sl in acc.items()}
-        self.D, self.W, self.trunc = D, 1, trunc
+        self._set(acc, L, trunc)
 
     def _set(self, s: _Store, D: int, trunc: Optional[QQ]) -> None:
         """Store the w^0 slices ``s`` over the least denominator their keys

@@ -240,35 +240,18 @@ def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
     return WQSeries._of(*_slice_mul(a, b, T, F), T, F, ma + mb)
 
 
-def _specialized(a: WQSeries, sign, what: str) -> QSeries:
-    """The q-series of a at w^e -> sign(e * W), each slice summed in order;
+def wq_specialize_w1(a: WQSeries) -> QSeries:
+    """Specialise w -> 1 (sum of all w-slices, each in stored order);
     requires complete w-support."""
     if a.w_floor is not None:
-        raise ValueError("%s needs the complete w-support (w_floor is set)" % what)
+        raise ValueError("w -> 1 specialisation needs the complete w-support "
+                         "(w_floor is set)")
     s = {}
     for q, sl in a._s.items():
-        c = sum(sign(w) * c for w, c in sl.items())
+        c = sum(sl.values())
         if c:
             s[q] = {0: c}
     return QSeries._of(s, a.D, a.q_trunc)
-
-
-def wq_specialize_w1(a: WQSeries) -> QSeries:
-    """Specialise w -> 1 (sum of all w-slices); requires complete w-support."""
-    return _specialized(a, lambda w: 1, "w -> 1 specialisation")
-
-
-def wq_specialize_w_signed(a: WQSeries) -> QSeries:
-    """Specialise w^x -> (-1)^{2x} (the w -> -1 slice on the half-integer grid)."""
-    W = a.W
-
-    def sign(w):
-        two_x, r = divmod(2 * w, W)
-        if r:
-            raise ValueError("w-exponent %s is not on the half-integer grid" % QQ(w, W))
-        return -1 if two_x % 2 else 1
-
-    return _specialized(a, sign, "signed specialisation")
 
 
 def wq_from_q(a: QSeries) -> WQSeries:
@@ -400,49 +383,10 @@ def theta_q(b: int, a: int, q_scale: Rat, N: Rat) -> QSeries:
     return wq_to_q(theta_big(b, a, 0, q_scale, N))
 
 
-def weyl_denominator(N: Rat, form: str = "theta") -> WQSeries:
-    """The odd superalgebra Weyl denominator in theta or product form.
-
-    theta form:   difference of the two index-(+-1, 3) thetas at scaled
-                  arguments (1/2, 1/2);
-    product form: w^{1/4} q^{1/24} (1 - w^{-1/2}) times the infinite product
-                  over n >= 1 of (1-q^n)(1-w q^n)(1-w^{-1} q^n) divided by
-                  (1+w^{1/2} q^n)(1+w^{-1/2} q^n), with the division realised
-                  by per-slice geometric expansion (exact: every q-slice of
-                  each inverse factor is a single w-monomial).
-
-    Both forms agree exactly to order N; that agreement is a regression test.
-    """
-    N = _positive_order(N)
-    if form == "theta":
-        return _theta_difference(3, 1, 0, QQ(1, 2), N)
-    if form != "product":
-        raise ValueError("form must be 'theta' or 'product', got %r" % (form,))
-    acc = WQSeries(
-        (
-            (QQ(1, 24), QQ(1, 4), QQ(1)),
-            (QQ(1, 24), QQ(-1, 4), QQ(-1)),
-        ),
-        N,
-        None,
-    )
-    n = 1
-    while n < N:
-        zero = QQ(0)
-        factors = [
-            WQSeries(((zero, zero, 1), (QQ(n), zero, -1)), N, None),
-            WQSeries(((zero, zero, 1), (QQ(n), QQ(1), -1)), N, None),
-            WQSeries(((zero, zero, 1), (QQ(n), QQ(-1), -1)), N, None),
-        ]
-        # geometric inverses of (1 + w^{+-1/2} q^n): alternating monomial towers
-        for half in (QQ(1, 2), QQ(-1, 2)):
-            def tower(h=half, base=n):
-                j = 0
-                while j * base < N:
-                    yield QQ(j * base), h * j, QQ(-1) ** j
-                    j += 1
-            factors.append(WQSeries(tower(), N, None))
-        for f in factors:
-            acc = wq_mul(acc, f)
-        n += 1
-    return acc
+def weyl_denominator(N: Rat) -> WQSeries:
+    """The odd superalgebra Weyl denominator: the difference of the two
+    index-(+-1, 3) thetas at scaled arguments (1/2, 1/2).  It equals the
+    product w^{1/4} q^{1/24} (1 - w^{-1/2}) prod_{n>=1} (1-q^n)(1-w q^n)
+    (1-w^{-1} q^n) / ((1+w^{1/2} q^n)(1+w^{-1/2} q^n)) to every order, which
+    a regression test checks."""
+    return _theta_difference(3, 1, 0, QQ(1, 2), N)

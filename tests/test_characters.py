@@ -29,7 +29,8 @@ from ospq.characters import (
 from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
                           qs_invert, qs_mul)
 from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_div, wq_equal_on_box,
-                        wq_mul, wq_specialize_w1, wq_specialize_w_signed)
+                        wq_mul, wq_specialize_w1)
+from test_theta import wq_specialize_w_signed
 
 LEVELS = (
     AdmissibleLevel(5, 1),
@@ -39,6 +40,13 @@ LEVELS = (
 )
 
 st_level = st.sampled_from(LEVELS)
+
+
+def sl2_labels(lvl):
+    """The affine sl2 labels (r, s) of a level: r in [1, u-1], and s = 0 at
+    integer level, s in [0, p'-1] otherwise."""
+    smax = 1 if lvl.is_integer_level else lvl.p_prime
+    return [Sl2Label(r, s) for r in range(1, lvl.u) for s in range(smax)]
 
 
 def minimal_model_char(u, p, r, s, N):
@@ -114,7 +122,7 @@ def test_label_windows():
     assert [len(lvl.osp_labels()) for lvl in LEVELS] == [2, 3, 4, 5]
     lvl = LEVELS[0]
     assert lvl.osp_labels() == [OspLabel(1, 0), OspLabel(3, 0)]
-    assert lvl.sl2_labels() == [Sl2Label(1, 0), Sl2Label(2, 0)]
+    assert sl2_labels(lvl) == [Sl2Label(1, 0), Sl2Label(2, 0)]
     assert len(lvl.vir_labels()) == 4
     frac = LEVELS[3]
     assert OspLabel(2, 1) in frac.osp_labels()
@@ -230,7 +238,7 @@ QUOTIENTS = [
     for lvl in BOX_LEVELS for lab in lvl.osp_labels()
 ] + [
     (lvl, lab, sl2_char, characters.sl2_numerator, vartheta1_times_i)
-    for lvl in BOX_LEVELS for lab in lvl.sl2_labels()
+    for lvl in BOX_LEVELS for lab in sl2_labels(lvl)
 ]
 
 
@@ -285,7 +293,7 @@ def _public_floor(lvl, N):
 
 MEMOS = (
     (osp_char, characters._osp_char, AdmissibleLevel.osp_labels, _public_floor),
-    (sl2_char, characters._sl2_char, AdmissibleLevel.sl2_labels, _public_floor),
+    (sl2_char, characters._sl2_char, sl2_labels, _public_floor),
     (vir_char, characters._vir_char, _all_vir_labels, lambda lvl, N: ()),
 )
 
@@ -443,6 +451,13 @@ def test_w1_requires_integer_level():
         component_chars_w1(LEVELS[3], 4)
     with pytest.raises(InvalidLabel):
         char_w1(LEVELS[0], 5, 4)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, QQ(2)], ids=["1.5", "2.0", "Fraction-2"])
+def test_char_w1_refuses_a_module_index_that_is_not_an_integer(r):
+    # 1.5 is in the window but names no module; 2.0 and 2 would name module 2
+    with pytest.raises(InvalidLabel, match="module index"):
+        char_w1(LEVELS[0], r, 4)
 
 
 # -- Kac labels and truncation orders ---------------------------------------------------

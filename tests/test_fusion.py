@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospq.characters import VirLabel
+from ospq.modular import verlinde_super
 from ospq.fusion import (
     CosetLabel,
     FusionTensor,
@@ -158,12 +159,69 @@ def _ring_id(ring):
     return repr(head) + str(len(ring.labels))
 
 
+def verify_unit(ring):
+    for b in ring.labels:
+        for c in ring.labels:
+            want = 1 if b == c else 0
+            if ring.coeff(ring.unit, b, c) != want:
+                return False
+    return True
+
+
+def verify_commutativity(ring):
+    for a in ring.labels:
+        for b in ring.labels:
+            for c in ring.labels:
+                if ring.coeff(a, b, c) != ring.coeff(b, a, c):
+                    return False
+    return True
+
+
+def verify_associativity(ring):
+    """Exhaustive check of sum_e N(a,b,e)N(e,c,d) = sum_f N(b,c,f)N(a,f,d)."""
+    L = ring.labels
+    for a in L:
+        ab = {b: ring.product(a, b) for b in L}
+        for b in L:
+            for c in L:
+                bc = ring.product(b, c)
+                for d in L:
+                    lhs = sum(n * ring._coeffs.get((e, c, d), 0)
+                              for e, n in ab[b].items())
+                    rhs = sum(n * ring._coeffs.get((a, f, d), 0)
+                              for f, n in bc.items())
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def dual(ring, a):
+    partners = [b for b in ring.labels if ring.coeff(a, b, ring.unit) == 1]
+    if len(partners) != 1:
+        raise OutOfRange("label %r has %d dual candidates" % (a, len(partners)))
+    return partners[0]
+
+
+def verify_duality(ring):
+    """Each label has a unique dual and N(a,b,c) = N(a*,c,b)."""
+    try:
+        duals = {a: dual(ring, a) for a in ring.labels}
+    except OutOfRange:
+        return False
+    for a in ring.labels:
+        for b in ring.labels:
+            for c in ring.labels:
+                if ring.coeff(a, b, c) != ring.coeff(duals[a], c, b):
+                    return False
+    return True
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=_ring_id)
 def test_ring_axioms(ring):
-    assert ring.verify_unit()
-    assert ring.verify_commutativity()
-    assert ring.verify_associativity()
-    assert ring.verify_duality()
+    assert verify_unit(ring)
+    assert verify_commutativity(ring)
+    assert verify_associativity(ring)
+    assert verify_duality(ring)
 
 
 def test_unknown_label_rejected():
@@ -194,7 +252,7 @@ def test_super_entries_level_one():
     assert super_fusion(1, 2, 1, 2, 1, 3, -1) == SuperFusionEntry(0, 1)
     e = super_fusion(1, 2, 1, 2, 1, 3, -1)
     assert e.sdim == -1
-    assert e.total_dim == 1
+    assert e.even_dim + e.odd_dim == 1
 
 
 def test_super_entries_project_to_plain_ring():
@@ -204,7 +262,7 @@ def test_super_entries_project_to_plain_ring():
             for b in ft.labels:
                 for c in ft.labels:
                     e = super_fusion(k, a, 1, b, 1, c, 1)
-                    assert e.total_dim == ft.coeff(a, b, c), (a, b, c)
+                    assert e.even_dim + e.odd_dim == ft.coeff(a, b, c), (a, b, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,8 +274,31 @@ def test_super_entry_parity_depends_on_sign_product(k, e1, e2, e3, data):
     c = data.draw(st.integers(min_value=1, max_value=w))
     entry = super_fusion(k, a, e1, b, e2, c, e3)
     flipped = super_fusion(k, a, -e1, b, -e2, c, e3)
-    assert entry.total_dim == flipped.total_dim
+    assert entry.even_dim + entry.odd_dim == flipped.even_dim + flipped.odd_dim
     if e1 * e2 * e3 == 1:
         assert entry.odd_dim == 0
     else:
         assert entry.even_dim == 0
+
+
+# the two routes to a parity-resolved entry at level k: the window rule and the
+# refined Verlinde count
+SUPER_ROUTES = {
+    "window": super_fusion,
+    "verlinde": lambda k, *args: verlinde_super(k).entry(*args),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SUPER_ROUTES))
+@pytest.mark.parametrize("args, message", [
+    ((1.5, 1, 1, 1, 1, 1), "label 1.5 outside [1, 4]"),
+    ((1, 1, 1, 1, 1.0, 1), "label 1.0 outside [1, 4]"),
+    ((1, 1, 1, 1, 5, 1), "label 5 outside [1, 4]"),
+    ((0, 1, 1, 1, 1, 1), "label 0 outside [1, 4]"),
+    ((1, 1, 1, 1, 1, 0), "parity signs must be +1 or -1, got 0"),
+    ((1, 2, 1, 1, 1, 1), "parity signs must be +1 or -1, got 2"),
+], ids=["r=1.5", "r''=1.0", "r''=5", "r=0", "eps''=0", "eps=2"])
+def test_both_super_routes_refuse_the_same_inputs(route, args, message):
+    with pytest.raises(OutOfRange) as err:
+        SUPER_ROUTES[route](1, *args)
+    assert str(err.value) == message

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # names the package no longer exports; each had no caller outside the tests
 REMOVED = ("CRITERIA", "ExtendedSMatrix", "LatticeData", "char_w_signed_direct",
            "coset_t_phase", "fp_ratios", "stilde_matrix", "unitarity_defect",
-           "verlinde_matches")
+           "verlinde_matches", "wq_specialize_w_signed")
 
 # (module, name) imported only to be re-exported from that module
 REEXPORTS = {("theta", "IncompleteQuotient")}
@@ -117,19 +117,10 @@ def test_no_module_compares_a_family_name():
     assert found == []
 
 
-# exported names that no module, benchmark or script references, each with
-# the reason it stays exported
-UNREFERENCED_EXPORTS = {
-    # the independent oracle of the signed w -> 1 characters in
-    # test_characters.py::test_signed_specialisation_direct_route
-    "wq_specialize_w_signed",
-}
-
-
-def test_every_export_is_referenced_outside_the_tests():
-    # a reference is a loaded name, an attribute or a whole string constant
-    # (the benchmark tracer names the functions it wraps), in a module of the
-    # package other than __init__, in perfbench/ or in scripts/
+def _references_outside_the_tests():
+    """Every loaded name, attribute and whole string constant (the benchmark
+    tracer names the functions it wraps) in a module of the package other
+    than __init__, in perfbench/ or in scripts/."""
     root = README.parent
     paths = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
              + sorted((root / "perfbench").glob("*.py")) + sorted((root / "scripts").glob("*.py")))
@@ -142,12 +133,47 @@ def test_every_export_is_referenced_outside_the_tests():
                 refs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 refs.add(node.value)
-    assert sorted(set(ospq.__all__) - refs) == sorted(UNREFERENCED_EXPORTS)
+    return refs
+
+
+def test_every_export_is_referenced_outside_the_tests():
+    assert sorted(set(ospq.__all__) - _references_outside_the_tests()) == []
+
+
+def _is_command(fn):
+    # a CLI body, which cli.command registers by its decorator
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "command"
+               for d in fn.decorator_list)
+
+
+def test_every_public_function_and_method_is_referenced_outside_the_tests():
+    # code that only the tests call belongs in the tests; dunders and private
+    # names are exempt, and so are the CLI bodies, which the parser calls
+    refs = _references_outside_the_tests()
+    unreferenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            owner, defs = "", [node]
+            if isinstance(node, ast.ClassDef):
+                owner, defs = node.name + ".", node.body
+            for fn in defs:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_") and not _is_command(fn)
+                        and fn.name not in refs):
+                    unreferenced.append("%s:%s%s" % (path.stem, owner, fn.name))
+    assert unreferenced == []
 
 
 def test_the_q_scale_refusal_is_written_once():
     # every theta constructor refuses a q scale <= 0 in the one walk wrapper
     assert _holders("q scaling factor must be positive") == [("theta", "_theta")]
+
+
+def test_the_super_fusion_refusals_are_written_once():
+    # super_fusion and SuperVerlinde.entry refuse the same labels and signs
+    # with one message each; the window rule and s_small share the label check
+    assert _holders("parity signs must be +1 or -1") == [("fusion", "_check_signs")]
+    assert _holders("label %r outside [1, %d]") == [("fusion", "_check_labels")]
 
 
 def test_readme_library_example_runs():

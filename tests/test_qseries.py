@@ -130,12 +130,11 @@ LATTICE_TRUNC = st.none() | st.fractions(QQ(-1), QQ(9), max_denominator=24)
 
 @st.composite
 def st_lattice_series(draw):
-    """A series on one lattice 1/d (d <= 24), complete or truncated, whose
-    declared D may be a multiple of the one its exponents need."""
+    """A series on one lattice 1/d (d <= 24), complete or truncated."""
     d = draw(st.integers(1, 24))
     terms = draw(LATTICE_TERMS[d])
     trunc = draw(LATTICE_TRUNC)
-    return QSeries(terms, trunc, D=d * draw(st.integers(1, 3)))
+    return QSeries(terms, trunc)
 
 
 def assert_same_series(got, want, support_lo=None):
@@ -308,7 +307,7 @@ def test_add_matches_the_fraction_keyed_merge(a, b):
 
 @settings(max_examples=100, deadline=None)
 @given(st_lattice_series(), st_rational | st.integers(-3, 3))
-@example(QSeries({QQ(1, 2): 1}, 4, D=6), 0)
+@example(QSeries({QQ(1, 2): 1}, 4), 0)
 def test_scalar_matches_the_termwise_product(a, c):
     assert_same_series(qs_scalar(a, c), ref_scaled(a, c))
 
@@ -324,7 +323,7 @@ def test_shift_matches_the_termwise_shift(a, exp, c):
 
 @settings(max_examples=100, deadline=None)
 @given(st_lattice_series(), st.fractions(QQ(-2), QQ(9), max_denominator=24))
-@example(QSeries({QQ(1, 2): 1, 1: 1}, None, D=4), QQ(1))
+@example(QSeries({QQ(1, 2): 1, 1: 1}, None), QQ(1))
 def test_truncate_matches_the_filtered_terms(a, t):
     T = t if a.trunc is None else min(a.trunc, t)
     want = QSeries({e: c for e, c in a.terms.items() if e < T}, T)

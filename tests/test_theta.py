@@ -27,7 +27,6 @@ from ospq.theta import (
     wq_mul,
     wq_scalar,
     wq_specialize_w1,
-    wq_specialize_w_signed,
     wq_to_q,
 )
 from test_qseries import assert_same_series, st_lattice_series
@@ -181,14 +180,47 @@ def test_odd_weyl_denominator_leading_slice():
     assert pi.q_slice(QQ(1, 24)) == {QQ(1, 4): QQ(1), QQ(-1, 4): QQ(-1)}
 
 
-def test_weyl_denominator_product_form_matches_theta_form():
-    ok, bad, box = wq_equal_on_box(
-        weyl_denominator(10, "theta"), weyl_denominator(10, "product")
+def weyl_denominator_product(N):
+    """The odd Weyl denominator in product form: w^{1/4} q^{1/24} (1 - w^{-1/2})
+    times the infinite product over n >= 1 of (1-q^n)(1-w q^n)(1-w^{-1} q^n)
+    divided by (1+w^{1/2} q^n)(1+w^{-1/2} q^n), with the division realised by
+    per-slice geometric expansion (exact: every q-slice of each inverse factor
+    is a single w-monomial)."""
+    N = QQ(N)
+    acc = WQSeries(
+        (
+            (QQ(1, 24), QQ(1, 4), QQ(1)),
+            (QQ(1, 24), QQ(-1, 4), QQ(-1)),
+        ),
+        N,
+        None,
     )
+    n = 1
+    while n < N:
+        zero = QQ(0)
+        factors = [
+            WQSeries(((zero, zero, 1), (QQ(n), zero, -1)), N, None),
+            WQSeries(((zero, zero, 1), (QQ(n), QQ(1), -1)), N, None),
+            WQSeries(((zero, zero, 1), (QQ(n), QQ(-1), -1)), N, None),
+        ]
+        # geometric inverses of (1 + w^{+-1/2} q^n): alternating monomial towers
+        for half in (QQ(1, 2), QQ(-1, 2)):
+            def tower(h=half, base=n):
+                j = 0
+                while j * base < N:
+                    yield QQ(j * base), h * j, QQ(-1) ** j
+                    j += 1
+            factors.append(WQSeries(tower(), N, None))
+        for f in factors:
+            acc = wq_mul(acc, f)
+        n += 1
+    return acc
+
+
+def test_weyl_denominator_product_form_matches_theta_form():
+    ok, bad, box = wq_equal_on_box(weyl_denominator(10), weyl_denominator_product(10))
     assert ok, bad
     assert box[0] == QQ(10)
-    with pytest.raises(ValueError):
-        weyl_denominator(4, "series")
 
 
 def test_denominator_bridge_identity():
@@ -301,6 +333,28 @@ def test_monomial_product_moves_both_exponents():
     b = wq_mul(a, m)
     assert b.q_slice(QQ(1, 3)) == {QQ(-1, 2): QQ(5)}
     assert b.q_trunc == QQ(2) + QQ(1, 3)
+
+
+def wq_specialize_w_signed(a):
+    """Specialise w^x -> (-1)^{2x} (the w -> -1 slice on the half-integer grid),
+    each slice summed in stored order; requires complete w-support."""
+    if a.w_floor is not None:
+        raise ValueError("signed specialisation needs the complete w-support "
+                         "(w_floor is set)")
+    W = a.W
+
+    def sign(w):
+        two_x, r = divmod(2 * w, W)
+        if r:
+            raise ValueError("w-exponent %s is not on the half-integer grid" % QQ(w, W))
+        return -1 if two_x % 2 else 1
+
+    s = {}
+    for q, sl in a._s.items():
+        c = sum(sign(w) * c for w, c in sl.items())
+        if c:
+            s[q] = {0: c}
+    return QSeries._of(s, a.D, a.q_trunc)
 
 
 def test_specializations():
