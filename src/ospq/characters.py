@@ -76,7 +76,7 @@ class OutOfRange(ValueError):
 
 def check_level(k) -> int:
     """The positive integer level k, or OutOfRange (a bool is no level)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise OutOfRange("level must be a positive integer, got %r" % (k,))
     return k
 
@@ -107,21 +107,31 @@ class VirLabel:
     s: int
 
 
-def _indices(label) -> Tuple[int, int]:
-    """The (r, s) of a label, which must be integers: a label that merely
-    equals an integer one (1.0, Fraction(1)) would share its memo entry."""
+def _indices(label, r_max: int, s_min: int, s_max: int) -> Tuple[int, int]:
+    """The (r, s) of a label: ints with 1 <= r <= r_max, s_min <= s <= s_max,
+    else InvalidLabel.  A bool, float or Fraction equal to an int is refused
+    too, since the label would share that int label's memo entry."""
     r, s = label.r, label.s
-    if not (isinstance(r, int) and isinstance(s, int)):
+    if not (type(r) is int and type(s) is int):
         raise InvalidLabel("label indices must be integers, got (%r, %r)" % (r, s))
+    if not 1 <= r <= r_max:
+        raise InvalidLabel("first index %d outside [1, %d]" % (r, r_max))
+    if not s_min <= s <= s_max:
+        raise InvalidLabel("second index %d outside [%d, %d]" % (s, s_min, s_max))
     return r, s
 
 
 # -- Virasoro Kac labels ------------------------------------------------------
 
 
+def _kac_first(u: int, p: int, r: int, s: int) -> bool:
+    """Whether (r, s) sorts first in its Kac class (r, s) ~ (u-r, p-s)."""
+    return (r, s) <= (u - r, p - s)
+
+
 def vir_canonical(u: int, p: int, r: int, s: int) -> VirLabel:
     """The representative of (r, s) ~ (u-r, p-s) that sorts first."""
-    return VirLabel(r, s) if (r, s) <= (u - r, p - s) else VirLabel(u - r, p - s)
+    return VirLabel(r, s) if _kac_first(u, p, r, s) else VirLabel(u - r, p - s)
 
 
 def vir_labels(u: int, p: int) -> List[VirLabel]:
@@ -132,11 +142,11 @@ def vir_labels(u: int, p: int) -> List[VirLabel]:
     Raises ValueError unless u, p >= 2 are coprime integers: no other pair
     names a minimal model.
     """
-    if (not isinstance(u, int) or not isinstance(p, int) or u < 2 or p < 2
+    if (type(u) is not int or type(p) is not int or u < 2 or p < 2
             or math.gcd(u, p) != 1):
         raise ValueError("need coprime u, p >= 2, got (%r, %r)" % (u, p))
     return [VirLabel(r, s) for r in range(1, u) for s in range(1, p)
-            if (r, s) <= (u - r, p - s)]
+            if _kac_first(u, p, r, s)]
 
 
 def vir_weight(u: int, p: int, r: int, s: int) -> QQ:
@@ -158,7 +168,7 @@ class AdmissibleLevel:
 
     def __post_init__(self):
         p, pp = self.p, self.p_prime
-        if not (isinstance(p, int) and isinstance(pp, int)):
+        if not (type(p) is int and type(pp) is int):
             raise ValueError("level indices must be integers")
         if p <= 1 or pp < 1:
             raise ValueError("need p > 1 and p' >= 1, got (%d, %d)" % (p, pp))
@@ -223,35 +233,19 @@ class AdmissibleLevel:
     # -- label validation and enumeration ------------------------------------
 
     def check_osp(self, label: OspLabel) -> OspLabel:
-        r, s = _indices(label)
-        if not (1 <= r <= self.p - 1):
-            raise InvalidLabel("first index %d outside [1, %d]" % (r, self.p - 1))
-        if not (0 <= s <= self.p_prime - 1):
-            raise InvalidLabel(
-                "second index %d outside [0, %d]" % (s, self.p_prime - 1)
-            )
+        r, s = _indices(label, self.p - 1, 0, self.p_prime - 1)
         if (r + s) % 2 != 1:
             raise InvalidLabel("indices (%d, %d) must have odd sum" % (r, s))
         return label
 
     def check_sl2(self, label: Sl2Label) -> Sl2Label:
-        r, s = _indices(label)
-        if not (1 <= r <= self.u - 1):
-            raise InvalidLabel("first index %d outside [1, %d]" % (r, self.u - 1))
-        if not (0 <= s <= self.p_prime - 1):
-            raise InvalidLabel(
-                "second index %d outside [0, %d]" % (s, self.p_prime - 1)
-            )
+        _, s = _indices(label, self.u - 1, 0, self.p_prime - 1)
         if self.is_integer_level and s != 0:
             raise InvalidLabel("integer level uses only s = 0 labels")
         return label
 
     def check_vir(self, label: VirLabel) -> VirLabel:
-        r, s = _indices(label)
-        if not (1 <= r <= self.u - 1):
-            raise InvalidLabel("first index %d outside [1, %d]" % (r, self.u - 1))
-        if not (1 <= s <= self.p - 1):
-            raise InvalidLabel("second index %d outside [1, %d]" % (s, self.p - 1))
+        _indices(label, self.u - 1, 1, self.p - 1)
         return label
 
     def osp_labels(self) -> List[OspLabel]:
@@ -261,9 +255,6 @@ class AdmissibleLevel:
             for s in range(self.p_prime)
             if (r + s) % 2 == 1
         ]
-
-    def vir_labels(self) -> List[VirLabel]:
-        return vir_labels(self.u, self.p)
 
 
 # -- theta numerators ---------------------------------------------------------
@@ -508,7 +499,7 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
 def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSeries:
     """w -> 1 specialisation of the r-th module's character (integer level),
     signed with ``signed``; see :func:`component_chars_w1`."""
-    if not isinstance(r, int) or not 1 <= r <= level.p - 1:
+    if type(r) is not int or not 1 <= r <= level.p - 1:
         raise InvalidLabel("module index %r outside [1, %d]" % (r, level.p - 1))
     return _w1_table(level, _positive_order(N))[r][1 if signed else 0]
 

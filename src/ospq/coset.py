@@ -32,7 +32,7 @@ class InconsistentBranching(VerificationError):
 def _check_label(k: int, label) -> CosetLabel:
     check_level(k)
     nu, r = label
-    if not isinstance(nu, int) or not isinstance(r, int):
+    if type(nu) is not int or type(r) is not int:
         raise InvalidLabel("coset label entries must be integers")
     if r % 2 == 0 or not (1 <= r <= 2 * k + 2):
         raise InvalidLabel(
@@ -43,7 +43,7 @@ def _check_label(k: int, label) -> CosetLabel:
 def lattice_theta(k: int, nu: int, N) -> QSeries:
     """Theta series of the shifted lattice class: sum of q^{(nu+2km)^2/(4k)}."""
     check_level(k)
-    if not isinstance(nu, int):
+    if type(nu) is not int:
         raise InvalidLabel("charge class must be an integer")
     return theta_q(nu % (2 * k), k, 1, N)
 

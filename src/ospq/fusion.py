@@ -31,32 +31,43 @@ class SuperFusionEntry:
 Label = Hashable
 
 
-class FusionTensor:
+class _LabelSet:
+    """An ordered label set with its lookup: the one label refusal of the
+    fusion tensors and the S and T matrices, each named by ``_kind``."""
+
+    __slots__ = ("labels", "_index")
+    _kind = "ring"
+
+    def __init__(self, labels):
+        self.labels = tuple(labels)
+        self._index = {a: i for i, a in enumerate(self.labels)}
+
+    def index(self, a: Label) -> int:
+        if a not in self._index:
+            raise OutOfRange("label %r is not in the %s" % (a, self._kind))
+        return self._index[a]
+
+
+class FusionTensor(_LabelSet):
     """Immutable fusion-coefficient tensor over an ordered label set."""
 
-    __slots__ = ("labels", "unit", "_coeffs", "label_flags", "_index")
+    __slots__ = ("unit", "_coeffs", "label_flags")
 
     def __init__(self, labels, unit, coeffs: Mapping[Tuple, int],
                  label_flags: Optional[Mapping[Label, str]] = None):
-        self.labels = tuple(labels)
-        self._index = {a: i for i, a in enumerate(self.labels)}
+        super().__init__(labels)
         if unit not in self._index:
             raise OutOfRange("unit %r is not a label" % (unit,))
         self.unit = unit
         self._coeffs = {key: int(n) for key, n in coeffs.items() if n}
         self.label_flags = dict(label_flags) if label_flags else None
 
-    def _check(self, a: Label) -> Label:
-        if a not in self._index:
-            raise OutOfRange("label %r is not in the ring" % (a,))
-        return a
-
     def coeff(self, a: Label, b: Label, c: Label) -> int:
-        self._check(a), self._check(b), self._check(c)
+        self.index(a), self.index(b), self.index(c)
         return self._coeffs.get((a, b, c), 0)
 
     def product(self, a: Label, b: Label) -> Dict[Label, int]:
-        self._check(a), self._check(b)
+        self.index(a), self.index(b)
         out = {}
         for c in self.labels:
             n = self._coeffs.get((a, b, c), 0)
@@ -84,15 +95,15 @@ def _check_labels(n: int, labels) -> None:
     of the window rule, of both super-fusion routes (``super_fusion`` and
     ``modular.SuperVerlinde.entry``) and of ``modular.s_small``."""
     for t in labels:
-        if not isinstance(t, int) or not 1 <= t <= n:
+        if type(t) is not int or not 1 <= t <= n:
             raise OutOfRange("label %r outside [1, %d]" % (t, n))
 
 
 def _check_signs(signs) -> None:
-    """Refuse any parity sign other than +1 or -1, for both super-fusion
-    routes."""
+    """Refuse any parity sign other than the ints +1 and -1, for both
+    super-fusion routes."""
     for e in signs:
-        if e not in (1, -1):
+        if type(e) is not int or e not in (1, -1):
             raise OutOfRange("parity signs must be +1 or -1, got %r" % (e,))
 
 
@@ -103,10 +114,10 @@ def n_coeff(w: int, t: int, t_prime: int, t_second: int) -> int:
     is odd.  The two input labels must lie in [1, w-1]; the candidate
     output label may be any integer (the rule is 0 outside the window).
     """
-    if not isinstance(w, int) or w < 2:
+    if type(w) is not int or w < 2:
         raise OutOfRange("window size must be an integer >= 2, got %r" % (w,))
     _check_labels(w - 1, (t, t_prime))
-    if not isinstance(t_second, int):
+    if type(t_second) is not int:
         raise OutOfRange("candidate label %r is not an integer" % (t_second,))
     return int(t_second in _window(w, t, t_prime))
 

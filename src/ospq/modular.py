@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -37,13 +38,13 @@ from mpmath import mp
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_lt,
                           mpf_mul, mpf_sqrt)
 
-from .characters import (AdmissibleLevel, OspLabel, OutOfRange, Sl2Label,
-                         VirLabel, check_level, component_chars_w1, osp_char,
+from .characters import (AdmissibleLevel, OspLabel, Sl2Label, VirLabel,
+                         _kac_first, check_level, component_chars_w1, osp_char,
                          sl2_char, vir_canonical, vir_central_charge, vir_char,
                          vir_labels, vir_weight)
 from .fusion import (CosetLabel, FusionTensor, SuperFusionEntry, _check_labels,
-                     _check_signs, _intertwiners, coset_labels, osp_fusion,
-                     parafermion_fusion, sl2_fusion, vir_fusion)
+                     _check_signs, _intertwiners, _LabelSet, coset_labels,
+                     osp_fusion, parafermion_fusion, sl2_fusion, vir_fusion)
 from .qseries import (NonconvergentDomain, VerificationError, _positive_order,
                       qs_eval)
 
@@ -182,7 +183,7 @@ def _times(A, cols):
     return [[_dot(r, c) for c in cols] for r in map(_fixed, A)]
 
 
-class SMatrix:
+class SMatrix(_LabelSet):
     """Square matrix of high-precision S-transformation coefficients.
 
     ``ring``, when set, is a zero-argument callable returning the Verlinde
@@ -192,12 +193,12 @@ class SMatrix:
     once a matrix is built.
     """
 
-    __slots__ = ("labels", "rows", "vacuum_index", "precision", "ring", "_index",
-                 "_gram", "_unitarity")
+    __slots__ = ("rows", "vacuum_index", "precision", "ring", "_gram", "_unitarity")
+    _kind = "matrix"
 
     def __init__(self, labels: Sequence[Hashable], rows, vacuum_index: int,
                  precision: int, ring: Optional[Callable[[], FusionTensor]] = None):
-        self.labels = tuple(labels)
+        super().__init__(labels)
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.labels)
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
@@ -205,17 +206,11 @@ class SMatrix:
         self.vacuum_index = vacuum_index
         self.precision = precision
         self.ring = ring
-        self._index = {a: i for i, a in enumerate(self.labels)}
         self._gram = self._unitarity = None
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def index(self, a) -> int:
-        if a not in self._index:
-            raise OutOfRange("label %r is not in the matrix" % (a,))
-        return self._index[a]
 
     def entry(self, a, b):
         return self.rows[self.index(a)][self.index(b)]
@@ -258,33 +253,26 @@ class SMatrix:
             return _max_defect(self._square(), _identity(self.n))
 
 
-class TMatrix:
+class TMatrix(_LabelSet):
     """Diagonal matrix of phases e^{2 pi i (h - c/24)}."""
 
-    __slots__ = ("labels", "weights", "central_charge", "precision", "_index",
-                 "label_flags")
+    __slots__ = ("weights", "central_charge", "precision", "label_flags")
+    _kind = "matrix"
 
     def __init__(self, labels: Sequence[Hashable], weights: Sequence[Fraction],
                  central_charge: Fraction, precision: int,
                  label_flags: Optional[Dict] = None):
-        self.labels = tuple(labels)
+        super().__init__(labels)
         self.weights = tuple(Fraction(h) for h in weights)
         if len(self.labels) != len(self.weights):
             raise ValueError("one conformal weight per label required")
         self.central_charge = Fraction(central_charge)
         self.precision = precision
-        self._index = {a: i for i, a in enumerate(self.labels)}
         self.label_flags = dict(label_flags) if label_flags else None
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
     def exponent(self, a) -> Fraction:
         """h_a - c/24, the rational exponent of the phase."""
-        if a not in self._index:
-            raise OutOfRange("label %r is not in the matrix" % (a,))
-        return self.weights[self._index[a]] - self.central_charge / 24
+        return self.weights[self.index(a)] - self.central_charge / 24
 
     def phase(self, a):
         with mp.workprec(self.precision + 16):
@@ -412,17 +400,14 @@ def s_small(k: int, r: int, r_prime: int, precision: int = 256):
     """Signed sine coefficient driving the extended-family modular data."""
     check_level(k)
     _check_labels(2 * k + 2, (r, r_prime))
-    with mp.workprec(precision + 16):
-        sign = -1 if (r + r_prime) % 2 else 1
-        return (sign / mp.sqrt(mp.mpf(2 * k + 3))
-                * mp.sinpi(mp.mpf(r * r_prime * (k + 2)) / (2 * k + 3)))
+    return _s_columns(k, (r_prime,), precision)[r - 1][0]
 
 
 def s_table(k: int, precision: int = 256) -> List[List[mpmath.mpf]]:
     """The sine coefficients as rows: s_table(k)[r-1][t-1] = s_small(k, r, t).
 
     1/sqrt(2k+3) is taken once; -1/x rounds to -(1/x), so each entry is
-    bit-identical to s_small's.
+    bit-identical to the per-entry sign / sqrt(2k+3) * sin.
     """
     check_level(k)
     return _s_columns(k, range(1, 2 * k + 3), precision)
@@ -541,11 +526,8 @@ def _sl2_ring(k: int) -> FusionTensor:
     sin(c theta)/sin(theta) at theta = pi x/m, that is
     -1/2 _count(m, 1, a, b, c).
     """
-    m = k + 2
-    labels = range(1, m)
-    return FusionTensor(labels, 1, {(a, b, c): -_count(m, 1, a, b, c) // 2
-                                    for a in labels for b in labels
-                                    for c in labels})
+    labels = range(1, k + 2)
+    return FusionTensor(labels, 1, _window_counts(k + 2, 1, product(labels, repeat=3)))
 
 
 def _vir_ring(u: int, p: int) -> FusionTensor:
@@ -578,7 +560,7 @@ def _vir_ring(u: int, p: int) -> FusionTensor:
             for rc, vr in fr[A.r, B.r]:
                 for sc, vs in fs[A.s, B.s]:
                     n = vr[(s_ab + sc) % 2] * vs[(r_ab + rc) % 2]
-                    if n and (rc, sc) <= (u - rc, p - sc):
+                    if n and _kac_first(u, p, rc, sc):
                         coeffs[A, B, VirLabel(rc, sc)] = n // 4
     return FusionTensor(labels, VirLabel(1, 1), coeffs)
 
@@ -596,11 +578,18 @@ def _coset_ring(k: int) -> FusionTensor:
     """
     labels = coset_labels(k)
     rs = [lab.r for lab in labels if lab.nu == 0]
-    refined = {(a, b, c): -_count(2 * k + 3, k + 2, a, b, c) // 2
-               for a in rs for b in rs for c in rs}
+    refined = _window_counts(2 * k + 3, k + 2, product(rs, repeat=3))
     return FusionTensor(labels, CosetLabel(0, 1), {
-        (A, B, CosetLabel((A.nu + B.nu) % (2 * k), c)): refined[A.r, B.r, c]
+        (A, B, CosetLabel((A.nu + B.nu) % (2 * k), c)): refined.get((A.r, B.r, c), 0)
         for A in labels for B in labels for c in rs})
+
+
+def _window_counts(m: int, h: int, triples) -> Dict[Tuple[int, int, int], int]:
+    """The nonzero N_ab^c = -1/2 _count(m, h, a, b, c) over the (a, b, c)
+    in ``triples``, in their order: the Verlinde count of ``_sl2_ring``,
+    ``_coset_ring`` and ``verlinde_super``."""
+    counts = ((t, _count(m, h, *t)) for t in triples)
+    return {t: -n // 2 for t, n in counts if n}
 
 
 def _parity_factors(m: int, h: int):
@@ -651,8 +640,8 @@ class SuperVerlinde:
 
     ``n_plus`` holds the total intertwiner dimensions (even-index sums),
     ``n_minus`` the signed dimensions before parity decoration (odd-index
-    sums), an equal dict, as ``verlinde_super`` proves; ``entry`` decorates
-    them into SuperFusionEntry values.
+    sums), the same dict, as ``verlinde_super`` proves; ``entry`` decorates
+    it into SuperFusionEntry values.
     """
 
     k: int
@@ -668,7 +657,7 @@ class SuperVerlinde:
         _check_signs((eps, eps2, eps3))
         _check_labels(2 * self.k + 2, (r, r2, r3))
         total = self.n_plus.get((r, r2, r3), 0)
-        sdim = eps * eps2 * eps3 * self.n_minus.get((r, r2, r3), 0)
+        sdim = eps * eps2 * eps3 * total
         return _intertwiners((total + sdim) // 2, (total - sdim) // 2)
 
 
@@ -723,15 +712,9 @@ def verlinde_super(k: int, precision: int = 256) -> SuperVerlinde:
                 raise NonIntegralFusion("the basis-changed matrix is no involution")
             inv_defect = max(sum(map(abs, r)) for r in St.rows) * delta / (1 - delta)
     rng = range(1, n)
-    n_plus = {}
-    for r in rng:
-        for r2 in rng:
-            for r3 in range(1 + (r + r2) % 2, n, 2):  # r + r2 + r3 odd
-                count = _count(n, h, r, r2, r3)
-                if count:
-                    n_plus[(r, r2, r3)] = -count // 2
-    return SuperVerlinde(k, precision, n_plus, dict(n_plus), St, invol_defect,
-                         inv_defect)
+    n_plus = _window_counts(n, h, ((r, r2, r3) for r in rng for r2 in rng
+                                   for r3 in range(1 + (r + r2) % 2, n, 2)))  # odd sum
+    return SuperVerlinde(k, precision, n_plus, n_plus, St, invol_defect, inv_defect)
 
 
 # -- Frobenius-Perron identities ----------------------------------------------

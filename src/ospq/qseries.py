@@ -65,7 +65,7 @@ class NonconvergentDomain(ValueError):
 def as_fraction(x: Rat) -> QQ:
     if isinstance(x, QQ):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return QQ(x)
     raise TypeError("expected int or Fraction, got %s" % type(x).__name__)
 
@@ -336,7 +336,7 @@ class QSeries(_Lattice):
         return qs_scalar(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, QQ)):
+        if type(other) is int or isinstance(other, QQ):
             return qs_scalar(self, other)
         return qs_mul(self, other)
 
@@ -661,7 +661,7 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
             for q, d in zip(reversed(keys), reversed(gaps)):
                 yr, yi = Y[d]
                 c = a._s[q][0]
-                c = (c << P if isinstance(c, int)
+                c = (c << P if type(c) is int
                      else ((c.numerator << (P + 1)) // c.denominator + 1) >> 1)
                 sr, si = ((sr * yr - si * yi) >> P) + c, (sr * yi + si * yr) >> P
             prec, rnd = mpmath.mp._prec_rounding

@@ -194,7 +194,7 @@ class WQSeries(_Lattice):
         return wq_scalar(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, QQ)):
+        if type(other) is int or isinstance(other, QQ):
             return wq_scalar(self, other)
         return wq_mul(self, other)
 
@@ -347,9 +347,9 @@ def theta_big(r: int, s: int, w_scale: Rat, q_scale: Rat, N: Rat) -> WQSeries:
     exponents.  w_scale = 0 collapses to the z = 0 slice (coefficients on
     w^0 accumulate).
     """
-    if not isinstance(s, int) or s <= 0:
+    if type(s) is not int or s <= 0:
         raise InvalidIndex("second theta index must be a positive integer, got %r" % (s,))
-    if not isinstance(r, int):
+    if type(r) is not int:
         raise InvalidIndex("first theta index must be an integer, got %r" % (r,))
     # with t = 2s(m + r/2s): q-exponent q_scale t^2/4s, w-exponent w_scale t/2
     return _theta(((-(-r % (2 * s)), 1),), -2 * s, 4 * s, w_scale, q_scale, N)

@@ -1,13 +1,18 @@
-"""The package surface: what ``ospq`` exports, no import left unused, and the
-README's library example run as written."""
+"""The package surface: what ``ospq`` exports, the input contract its entry
+points share, no import left unused, and the README's library example run as
+written."""
 
 import ast
 import re
 import types
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import ospq
 from ospq import modular
+from ospq.characters import check_level, vir_labels
 
 SRC = Path(ospq.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -174,6 +179,78 @@ def test_the_super_fusion_refusals_are_written_once():
     # with one message each; the window rule and s_small share the label check
     assert _holders("parity signs must be +1 or -1") == [("fusion", "_check_signs")]
     assert _holders("label %r outside [1, %d]") == [("fusion", "_check_labels")]
+
+
+def test_the_label_contract_is_written_once():
+    # the (r, s) window of check_osp, check_sl2 and check_vir, the lookup of
+    # every fusion tensor and S and T matrix, and the Kac order
+    assert _holders("first index %d outside") == [("characters", "_indices")]
+    assert _holders("is not in the") == [("fusion", "_LabelSet")]
+    assert _holders("<= (u - r") == [("characters", "_kac_first")]
+
+
+def test_the_only_integer_test_is_the_exact_type():
+    # an integer input is an int that is not a bool: isinstance(x, int)
+    # would pass True, so it is written type(x) is int everywhere
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(getattr(t, "id", None) == "int" for t in kinds):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+_LEVEL = ospq.AdmissibleLevel(5, 1)
+_SERIES = ospq.QSeries({0: 1}, 3)
+
+# (entry point, call on the refused value, exception, whether a Fraction
+# equal to an int is refused too: it is wherever only an int is accepted)
+_INT_INPUTS = [
+    ("order", lambda x: ospq.vir_char(_LEVEL, ospq.VirLabel(1, 1), x), TypeError, False),
+    ("exponent", lambda x: ospq.QSeries.monomial(1, x), TypeError, False),
+    ("coefficient", lambda x: ospq.QSeries({0: x}), TypeError, False),
+    ("qseries-scalar", lambda x: _SERIES * x, AttributeError, False),
+    ("wqseries-scalar", lambda x: ospq.wq_from_q(_SERIES) * x, AttributeError, False),
+    ("level", check_level, ospq.OutOfRange, True),
+    ("admissible-level", lambda x: ospq.AdmissibleLevel(5, x), ValueError, True),
+    ("osp-label-memo", lambda x: ospq.osp_char(_LEVEL, ospq.OspLabel(x, 0), 2),
+     ospq.InvalidLabel, True),
+    ("sl2-label", lambda x: ospq.sl2_char(_LEVEL, ospq.Sl2Label(1, x), 2),
+     ospq.InvalidLabel, True),
+    ("vir-label", lambda x: ospq.vir_char(_LEVEL, ospq.VirLabel(x, 1), 2),
+     ospq.InvalidLabel, True),
+    ("kac-table", lambda x: vir_labels(3, x), ValueError, True),
+    ("module-index", lambda x: ospq.char_w1(_LEVEL, x, 2), ospq.InvalidLabel, True),
+    ("window-size", lambda x: ospq.n_coeff(x, 1, 1, 1), ospq.OutOfRange, True),
+    ("window-label", lambda x: ospq.n_coeff(4, x, 1, 1), ospq.OutOfRange, True),
+    ("window-candidate", lambda x: ospq.n_coeff(4, 1, 1, x), ospq.OutOfRange, True),
+    ("fusion-label", lambda x: ospq.super_fusion(1, 1, 1, 1, 1, x, 1), ospq.OutOfRange, True),
+    ("fusion-sign", lambda x: ospq.super_fusion(1, 1, x, 1, 1, 1, 1), ospq.OutOfRange, True),
+    ("verlinde-label", lambda x: ospq.verlinde_super(1).entry(x, 1, 1, 1, 1, 1),
+     ospq.OutOfRange, True),
+    ("verlinde-sign", lambda x: ospq.verlinde_super(1).entry(1, 1, 1, x, 1, 1),
+     ospq.OutOfRange, True),
+    ("s-entry", lambda x: ospq.s_small(1, x, 1), ospq.OutOfRange, True),
+    ("coset-charge", lambda x: ospq.coset_char_direct(1, (x, 1), 2), ospq.InvalidLabel, True),
+    ("coset-module", lambda x: ospq.coset_char_direct(1, (0, x), 2), ospq.InvalidLabel, True),
+    ("lattice-class", lambda x: ospq.lattice_theta(1, x, 2), ospq.InvalidLabel, True),
+    ("theta-first", lambda x: ospq.theta_big(x, 1, 0, 1, 2), ospq.InvalidIndex, True),
+    ("theta-second", lambda x: ospq.theta_big(1, x, 0, 1, 2), ospq.InvalidIndex, True),
+]
+
+
+@pytest.mark.parametrize("call,error,value", [
+    pytest.param(call, error, value, id="%s-%r" % (name, value))
+    for name, call, error, exact in _INT_INPUTS
+    for value in (True, False, 1.0) + ((Fraction(1),) if exact else ())])
+def test_every_integer_input_refuses_a_bool_and_a_float(call, error, value):
+    # True equals 1 and hashes like it: an accepted True would be module,
+    # label or sign 1 (the memo case returns the OspLabel(1, 0) series)
+    with pytest.raises(error):
+        call(value)
 
 
 def test_readme_library_example_runs():
