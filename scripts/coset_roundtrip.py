@@ -42,7 +42,7 @@ def main():
         ok, bad = qs_equal_below(direct, phased, order=N)
         print("  nu=%d r=%d  %-5s  lowest exponent %-8s  %5.2fs" % (
             label.nu, label.r, "agree" if ok else "DIFFER",
-            direct.min_exp(), time.time() - t0))
+            direct.min_q(), time.time() - t0))
         if not ok:
             raise SystemExit("route mismatch at %s: %s" % (label, bad))
 

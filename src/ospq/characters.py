@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .qseries import (QQ, QSeries, Rat, VerificationError, qs_eta, qs_mul,
-                      _positive_order, _qs_div, _require_order)
+                      _div, _positive_order, _require_order)
 from .theta import (
     WQSeries,
     _theta_difference,
@@ -324,7 +324,7 @@ def _vir_char(level: AdmissibleLevel, label: VirLabel, N: QQ) -> QSeries:
     num = vir_numerator(level, label, N + 1)
     if num.is_zero:
         return QSeries({}, N)
-    return _qs_div(num, qs_eta(N + 2), N)
+    return _div(num, qs_eta(N + 2), N)
 
 
 def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
@@ -524,5 +524,5 @@ def is_integer_graded(level: AdmissibleLevel, r: int, N: Rat = 6) -> bool:
     modules (even r) contain half-odd-integer spacings.
     """
     ch = char_w1(level, r, N)
-    q0 = (ch.min_exp() * ch.D).numerator
+    q0 = (ch.min_q() * ch.D).numerator
     return all((q - q0) % ch.D == 0 for q in ch._s)

@@ -20,7 +20,7 @@ from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
 from .fusion import CosetLabel, check_level, parafermion_fusion
 from .modular import FAMILIES, SMatrix, NonIntegralFusion, verlinde_standard
 from .qseries import (QQ, QSeries, VerificationError, qs_equal_below, qs_eta,
-                      qs_mul, qs_shift, _min_trunc, _positive_order, _qs_div,
+                      qs_mul, qs_shift, _div, _min_trunc, _positive_order,
                       _require_order)
 from .theta import theta_q
 
@@ -58,7 +58,7 @@ def _sector_from_slice(ch, x: QQ, k: int, N: QQ) -> QSeries:
     """One branching sector from the w^x slice: f_x * q^{-x^2/k} * eta."""
     f = ch.w_slice(x)
     shifted = qs_shift(f, -x * x / k)
-    m0 = QQ(0) if shifted.is_zero else min(shifted.min_exp(), QQ(0))
+    m0 = QQ(0) if shifted.is_zero else min(shifted.min_q(), QQ(0))
     eta = qs_eta(N - m0 + 1)
     return qs_mul(shifted, eta).truncate(N)
 
@@ -137,10 +137,10 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     M = N + k + 2
     ch = _full_char(k, label.r, M)
     # exact eta / (2k * theta_{L+nu}) prefactor
-    pref = qs_shift(_qs_div(qs_eta(M), lattice_theta(k, label.nu, M)), 0, QQ(1, 2 * k))
+    pref = qs_shift(_div(qs_eta(M), lattice_theta(k, label.nu, M)), 0, QQ(1, 2 * k))
     if variant == "minus" and label.nu % 2 == 1:
         pref = qs_shift(pref, 0, -1)
-    _require_order(min(M + pref.min_exp(), pref.trunc + ch.min_q_bound()), N,
+    _require_order(min(M + pref.min_q(), pref.trunc + ch.min_q_bound()), N,
                    "phase sum", InconsistentBranching)
 
     # with 2x = a/b, the term w^x at phase g, weighted by e^{-2 pi i nu g/(2k)},
@@ -166,7 +166,7 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
                 "Q(zeta_%d)" % (QQ(q, ch.D), coords, m))
         if coords[0]:
             acc[q] = {0: coords[0]}
-    out = qs_mul(QSeries._of(acc, ch.D, ch.q_trunc), pref).truncate(N)
+    out = qs_mul(QSeries._of(acc, ch.D, 1, ch.q_trunc), pref).truncate(N)
     for q, sl in out._s.items():
         if sl[0].denominator != 1:
             raise InconsistentBranching(
@@ -191,7 +191,7 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     eta = qs_eta(N + 3)
     for nu in range(2 * k):
         sector = coset_char_direct(k, (nu, r), N + 1)
-        piece = qs_mul(_qs_div(lattice_theta(k, nu, N + 2), eta), sector)
+        piece = qs_mul(_div(lattice_theta(k, nu, N + 2), eta), sector)
         if signed and nu % 2 == 1:
             piece = qs_shift(piece, 0, -1)
         total = total + piece

@@ -23,10 +23,6 @@ class SuperFusionEntry:
     even_dim: int
     odd_dim: int
 
-    @property
-    def sdim(self) -> int:
-        return self.even_dim - self.odd_dim
-
 
 Label = Hashable
 

@@ -212,9 +212,6 @@ class SMatrix(_LabelSet):
     def n(self) -> int:
         return len(self.labels)
 
-    def entry(self, a, b):
-        return self.rows[self.index(a)][self.index(b)]
-
     def _gram_product(self):
         """S S^dagger at precision + 16 bits, computed once."""
         if self._gram is None:

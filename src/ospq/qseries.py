@@ -10,22 +10,28 @@ Operations propagate the guaranteed order honestly and never extend it.
 Coefficients are exact; numeric evaluation (``qs_eval``) is a separate,
 explicitly lossy operation.
 
-One- and two-variable series share one store, the integer lattice the
-kernels compute on: q-slices {q: {w: c}} at exponents q/D and w/W, with
-int keys and a coefficient an int when it is integral.  A QSeries is the
-w-free case, W = 1 and one slice {0: c} per exponent, and D is the least
-denominator of its stored exponents.  Sums, scalings, shifts and
-comparisons share one merge, one scaling and one first-mismatch scan;
-products and quotients share one slice convolution
-(``_slice_mul``) and one slice recursion (``_slice_div``), so ``qs_mul``
-and ``qs_invert`` are the one-variable cases of ``theta.wq_mul`` and
-``theta.wq_div``.  Rescaling to a common lattice multiplies the int keys.
-Fractions appear only at the edge: the constructor takes them, and the
-``terms`` view, ``coeff``, ``items`` and the discrepancy tuples return
-them.  One signed coset walk (``_theta_walk``) builds every theta series:
-the two-variable numerators and denominators of :mod:`ospq.theta`, and
-Dedekind eta, summed in closed form from Euler's pentagonal number theorem
-rather than multiplied out factor by factor.
+One- and two-variable series share one store and one guarantee box,
+:class:`_Lattice`.  The store is the integer lattice the kernels compute
+on: q-slices {q: {w: c}} at exponents q/D and w/W, with int keys and a
+coefficient an int when it is integral.  The box is ``q_trunc``,
+``w_floor`` and a hidden bound ``_q_lo`` of the q-support.  A QSeries is
+the w-free, unfloored case: W = 1, one slice {0: c} per exponent, no floor
+and no hidden bound, D the least denominator of its stored exponents, and
+``trunc`` its q_trunc.  Each series operation is written once and returns
+the class of its first operand: sum (``_add``), scale-and-shift
+(``_scale``), product (``_mul``, one slice convolution ``_slice_mul``),
+quotient (``_div``, one slice recursion ``_slice_div``) and comparison
+(``_compare``).  The arithmetic dunders of both classes and the public
+functions here and in :mod:`ospq.theta` are thin calls of them, so
+``qs_mul`` and ``qs_invert`` are the one-variable cases of
+``theta.wq_mul`` and ``theta.wq_div``.  Rescaling to a common lattice
+multiplies the int keys.  Fractions appear only at the edge: the
+constructor takes them, and the ``terms`` view, ``coeff``, ``items`` and
+the discrepancy tuples return them.  One signed coset walk
+(``_theta_walk``) builds every theta series: the two-variable numerators
+and denominators of :mod:`ospq.theta`, and Dedekind eta, summed in closed
+form from Euler's pentagonal number theorem rather than multiplied out
+factor by factor.
 """
 
 from __future__ import annotations
@@ -93,6 +99,14 @@ def _min_trunc(ta: Optional[QQ], tb: Optional[QQ]) -> Optional[QQ]:
     if tb is None:
         return ta
     return min(ta, tb)
+
+
+def _max_floor(fa: Optional[QQ], fb: Optional[QQ]) -> Optional[QQ]:
+    if fa is None:
+        return fb
+    if fb is None:
+        return fa
+    return max(fa, fb)
 
 
 def _product_trunc(ta: Optional[QQ], ma: QQ, tb: Optional[QQ], mb: QQ) -> Optional[QQ]:
@@ -170,13 +184,74 @@ def _theta_walk(cosets: Iterable[Tuple[int, int]], step: int, qn: int, wn: int,
 
 
 class _Lattice:
-    """The store ``_s`` of a series and its denominators D (q) and W (w)."""
+    """A truncated series on the integer lattice, with its guarantee box.
 
-    __slots__ = ("_s", "D", "W")
+    The store ``_s`` holds the q-slices {q: {w: c}} at exponents q/D and
+    w/W.  The box: coefficients are exact at every q-exponent < ``q_trunc``
+    (None: no q-truncation) and at every w-exponent >= ``w_floor`` (None:
+    the full w-support is stored), and the store holds exactly the nonzero
+    ones inside it.  ``_q_lo`` is a lower bound of the q-support that the
+    stored terms may not show, as for terms hidden below the floor or
+    cancelled (None: the stored one).  The operations take two series of one
+    class and return that class.
+    """
+
+    __slots__ = ("_s", "D", "W", "q_trunc", "w_floor", "_q_lo")
+
+    def __init__(self, terms: Iterable[Tuple[Rat, Rat, Rat]], T: Optional[Rat],
+                 F: Optional[Rat]):
+        """The series of the (q-exponent, w-exponent, coefficient) ``terms``,
+        merged in order, on the box q < T, w >= F (None: no cut there)."""
+        T = None if T is None else as_fraction(T)
+        F = None if F is None else as_fraction(F)
+        terms = [(as_fraction(qe), as_fraction(we), as_fraction(c)) for qe, we, c in terms]
+        D = math.lcm(*(qe.denominator for qe, _, _ in terms))
+        W = math.lcm(*(we.denominator for _, we, _ in terms))
+        s, lo = _collect(((qe.numerator * (D // qe.denominator),
+                           we.numerator * (W // we.denominator), _int(c))
+                          for qe, we, c in terms), _cut(T, D), _cut(F, W))
+        # lo: the lowest q of the terms dropped below the floor
+        self._set(s, D, W, T, F, None if lo is None else QQ(lo, D))
+
+    def _set(self, s: _Store, D: int, W: int, T: Optional[QQ], F: Optional[QQ],
+             lo: Optional[QQ]) -> None:
+        self._s, self.D, self.W = s, D, W
+        self.q_trunc, self.w_floor, self._q_lo = T, F, lo
+
+    @classmethod
+    def _of(cls, s: _Store, D: int, W: int, T: Optional[QQ], F: Optional[QQ] = None,
+            lo: Optional[QQ] = None):
+        """The series of the store ``s`` over keys q/D and w/W, which holds
+        exactly its nonzero terms on the box q < T, w >= F, with lo a lower
+        bound of its q-support (None: the stored one)."""
+        out = cls.__new__(cls)
+        out._set(s, D, W, T, F, lo)
+        return out
+
+    # -- accessors ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self._s
+
+    def n_terms(self) -> int:
+        return sum(len(sl) for sl in self._s.values())
+
+    def min_q(self) -> QQ:
+        if not self._s:
+            raise EmptySeries("series has no stored terms")
+        return QQ(min(self._s), self.D)
+
+    def min_q_bound(self) -> Optional[QQ]:
+        """The least stored q-exponent, else q_trunc: a lower bound of every
+        nonzero exponent in the box; None for the complete zero series."""
+        return QQ(min(self._s), self.D) if self._s else self.q_trunc
+
+    def _support_lo(self) -> Optional[QQ]:
+        """A lower bound of the whole q-support, terms hidden below the floor
+        included; None for the exact zero series."""
+        lo = QQ(min(self._s), self.D) if self._s else self.q_trunc
+        return lo if self._q_lo is None else _min_trunc(lo, self._q_lo)
 
     def _on(self, D: int, W: int) -> _Store:
         """The store with keys over D and W, multiples of the series' own."""
@@ -185,81 +260,54 @@ class _Lattice:
             return self._s if fq == 1 else {q * fq: sl for q, sl in self._s.items()}
         return {q * fq: {w * fw: c for w, c in sl.items()} for q, sl in self._s.items()}
 
+    # -- equality and arithmetic sugar, of the first operand's class ----------
 
-def _merge(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]
-           ) -> Tuple[_Store, int, int]:
-    """The store of a + b at q < T and w >= F: a's terms, then b's merged in."""
-    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
-    terms = ((q, w, c) for x in (a, b) for q, sl in x._on(D, W).items()
-             for w, c in sl.items())
-    return _collect(terms, _cut(T, D), _cut(F, W))[0], D, W
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.q_trunc == other.q_trunc and self.w_floor == other.w_floor
+                and _compare(self, other)[0] is None)
 
+    def __hash__(self):
+        return hash((self.q_trunc, self.w_floor, self.n_terms()))
 
-def _scaled(x: _Lattice, c: Rat, e: QQ = QQ(0)) -> Tuple[_Store, int]:
-    """The store of c * q^e * x, in x's order, over lcm(D, denominator(e))."""
-    c = _int(as_fraction(c))
-    D = math.lcm(x.D, e.denominator)
-    if not c:
-        return {}, D
-    f, o = D // x.D, e.numerator * (D // e.denominator)
-    return {q * f + o: {w: v * c for w, v in sl.items()} for q, sl in x._s.items()}, D
+    def __add__(self, other):
+        return _add(self, other)
 
+    def __sub__(self, other):
+        return _add(self, _scale(other, -1))
 
-def _first_mismatch(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]):
-    """(q, w, c_a, c_b) as Fractions where a and b first differ on q < T,
-    w >= F: at the lowest q, and the highest w within it; None if nowhere."""
-    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
-    A, B = a._on(D, W), b._on(D, W)
-    Ti, Fi = _cut(T, D), _cut(F, W)
-    for q in sorted(A.keys() | B.keys()):
-        if Ti is not None and q >= Ti:
-            break
-        sa, sb = A.get(q, {}), B.get(q, {})
-        if sa == sb:
-            continue
-        bad = [w for w in sa.keys() | sb.keys()
-               if (Fi is None or w >= Fi) and sa.get(w, 0) != sb.get(w, 0)]
-        if bad:
-            w = max(bad)
-            return QQ(q, D), QQ(w, W), QQ(sa.get(w, 0)), QQ(sb.get(w, 0))
-    return None
+    def __neg__(self):
+        return _scale(self, -1)
+
+    def __mul__(self, other):
+        if type(other) is int or isinstance(other, QQ):
+            return _scale(self, other)
+        return _mul(self, other)
+
+    __rmul__ = __mul__
 
 
 class QSeries(_Lattice):
-    """Truncated series in q with exact rational coefficients/exponents."""
+    """Truncated series in q with exact rational coefficients/exponents: the
+    w-free, unfloored lattice series, exact below ``trunc``."""
 
-    __slots__ = ("trunc",)
+    __slots__ = ()
+    W, w_floor, _q_lo = 1, None, None  # no w, no floor, no hidden support bound
 
     def __init__(self, terms=(), trunc: Optional[Rat] = None):
-        if trunc is not None:
-            trunc = as_fraction(trunc)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = [(as_fraction(e), as_fraction(c)) for e, c in items]
-        L = math.lcm(*(e.denominator for e, _ in pairs))
-        acc, _ = _collect(((e.numerator * (L // e.denominator), 0, _int(c))
-                           for e, c in pairs), _cut(trunc, L))
-        self._set(acc, L, trunc)
+        super().__init__(((e, 0, c) for e, c in items), trunc, None)
 
-    def _set(self, s: _Store, D: int, trunc: Optional[QQ]) -> None:
+    def _set(self, s: _Store, D: int, W: int, T: Optional[QQ], F: Optional[QQ],
+             lo: Optional[QQ]) -> None:
         """Store the w^0 slices ``s`` over the least denominator their keys
-        need; D is a multiple of it."""
+        need; D is a multiple of it.  W, F and lo are the class's own."""
         g = math.gcd(D, *s)
         self._s = s if g == 1 else {q // g: sl for q, sl in s.items()}
-        self.D, self.W, self.trunc = D // g, 1, trunc
-
-    @classmethod
-    def _of(cls, s: _Store, D: int, trunc: Optional[QQ]) -> "QSeries":
-        """The series of the w^0 slices ``s``, which hold exactly its nonzero
-        terms, over keys q/D."""
-        out = cls.__new__(cls)
-        out._set(s, D, trunc)
-        return out
+        self.D, self.q_trunc = D // g, T
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc: Optional[Rat] = None) -> "QSeries":
-        return cls((), trunc)
 
     @classmethod
     def one(cls, trunc: Optional[Rat] = None) -> "QSeries":
@@ -272,6 +320,11 @@ class QSeries(_Lattice):
     # -- accessors ---------------------------------------------------------
 
     @property
+    def trunc(self) -> Optional[QQ]:
+        """The order below which the series is exact: its q_trunc."""
+        return self.q_trunc
+
+    @property
     def terms(self) -> Dict[QQ, QQ]:
         """A Fraction copy {exponent: coefficient} of the terms, in stored order."""
         D = self.D
@@ -282,35 +335,13 @@ class QSeries(_Lattice):
         sl = self._s.get(q.numerator) if q.denominator == 1 else None
         return QQ(sl[0]) if sl else QQ(0)
 
-    def min_exp(self) -> QQ:
-        if not self._s:
-            raise EmptySeries("series has no stored terms")
-        return QQ(min(self._s), self.D)
-
-    def min_exp_bound(self) -> Optional[QQ]:
-        """Lower bound for any (stored or unknown) nonzero exponent.
-
-        Returns None for the complete zero series (no nonzero term exists).
-        """
-        if self._s:
-            return self.min_exp()
-        return self.trunc  # may be None: complete zero
-
     def items(self):
         return sorted(self.terms.items())
 
     def truncate(self, T: Rat) -> "QSeries":
-        T = _min_trunc(self.trunc, as_fraction(T))
+        T = _min_trunc(self.q_trunc, as_fraction(T))
         Ti = _cut(T, self.D)
-        return QSeries._of({q: sl for q, sl in self._s.items() if q < Ti}, self.D, T)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.trunc))
+        return QSeries._of({q: sl for q, sl in self._s.items() if q < Ti}, self.D, 1, T)
 
     def __repr__(self):
         if not self._s:
@@ -322,73 +353,135 @@ class QSeries(_Lattice):
             body = " + ".join(bits)
             if len(self._s) > 6:
                 body += " + ... (%d terms)" % len(self._s)
-        return "QSeries(%s; trunc=%s)" % (body, self.trunc)
-
-    # -- arithmetic sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return qs_add(self, other)
-
-    def __sub__(self, other):
-        return qs_add(self, qs_scalar(other, -1))
-
-    def __neg__(self):
-        return qs_scalar(self, -1)
-
-    def __mul__(self, other):
-        if type(other) is int or isinstance(other, QQ):
-            return qs_scalar(self, other)
-        return qs_mul(self, other)
-
-    __rmul__ = __mul__
+        return "QSeries(%s; trunc=%s)" % (body, self.q_trunc)
 
 
-def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    T = _min_trunc(a.trunc, b.trunc)
-    s, D, _ = _merge(a, b, T, None)
-    return QSeries._of(s, D, T)
+# -- the series operations, each of its first operand's class --------------------
 
 
-def qs_scalar(a: QSeries, c: Rat) -> QSeries:
-    return QSeries._of(*_scaled(a, c), a.trunc)
+def _common(a: _Lattice, b: _Lattice) -> Tuple[int, int]:
+    """The lattice (D, W) of a and b; TypeError unless they are of one class."""
+    if type(b) is not type(a):
+        raise TypeError("cannot combine %s with %s" % (type(a).__name__, type(b).__name__))
+    return math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+
+
+def _add(a: _Lattice, b: _Lattice) -> _Lattice:
+    """a + b on the common box: a's terms, then b's merged in."""
+    T = _min_trunc(a.q_trunc, b.q_trunc)
+    F = _max_floor(a.w_floor, b.w_floor)
+    D, W = _common(a, b)
+    terms = ((q, w, c) for x in (a, b) for q, sl in x._on(D, W).items()
+             for w, c in sl.items())
+    s = _collect(terms, _cut(T, D), _cut(F, W))[0]
+    # a q-series keeps no hidden support bound
+    lo = None if type(a) is QSeries else _min_trunc(a._support_lo(), b._support_lo())
+    return a._of(s, D, W, T, F, lo)
+
+
+def _scale(x: _Lattice, c: Rat, e: QQ = QQ(0)) -> _Lattice:
+    """c * q^e * x in x's order, over lcm(D, denominator(e)); the shift moves
+    the box and the hidden support bound with it."""
+    c = _int(as_fraction(c))
+    D = math.lcm(x.D, e.denominator)
+    T, lo = x.q_trunc, x._q_lo
+    if e:
+        T = None if T is None else T + e
+        lo = None if lo is None else lo + e
+    if not c:
+        return x._of({}, D, x.W, T, x.w_floor)
+    f, o = D // x.D, e.numerator * (D // e.denominator)
+    return x._of({q * f + o: {w: v * c for w, v in sl.items()} for q, sl in x._s.items()},
+                 D, x.W, T, x.w_floor, lo)
+
+
+def _mul(a: _Lattice, b: _Lattice) -> _Lattice:
+    """a * b on the box its factors support, by :func:`_slice_mul`.
+
+    The q-support bounds count the terms hidden below a floor.  Those terms
+    meet the other factor's terms, which lie at w <= its top stored w, or
+    below its floor if it stores none; an unfloored factor with no stored
+    terms is zero below its q_trunc at every w and bounds no floor.
+    """
+    ma, mb = a._support_lo(), b._support_lo()
+    if ma is None or mb is None:
+        return a._of({}, 1, 1, None)  # exact zero factor
+    T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
+    F = None
+    if a.w_floor is not None or b.w_floor is not None:
+        for x, y in ((a, b), (b, a)):
+            if x.w_floor is not None:
+                top = QQ(max(map(max, y._s.values())), y.W) if y._s else y.w_floor
+                if top is not None:
+                    F = _max_floor(F, x.w_floor + top)
+    s, D, W = _slice_mul(a, b, T, F)
+    return a._of(s, D, W, T, F, None if type(a) is QSeries else ma + mb)
+
+
+def _div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
+         F: Optional[Rat] = None) -> _Lattice:
+    """a / b on the box q < T, w >= F by the slice recursion of
+    :func:`_slice_div`; neither a nor b may be w-floored."""
+    if a.w_floor is not None:
+        raise ValueError("dividing a w-floored series is not supported")
+    if b.w_floor is not None:
+        raise ValueError("dividing by a w-floored series is not supported")
+    F = None if F is None else as_fraction(F)
+    T, s, D, W = _slice_div(a, b, T, F)
+    if T is None:
+        return a._of({}, 1, 1, None)  # exact zero numerator
+    # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
+    lo = None if type(a) is QSeries else a.min_q_bound() - b.min_q()
+    return a._of(s, D, W, T, F, lo)
+
+
+def _compare(a: _Lattice, b: _Lattice, order: Optional[Rat] = None):
+    """(mismatch, (T, F)): the box q < T, w >= F that a and b share, cut
+    below q^order, and the first (q, w, c_a, c_b) in it, as Fractions, where
+    they differ: at the lowest q, and the highest w within it; None if
+    nowhere."""
+    T = _min_trunc(a.q_trunc, b.q_trunc)
+    if order is not None:
+        T = _min_trunc(T, as_fraction(order))
+    F = _max_floor(a.w_floor, b.w_floor)
+    D, W = _common(a, b)
+    A, B = a._on(D, W), b._on(D, W)
+    Ti, Fi = _cut(T, D), _cut(F, W)
+    for q in sorted(A.keys() | B.keys()):
+        if Ti is not None and q >= Ti:
+            break
+        sa, sb = A.get(q, {}), B.get(q, {})
+        if sa == sb:
+            continue
+        bad = [w for w in sa.keys() | sb.keys()
+               if (Fi is None or w >= Fi) and sa.get(w, 0) != sb.get(w, 0)]
+        if bad:
+            w = max(bad)
+            return (QQ(q, D), QQ(w, W), QQ(sa.get(w, 0)), QQ(sb.get(w, 0))), (T, F)
+    return None, (T, F)
 
 
 def qs_shift(a: QSeries, exp: Rat, coeff: Rat = 1) -> QSeries:
     """Multiply by the monomial coeff*q^exp (exact; shifts the truncation)."""
-    exp = as_fraction(exp)
-    T = None if a.trunc is None else a.trunc + exp
-    return QSeries._of(*_scaled(a, coeff, exp), T)
+    return _scale(a, coeff, as_fraction(exp))
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    ma, mb = a.min_exp_bound(), b.min_exp_bound()
-    if ma is None or mb is None:
-        # one factor is the complete zero series: product is exactly zero
-        return QSeries.zero(None)
-    T = _product_trunc(a.trunc, ma, b.trunc, mb)
-    if len(a._s) > len(b._s):
-        a, b = b, a
-    s, D, _ = _slice_mul(a, b, T, None)
-    return QSeries._of(s, D, T)
+    """a * b: the factor with fewer terms meets the other in stored order."""
+    return _mul(b, a) if len(a._s) > len(b._s) else _mul(a, b)
 
 
 def qs_invert(a: QSeries) -> QSeries:
     """Inverse series: factor the minimal monomial, invert the unit part.
 
     The result r satisfies qs_mul(a, r) = 1 up to the guaranteed order
-    trunc(a) - 2*min_exp(a).  A complete (untruncated) input must be a pure
+    trunc(a) - 2*min_q(a).  A complete (untruncated) input must be a pure
     monomial; truncate first to invert a complete multi-term series.
     """
-    if a.trunc is None and len(a._s) == 1:
+    if a.q_trunc is None and len(a._s) == 1:
         (e0, c0), = a.terms.items()
         return QSeries.monomial(1 / c0, -e0, None)
-    return _qs_div(QSeries.one(None), a)
-
-
-def _qs_div(a: QSeries, b: QSeries, trunc: Optional[QQ] = None) -> QSeries:
-    """a / b below q^trunc, which defaults to the order a and b support."""
-    T, s, D, _ = _slice_div(a, a.trunc, b, b.trunc, trunc)
-    return QSeries.zero(None) if T is None else QSeries._of(s, D, T)
+    return _div(QSeries.one(None), a)
 
 
 # -- the integer-lattice kernels of products and quotients ----------------------
@@ -403,7 +496,7 @@ def _slice_mul(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]
     or a whole slice that cancels to zero leaves the product, and re-enters
     at its end if it is produced again.
     """
-    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    D, W = _common(a, b)
     Ti, Fi = _cut(T, D), _cut(F, W)
     acc: _Store = {}
     b_sorted = [(q, list(sl.items())) for q, sl in sorted(b._on(D, W).items())]
@@ -432,11 +525,10 @@ def _slice_mul(a: _Lattice, b: _Lattice, T: Optional[QQ], F: Optional[QQ]
     return acc, D, W
 
 
-def _slice_div(a: _Lattice, ta: Optional[QQ], b: _Lattice, tb: Optional[QQ],
-               T: Optional[QQ] = None, F: Optional[QQ] = None
-               ) -> Tuple[Optional[QQ], _Store, int, int]:
-    """a / b on the box q < T, w >= F by one slice recursion, for a exact
-    below q^ta and b below q^tb (None: complete).  Returns the quotient's
+def _slice_div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
+               F: Optional[QQ] = None) -> Tuple[Optional[QQ], _Store, int, int]:
+    """a / b on the box q < T, w >= F by one slice recursion, for a and b
+    exact below q^ta and q^tb, their q_trunc.  Returns the quotient's
     order, None for the exact zero quotient, its store and the denominators
     D and W of its keys.
 
@@ -459,8 +551,9 @@ def _slice_div(a: _Lattice, ta: Optional[QQ], b: _Lattice, tb: Optional[QQ],
     of steps m > 0 totalling <= n: that is as far below F as the slices
     above y read it, so the returned terms are exact at every w >= F.
     """
-    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    D, W = _common(a, b)
     A, B = a._on(D, W), b._on(D, W)
+    ta, tb = a.q_trunc, b.q_trunc
     if not A and ta is None:
         return None, {}, D, W  # exact zero numerator
     if not B:
@@ -562,7 +655,7 @@ def qs_eta(N: Rat) -> QSeries:
     and -1 on 5 + 12Z (m odd), built by :func:`_theta_walk`."""
     N = _positive_order(N)
     s, _ = _theta_walk(((-1, 1), (5, -1)), -12, 1, 0, math.ceil(24 * N))
-    return QSeries._of(s, 24, N)
+    return QSeries._of(s, 24, 1, N)
 
 
 @dataclass(frozen=True)
@@ -667,13 +760,13 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
             prec, rnd = mpmath.mp._prec_rounding
             val = mpmath.mp.make_mpc((from_man_exp(sr, -P, prec, rnd),
                                       from_man_exp(si, -P, prec, rnd))) * head
-        if a.trunc is None:
+        if a.q_trunc is None:
             tail = mpmath.mpf(0)
         else:
             # rounding is monotone, so this is the largest of the rounded |c|
             c = max((abs(sl[0]) for sl in a._s.values()), default=0)
             big = max(mpmath.mpf(1), mpmath.mpf(c.numerator) / c.denominator)
-            pw, den = _tail_factors(t.imag._mpf_, a.trunc, precision + 16)
+            pw, den = _tail_factors(t.imag._mpf_, a.q_trunc, precision + 16)
             tail = big * pw / den
         return EvalResult(+val, +tail, precision)
 
@@ -684,8 +777,5 @@ def qs_equal_below(a: QSeries, b: QSeries, order: Optional[Rat] = None):
     Returns (ok, first_discrepancy) where the discrepancy is
     (exponent, coeff_a, coeff_b) at the smallest mismatched exponent.
     """
-    T = _min_trunc(a.trunc, b.trunc)
-    if order is not None:
-        T = _min_trunc(T, as_fraction(order))
-    bad = _first_mismatch(a, b, T, None)
+    bad, _ = _compare(a, b, order)
     return (True, None) if bad is None else (False, (bad[0],) + bad[2:])

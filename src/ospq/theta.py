@@ -4,7 +4,8 @@ A :class:`WQSeries` stores exact coefficients at rational (q-exponent,
 w-exponent) pairs, organised by q-slice, in the integer-lattice store of
 :mod:`ospq.qseries`: int keys over one q- and one w-denominator, Fractions
 only in the ``terms`` view and the other accessors.  Each series carries a
-*guarantee box*:
+*guarantee box*, kept on the same lattice base (``qseries._Lattice``) as
+for one-variable series:
 
 * ``q_trunc``  -- coefficients are correct at every q-exponent < q_trunc
   (None = no q-truncation, a finite exact object);
@@ -18,9 +19,10 @@ records a lower bound of its q-support that its stored terms may not show,
 as for terms hidden below the floor; products take their q-truncation from
 it.
 
-Sums, products and quotients run on the store and kernels of
-:mod:`ospq.qseries`, the same ones that serve one-variable series; this
-module adds the box.  Every theta series here is a signed sum of
+Sum, scaling, product (with its floor rule), quotient and comparison are
+each written once in :mod:`ospq.qseries` for both classes; the dunders,
+``wq_add``, ``wq_mul``, ``wq_div``, ``wq_invert`` and ``wq_equal_on_box``
+are thin calls of them.  Every theta series here is a signed sum of
 q^(Q(t)) w^(l(t)) over cosets t0 + step Z: a constructor names its cosets
 ((t0, sign), ...) and step, and one walk (``qseries._theta_walk``) emits
 the int keys of them all -- the numerators (two cosets of opposite sign),
@@ -43,24 +45,16 @@ from typing import Dict, Optional
 
 from .qseries import (
     QQ,
-    EmptySeries,
     IncompleteQuotient,  # raised by wq_div
     QSeries,
     Rat,
     as_fraction,
-    _collect,
-    _cut,
-    _first_mismatch,
-    _int,
+    _add,
+    _compare,
+    _div,
     _Lattice,
-    _merge,
-    _min_trunc,
+    _mul,
     _positive_order,
-    _product_trunc,
-    _scaled,
-    _slice_div,
-    _slice_mul,
-    _Store,
     _theta_walk,
 )
 
@@ -75,39 +69,13 @@ Slice = Dict[QQ, QQ]  # w-exponent -> coefficient
 class WQSeries(_Lattice):
     """Truncated two-variable series, organised as q-slice -> w-polynomial."""
 
-    __slots__ = ("q_trunc", "w_floor", "_q_lo")
+    __slots__ = ()
 
     def __init__(self, terms=(), q_trunc: Optional[Rat] = None,
                  w_floor: Optional[Rat] = None):
-        if q_trunc is not None:
-            q_trunc = as_fraction(q_trunc)
-        if w_floor is not None:
-            w_floor = as_fraction(w_floor)
         if isinstance(terms, dict):
             terms = ((qe, we, c) for qe, sl in terms.items() for we, c in sl.items())
-        terms = [(as_fraction(qe), as_fraction(we), as_fraction(c)) for qe, we, c in terms]
-        D = math.lcm(*(qe.denominator for qe, _, _ in terms))
-        W = math.lcm(*(we.denominator for _, we, _ in terms))
-        s, lo = _collect(((qe.numerator * (D // qe.denominator),
-                           we.numerator * (W // we.denominator), _int(c))
-                          for qe, we, c in terms), _cut(q_trunc, D), _cut(w_floor, W))
-        # lo: the lowest q of the terms dropped below the floor
-        self._set(s, D, W, q_trunc, w_floor, None if lo is None else QQ(lo, D))
-
-    def _set(self, s: _Store, D: int, W: int, q_trunc: Optional[QQ],
-             w_floor: Optional[QQ], q_lo: Optional[QQ]) -> None:
-        self._s, self.D, self.W = s, D, W
-        self.q_trunc, self.w_floor, self._q_lo = q_trunc, w_floor, q_lo
-
-    @classmethod
-    def _of(cls, s: _Store, D: int, W: int, q_trunc: Optional[QQ],
-            w_floor: Optional[QQ], q_lo: Optional[QQ]) -> "WQSeries":
-        """The series of the store ``s`` over keys q/D, w/W, which holds exactly
-        its nonzero terms, with q_lo a lower bound of its q-support (None:
-        the stored one)."""
-        out = cls.__new__(cls)
-        out._set(s, D, W, q_trunc, w_floor, q_lo)
-        return out
+        super().__init__(terms, q_trunc, w_floor)
 
     # -- accessors ----------------------------------------------------------
 
@@ -118,31 +86,8 @@ class WQSeries(_Lattice):
         return {QQ(q, D): {QQ(w, W): QQ(c) for w, c in sl.items()}
                 for q, sl in self._s.items()}
 
-    def n_terms(self) -> int:
-        return sum(len(sl) for sl in self._s.values())
-
     def coeff(self, qe: Rat, we: Rat) -> QQ:
         return self.q_slice(qe).get(as_fraction(we), QQ(0))
-
-    def min_q(self) -> QQ:
-        if not self._s:
-            raise EmptySeries("series has no stored terms")
-        return QQ(min(self._s), self.D)
-
-    def min_q_bound(self) -> Optional[QQ]:
-        if self._s:
-            return self.min_q()
-        return self.q_trunc
-
-    def _support_lo(self) -> Optional[QQ]:
-        """A lower bound of the whole q-support, terms hidden below the floor
-        included; None for the exact zero series."""
-        return _min_trunc(self.min_q_bound(), self._q_lo)
-
-    def wmax(self) -> Optional[QQ]:
-        if not self._s:
-            return None
-        return QQ(max(max(sl) for sl in self._s.values()), self.W)
 
     def w_slice(self, we: Rat) -> QSeries:
         """The q-series multiplying w^we (guaranteed to order q_trunc)."""
@@ -152,7 +97,7 @@ class WQSeries(_Lattice):
         w = we * self.W
         s = {} if w.denominator != 1 else {
             q: {0: sl[w.numerator]} for q, sl in self._s.items() if w.numerator in sl}
-        return QSeries._of(s, self.D, self.q_trunc)
+        return QSeries._of(s, self.D, 1, self.q_trunc)
 
     def q_slice(self, qe: Rat) -> Slice:
         q = as_fraction(qe) * self.D
@@ -166,15 +111,6 @@ class WQSeries(_Lattice):
             for w in sorted(sl, reverse=True):
                 yield QQ(q, D), QQ(w, W), QQ(sl[w])
 
-    def __eq__(self, other):
-        if not isinstance(other, WQSeries):
-            return NotImplemented
-        return (self.terms == other.terms and self.q_trunc == other.q_trunc
-                and self.w_floor == other.w_floor)
-
-    def __hash__(self):
-        return hash((self.q_trunc, self.w_floor, self.n_terms()))
-
     def __repr__(self):
         bits = []
         for qe, we, c in list(self.items())[:5]:
@@ -184,60 +120,15 @@ class WQSeries(_Lattice):
             body += " + ... (%d terms)" % self.n_terms()
         return "WQSeries(%s; q<%s, w>=%s)" % (body, self.q_trunc, self.w_floor)
 
-    def __add__(self, other):
-        return wq_add(self, other)
-
-    def __sub__(self, other):
-        return wq_add(self, wq_scalar(other, -1))
-
-    def __neg__(self):
-        return wq_scalar(self, -1)
-
-    def __mul__(self, other):
-        if type(other) is int or isinstance(other, QQ):
-            return wq_scalar(self, other)
-        return wq_mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def _max_floor(fa: Optional[QQ], fb: Optional[QQ]) -> Optional[QQ]:
-    if fa is None:
-        return fb
-    if fb is None:
-        return fa
-    return max(fa, fb)
-
 
 def wq_add(a: WQSeries, b: WQSeries) -> WQSeries:
-    T = _min_trunc(a.q_trunc, b.q_trunc)
-    F = _max_floor(a.w_floor, b.w_floor)
-    s, D, W = _merge(a, b, T, F)
-    return WQSeries._of(s, D, W, T, F, _min_trunc(a._support_lo(), b._support_lo()))
-
-
-def wq_scalar(a: WQSeries, c: Rat) -> WQSeries:
-    s, D = _scaled(a, c)
-    return WQSeries._of(s, D, a.W, a.q_trunc, a.w_floor, a._q_lo if c else None)
+    return _add(a, b)
 
 
 def wq_mul(a: WQSeries, b: WQSeries) -> WQSeries:
-    # the q-support bounds count the terms hidden below a floor
-    ma, mb = a._support_lo(), b._support_lo()
-    if ma is None or mb is None:
-        return WQSeries((), None, None)  # exact zero factor
-    T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
-    # the terms hidden below one factor's floor meet the other's terms, which
-    # lie at w <= its top stored w, or below its floor if it stores none; an
-    # unfloored factor with no stored terms is zero below its q_trunc at
-    # every w and bounds no floor
-    fc = []
-    for x, y in ((a, b), (b, a)):
-        top = y.wmax() if y._s else y.w_floor
-        if x.w_floor is not None and top is not None:
-            fc.append(x.w_floor + top)
-    F = max(fc, default=None)
-    return WQSeries._of(*_slice_mul(a, b, T, F), T, F, ma + mb)
+    """a * b, a's slices in stored order against b's in ascending q, on the
+    box that :func:`ospq.qseries._mul` derives, floors included."""
+    return _mul(a, b)
 
 
 def wq_specialize_w1(a: WQSeries) -> QSeries:
@@ -251,12 +142,12 @@ def wq_specialize_w1(a: WQSeries) -> QSeries:
         c = sum(sl.values())
         if c:
             s[q] = {0: c}
-    return QSeries._of(s, a.D, a.q_trunc)
+    return QSeries._of(s, a.D, 1, a.q_trunc)
 
 
 def wq_from_q(a: QSeries) -> WQSeries:
     """Embed a pure q-series at w^0."""
-    return WQSeries._of(a._s, a.D, 1, a.trunc, None, None)
+    return WQSeries._of(a._s, a.D, 1, a.q_trunc)
 
 
 def wq_to_q(a: WQSeries) -> QSeries:
@@ -266,7 +157,7 @@ def wq_to_q(a: WQSeries) -> QSeries:
             if w:
                 raise ValueError("series has w-exponent %s; not a pure q-series"
                                  % QQ(w, a.W))
-    return QSeries._of(a._s, a.D, a.q_trunc)
+    return QSeries._of(a._s, a.D, 1, a.q_trunc)
 
 
 def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
@@ -276,12 +167,8 @@ def wq_equal_on_box(a: WQSeries, b: WQSeries, order: Optional[Rat] = None):
     (q_exp, w_exp, coeff_a, coeff_b) at the smallest q (largest w within it)
     that mismatches, and box = (q_trunc, w_floor) actually compared on.
     """
-    T = _min_trunc(a.q_trunc, b.q_trunc)
-    if order is not None:
-        T = _min_trunc(T, as_fraction(order))
-    F = _max_floor(a.w_floor, b.w_floor)
-    bad = _first_mismatch(a, b, T, F)
-    return bad is None, bad, (T, F)
+    bad, box = _compare(a, b, order)
+    return bad is None, bad, box
 
 
 # -- division ---------------------------------------------------------------
@@ -296,28 +183,19 @@ def wq_div(a: WQSeries, b: WQSeries, q_trunc: Optional[Rat] = None,
     a and b support.  Without ``w_floor`` a quotient with unbounded
     descending w-support raises :class:`IncompleteQuotient`.
     """
-    if a.w_floor is not None:
-        raise ValueError("dividing a w-floored series is not supported")
-    if b.w_floor is not None:
-        raise ValueError("dividing by a w-floored series is not supported")
-    F = None if w_floor is None else as_fraction(w_floor)
-    T, s, D, W = _slice_div(a, a.q_trunc, b, b.q_trunc, q_trunc, F)
-    if T is None:
-        return WQSeries((), None, None)  # exact zero numerator
-    # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
-    return WQSeries._of(s, D, W, T, F, a.min_q_bound() - b.min_q())
+    return _div(a, b, q_trunc, w_floor)
 
 
 def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
               w_floor: Optional[Rat] = None) -> WQSeries:
-    """Inverse of b on a requested guarantee box: ``wq_div(1, b, ...)``.
+    """Inverse of b on a requested guarantee box: 1 / b as :func:`wq_div`.
 
     The expansion domain has |w| >= 1, so the leading monomial is the
     maximal-w term of the minimal-q slice.  If the leading slice has further
     terms the inverse has unbounded descending w-support, and without a
     ``w_floor`` the division raises :class:`IncompleteQuotient`.
     """
-    return wq_div(WQSeries(((0, 0, 1),)), b, q_trunc, w_floor)
+    return _div(WQSeries(((0, 0, 1),)), b, q_trunc, w_floor)
 
 
 # -- theta constructors ------------------------------------------------------

@@ -205,10 +205,10 @@ def test_affine_sl2_component_slices():
 def test_virasoro_component_lowest_exponents():
     lvl = LEVELS[0]
     ch = vir_char(lvl, VirLabel(1, 2), 6)
-    assert ch.min_exp() == QQ(-1, 40)
+    assert ch.min_q() == QQ(-1, 40)
     assert ch.coeff(QQ(-1, 40)) == 1
     vac = vir_char(lvl, VirLabel(1, 1), 6)
-    assert vac.min_exp() == QQ(1, 40)  # h = 0, c = -3/5
+    assert vac.min_q() == QQ(1, 40)  # h = 0, c = -3/5
     # no level-one descendant in the Virasoro vacuum module
     assert vac.coeff(QQ(1) + QQ(1, 40)) == 0
 
@@ -370,7 +370,7 @@ def test_decomposition_failure_is_pinpointed(monkeypatch):
 
     def corrupted(level, label, N):
         ch = real(level, label, N)
-        e0 = ch.min_exp()
+        e0 = ch.min_q()
         bad = dict(ch.terms)
         bad[e0 + 2] = bad.get(e0 + 2, QQ(0)) + 1
         return QSeries(bad, ch.trunc)

@@ -27,8 +27,9 @@ from ospq.coset import (
 from ospq.fusion import OutOfRange, coset_labels, parafermion_fusion
 from ospq.modular import (NonIntegralFusion, derived_tolerance, s_small, st_cube_defect,
                           t_matrix, verlinde_standard)
-from ospq.qseries import qs_equal_below, qs_scalar
+from ospq.qseries import qs_equal_below
 from ospq.theta import WQSeries
+from test_modular import entry
 
 st_k = st.integers(min_value=1, max_value=4)
 
@@ -105,7 +106,7 @@ def test_level_one_sectors_are_the_u3_p5_minimal_model():
 
 def test_vacuum_sector_leading_exponent():
     ch = coset_char_direct(1, (0, 1), 6)
-    assert ch.min_exp() == QQ(1, 40)  # -c/24 with c = -3/5
+    assert ch.min_q() == QQ(1, 40)  # -c/24 with c = -3/5
     assert ch.coeff(QQ(1, 40)) == 1
     # no weight-one current survives in the quotient
     assert ch.coeff(QQ(41, 40)) == 0
@@ -134,7 +135,7 @@ def test_phase_sum_integer_gate_fires(monkeypatch):
     # twice the class theta halves every sector coefficient: the vacuum's 1/2
     real = coset.lattice_theta
     monkeypatch.setattr(coset, "lattice_theta",
-                        lambda k, nu, N: qs_scalar(real(k, nu, N), 2))
+                        lambda k, nu, N: 2 * real(k, nu, N))
     with pytest.raises(InconsistentBranching, match="not an integer"):
         coset_char_phase_sum(1, (0, 1), 3)
 
@@ -220,7 +221,7 @@ def _coset_t_phase(k: int, label, precision: int = 256):
     else:
         raise InconsistentBranching(
             "sector character vanishes to order %s" % order)
-    low = ch.min_exp()
+    low = ch.min_q()
     if (low - exponent).denominator != 1:
         raise InconsistentBranching(
             "T exponent %s does not match lowest series exponent %s mod 1"
@@ -303,12 +304,12 @@ def test_coset_smatrix_frozen_entries():
     with mp.workprec(300):
         root2 = mp.sqrt(mp.mpf(2))
         eps = mp.mpf(10) ** -60
-        assert abs(S.entry((0, 1), (0, 1)) - root2 * s_small(1, 1, 1)) < eps
+        assert abs(entry(S, (0, 1), (0, 1)) - root2 * s_small(1, 1, 1)) < eps
         # opposite-parity charges flip the sign; the pairing phase is trivial
-        assert abs(S.entry((0, 1), (1, 1)) + root2 * s_small(1, 1, 1)) < eps
+        assert abs(entry(S, (0, 1), (1, 1)) + root2 * s_small(1, 1, 1)) < eps
         # equal odd charges contribute the exact pairing phase e^{i pi}
-        assert abs(S.entry((1, 1), (1, 1)) + root2 * s_small(1, 1, 1)) < eps
-        assert abs(S.entry((0, 1), (0, 3)) - root2 * s_small(1, 1, 3)) < eps
+        assert abs(entry(S, (1, 1), (1, 1)) + root2 * s_small(1, 1, 1)) < eps
+        assert abs(entry(S, (0, 1), (0, 3)) - root2 * s_small(1, 1, 3)) < eps
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

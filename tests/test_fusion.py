@@ -251,7 +251,7 @@ def test_super_entries_level_one():
     assert super_fusion(1, 2, 1, 2, -1, 1, -1) == SuperFusionEntry(1, 0)
     assert super_fusion(1, 2, 1, 2, 1, 3, -1) == SuperFusionEntry(0, 1)
     e = super_fusion(1, 2, 1, 2, 1, 3, -1)
-    assert e.sdim == -1
+    assert e.even_dim - e.odd_dim == -1  # the superdimension
     assert e.even_dim + e.odd_dim == 1
 
 

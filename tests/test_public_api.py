@@ -19,8 +19,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # names the package no longer exports; each had no caller outside the tests
 REMOVED = ("CRITERIA", "ExtendedSMatrix", "LatticeData", "char_w_signed_direct",
-           "coset_t_phase", "fp_ratios", "stilde_matrix", "unitarity_defect",
-           "verlinde_matches", "wq_specialize_w_signed")
+           "coset_t_phase", "fp_ratios", "qs_add", "qs_scalar", "stilde_matrix",
+           "unitarity_defect", "verlinde_matches", "wq_scalar", "wq_specialize_w_signed")
 
 # (module, name) imported only to be re-exported from that module
 REEXPORTS = {("theta", "IncompleteQuotient")}
@@ -123,26 +123,28 @@ def test_no_module_compares_a_family_name():
 
 
 def _references_outside_the_tests():
-    """Every loaded name, attribute and whole string constant (the benchmark
-    tracer names the functions it wraps) in a module of the package other
-    than __init__, in perfbench/ or in scripts/."""
+    """(names, attributes): every loaded name, and every attribute and whole
+    string constant (the benchmark tracer names the functions it wraps), in
+    a module of the package other than __init__, in perfbench/ or in
+    scripts/."""
     root = README.parent
     paths = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
              + sorted((root / "perfbench").glob("*.py")) + sorted((root / "scripts").glob("*.py")))
-    refs = set()
+    names, attrs = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.add(node.value)
-    return refs
+                attrs.add(node.value)
+    return names, attrs
 
 
 def test_every_export_is_referenced_outside_the_tests():
-    assert sorted(set(ospq.__all__) - _references_outside_the_tests()) == []
+    names, attrs = _references_outside_the_tests()
+    assert sorted(set(ospq.__all__) - names - attrs) == []
 
 
 def _is_command(fn):
@@ -153,20 +155,37 @@ def _is_command(fn):
 
 def test_every_public_function_and_method_is_referenced_outside_the_tests():
     # code that only the tests call belongs in the tests; dunders and private
-    # names are exempt, and so are the CLI bodies, which the parser calls
-    refs = _references_outside_the_tests()
+    # names are exempt, and so are the CLI bodies, which the parser calls.  A
+    # method is reached only as an attribute or by a string, so a local
+    # variable of the same name does not count for it
+    names, attrs = _references_outside_the_tests()
     unreferenced = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            owner, defs = "", [node]
+            owner, defs, refs = "", [node], names | attrs
             if isinstance(node, ast.ClassDef):
-                owner, defs = node.name + ".", node.body
+                owner, defs, refs = node.name + ".", node.body, attrs
             for fn in defs:
                 if (isinstance(fn, ast.FunctionDef)
                         and not fn.name.startswith("_") and not _is_command(fn)
                         and fn.name not in refs):
                     unreferenced.append("%s:%s%s" % (path.stem, owner, fn.name))
     assert unreferenced == []
+
+
+def test_each_box_rule_is_written_once():
+    # sum, scale-and-shift, product, quotient and comparison are written once
+    # on the shared lattice, for QSeries and WQSeries and their dunders
+    assert _holders("dividing a w-floored series is not supported") == [("qseries", "_div")]
+    product_truncs = [
+        "%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_product_trunc"]
+    assert len(product_truncs) == 1, product_truncs
+    shared = {"_of", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__eq__",
+              "__hash__", "min_q_bound", "_support_lo"}
+    for cls in (ospq.QSeries, ospq.WQSeries):
+        assert sorted(shared & set(vars(cls))) == [], cls.__name__
 
 
 def test_the_q_scale_refusal_is_written_once():

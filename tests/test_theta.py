@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ospq import theta
-from ospq.qseries import EmptySeries, QSeries, qs_eta
+from ospq.qseries import EmptySeries, QSeries, qs_eta, qs_mul
 from ospq.theta import (
     IncompleteQuotient,
     InvalidIndex,
@@ -25,7 +25,6 @@ from ospq.theta import (
     wq_from_q,
     wq_invert,
     wq_mul,
-    wq_scalar,
     wq_specialize_w1,
     wq_to_q,
 )
@@ -269,7 +268,7 @@ def ref_eta_store(N):
 
 @pytest.mark.parametrize("N", [QQ(1, 24), QQ(1, 8), QQ(1), QQ(7, 3), QQ(30), QQ(60)])
 def test_eta_is_the_pentagonal_sum(N):
-    eta, want = qs_eta(N), QSeries._of(ref_eta_store(N), 24, N)
+    eta, want = qs_eta(N), QSeries._of(ref_eta_store(N), 24, 1, N)
     assert sorted(eta.terms.items()) == sorted(want.terms.items())
     assert (eta.trunc, eta.D) == (want.trunc, want.D)
 
@@ -354,7 +353,7 @@ def wq_specialize_w_signed(a):
         c = sum(sign(w) * c for w, c in sl.items())
         if c:
             s[q] = {0: c}
-    return QSeries._of(s, a.D, a.q_trunc)
+    return QSeries._of(s, a.D, 1, a.q_trunc)
 
 
 def test_specializations():
@@ -375,6 +374,36 @@ def test_to_q_round_trip_and_rejection():
     assert back == a
     with pytest.raises(ValueError):
         wq_to_q(make_wq({(0, 1): QQ(1)}, q_trunc=2))
+
+
+def test_equal_series_hash_alike_whatever_their_stored_order(monkeypatch):
+    q1 = QSeries({QQ(1, 2): 3, 0: 1}, 4)
+    q2 = QSeries([(0, 1), (QQ(1, 2), 3)], 4)
+    w1 = WQSeries({1: {QQ(1, 2): 2}, 0: {0: 1}}, 3, -1)
+    w2 = WQSeries([(0, 0, 1), (1, QQ(1, 2), 2)], 3, -1)
+    # a sum whose q^(1/2) terms cancel keeps its denominator D = 2
+    w3 = (WQSeries([(0, 0, 1), (QQ(1, 2), 0, 1), (1, QQ(1, 2), 2)], 3, -1)
+          - WQSeries([(QQ(1, 2), 0, 1)], 3))
+    assert (list(q1._s), list(w1._s), w3.D) == ([1, 0], [1, 0], 2)
+    for a, b in ((q1, q2), (w1, w2), (w1, w3)):
+        assert a == b and hash(a) == hash(b)
+    assert q1 != wq_from_q(q1) and wq_from_q(q1) != q1
+    assert q1 != QSeries(q1.terms, 5) and w1 != WQSeries(w1.terms, 3, -2)
+    # the hash reads the integer store, never the Fraction view
+    for cls, x in ((QSeries, q1), (WQSeries, w1)):
+        monkeypatch.setattr(cls, "terms", property(lambda self: pytest.fail("terms built")))
+        hash(x)
+
+
+def test_an_operation_refuses_series_of_two_classes():
+    # a result takes its first operand's class, so a q-series would drop the
+    # w-terms of a two-variable operand: the operations refuse the pair
+    q = QSeries({0: 1, 1: 2}, 3)
+    w = WQSeries([(0, QQ(1, 2), 5), (1, 0, 2)], 3)
+    for op in (lambda: q + w, lambda: w - q, lambda: q * w, lambda: qs_mul(q, w),
+               lambda: wq_mul(w, q), lambda: wq_div(w, q, 2), lambda: wq_equal_on_box(w, q)):
+        with pytest.raises(TypeError, match="cannot combine"):
+            op()
 
 
 # -- multiplication against a dense oracle ----------------------------------------
@@ -452,7 +481,7 @@ def test_add_commutes(pa, pb):
 @given(st_laurent)
 def test_scalar_distributes_over_slices(pa):
     a = make_wq(pa, q_trunc=5)
-    tripled = wq_scalar(a, 3)
+    tripled = 3 * a
     ok, bad, _ = wq_equal_on_box(tripled, wq_add(a, wq_add(a, a)))
     assert ok, bad
 
@@ -498,7 +527,7 @@ def test_add_matches_the_fraction_keyed_merge(a, b):
 @given(st_lattice_wq(), st.fractions(QQ(-3), QQ(3), max_denominator=6))
 @example(make_wq({(0, -2): 1, (1, 0): 1}, w_floor=-1), QQ(0))
 def test_scalar_matches_the_termwise_product(a, c):
-    got = wq_scalar(a, c)
+    got = c * a
     if c == 0:
         assert_same_series(got, WQSeries((), a.q_trunc, a.w_floor))
         return
