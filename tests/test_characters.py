@@ -320,6 +320,33 @@ def test_memoised_characters_are_the_uncached_builds_bit_for_bit(lvl):
             assert vir_char(lvl, lab, N) is vir_char(lvl, twin, N)
 
 
+def _box_digest(lvl):
+    """sha256 of the bits and the q-support bound of every osp, sl2 and
+    Virasoro character at the level, at N = 3, 7/2 and 4."""
+    text = repr([(char.__name__, lab, N, _bits(x), x._support_lo())
+                 for N in (3, QQ(7, 2), 4) for char, _, labels, _ in MEMOS
+                 for lab in labels(lvl) for x in (char(lvl, lab, N),)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+BOX_DIGESTS = {
+    '5-1': '9c8e0c4a43e929c4b7ee4b7e9d6eb6e6a268c660339e364a38974b80c5932ea3',
+    '7-1': 'f41f403a614d1c7c0b9eae3a24802eb8e04c58a562564d284f079fdf71220035',
+    '9-1': '75b220b6500cd3386066959f1a00bcf1a0b508089acc18aeb043aecf36e334e2',
+    '3-5': '64f8a6c0f8051663630529183e6e360fc685e5fe7aef8cf1e262638862fc940a',
+    '5-3': '832a9e9a1d790842efc0256ae12f5e98ce11e89f5855859cb48da08720a83d73',
+    '7-3': '291617c1a7456bc6a83f7b14826813d9feedbe089d7a3eab8511145a405cd94a',
+}
+
+
+@pytest.mark.parametrize("lvl", MEMO_LEVELS, ids=lambda l: "%d-%d" % (l.p, l.p_prime))
+def test_characters_keep_their_stored_boxes(lvl):
+    """Each character's store, lattice, box and q-support bound, pinned
+    across changes to how the kernels read the box.  Re-record with
+    ``PYTHONPATH=src python3 tests/test_characters.py``."""
+    assert _box_digest(lvl) == BOX_DIGESTS["%d-%d" % (lvl.p, lvl.p_prime)]
+
+
 @pytest.mark.parametrize("char, memo, good, outside", [
     (osp_char, characters._osp_char, OspLabel(1, 0), OspLabel(5, 0)),
     (sl2_char, characters._sl2_char, Sl2Label(1, 0), Sl2Label(3, 0)),
@@ -561,3 +588,5 @@ def test_evaluated_characters_keep_their_stored_order(k, N):
 if __name__ == "__main__":
     for k, N in W1_DIGESTS:
         print("    (%d, %d):\n        %r," % (k, N, _w1_digest(k, N)))
+    for lvl in MEMO_LEVELS:
+        print("    '%d-%d': %r," % (lvl.p, lvl.p_prime, _box_digest(lvl)))
