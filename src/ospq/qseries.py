@@ -27,7 +27,13 @@ functions here and in :mod:`ospq.theta` are thin calls of them, so
 ``theta.wq_mul`` and ``theta.wq_div``.  Rescaling to a common lattice
 multiplies the int keys.  Fractions appear only at the edge: the
 constructor takes them, and the ``terms`` view, ``coeff``, ``items`` and
-the discrepancy tuples return them.  One signed coset walk
+the discrepancy tuples return them.  The box is kept on the series as
+Fractions, and each kernel reads it on ints: a truncation or floor is cut
+to an int key of the common lattice (``_cut``), bounds are compared by
+cross-multiplying (``_lt``) or added as keys over one lattice (``_at``),
+and a kernel builds one Fraction only for each box value it returns.  A sum
+copies the first operand's slices, cut to the common box, and merges the
+second's terms into that store by ``_collect``.  One signed coset walk
 (``_theta_walk``) builds every theta series: the two-variable numerators
 and denominators of :mod:`ospq.theta`, and Dedekind eta, summed in closed
 form from Euler's pentagonal number theorem rather than multiplied out
@@ -80,7 +86,7 @@ def _positive_order(N: Rat) -> QQ:
     """N as a Fraction; ValueError unless it is positive, since the box
     below q^N then holds no term.  The one refusal of such an order."""
     N = as_fraction(N)
-    if N <= 0:
+    if N.numerator <= 0:
         raise ValueError("truncation order must be positive")
     return N
 
@@ -93,25 +99,43 @@ def _require_order(achieved: Optional[QQ], N: QQ, what: str, error) -> None:
                     % (what, achieved, N))
 
 
-def _min_trunc(ta: Optional[QQ], tb: Optional[QQ]) -> Optional[QQ]:
+def _lt(x: Rat, y: Rat) -> bool:
+    """x < y, by cross-multiplying numerators and denominators."""
+    return x.numerator * y.denominator < y.numerator * x.denominator
+
+
+def _min_trunc(ta: Optional[Rat], tb: Optional[Rat]) -> Optional[Rat]:
+    """The lower of two orders or keys, None standing for no cut."""
     if ta is None:
         return tb
     if tb is None:
         return ta
-    return min(ta, tb)
+    return tb if _lt(tb, ta) else ta
 
 
-def _max_floor(fa: Optional[QQ], fb: Optional[QQ]) -> Optional[QQ]:
+def _max_floor(fa: Optional[Rat], fb: Optional[Rat]) -> Optional[Rat]:
+    """The higher of two floors or keys, None standing for no cut."""
     if fa is None:
         return fb
     if fb is None:
         return fa
-    return max(fa, fb)
+    return fb if _lt(fa, fb) else fa
 
 
-def _product_trunc(ta: Optional[QQ], ma: QQ, tb: Optional[QQ], mb: QQ) -> Optional[QQ]:
-    """The order below which a product is exact, for factors exact below ta
-    and tb (None: complete) whose supports start at ma and mb."""
+def _over(L: int, *xs: Optional[QQ]) -> int:
+    """The least multiple of L over which every x (None: none) is a key."""
+    return math.lcm(L, *(x.denominator for x in xs if x is not None))
+
+
+def _at(x: Optional[QQ], L: int) -> Optional[int]:
+    """The key x * L of x, for L a multiple of its denominator (None: None)."""
+    return None if x is None else x.numerator * (L // x.denominator)
+
+
+def _product_trunc(ta: Optional[int], ma: int, tb: Optional[int], mb: int) -> Optional[int]:
+    """The key below which a product is exact, for factors exact below the
+    keys ta and tb (None: complete) whose supports start at the keys ma and
+    mb, all over one lattice."""
     return _min_trunc(None if ta is None else ta + mb, None if tb is None else tb + ma)
 
 
@@ -120,7 +144,7 @@ _Store = Dict[int, Dict[int, Rat]]  # q-key -> {w-key: coefficient}
 
 def _cut(x: Optional[QQ], L: int) -> Optional[int]:
     """The least key n with n/L >= x (None: no cut)."""
-    return None if x is None else math.ceil(x * L)
+    return None if x is None else -(-x.numerator * L // x.denominator)
 
 
 def _int(c: QQ) -> Rat:
@@ -128,11 +152,14 @@ def _int(c: QQ) -> Rat:
 
 
 def _collect(terms: Iterable[Tuple[int, int, Rat]], Ti: Optional[int] = None,
-             Fi: Optional[int] = None) -> Tuple[_Store, Optional[int]]:
+             Fi: Optional[int] = None, acc: Optional[_Store] = None
+             ) -> Tuple[_Store, Optional[int]]:
     """The store of (q, w, c) key terms at q < Ti and w >= Fi, merged in
-    order; a term or a whole slice that cancels leaves, and re-enters at the
-    end if it is produced again.  Also the lowest q dropped below Fi."""
-    acc: _Store = {}
+    order into ``acc`` (None: an empty store); a term or a whole slice that
+    cancels leaves, and re-enters at the end if it is produced again.  Also
+    the lowest q dropped below Fi."""
+    if acc is None:
+        acc = {}
     lo = None
     for q, w, c in terms:
         if not c or (Ti is not None and q >= Ti):
@@ -250,8 +277,19 @@ class _Lattice:
     def _support_lo(self) -> Optional[QQ]:
         """A lower bound of the whole q-support, terms hidden below the floor
         included; None for the exact zero series."""
-        lo = QQ(min(self._s), self.D) if self._s else self.q_trunc
-        return lo if self._q_lo is None else _min_trunc(lo, self._q_lo)
+        L = _over(self.D, self.q_trunc, self._q_lo)
+        lo = self._lo_at(L)
+        return None if lo is None else QQ(lo, L)
+
+    def _lo_at(self, L: int) -> Optional[int]:
+        """The key of :meth:`_support_lo` over L, a multiple of D and of the
+        denominators of q_trunc and _q_lo."""
+        return _min_trunc(self._bound_at(L), _at(self._q_lo, L))
+
+    def _bound_at(self, L: int) -> Optional[int]:
+        """The key of :meth:`min_q_bound` over L, a multiple of D and of the
+        denominator of q_trunc."""
+        return min(self._s) * (L // self.D) if self._s else _at(self.q_trunc, L)
 
     def _on(self, D: int, W: int) -> _Store:
         """The store with keys over D and W, multiples of the series' own."""
@@ -367,15 +405,26 @@ def _common(a: _Lattice, b: _Lattice) -> Tuple[int, int]:
 
 
 def _add(a: _Lattice, b: _Lattice) -> _Lattice:
-    """a + b on the common box: a's terms, then b's merged in."""
+    """a + b on the common box: a copy of a's slices, cut to the box, then
+    b's terms merged in by :func:`_collect`."""
     T = _min_trunc(a.q_trunc, b.q_trunc)
     F = _max_floor(a.w_floor, b.w_floor)
     D, W = _common(a, b)
-    terms = ((q, w, c) for x in (a, b) for q, sl in x._on(D, W).items()
-             for w, c in sl.items())
-    s = _collect(terms, _cut(T, D), _cut(F, W))[0]
-    # a q-series keeps no hidden support bound
-    lo = None if type(a) is QSeries else _min_trunc(a._support_lo(), b._support_lo())
+    Ti, Fi = _cut(T, D), _cut(F, W)
+    s: _Store = {}
+    for q, sl in a._on(D, W).items():
+        if Ti is not None and q >= Ti:
+            continue
+        sl = dict(sl) if Fi is None else {w: c for w, c in sl.items() if w >= Fi}
+        if sl:
+            s[q] = sl
+    _collect(((q, w, c) for q, sl in b._on(D, W).items() for w, c in sl.items()),
+             Ti, Fi, s)
+    lo = None
+    if type(a) is not QSeries:  # a q-series keeps no hidden support bound
+        L = _over(D, a.q_trunc, a._q_lo, b.q_trunc, b._q_lo)
+        lo = _min_trunc(a._lo_at(L), b._lo_at(L))
+        lo = None if lo is None else QQ(lo, L)
     return a._of(s, D, W, T, F, lo)
 
 
@@ -403,19 +452,24 @@ def _mul(a: _Lattice, b: _Lattice) -> _Lattice:
     below its floor if it stores none; an unfloored factor with no stored
     terms is zero below its q_trunc at every w and bounds no floor.
     """
-    ma, mb = a._support_lo(), b._support_lo()
+    L = _over(math.lcm(a.D, b.D), a.q_trunc, a._q_lo, b.q_trunc, b._q_lo)
+    ma, mb = a._lo_at(L), b._lo_at(L)
     if ma is None or mb is None:
         return a._of({}, 1, 1, None)  # exact zero factor
-    T = _product_trunc(a.q_trunc, ma, b.q_trunc, mb)
+    T = _product_trunc(_at(a.q_trunc, L), ma, _at(b.q_trunc, L), mb)
+    T = None if T is None else QQ(T, L)
     F = None
     if a.w_floor is not None or b.w_floor is not None:
+        LW = _over(math.lcm(a.W, b.W), a.w_floor, b.w_floor)
         for x, y in ((a, b), (b, a)):
             if x.w_floor is not None:
-                top = QQ(max(map(max, y._s.values())), y.W) if y._s else y.w_floor
+                top = (max(map(max, y._s.values())) * (LW // y.W) if y._s
+                       else _at(y.w_floor, LW))
                 if top is not None:
-                    F = _max_floor(F, x.w_floor + top)
+                    F = _max_floor(F, _at(x.w_floor, LW) + top)
+        F = None if F is None else QQ(F, LW)
     s, D, W = _slice_mul(a, b, T, F)
-    return a._of(s, D, W, T, F, None if type(a) is QSeries else ma + mb)
+    return a._of(s, D, W, T, F, None if type(a) is QSeries else QQ(ma + mb, L))
 
 
 def _div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
@@ -430,8 +484,11 @@ def _div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
     T, s, D, W = _slice_div(a, b, T, F)
     if T is None:
         return a._of({}, 1, 1, None)  # exact zero numerator
-    # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
-    lo = None if type(a) is QSeries else a.min_q_bound() - b.min_q()
+    lo = None
+    if type(a) is not QSeries:
+        # the quotient starts at the lowest slice y0 = min q(a) - min q(b)
+        L = _over(D, a.q_trunc)
+        lo = QQ(a._bound_at(L) - min(b._s) * (L // b.D), L)
     return a._of(s, D, W, T, F, lo)
 
 
@@ -559,27 +616,29 @@ def _slice_div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
     if not B:
         raise EmptySeries("cannot divide by a series with no terms")
     bi = min(B)
-    beta = QQ(bi, D)
-    ma = QQ(min(A), D) if A else ta
+    # the orders as keys over L, a multiple of D by f
+    T = None if T is None else as_fraction(T)
+    L = _over(D, ta, tb, T)
+    f = L // D
+    mi = min(A) if A else None
     limits = []
     if ta is not None:
-        limits.append(ta - beta)
+        limits.append(_at(ta, L) - bi * f)
     if tb is not None:
-        limits.append(tb - 2 * beta + ma)
+        limits.append(_at(tb, L) - 2 * bi * f + (_at(ta, L) if mi is None else mi * f))
     if T is None:
         if not limits:
             raise ValueError("a quotient of complete series needs a truncation order")
-        T = min(limits)
+        Ti = min(limits)
+        T = QQ(Ti, L)
     else:
-        T = as_fraction(T)
-        if limits and T > min(limits):
-            raise ValueError(
-                "requested quotient order %s exceeds the achievable %s" % (T, min(limits))
-            )
+        Ti = _at(T, L)
+        if limits and Ti > min(limits):
+            raise ValueError("requested quotient order %s exceeds the achievable %s"
+                             % (T, QQ(min(limits), L)))
     if not A:
         return T, {}, D, W
 
-    mi = min(A)
     # q-slices are steps of g/D from y0 = (mi - bi)/D
     g = math.gcd(*(q - mi for q in A), *(q - bi for q in B)) or 1
     D0 = B[bi]
@@ -588,7 +647,7 @@ def _slice_div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
     lower = [(d, c) for d, c in D0.items() if d != alpha]
     inv_c0 = c0 if c0 in (1, -1) else 1 / QQ(c0)
     steps = sorted(((q - bi) // g, list(sl.items())) for q, sl in B.items() if q != bi)
-    J = max(math.ceil((T * D - mi + bi) / g), 0)
+    J = max(-(((mi - bi) * f - Ti) // (f * g)), 0)  # slices below T
     Fi = _cut(F, W)
     if Fi is not None:
         ext = [(m, max(sl)[0] - alpha) for m, sl in steps if max(sl)[0] > alpha]
@@ -654,7 +713,7 @@ def qs_eta(N: Rat) -> QSeries:
     of t = 6m - 1 over q^(t^2/24): sign +1 on the coset -1 + 12Z (m even)
     and -1 on 5 + 12Z (m odd), built by :func:`_theta_walk`."""
     N = _positive_order(N)
-    s, _ = _theta_walk(((-1, 1), (5, -1)), -12, 1, 0, math.ceil(24 * N))
+    s, _ = _theta_walk(((-1, 1), (5, -1)), -12, 1, 0, _cut(N, 24))
     return QSeries._of(s, 24, 1, N)
 
 

@@ -17,7 +17,9 @@ nothing is stored outside it.  All operations propagate the box honestly,
 including the floor degradation of slice convolutions.  A series also
 records a lower bound of its q-support that its stored terms may not show,
 as for terms hidden below the floor; products take their q-truncation from
-it.
+it.  The box is kept as Fractions and read on int keys inside each kernel,
+as :mod:`ospq.qseries` describes; a theta constructor cuts its order N to
+the int key of its walk.
 
 Sum, scaling, product (with its floor rule), quotient and comparison are
 each written once in :mod:`ospq.qseries` for both classes; the dunders,
@@ -40,7 +42,6 @@ it can still read, so that the returned window w >= floor is exact.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from .qseries import (
@@ -53,6 +54,7 @@ from .qseries import (
     _compare,
     _div,
     _Lattice,
+    _cut,
     _mul,
     _positive_order,
     _theta_walk,
@@ -64,6 +66,7 @@ class InvalidIndex(ValueError):
 
 
 Slice = Dict[QQ, QQ]  # w-exponent -> coefficient
+_HALF = QQ(1, 2)  # the q scale of every theta difference
 
 
 class WQSeries(_Lattice):
@@ -208,11 +211,10 @@ def _theta(cosets, step: int, den: int, w_scale: Rat, q_scale: Rat,
     :func:`ospq.qseries._theta_walk`; it records the lowest q walked as a
     bound of its q-support, which a cancelled term may not show."""
     w_scale, q_scale, N = as_fraction(w_scale), as_fraction(q_scale), _positive_order(N)
-    if q_scale <= 0:
+    if q_scale.numerator <= 0:
         raise ValueError("q scaling factor must be positive")
     D, W = den * q_scale.denominator, 2 * w_scale.denominator
-    s, lo = _theta_walk(cosets, step, q_scale.numerator, w_scale.numerator,
-                        math.ceil(N * D))
+    s, lo = _theta_walk(cosets, step, q_scale.numerator, w_scale.numerator, _cut(N, D))
     return WQSeries._of(s, D, W, N, None, None if lo is None else QQ(lo, D))
 
 
@@ -237,7 +239,7 @@ def _theta_difference(a: int, b: int, c: int, w_scale: Rat, N: Rat) -> WQSeries:
     """theta_(b-c, a) - theta_(-b-c, a) at scaled arguments (w_scale, 1/2):
     the two cosets of :func:`theta_big` in one walk."""
     cosets = ((-(-(b - c) % (2 * a)), 1), (-((b + c) % (2 * a)), -1))
-    return _theta(cosets, -2 * a, 4 * a, w_scale, QQ(1, 2), N)
+    return _theta(cosets, -2 * a, 4 * a, w_scale, _HALF, N)
 
 
 def vartheta2(N: Rat, w_scale: Rat = 1, q_scale: Rat = 1) -> WQSeries:

@@ -319,6 +319,26 @@ def test_shift_matches_the_termwise_shift(a, exp, c):
     assert_same_series(qs_shift(a, exp, c), ref_scaled(a, c, exp))
 
 
+# negative, zero-crossing and large-denominator box values, on small and
+# large lattices
+BOX_VALUES = (st.fractions(QQ(-5), QQ(5), max_denominator=48)
+              | st.fractions(QQ(-10**6), QQ(10**6), max_denominator=10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(BOX_VALUES, BOX_VALUES, st.integers(1, 48) | st.integers(1, 10**9))
+@example(QQ(0), QQ(0), 1)
+@example(QQ(7, 3), QQ(-7, 3), 8)
+@example(QQ(-1, 3), QQ(-1, 2), 3)
+@example(QQ(-6, 8), QQ(1, 10**12 - 1), 8)
+def test_int_cut_and_order_are_the_fraction_rule(x, y, L):
+    cut = qseries._cut(x, L)
+    assert type(cut) is int and cut == math.ceil(x * L)
+    assert qseries._lt(x, y) is (x < y)
+    assert qseries._at(x, L * x.denominator) == x * L * x.denominator
+    assert qseries._cut(None, L) is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(st_lattice_series(), st.fractions(QQ(-2), QQ(9), max_denominator=24))
 @example(QSeries({QQ(1, 2): 1, 1: 1}, None), QQ(1))

@@ -2,12 +2,13 @@
 
 import inspect
 import math
+import re
 from fractions import Fraction as QQ
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ospq import theta
+from ospq import qseries, theta
 from ospq.qseries import EmptySeries, QSeries, qs_eta, qs_mul
 from ospq.theta import (
     IncompleteQuotient,
@@ -586,6 +587,189 @@ def test_w_slice_matches_the_slice_lookup(a, num, den):
         return
     want = QSeries({qe: sl[we] for qe, sl in a.terms.items() if we in sl}, a.q_trunc)
     assert_same_series(a.w_slice(we), want)
+
+
+# -- the box read on int keys, against the Fraction formulas -----------------------
+
+
+def _fmin(*xs):
+    """The least of the bounds given, None standing for no bound."""
+    return min((x for x in xs if x is not None), default=None)
+
+
+def _fmax(*xs):
+    return max((x for x in xs if x is not None), default=None)
+
+
+def ref_support_bound(x):
+    """_support_lo by its Fraction formula: the least stored q-exponent, else
+    q_trunc, and the hidden bound _q_lo."""
+    lo = QQ(min(x._s), x.D) if x._s else x.q_trunc
+    return lo if x._q_lo is None else _fmin(lo, x._q_lo)
+
+
+def ref_add_box(a, b):
+    lo = None if type(a) is QSeries else _fmin(ref_support_bound(a), ref_support_bound(b))
+    return _fmin(a.q_trunc, b.q_trunc), _fmax(a.w_floor, b.w_floor), lo
+
+
+def ref_scale_box(x, c, e):
+    lo = None if c == 0 or x._q_lo is None else x._q_lo + e
+    return None if x.q_trunc is None else x.q_trunc + e, x.w_floor, lo
+
+
+def ref_mul_box(a, b):
+    ma, mb = ref_support_bound(a), ref_support_bound(b)
+    if ma is None or mb is None:
+        return None, None, None
+    T = _fmin(None if a.q_trunc is None else a.q_trunc + mb,
+              None if b.q_trunc is None else b.q_trunc + ma)
+    F = None
+    for x, y in ((a, b), (b, a)):
+        if x.w_floor is not None:
+            top = QQ(max(map(max, y._s.values())), y.W) if y._s else y.w_floor
+            if top is not None:
+                F = _fmax(F, x.w_floor + top)
+    return T, F, None if type(a) is QSeries else ma + mb
+
+
+def ref_div_box(a, b, T, F):
+    """The box of _div(a, b, T, F), or the exception it raises."""
+    if a.w_floor is not None:
+        return ValueError("dividing a w-floored series is not supported")
+    if b.w_floor is not None:
+        return ValueError("dividing by a w-floored series is not supported")
+    ta, tb = a.q_trunc, b.q_trunc
+    if not a._s and ta is None:
+        return None, None, None
+    if not b._s:
+        return EmptySeries("cannot divide by a series with no terms")
+    beta = QQ(min(b._s), b.D)
+    ma = QQ(min(a._s), a.D) if a._s else ta
+    limits = [t for t in (None if ta is None else ta - beta,
+                          None if tb is None else tb - 2 * beta + ma) if t is not None]
+    if T is None:
+        if not limits:
+            return ValueError("a quotient of complete series needs a truncation order")
+        T = min(limits)
+    elif limits and T > min(limits):
+        return ValueError("requested quotient order %s exceeds the achievable %s"
+                          % (T, min(limits)))
+    return T, F, None if type(a) is QSeries else ma - beta
+
+
+def typed(*xs):
+    return [(type(x), x) for x in xs]
+
+
+def assert_box(got, want):
+    """got's box and q-support bound are want's box and the Fraction rule's
+    bound, of the same types (a Fraction or None)."""
+    assert typed(got.q_trunc, got.w_floor, got._q_lo) == typed(*want)
+    assert typed(got._support_lo()) == typed(ref_support_bound(got))
+
+
+PAIRS = (st.tuples(st_lattice_series(), st_lattice_series())
+         | st.tuples(st_lattice_wq(), st_lattice_wq()))
+ORDERS = st.none() | st.fractions(QQ(-1), QQ(6), max_denominator=24)
+SHIFTS = st.fractions(QQ(-3), QQ(3), max_denominator=12)
+FLOORS = st.fractions(QQ(-2), QQ(1), max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAIRS, SHIFTS, ORDERS, FLOORS)
+# an order off the lattice (7/3 on D = 8) against a complete series
+@example((QSeries({QQ(1, 8): 1, QQ(3, 4): -2}, QQ(7, 3)), QSeries({0: 1, QQ(1, 8): 1})),
+         QQ(1, 3), None, QQ(-1))
+# an empty store with an order, and the complete zero series
+@example((QSeries((), QQ(7, 3)), QSeries({0: 2}, 3)), QQ(0), QQ(5, 2), QQ(0))
+@example((QSeries({QQ(1, 2): 1}, 4), QSeries(())), QQ(-1, 2), None, QQ(0))
+# negative floors off the w-lattice, one factor storing nothing above its floor
+@example((make_wq({(0, -2): 1, (QQ(1, 2), 1): 3}, q_trunc=QQ(7, 3), w_floor=QQ(-5, 3)),
+          make_wq({(0, 0): 1, (1, -1): 2}, w_floor=QQ(-1, 2))), QQ(-2, 3), QQ(2), QQ(-4, 3))
+@example((make_wq({(0, -2): 1}, q_trunc=QQ(7, 3), w_floor=QQ(-1)),
+          WQSeries((), None, QQ(-1, 2))), QQ(1, 6), None, QQ(-1))
+# complete boxes, and a division on an empty numerator store with an order
+@example((make_wq({(0, 0): 1, (1, QQ(1, 2)): -1}), make_wq({(0, 0): 1, (0, -1): -1})),
+         QQ(0), QQ(3), QQ(-2))
+@example((WQSeries((), QQ(7, 3)), make_wq({(QQ(1, 8), 0): 1}, q_trunc=QQ(5, 2))),
+         QQ(1), None, QQ(-1, 6))
+def test_box_on_int_keys_is_the_fraction_rule(pair, e, order, floor):
+    a, b = pair
+    for x in (a, b):
+        assert typed(x._support_lo()) == typed(ref_support_bound(x))
+    assert_box(qseries._add(a, b), ref_add_box(a, b))
+    for c in (0, QQ(-3, 2)):
+        assert_box(qseries._scale(a, c, e), ref_scale_box(a, c, e))
+    assert_box(qseries._mul(a, b), ref_mul_box(a, b))
+    F = None if type(a) is QSeries else floor
+    want = ref_div_box(a, b, order, F)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match="^%s$" % re.escape(str(want))):
+            qseries._div(a, b, order, F)
+    else:
+        assert_box(qseries._div(a, b, order, F), want)
+    _, box = qseries._compare(a, b, order)
+    assert typed(*box) == typed(_fmin(a.q_trunc, b.q_trunc, order),
+                                _fmax(a.w_floor, b.w_floor))
+
+
+# -- the sum merges store to store ---------------------------------------------------
+
+
+def add_by_collect(a, b):
+    """a + b as one :func:`ospq.qseries._collect` of a's terms, then b's, on
+    the common box: the sum as it was written before it copied a's slices,
+    kept as the oracle of the stored order."""
+    T, F, lo = ref_add_box(a, b)
+    D, W = math.lcm(a.D, b.D), math.lcm(a.W, b.W)
+    terms = ((q, w, c) for x in (a, b) for q, sl in x._on(D, W).items()
+             for w, c in sl.items())
+    s = qseries._collect(terms, None if T is None else math.ceil(T * D),
+                         None if F is None else math.ceil(F * W))[0]
+    return a._of(s, D, W, T, F, lo)
+
+
+def store_bits(x):
+    """Everything a series stores, slice, term and coefficient type order
+    included, with its box and q-support bound."""
+    return (type(x), [(q, [(w, type(c), c) for w, c in sl.items()]) for q, sl in x._s.items()],
+            x.D, x.W, typed(x.q_trunc, x.w_floor, x._q_lo, x._support_lo()))
+
+
+SUM_CASES = {
+    "b-cancels-a-term": (make_wq({(0, 0): 1, (1, 0): 1, (1, 1): 2}), make_wq({(1, 0): -1})),
+    # q^1 is emptied, and its w^1 term re-enters after the q^2 slice
+    "b-empties-a-slice": (make_wq({(0, 0): 1, (1, 0): 1, (2, 0): 5}),
+                          make_wq({(1, 0): -1, (1, 1): 3, (0, -1): 2})),
+    "b-cuts-a-q": (make_wq({(0, 0): 1, (2, 0): 1, (1, -1): 4}, q_trunc=3),
+                   make_wq({(1, 0): 1}, q_trunc=QQ(3, 2))),
+    "b-cuts-a-w": (make_wq({(0, -1): 1, (0, 1): 2, (1, -2): 4}),
+                   make_wq({(1, 0): 1}, w_floor=QQ(-1, 2))),
+    "b-cuts-a-slice-away": (make_wq({(0, 0): 1, (1, -2): 4, (1, -1): 1}, q_trunc=QQ(7, 3)),
+                            make_wq({(0, 0): -1}, w_floor=QQ(-1, 3))),
+    "a-empty": (WQSeries((), QQ(7, 3), QQ(-1)), make_wq({(0, 0): 1, (1, -2): 2})),
+    "b-empty": (make_wq({(0, 0): 1, (1, -2): 2}), WQSeries((), QQ(7, 3), QQ(-1))),
+    "both-empty": (WQSeries((), 2), WQSeries(())),
+    "lattices-3-2-and-8-6": (make_wq({(QQ(1, 3), QQ(1, 2)): 1, (QQ(2, 3), -1): 2, (1, 0): 3}),
+                             make_wq({(QQ(1, 8), QQ(1, 6)): 4, (1, 0): -3,
+                                      (QQ(5, 8), QQ(-5, 6)): 1})),
+    "q-cancels": (QSeries({0: 1, QQ(1, 3): 2, 1: 1}, 3), QSeries({QQ(1, 3): -2, QQ(1, 8): 1})),
+    "q-empty": (QSeries((), QQ(7, 3)), QSeries({QQ(1, 8): 1, 2: 1, 3: 1})),
+}
+
+
+@pytest.mark.parametrize("a, b", list(SUM_CASES.values()), ids=list(SUM_CASES))
+def test_sum_merges_store_to_store_in_the_collected_order(a, b):
+    assert store_bits(qseries._add(a, b)) == store_bits(add_by_collect(a, b))
+    assert store_bits(a - b) == store_bits(add_by_collect(a, -b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAIRS)
+def test_sum_keeps_the_collected_order(pair):
+    a, b = pair
+    assert store_bits(a + b) == store_bits(add_by_collect(a, b))
 
 
 # -- inversion and division --------------------------------------------------------
