@@ -676,7 +676,7 @@ SHIFTS = st.fractions(QQ(-3), QQ(3), max_denominator=12)
 FLOORS = st.fractions(QQ(-2), QQ(1), max_denominator=6)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(PAIRS, SHIFTS, ORDERS, FLOORS)
 # an order off the lattice (7/3 on D = 8) against a complete series
 @example((QSeries({QQ(1, 8): 1, QQ(3, 4): -2}, QQ(7, 3)), QSeries({0: 1, QQ(1, 8): 1})),
@@ -765,7 +765,7 @@ def test_sum_merges_store_to_store_in_the_collected_order(a, b):
     assert store_bits(a - b) == store_bits(add_by_collect(a, -b))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(PAIRS)
 def test_sum_keeps_the_collected_order(pair):
     a, b = pair
