@@ -4,6 +4,7 @@ import hashlib
 import math
 from fractions import Fraction as QQ
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from ospq.characters import (
     vir_labels,
 )
 from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
-                          qs_invert, qs_mul)
+                          qs_eval, qs_invert, qs_mul)
 from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_div, wq_equal_on_box,
                         wq_mul, wq_specialize_w1)
 from test_theta import wq_specialize_w_signed
@@ -585,8 +586,47 @@ def test_evaluated_characters_keep_their_stored_order(k, N):
     assert _w1_digest(k, N) == W1_DIGESTS[(k, N)]
 
 
+# tau0 and -1/tau0 of the s-transform check at tau0 = 0.3 + 1.1i
+W1_TAUS = (mpmath.mpc(0.3, 1.1), -1 / mpmath.mpc(0.3, 1.1))
+
+
+def _w1_content_digest(k, N):
+    """sha256 of the sorted terms, trunc and D of every plain and signed
+    w -> 1 character at integer level k to order N, with the bits of its
+    value and tail bound from qs_eval at both W1_TAUS: all that the series
+    hold, whatever order they are stored in."""
+    chars = component_chars_w1(AdmissibleLevel.from_integer_level(k), N)
+    text = repr([(r, [(sorted(x.terms.items()), x.trunc, x.D,
+                       [(v.value._mpc_, v.tail_bound._mpf_)
+                        for v in (qs_eval(x, t, precision=128) for t in W1_TAUS)])
+                      for x in pair])
+                 for r, pair in sorted(chars.items())])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+W1_CONTENT_DIGESTS = {
+    (1, 24): '98bf70152976b299d9509b5c08aef249c9fe0b4fb56c70e0c9f2a771b9e18179',
+    (2, 20): '29a3db7718e7ab9d7afa55369cd0f0255fd4430015adf3897c913f7b9930bcb5',
+    (1, 40): 'a39482e9abe18c57413ab8f9016103e3596fe92dc67aa8eb0a1af54a9d60696f',
+    (3, 16): '0975768f21a01866b11bba5a8443bea1475420eb326bca21694565d0099772da',
+}
+
+
+@pytest.mark.parametrize("k, N", list(W1_CONTENT_DIGESTS))
+def test_evaluated_characters_keep_their_content(k, N):
+    """The terms, boxes and evaluated values of the w -> 1 characters,
+    pinned apart from the order they are stored in.  Re-record with
+    ``PYTHONPATH=src python3 tests/test_characters.py``."""
+    assert _w1_content_digest(k, N) == W1_CONTENT_DIGESTS[(k, N)]
+
+
 if __name__ == "__main__":
+    print("W1_DIGESTS")
     for k, N in W1_DIGESTS:
         print("    (%d, %d):\n        %r," % (k, N, _w1_digest(k, N)))
+    print("W1_CONTENT_DIGESTS")
+    for k, N in W1_CONTENT_DIGESTS:
+        print("    (%d, %d): %r," % (k, N, _w1_content_digest(k, N)))
+    print("BOX_DIGESTS")
     for lvl in MEMO_LEVELS:
         print("    '%d-%d': %r," % (lvl.p, lvl.p_prime, _box_digest(lvl)))
