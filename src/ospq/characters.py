@@ -19,20 +19,13 @@ and the result is shared by every later call, so it must never be mutated.
 Each memo keeps at most ``CHAR_MEMO_SIZE`` results.
 
 Truncation orders.  Every builder and check refuses an order N <= 0 through
-``qseries._positive_order``.  A check that claims order N builds its factors
-once, at a fixed margin above N (N+1/8 for the decomposition, N+2 for the
-w -> 1 characters, N+k+2 for the coset sectors), and raises through
-``qseries._require_order`` if the box it achieved still falls short of N;
-every coset route (direct, phase sum, reassembly) verifies its box so.  The
-margins always suffice because every character and eta-quotient
-here has q-exponents >= -1/8: theta numerators start at q^0; the Weyl
-denominator, i*theta_1 and eta start at q^(1/24), q^(1/8) and q^(1/24); and
-a lattice theta class starts at q^(k/4) at the latest.  So a product of
-factors exact below M is exact below M - 1/8 at least, and N+1/8 is the
-least margin the decomposition's products allow.  A character exact below
-q^N divides its numerator by a denominator built at N+2: the numerator is
-a theta series and so starts at q^0 or above, so the quotient is exact
-below N+2 - 2/8 at least (``qseries._slice_div``'s bound).
+``qseries._positive_order``.  Every order built at here and in :mod:`ospq.coset`
+is planned by ``qseries._factor_order`` and ``_quotient_orders``, the box
+rules solved for their inputs, from where the other operands start: the Weyl
+denominator, i*theta_1 and eta at q^(1/24), q^(1/8) and q^(1/24), a theta
+numerator where it was built to (q^0 or above), so every character here at
+q^(-1/8) or above.  ``qseries._require_order`` and ``qseries._div`` still
+refuse a box short of the order that a check claims.
 
 w floors.  At fractional level the public ``osp_char`` and ``sl2_char`` at
 order N are cut at w = -(N+4).  The decomposition at order N cuts its
@@ -48,8 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .qseries import (QQ, QSeries, Rat, VerificationError, qs_eta, qs_mul,
-                      _div, _positive_order, _require_order)
+from .qseries import (QQ, QSeries, Rat, VerificationError, qs_eta, qs_mul, _div,
+                      _factor_order, _positive_order, _quotient_orders, _require_order)
 from .theta import (
     WQSeries,
     _theta_difference,
@@ -57,7 +50,6 @@ from .theta import (
     vartheta2,
     weyl_denominator,
     wq_add,
-    wq_div,
     wq_equal_on_box,
     wq_from_q,
     wq_mul,
@@ -292,12 +284,17 @@ def _char_floor(level: AdmissibleLevel, w: QQ) -> Optional[QQ]:
     return None if level.is_integer_level else w
 
 
-def _quotient_char(num: WQSeries, denominator, N: QQ,
-                   w_floor: Optional[QQ]) -> WQSeries:
-    """num / denominator(N + 2) on the box q < N, w >= w_floor."""
+# where the denominators start, and the least start of every character here
+_WEYL_LO = _ETA_LO = QQ(1, 24)
+_THETA1_LO, _CHAR_LO = QQ(1, 8), QQ(-1, 8)
+
+
+def _quotient_char(numerator, denominator, beta: QQ, N: QQ, w_floor: Optional[QQ] = None):
+    """numerator / denominator on q < N, w >= w_floor, both at ``_quotient_orders``."""
+    num = numerator(_quotient_orders(N, beta, None)[0])
     if num.is_zero:
-        return WQSeries((), N, None)
-    return wq_div(num, denominator(N + 2), q_trunc=N, w_floor=w_floor)
+        return num._of({}, 1, 1, N)
+    return _div(num, denominator(_quotient_orders(N, beta, num.min_q())[1]), N, w_floor)
 
 
 # results each character memo keeps: one benchmark pass needs at most 79
@@ -308,23 +305,21 @@ CHAR_MEMO_SIZE = 256
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
 def _osp_char(level: AdmissibleLevel, label: OspLabel, N: QQ,
               w_floor: Optional[QQ]) -> WQSeries:
-    num = osp_numerator(level, label, N + 1)
-    return _quotient_char(num, weyl_denominator, N, w_floor)
+    return _quotient_char(functools.partial(osp_numerator, level, label),
+                          weyl_denominator, _WEYL_LO, N, w_floor)
 
 
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
 def _sl2_char(level: AdmissibleLevel, label: Sl2Label, N: QQ,
               w_floor: Optional[QQ]) -> WQSeries:
-    num = sl2_numerator(level, label, N + 1)
-    return _quotient_char(num, vartheta1_times_i, N, w_floor)
+    return _quotient_char(functools.partial(sl2_numerator, level, label),
+                          vartheta1_times_i, _THETA1_LO, N, w_floor)
 
 
 @functools.lru_cache(maxsize=CHAR_MEMO_SIZE)
 def _vir_char(level: AdmissibleLevel, label: VirLabel, N: QQ) -> QSeries:
-    num = vir_numerator(level, label, N + 1)
-    if num.is_zero:
-        return QSeries({}, N)
-    return _div(num, qs_eta(N + 2), N)
+    return _quotient_char(functools.partial(vir_numerator, level, label),
+                          qs_eta, _ETA_LO, N)
 
 
 def osp_char(level: AdmissibleLevel, label: OspLabel, N: Rat) -> WQSeries:
@@ -391,13 +386,8 @@ class IdentityReport:
 def _report(ok, order, bad, what) -> IdentityReport:
     if ok:
         return IdentityReport(True, order, None, "%s holds to order %s" % (what, order))
-    qe, we, ca, cb = bad
-    return IdentityReport(
-        False,
-        order,
-        bad,
-        "%s FAILS first at q^%s w^%s: lhs %s != rhs %s" % (what, qe, we, ca, cb),
-    )
+    return IdentityReport(False, order, bad,
+                          "%s FAILS first at q^%s w^%s: lhs %s != rhs %s" % ((what,) + bad))
 
 
 def verify_theta_identity(level: AdmissibleLevel, label: OspLabel,
@@ -421,12 +411,6 @@ def verify_theta_identity(level: AdmissibleLevel, label: OspLabel,
     return _report(ok, N, bad, what)
 
 
-def _working_order(N: QQ) -> QQ:
-    """The order at which the decomposition builds its factors: each starts
-    at q^(-1/8) or higher, so their products are exact below N."""
-    return N + QQ(1, 8)
-
-
 def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
                          N: Rat) -> IdentityReport:
     """Exact character-level branching check.
@@ -436,16 +420,16 @@ def verify_decomposition(level: AdmissibleLevel, label: OspLabel,
     (i, r)), on the common guarantee box up to order N.  Raises ValueError
     for N <= 0, whose box holds no term to compare.
 
-    Every factor is built at order N + 1/8, the least that the -1/8 bound of
-    the module header allows, and at fractional level the superalgebra and
-    sl2 factors are cut at w = -(N+8), so the box compared is q < N,
-    w >= -(N+8) (q < N alone at integer level).  The order the sum achieved
-    is checked, not assumed: a box short of N raises VerificationError.
+    The superalgebra character is only compared, so it is built at order N;
+    every factor at N + 1/8, the least the -1/8 bound of the module header
+    allows.  At fractional level both two-variable characters are cut at
+    w = -(N+8), so the box compared is q < N, w >= -(N+8) (q < N alone at
+    integer level).  The order the sum achieved is checked, not assumed.
     """
     N = _positive_order(N)
     level.check_osp(label)
-    M, F = _working_order(N), _char_floor(level, -(N + 8))
-    lhs = _osp_char(level, label, M, F)
+    M, F = _factor_order(N, _CHAR_LO), _char_floor(level, -(N + 8))
+    lhs = _osp_char(level, label, N, F)
     total = WQSeries((), None, None)
     for i in range(1, level.u):
         part_w = _sl2_char(level, Sl2Label(i, label.s), M, F)
@@ -478,11 +462,9 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
     """
     if not level.is_integer_level:
         raise InvalidLabel("one-variable specialisations require an integer level")
-    M = N + 2
+    M = _factor_order(N, _CHAR_LO)
     u, p = level.u, level.p
-    sl2_parts = {
-        i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M)) for i in range(1, u)
-    }
+    sl2_parts = {i: wq_specialize_w1(sl2_char(level, Sl2Label(i, 0), M)) for i in range(1, u)}
     out = {}
     for r in range(1, p):
         plus = minus = QSeries({}, None)
@@ -490,8 +472,7 @@ def _w1_table(level: AdmissibleLevel, N: QQ) -> Dict[int, Tuple[QSeries, QSeries
             part = qs_mul(sl2_parts[i], vir_char(level, VirLabel(i, r), M))
             plus = plus + part
             minus = minus + (part if i % 2 == 1 else -1 * part)
-        _require_order(plus.trunc, N, "w -> 1 character of module %d" % r,
-                       VerificationError)
+        _require_order(plus.trunc, N, "w -> 1 character of module %d" % r, VerificationError)
         out[r] = (plus.truncate(N), minus.truncate(N))
     return out
 
@@ -504,8 +485,7 @@ def char_w1(level: AdmissibleLevel, r: int, N: Rat, signed: bool = False) -> QSe
     return _w1_table(level, _positive_order(N))[r][1 if signed else 0]
 
 
-def component_chars_w1(level: AdmissibleLevel, N: Rat
-                       ) -> Dict[int, Tuple[QSeries, QSeries]]:
+def component_chars_w1(level: AdmissibleLevel, N: Rat) -> Dict[int, Tuple[QSeries, QSeries]]:
     """All (plain, signed) w -> 1 characters for r = 1..p-1, sharing work.
 
     Built from the branching components, so they are defined for every

@@ -16,12 +16,12 @@ import math
 from typing import List, Tuple
 
 from .characters import (AdmissibleLevel, IdentityReport, InvalidLabel,
-                         OspLabel, char_w1, osp_char)
+                         OspLabel, char_w1, osp_char, _ETA_LO)
 from .fusion import CosetLabel, check_level, parafermion_fusion
 from .modular import FAMILIES, SMatrix, NonIntegralFusion, verlinde_standard
 from .qseries import (QQ, QSeries, VerificationError, qs_equal_below, qs_eta,
-                      qs_mul, qs_shift, _div, _min_trunc, _positive_order,
-                      _require_order)
+                      qs_mul, qs_shift, _div, _factor_order, _min_trunc,
+                      _positive_order, _quotient_orders, _require_order)
 from .theta import theta_q
 
 
@@ -50,17 +50,20 @@ def lattice_theta(k: int, nu: int, N) -> QSeries:
 
 def _full_char(k: int, r: int, N: QQ):
     """Two-variable character of the local module, complete w-slices."""
-    level = AdmissibleLevel.from_integer_level(k)
-    return osp_char(level, OspLabel(r, 0), N)
+    return osp_char(AdmissibleLevel.from_integer_level(k), OspLabel(r, 0), N)
+
+
+def _char_order(k: int, N: QQ) -> QQ:
+    """The one order, so one memo entry, of the character both routes read: the
+    most either needs, the direct route's w^-k slice meeting eta shifted by q^-k."""
+    return _factor_order(N, _ETA_LO) + k
 
 
 def _sector_from_slice(ch, x: QQ, k: int, N: QQ) -> QSeries:
     """One branching sector from the w^x slice: f_x * q^{-x^2/k} * eta."""
-    f = ch.w_slice(x)
-    shifted = qs_shift(f, -x * x / k)
-    m0 = QQ(0) if shifted.is_zero else min(shifted.min_q(), QQ(0))
-    eta = qs_eta(N - m0 + 1)
-    return qs_mul(shifted, eta).truncate(N)
+    shifted = qs_shift(ch.w_slice(x), -x * x / k)
+    m0 = min(shifted.min_q_bound(), 0)  # at most 0: qs_eta refuses an order <= 0
+    return qs_mul(shifted, qs_eta(_factor_order(N, m0))).truncate(N)
 
 
 def coset_char_direct(k: int, label, N) -> QSeries:
@@ -68,13 +71,13 @@ def coset_char_direct(k: int, label, N) -> QSeries:
 
     A term w^x belongs to class nu = 2x mod 2k with accompanying Heisenberg
     weight x^2/k.  Both canonical representatives x = nu/2 and x = nu/2 - k
-    are extracted, from w-slices complete to order N + k + 2, and must
-    produce the same series on a box reaching order N; a mismatch or a
-    shorter box raises InconsistentBranching.
+    are extracted, from w-slices complete to the order :func:`_char_order`
+    plans, and must produce the same series on a box reaching order N; a
+    mismatch or a shorter box raises InconsistentBranching.
     """
     label = _check_label(k, label)
     N = _positive_order(N)
-    ch = _full_char(k, label.r, N + k + 2)
+    ch = _full_char(k, label.r, _char_order(k, N))
     x_plus = QQ(label.nu, 2)
     res_plus = _sector_from_slice(ch, x_plus, k, N)
     res_minus = _sector_from_slice(ch, x_plus - k, k, N)
@@ -134,12 +137,11 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
     N = _positive_order(N)
-    M = N + k + 2
+    M = _char_order(k, N)
     ch = _full_char(k, label.r, M)
-    # exact eta / (2k * theta_{L+nu}) prefactor
-    pref = qs_shift(_div(qs_eta(M), lattice_theta(k, label.nu, M)), 0, QQ(1, 2 * k))
-    if variant == "minus" and label.nu % 2 == 1:
-        pref = qs_shift(pref, 0, -1)
+    # exact eta / (2k * theta_{L+nu}) prefactor, with the class sign in 'minus'
+    sign = -1 if variant == "minus" and label.nu % 2 == 1 else 1
+    pref = qs_shift(_div(qs_eta(M), lattice_theta(k, label.nu, M)), 0, QQ(sign, 2 * k))
     _require_order(min(M + pref.min_q(), pref.trunc + ch.min_q_bound()), N,
                    "phase sum", InconsistentBranching)
 
@@ -180,31 +182,31 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     Sum over classes of (theta_{L+nu}/eta) * sector character -- with the
     class sign (-1)^nu in the signed variant -- compared exactly against the
     plain (resp. signed) specialised character, on a box that must reach
-    order N.  Each sector is read from :func:`coset_char_direct` to order
-    N + 1.
+    order N.  Each sector is read to N + 1/24, since theta_{L+nu}/eta starts
+    at q^(-1/24) or above, and each theta_{L+nu}/eta as far as its sector needs.
     """
     _check_label(k, (0, r))
     N = _positive_order(N)
-    level = AdmissibleLevel.from_integer_level(k)
-    target = char_w1(level, r, N, signed=signed)
+    target = char_w1(AdmissibleLevel.from_integer_level(k), r, N, signed=signed)
     total = QSeries({}, N)
-    eta = qs_eta(N + 3)
     for nu in range(2 * k):
-        sector = coset_char_direct(k, (nu, r), N + 1)
-        piece = qs_mul(_div(lattice_theta(k, nu, N + 2), eta), sector)
+        sector = coset_char_direct(k, (nu, r), _factor_order(N, -_ETA_LO))
+        if sector.is_zero:
+            continue  # no term below N + 1/24, so its piece has none below N
+        T = _factor_order(N, sector.min_q())
+        theta = lattice_theta(k, nu, _quotient_orders(T, _ETA_LO, None)[0])
+        eta = qs_eta(_quotient_orders(T, _ETA_LO, theta.min_q_bound())[1])
+        piece = qs_mul(_div(theta, eta), sector)
         if signed and nu % 2 == 1:
             piece = qs_shift(piece, 0, -1)
         total = total + piece
-    _require_order(total.trunc, N, "sector reassembly (r=%d, signed=%s)"
-                   % (r, signed), InconsistentBranching)
+    what = "sector reassembly (r=%d, signed=%s)" % (r, signed)
+    _require_order(total.trunc, N, what, InconsistentBranching)
     ok, bad = qs_equal_below(total, target, N)
     if ok:
-        return IdentityReport(True, N, None,
-                              "sector reassembly (r=%d, signed=%s) holds to "
-                              "order %s" % (r, signed, N))
-    return IdentityReport(
-        False, N, (bad[0], QQ(0), bad[1], bad[2]),
-        "sector reassembly fails at q^%s: %s vs %s" % bad)
+        return IdentityReport(True, N, None, "%s holds to order %s" % (what, N))
+    return IdentityReport(False, N, (bad[0], QQ(0), bad[1], bad[2]),
+                          "sector reassembly fails at q^%s: %s vs %s" % bad)
 
 
 def coset_smatrix(k: int, precision: int = 256, verify: bool = True) -> SMatrix:

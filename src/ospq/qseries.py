@@ -139,6 +139,19 @@ def _product_trunc(ta: Optional[int], ma: int, tb: Optional[int], mb: int) -> Op
     return _min_trunc(None if ta is None else ta + mb, None if tb is None else tb + ma)
 
 
+def _factor_order(N: QQ, lo: QQ) -> QQ:
+    """The least order of a factor whose product with one starting at q^lo
+    is exact below q^N: :func:`_product_trunc` solved for ta."""
+    return N - lo
+
+
+def _quotient_orders(N: QQ, beta: QQ, lo: Optional[QQ]) -> Tuple[QQ, Optional[QQ]]:
+    """The least orders (ta, tb) of a numerator from q^lo (None: unbuilt, no tb)
+    and a denominator from q^beta for a quotient exact below q^N: ``_slice_div``'s
+    limits ta - beta and tb - 2 beta + lo solved for ta and tb."""
+    return N + beta, None if lo is None else N + 2 * beta - lo
+
+
 _Store = Dict[int, Dict[int, Rat]]  # q-key -> {w-key: coefficient}
 
 

@@ -198,7 +198,7 @@ def wq_invert(b: WQSeries, q_trunc: Optional[Rat] = None,
     terms the inverse has unbounded descending w-support, and without a
     ``w_floor`` the division raises :class:`IncompleteQuotient`.
     """
-    return _div(WQSeries(((0, 0, 1),)), b, q_trunc, w_floor)
+    return wq_div(WQSeries(((0, 0, 1),)), b, q_trunc, w_floor)
 
 
 # -- theta constructors ------------------------------------------------------

@@ -188,6 +188,37 @@ def test_each_box_rule_is_written_once():
         assert sorted(shared & set(vars(cls))) == [], cls.__name__
 
 
+def _is_constant(node):
+    """A number literal, its negation, or QQ or Fraction of such."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("QQ", "Fraction"):
+        return all(_is_constant(a) for a in node.args)
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_no_order_is_a_hand_margin():
+    # every order that characters and coset build at comes from the planner
+    # next to the box rules, qseries._factor_order and _quotient_orders: no
+    # expression there adds a constant to N or M.  The w floors choose the
+    # box that is returned or compared, so they are no margins
+    floors = [("characters", "-(N + 4)"), ("characters", "-(N + 4)"),
+              ("characters", "-(N + 8)")]
+    found = []
+    for stem in ("characters", "coset"):
+        tree = ast.parse((SRC / (stem + ".py")).read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                    and any(_is_constant(x) for x in (node.left, node.right))
+                    and any(isinstance(n, ast.Name) and n.id in ("N", "M")
+                            for x in (node.left, node.right) for n in ast.walk(x))):
+                parent = parents[node]
+                found.append((stem, ast.unparse(parent if isinstance(parent, ast.UnaryOp)
+                                                else node)))
+    assert sorted(found) == floors
+
+
 def test_the_q_scale_refusal_is_written_once():
     # every theta constructor refuses a q scale <= 0 in the one walk wrapper
     assert _holders("q scaling factor must be positive") == [("theta", "_theta")]
