@@ -626,7 +626,7 @@ def _w1_digest(k, N):
 
 
 W1_DIGESTS = {
-    (1, 24): '28981b61f1403bd714838b0c926b029e706c01b4608f5a7dfad256b21edaedd1',
+    (1, 24): '8894a4c28b9bec9c868d4d0c58fe5e0786db1200909598d98b9f75bfb5f815f4',
     (2, 20): 'bd4e886c111a26ef59fd9b98a2c1d1a9ad4932ab6544202884d19a93ba34d9d6',
 }
 
