@@ -794,7 +794,8 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
     of its modulus for the conversion, head and the product.
 
     The tail bound is heuristic: C * |q|^T / (1 - |q|) with C the largest
-    stored |coefficient| (at least 1); it is 0 for complete series.
+    stored |coefficient| (at least 1); it is 0 for complete series.  A tau
+    that is not finite or leaves 1 - |q| = 0 under a tail raises ValueError.
 
     Memoised.  Series evaluated at the same tau share their transcendentals,
     so three bounded private memos (``functools.lru_cache``) keep them:
@@ -811,6 +812,8 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
         t = mpmath.mpmathify(tau)
         if mpmath.im(t) <= 0:
             raise NonconvergentDomain("evaluation requires Im(tau) > 0, got %s" % tau)
+        if not mpmath.isfinite(t):
+            raise ValueError("evaluation requires a finite tau, got %s" % tau)
         val = mpmath.mpc(0)
         keys = sorted(a._s)
         if keys:
@@ -839,6 +842,8 @@ def qs_eval(a: QSeries, tau, precision: int = 256) -> EvalResult:
             c = max((abs(sl[0]) for sl in a._s.values()), default=0)
             big = max(mpmath.mpf(1), mpmath.mpf(c.numerator) / c.denominator)
             pw, den = _tail_factors(t.imag._mpf_, a.q_trunc, precision + 16)
+            if not den:
+                raise ValueError("1 - |q| rounds to 0 at tau = %s" % mpmath.nstr(t, 8))
             tail = big * pw / den
         return EvalResult(+val, +tail, precision)
 

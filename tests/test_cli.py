@@ -375,6 +375,15 @@ def test_stransform_rejects_real_tau():
     assert payload["error"] == "NonconvergentDomain"
 
 
+@pytest.mark.parametrize("tau0", ["1e-300j", "1e300j", "nanj"])
+def test_stransform_refuses_a_degenerate_tau(tau0):
+    # 1e-300j (and -1/tau0 for 1e300j) leaves 1 - |q| = 0 in the tail bound;
+    # nanj is no point of the upper half plane
+    res = run("stransform-check", "-k", "1", "-N", "4", "--tau0", tau0)
+    assert res.exit_code == 2
+    assert "tau" in res.output.splitlines()[-1]
+
+
 # -- coset commands -------------------------------------------------------------------------
 
 
