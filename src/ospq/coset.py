@@ -191,15 +191,13 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     total = QSeries({}, N)
     for nu in range(2 * k):
         sector = coset_char_direct(k, (nu, r), _factor_order(N, -_ETA_LO))
-        if sector.is_zero:
-            continue  # no term below N + 1/24, so its piece has none below N
-        T = _factor_order(N, sector.min_q())
+        # a sector or theta starting late is planned as if it started at N or
+        # at T, so that every order stays positive and eta keeps a term
+        T = _factor_order(N, min(sector.min_q_bound(), N))
         theta = lattice_theta(k, nu, _quotient_orders(T, _ETA_LO, None)[0])
-        eta = qs_eta(_quotient_orders(T, _ETA_LO, theta.min_q_bound())[1])
+        eta = qs_eta(_quotient_orders(T, _ETA_LO, min(theta.min_q_bound(), T))[1])
         piece = qs_mul(_div(theta, eta), sector)
-        if signed and nu % 2 == 1:
-            piece = qs_shift(piece, 0, -1)
-        total = total + piece
+        total += qs_shift(piece, 0, -1) if signed and nu % 2 == 1 else piece
     what = "sector reassembly (r=%d, signed=%s)" % (r, signed)
     _require_order(total.trunc, N, what, InconsistentBranching)
     ok, bad = qs_equal_below(total, target, N)

@@ -146,10 +146,10 @@ def _factor_order(N: QQ, lo: QQ) -> QQ:
 
 
 def _quotient_orders(N: QQ, beta: QQ, lo: Optional[QQ]) -> Tuple[QQ, Optional[QQ]]:
-    """The least orders (ta, tb) of a numerator from q^lo (None: unbuilt, no tb)
-    and a denominator from q^beta for a quotient exact below q^N: ``_slice_div``'s
-    limits ta - beta and tb - 2 beta + lo solved for ta and tb."""
-    return N + beta, None if lo is None else N + 2 * beta - lo
+    """The least orders (ta, tb) for a quotient exact below q^N of a numerator from
+    q^lo (None: unbuilt, no tb) by a denominator from q^beta: ``_slice_div`` solved."""
+    ta = N + beta
+    return ta, None if lo is None else ta + beta - lo
 
 
 _Store = Dict[int, Dict[int, Rat]]  # q-key -> {w-key: coefficient}
@@ -652,15 +652,15 @@ def _slice_div(a: _Lattice, b: _Lattice, T: Optional[Rat] = None,
     if not A:
         return T, {}, D, W
 
-    # q-slices are steps of g/D from y0 = (mi - bi)/D
-    g = math.gcd(*(q - mi for q in A), *(q - bi for q in B)) or 1
+    # q-slices are steps of g/D from y0 = (mi - bi)/D; y0 is the only one if g = 0
+    g = math.gcd(*(q - mi for q in A), *(q - bi for q in B))
     D0 = B[bi]
     alpha, dmin = max(D0), min(D0)
     c0 = D0[alpha]
     lower = [(d, c) for d, c in D0.items() if d != alpha]
     inv_c0 = c0 if c0 in (1, -1) else 1 / QQ(c0)
     steps = sorted(((q - bi) // g, list(sl.items())) for q, sl in B.items() if q != bi)
-    J = max(-(((mi - bi) * f - Ti) // (f * g)), 0)  # slices below T
+    J = max(-(((mi - bi) * f - Ti) // (f * g)), 0) if g else int((mi - bi) * f < Ti)
     Fi = _cut(F, W)
     if Fi is not None:
         ext = [(m, max(sl)[0] - alpha) for m, sl in steps if max(sl)[0] > alpha]

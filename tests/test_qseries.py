@@ -441,6 +441,15 @@ def test_invert_matches_the_fraction_keyed_recursion(a):
     assert_same_series(qs_invert(a), want)
 
 
+@pytest.mark.parametrize("T, want", [(QQ(2), {}), (QQ(47, 12), {QQ(71, 24): QQ(-2, 3)})])
+def test_a_one_term_quotient_has_one_slice_or_none(T, want):
+    # no gap in either operand, so the quotient is the one slice q^(3 - 1/24),
+    # kept only below the order asked
+    a, b = QSeries({QQ(3): 2}, 10), QSeries({QQ(1, 24): -3}, 1)
+    got = qseries._div(a, b, T)
+    assert (got.terms, got.trunc) == (want, T)
+
+
 # -- numeric evaluation ----------------------------------------------------------
 
 
