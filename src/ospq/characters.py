@@ -290,10 +290,14 @@ _THETA1_LO, _CHAR_LO = QQ(1, 8), QQ(-1, 8)
 
 
 def _quotient_char(numerator, denominator, beta: QQ, N: QQ, w_floor: Optional[QQ] = None):
-    """numerator / denominator on q < N, w >= w_floor, both at ``_quotient_orders``."""
-    num = numerator(_quotient_orders(N, beta, None)[0])
+    """numerator / denominator on q < N, w >= w_floor, both at ``_quotient_orders``.
+    A numerator with no term below its order divides to the empty series on
+    that box, and must reach that order as ``_div`` would require."""
+    ta = _quotient_orders(N, beta, None)[0]
+    num = numerator(ta)
     if num.is_zero:
-        return num._of({}, 1, 1, N)
+        _require_order(num.q_trunc, ta, "the numerator", VerificationError)
+        return num._of({}, 1, 1, N, w_floor)
     return _div(num, denominator(_quotient_orders(N, beta, num.min_q())[1]), N, w_floor)
 
 

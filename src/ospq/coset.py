@@ -4,7 +4,11 @@ A local module (odd index r) over the rank-one lattice subalgebra splits
 into 2k charge sectors; this module extracts each sector's character by two
 independent routes -- direct charge grading of the two-variable character,
 and a root-of-unity phase projection computed exactly in Z[zeta_m], with no
-tolerance.  The coset S-matrix and T-phases are built by the coset entry of
+tolerance.  The reassembly of the one-variable characters from the sectors
+builds its 2k products (theta_{L+nu}/eta) * sector once per process for each
+(k, r, order) and shares them between the plain and signed checks, on the
+contract of the character memos: they must never be mutated.  The coset
+S-matrix and T-phases are built by the coset entry of
 ``modular.FAMILIES``; ``coset_smatrix`` only verifies that the Verlinde ring
 of the S-matrix, counted exactly from its closed form, is the independently
 built parafermion fusion tensor.
@@ -12,6 +16,7 @@ built parafermion fusion tensor.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Tuple
 
@@ -176,6 +181,24 @@ def coset_char_phase_sum(k: int, label, N, variant: str = "plus") -> QSeries:
     return out
 
 
+# a few (k, r, order) entries: every caller checks the signed sum right
+# after the plain one
+@functools.lru_cache(maxsize=8)
+def _reassembly_pieces(k: int, r: int, N: QQ) -> Tuple[QSeries, ...]:
+    """(theta_{L+nu}/eta) * sector character for nu = 0 .. 2k-1, each planned
+    to reach order N; shared by the plain and signed checks, never to be mutated."""
+    pieces = []
+    for nu in range(2 * k):
+        sector = coset_char_direct(k, (nu, r), _factor_order(N, -_ETA_LO))
+        # a sector or theta starting late is planned as if it started at N or
+        # at T, so that every order stays positive and eta keeps a term
+        T = _factor_order(N, min(sector.min_q_bound(), N))
+        theta = lattice_theta(k, nu, _quotient_orders(T, _ETA_LO, None)[0])
+        eta = qs_eta(_quotient_orders(T, _ETA_LO, min(theta.min_q_bound(), T))[1])
+        pieces.append(qs_mul(_div(theta, eta), sector))
+    return tuple(pieces)
+
+
 def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     """Check that the sectors recombine to the one-variable character.
 
@@ -184,19 +207,17 @@ def coset_reassembly(k: int, r: int, N, signed: bool = False) -> IdentityReport:
     plain (resp. signed) specialised character, on a box that must reach
     order N.  Each sector is read to N + 1/24, since theta_{L+nu}/eta starts
     at q^(-1/24) or above, and each theta_{L+nu}/eta as far as its sector needs.
+
+    The 2k products are built once per process for each (k, r, order), with
+    3 and Fraction(3) one order, and shared by the plain and signed checks,
+    which differ only in the signs of the sum; the label and the order
+    (ValueError unless positive) are checked on every call.
     """
     _check_label(k, (0, r))
     N = _positive_order(N)
     target = char_w1(AdmissibleLevel.from_integer_level(k), r, N, signed=signed)
     total = QSeries({}, N)
-    for nu in range(2 * k):
-        sector = coset_char_direct(k, (nu, r), _factor_order(N, -_ETA_LO))
-        # a sector or theta starting late is planned as if it started at N or
-        # at T, so that every order stays positive and eta keeps a term
-        T = _factor_order(N, min(sector.min_q_bound(), N))
-        theta = lattice_theta(k, nu, _quotient_orders(T, _ETA_LO, None)[0])
-        eta = qs_eta(_quotient_orders(T, _ETA_LO, min(theta.min_q_bound(), T))[1])
-        piece = qs_mul(_div(theta, eta), sector)
+    for nu, piece in enumerate(_reassembly_pieces(k, r, N)):
         total += qs_shift(piece, 0, -1) if signed and nu % 2 == 1 else piece
     what = "sector reassembly (r=%d, signed=%s)" % (r, signed)
     _require_order(total.trunc, N, what, InconsistentBranching)

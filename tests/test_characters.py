@@ -32,8 +32,8 @@ from ospq.characters import (
 )
 from ospq.qseries import (QSeries, VerificationError, qs_equal_below, qs_eta,
                           qs_eval, qs_invert, qs_mul)
-from ospq.theta import (vartheta1_times_i, weyl_denominator, wq_div, wq_equal_on_box,
-                        wq_mul, wq_specialize_w1)
+from ospq.theta import (WQSeries, vartheta1_times_i, weyl_denominator, wq_div,
+                        wq_equal_on_box, wq_mul, wq_specialize_w1)
 from test_theta import wq_specialize_w_signed
 
 LEVELS = (
@@ -272,6 +272,31 @@ def test_character_is_the_exact_quotient_on_its_box(lvl, label, char, numerator,
         above = {qe: {we: c for we, c in sl.items() if we >= ch.w_floor}
                  for qe, sl in lower.terms.items()}
         assert {qe: sl for qe, sl in above.items() if sl} == ch.terms
+
+
+@pytest.mark.parametrize("char, label, numerator, empty", [
+    (osp_char, OspLabel(1, 0), "osp_numerator", lambda: WQSeries((), 1, None)),
+    (sl2_char, Sl2Label(1, 0), "sl2_numerator", lambda: WQSeries((), 1, None)),
+    (vir_char, VirLabel(1, 1), "vir_numerator", lambda: QSeries({}, 1)),
+], ids=["osp", "sl2", "vir"])
+def test_an_empty_numerator_short_of_its_order_is_refused(monkeypatch, char, label,
+                                                          numerator, empty):
+    # no term below q^1 proves nothing about q^1 .. q^N: the empty character
+    # must not claim the box q < 4
+    monkeypatch.setattr(characters, numerator, lambda level, label, N: empty())
+    with pytest.raises(VerificationError,
+                       match=r"^the numerator is exact only below q\^1, short of order"):
+        char(LEVELS[0], label, 4)
+
+
+@pytest.mark.parametrize("char, label", [(osp_char, OspLabel(1, 4)), (sl2_char, Sl2Label(1, 4))],
+                         ids=["osp", "sl2"])
+def test_an_empty_fractional_character_keeps_its_w_floor(char, label):
+    # at (3, 5) the label's numerator starts beyond N + beta, so the quotient
+    # has no term on the box, which still reaches w = -(N+4)
+    ch = char(AdmissibleLevel(3, 5), label, QQ(1, 4))
+    assert ch.is_zero
+    assert (ch.q_trunc, ch.w_floor) == (QQ(1, 4), QQ(-17, 4))
 
 
 # -- the character memos -------------------------------------------------------------
@@ -580,10 +605,10 @@ PLANNED_ORDERS = {
                         _characters_at(vir_char, _all_vir_labels)),
     "coset-character": (coset, "coset_char_direct", {"_full_char": 2}, _COSET_SECTORS),
     "sector-eta": (coset, "_sector_from_slice", {"qs_eta": 0}, _COSET_SECTORS),
-    "reassembly-sectors": (coset, "coset_reassembly", {"coset_char_direct": 2},
+    "reassembly-sectors": (coset, "_reassembly_pieces", {"coset_char_direct": 2},
                            _REASSEMBLIES),
-    "reassembly-theta": (coset, "coset_reassembly", {"lattice_theta": 2}, _REASSEMBLIES),
-    "reassembly-eta": (coset, "coset_reassembly", {"qs_eta": 0}, _REASSEMBLIES),
+    "reassembly-theta": (coset, "_reassembly_pieces", {"lattice_theta": 2}, _REASSEMBLIES),
+    "reassembly-eta": (coset, "_reassembly_pieces", {"qs_eta": 0}, _REASSEMBLIES),
 }
 
 

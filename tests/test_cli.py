@@ -12,12 +12,13 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
+import ospq.characters as characters
 import ospq.cli as cli
 import ospq.modular as modular
 import ospq.selftest as selftest
 from ospq.cli import main
 from ospq.qseries import VerificationError
-from ospq.theta import IncompleteQuotient
+from ospq.theta import IncompleteQuotient, WQSeries
 
 
 def run(*args, env=None):
@@ -59,6 +60,26 @@ def test_char_fractional_level():
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert rat(payload["level"]["k"]) == QQ(-6, 5)
+
+
+def test_an_empty_fractional_character_prints_its_w_floor():
+    res = run("char", "--family", "osp", "-p", "3", "--pprime", "5",
+              "-r", "1", "-s", "4", "-N", "1/4")
+    assert res.exit_code == 0
+    series = json.loads(res.output)["series"]
+    assert series["terms"] == []
+    assert (rat(series["q_trunc"]), rat(series["w_floor"])) == (QQ(1, 4), QQ(-17, 4))
+
+
+def test_a_short_empty_numerator_is_verification_failure(monkeypatch):
+    monkeypatch.setattr(characters, "osp_numerator",
+                        lambda level, label, N: WQSeries((), 1, None))
+    res = run("char", "--family", "osp", "-k", "1", "-r", "1", "-N", "4")
+    assert res.exit_code == 1
+    payload = json.loads(res.output)
+    assert payload["error"] == "VerificationError"
+    assert payload["detail"] == ("the numerator is exact only below q^1, "
+                                 "short of order 97/24")
 
 
 def test_char_invalid_label_is_usage_error():

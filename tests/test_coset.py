@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import ospq.characters as characters
 import ospq.coset as coset
 import ospq.modular as modular
-from ospq.characters import (AdmissibleLevel, InvalidLabel, OspLabel, VirLabel, char_w1,
-                             component_chars_w1, verify_theta_identity, vir_char)
+from ospq.characters import (AdmissibleLevel, IdentityReport, InvalidLabel, OspLabel,
+                             VirLabel, char_w1, component_chars_w1, verify_theta_identity,
+                             vir_char, _ETA_LO)
 from ospq.coset import (
     CosetLabel,
     InconsistentBranching,
@@ -27,7 +28,8 @@ from ospq.coset import (
 from ospq.fusion import OutOfRange, coset_labels, parafermion_fusion
 from ospq.modular import (NonIntegralFusion, derived_tolerance, s_small, st_cube_defect,
                           t_matrix, verlinde_standard)
-from ospq.qseries import qs_equal_below
+from ospq.qseries import (QSeries, qs_equal_below, qs_mul, qs_shift, _div, _factor_order,
+                          _positive_order, _quotient_orders, _require_order)
 from ospq.theta import WQSeries
 from test_modular import entry
 
@@ -269,6 +271,66 @@ def test_both_sector_routes_build_the_local_character_once(k, label):
         ok, bad = qs_equal_below(coset_char_phase_sum(k, label, 3, variant), direct, 3)
         assert ok, (variant, bad)
     assert (built().misses, built().hits) == (1, 2)
+
+
+def test_the_second_variant_builds_nothing(monkeypatch):
+    calls = []
+    for name in ("coset_char_direct", "lattice_theta", "qs_eta", "_div"):
+        real = getattr(coset, name)
+        monkeypatch.setattr(coset, name, lambda *args, real=real, name=name, **kw:
+                            calls.append(name) or real(*args, **kw))
+    assert coset_reassembly(2, 3, 4).ok
+    assert calls
+    del calls[:]
+    assert coset_reassembly(2, 3, QQ(4), signed=True).ok
+    assert calls == []
+    info = coset._reassembly_pieces.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _reassembly_oracle(k, r, N, signed=False):
+    """The per-call loop that the shared pieces replaced: every piece built
+    again for each call, the signed sum included."""
+    coset._check_label(k, (0, r))
+    N = _positive_order(N)
+    target = char_w1(AdmissibleLevel.from_integer_level(k), r, N, signed=signed)
+    total = QSeries({}, N)
+    for nu in range(2 * k):
+        sector = coset.coset_char_direct(k, (nu, r), _factor_order(N, -_ETA_LO))
+        T = _factor_order(N, min(sector.min_q_bound(), N))
+        theta = coset.lattice_theta(k, nu, _quotient_orders(T, _ETA_LO, None)[0])
+        eta = coset.qs_eta(_quotient_orders(T, _ETA_LO, min(theta.min_q_bound(), T))[1])
+        piece = qs_mul(_div(theta, eta), sector)
+        total += qs_shift(piece, 0, -1) if signed and nu % 2 == 1 else piece
+    what = "sector reassembly (r=%d, signed=%s)" % (r, signed)
+    _require_order(total.trunc, N, what, InconsistentBranching)
+    ok, bad = qs_equal_below(total, target, N)
+    if ok:
+        return IdentityReport(True, N, None, "%s holds to order %s" % (what, N))
+    return IdentityReport(False, N, (bad[0], QQ(0), bad[1], bad[2]),
+                          "sector reassembly fails at q^%s: %s vs %s" % bad)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_pieces_give_the_reports_of_the_per_call_loop(k, N):
+    for r in range(1, 2 * k + 3, 2):
+        for signed in (False, True):
+            rep = coset_reassembly(k, r, N, signed=signed)
+            assert rep == _reassembly_oracle(k, r, N, signed), (r, signed)
+            assert rep.ok
+
+
+def test_the_memo_hides_no_failure_from_the_second_variant(monkeypatch):
+    # a wrong nu = 1 sector, read from the memo by the signed check
+    real = coset.coset_char_direct
+    monkeypatch.setattr(coset, "coset_char_direct", lambda k, label, N: real(k, label, N)
+                        + (QSeries.monomial(1, 1) if label[0] == 1 else QSeries({})))
+    for signed in (False, True):
+        rep = coset_reassembly(1, 1, 3, signed=signed)
+        assert not rep.ok
+        assert rep == _reassembly_oracle(1, 1, 3, signed)
+    assert coset._reassembly_pieces.cache_info().hits == 1
 
 
 def test_reassembly_covers_local_modules_only():

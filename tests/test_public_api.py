@@ -93,7 +93,7 @@ def test_every_memo_is_found_and_cleared(ospq_memos):
     assert sorted(ospq_memos) == [
         "ospq.characters._osp_char", "ospq.characters._sl2_char",
         "ospq.characters._vir_char", "ospq.characters._w1_table",
-        "ospq.modular._stilde", "ospq.qseries._exp_step",
+        "ospq.coset._reassembly_pieces", "ospq.modular._stilde", "ospq.qseries._exp_step",
         "ospq.qseries._fixed_power", "ospq.qseries._tail_factors"]
     assert [name for name, memo in ospq_memos.items()
             if memo.cache_info().currsize] == []
