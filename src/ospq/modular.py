@@ -10,15 +10,18 @@ defects) runs on one integer kernel: each vector is shifted onto ints over
 one power of two, the products are summed exactly and the sum is rounded
 once, bit-identical to ``mp.fdot`` and to mpmath's matrix product; no matrix
 is inverted.  No value is computed twice, and every returned bit is that of
-the direct computation: an S-matrix forms its Gram product S S^dagger once
-and reads S S off it when S is real and symmetric, a max-norm takes one
-square root, a sine or phase table computes one value per distinct exact
-argument, and each Verlinde count is a closed form.  Verlinde rings are
-counted, not read off the rounded entries: every S here is a signed sine
-table, times a lattice root of unity for the coset, so each Verlinde sum is
-a sum of roots of unity, and ``_count`` counts it exactly, in O(1).  Each
-S-matrix carries the ring of its closed form as ``SMatrix.ring``;
-``verlinde_standard`` returns it once S passes its unitarity gate, and
+the direct computation: each sine is computed once per process for its
+(modulus, exact numerator, precision), each family S-matrix once per
+(family, params, precision), an S-matrix forms its Gram product S S^dagger
+once and reads S S off it when S is real and symmetric, a max-norm takes one
+square root, a phase table computes one value per distinct exact argument,
+and each Verlinde count is a closed form.  Shared sine tables and matrices
+must not be mutated.  Verlinde rings are counted, not read off the rounded
+entries: every S here is a signed sine table, times a lattice root of unity
+for the coset, so each Verlinde sum is a sum of roots of unity, and
+``_count`` counts it exactly, in O(1).  Each S-matrix carries the ring of
+its closed form as ``SMatrix.ring``; ``verlinde_standard`` returns it once
+S passes its unitarity gate, and
 ``verlinde_super`` counts its refined integers with the same kernel.
 ``fp_dimension_report`` builds only the S columns it reads.  The default
 working precision is 256 bits and derived tolerances are 10^(1 - precision/4).
@@ -302,12 +305,14 @@ def vir_smatrix(u: int, p: int, precision: int = 256) -> SMatrix:
     """Virasoro minimal-model S-matrix on canonical labels.
 
     S_{(r,s),(r',s')} = (-1)^(r s' + s r') * pref * sin(pi p r r'/u)
-    * sin(pi u s s'/p), with pref = -2 / sqrt(u p / 2).  The sines come from
-    two tables built once per call, sr[r][r'] = pref * sin(pi p r r'/u)
-    (u-1 by u-1) and ss[s][s'] = sin(pi u s s'/p) (p-1 by p-1), so each
-    value is one multiply sr * ss, negated for odd r s' + s r'.  That is
-    bit-identical to the per-entry ((pref * sign) * sin_r) * sin_s: pref *
-    sign is exact, and rounding to nearest commutes with negation.
+    * sin(pi u s s'/p), with pref = -2 / sqrt(u p / 2).  Each build reads
+    its sines from the process sine memo into two tables, sr[r][r'] =
+    pref * sin(pi p r r'/u) (u-1 by u-1) and ss[s][s'] = sin(pi u s s'/p)
+    (p-1 by p-1), so each value is one multiply sr * ss, negated for odd
+    r s' + s r'.  That is bit-identical to the per-entry ((pref * sign) *
+    sin_r) * sin_s: pref * sign is exact, and rounding to nearest commutes
+    with negation.  The matrix is built once per (u, p, precision) and
+    shared.
 
     Representative independence is checked on the tables, once per table
     entry: sr[u-r][r'] = (-1)^(p r'+1) sr[r][r'] within e_r and
@@ -326,14 +331,14 @@ def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
 
     The sine tables hold the columns r' in ``r_cols`` and s' in ``s_cols``,
     which must cover those of ``cols``; the Kac reflection is checked on
-    every sine computed, as ``vir_smatrix`` describes, with the maxima taken
+    every tabled sine, as ``vir_smatrix`` describes, with the maxima taken
     over the tabled columns.
     """
     labels = vir_labels(u, p)
     tol = derived_tolerance(precision)
     with mp.workprec(precision + 16):
         pref = -2 / mp.sqrt(mp.mpf(u * p) / 2)
-        sin_r, sin_s = _Sines(u), _Sines(p)
+        sin_r, sin_s = _sine_table(u, mp.prec), _sine_table(p, mp.prec)
         sr = [{r2: pref * sin_r[p * r * r2] for r2 in r_cols} for r in range(1, u)]
         ss = [{s2: sin_s[u * s * s2] for s2 in s_cols} for s in range(1, p)]
         e_r, e_s = _reflection_defect(sr, p), _reflection_defect(ss, u)
@@ -356,9 +361,11 @@ def _vir_columns(u: int, p: int, cols, r_cols, s_cols, precision: int):
 
 
 class _Sines(dict):
-    """sin(pi x/m) by the integer x, one ``mp.sinpi`` per distinct x, at
-    the working precision of first use: the same bits as the per-entry
-    ``mp.sinpi(mp.mpf(x) / m)``."""
+    """sin(pi x/m) by the integer x, one ``mp.sinpi`` per distinct x: the
+    same bits as the per-entry ``mp.sinpi(mp.mpf(x) / m)`` at the working
+    precision, which must be the one the table is kept for (see
+    ``_sine_table``).  x is the key as given, not x mod 2m, whose rounded
+    argument differs."""
 
     def __init__(self, m: int):
         super().__init__()
@@ -367,6 +374,16 @@ class _Sines(dict):
     def __missing__(self, x: int):
         v = self[x] = mp.sinpi(mp.mpf(x) / self.m)
         return v
+
+
+@functools.lru_cache(maxsize=64)
+def _sine_table(m: int, prec: int) -> _Sines:
+    """The ``_Sines`` of modulus m kept for ``prec`` bits, one per process.
+    Every sine of this module is read from it as ``_sine_table(m, mp.prec)``
+    at the working precision, so each is computed once per (m, x, prec).
+    The table is shared and filled lazily; it must not be written to
+    otherwise."""
+    return _Sines(m)
 
 
 def _reflection_defect(table, m: int):
@@ -389,7 +406,7 @@ def _sl2_columns(k: int, cols, precision: int):
     """The rows of ``sl2_smatrix(k)`` cut to the column labels ``cols``."""
     with mp.workprec(precision + 16):
         pref = mp.sqrt(mp.mpf(2) / (k + 2))
-        sines = _Sines(k + 2)
+        sines = _sine_table(k + 2, mp.prec)
         return [[pref * sines[a * b] for b in cols] for a in range(1, k + 2)]
 
 
@@ -415,7 +432,7 @@ def _s_columns(k: int, cols, precision: int) -> List[List[mpmath.mpf]]:
     n = 2 * k + 3
     with mp.workprec(precision + 16):
         inv = 1 / mp.sqrt(mp.mpf(n))
-        sines = _Sines(n)
+        sines = _sine_table(n, mp.prec)
         return [[(-inv if (r + t) % 2 else inv) * sines[r * t * (k + 2)]
                  for t in cols] for r in range(1, n)]
 
@@ -751,11 +768,12 @@ def _column_ratios(labels, rows) -> Dict[Hashable, mpmath.mpf]:
 
 
 def min_conformal_weight(u: int, p: int) -> VirLabel:
-    """Canonical label minimizing the conformal weight (brute force)."""
+    """Canonical label minimizing the conformal weight, the least (r, s)
+    among equals.  h_(r,s) = ((us - pr)^2 - (u - p)^2)/(4up) is strictly
+    increasing in (us - pr)^2, so the labels are ranked by that int."""
     if p != 2 * u - 1 or u < 3:
         raise ValueError("expected (u, p) = (k+2, 2k+3) for some k >= 1")
-    labels = vir_labels(u, p)
-    return min(labels, key=lambda l: (vir_weight(u, p, l.r, l.s), (l.r, l.s)))
+    return min(vir_labels(u, p), key=lambda l: ((u * l.s - p * l.r) ** 2, l.r, l.s))
 
 
 def vir_weight_map(u: int, p: int) -> Dict[VirLabel, Fraction]:
@@ -779,7 +797,10 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
     (their Kac reflection checked as in ``vir_smatrix``), and column
     (2, 'even') of the extended matrix from one column of ``s_table``.
     Each entry is the expression the full matrix uses, so every item is
-    bit-identical to the column ratios of the full matrices.
+    bit-identical to the column ratios of the full matrices.  Every sine,
+    sin(pi l/u) and sin(pi/p) of the closed forms included, is read from
+    the process sine memo, so a second report at the same precision
+    computes none.
     """
     check_level(k)
     u, p = k + 2, 2 * k + 3
@@ -792,7 +813,8 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
 
     with mp.workprec(precision + 16):
         # (i) angle sums, one sin^2(pi l/u) per l, odd l at even index
-        sines = [mp.sinpi(mp.mpf(l) / u) for l in range(1, u)]
+        sin_u = _sine_table(u, mp.prec)
+        sines = [sin_u[l] for l in range(1, u)]
         squares = [v ** 2 for v in sines]
         odd_sum = mp.fsum(squares[::2])
         full_sum = mp.fsum(squares)
@@ -805,7 +827,7 @@ def fp_dimension_report(k: int, precision: int = 256) -> FPReport:
         fp_vir = _column_ratios(vir_labels(u, p), _vir_columns(
             u, p, (z,), (z.r,), (z.s,), precision))
         sin_u = sines[0]
-        sin_p = mp.sinpi(mp.mpf(1) / p)
+        sin_p = _sine_table(p, mp.prec)[1]
 
         # (ii) even-subalgebra dimension: sum over odd l of FP(L_l) FP(V_{l,1})
         dim_even = mp.fsum(fp_sl2[l] * fp_vir[vir_canonical(u, p, l, 1)]
@@ -977,12 +999,21 @@ class Family:
     def smatrix(self, args: tuple, precision: int = 256) -> SMatrix:
         """The S-matrix over ``labels`` at the parameters ``args``.  Raises
         ValueError at a precision whose ``derived_tolerance`` is not below
-        1, at which no check of the matrix could fail."""
+        1, at which no check of the matrix could fail.  Built once per
+        (family, args, precision) and shared, so it must not be mutated; the
+        inputs are checked before the lookup, as a bool level equals 1."""
         derived_tolerance(precision)
-        labels = self.labels(*args)
-        return SMatrix(labels, self.rows(*args, labels, precision),
-                       labels.index(self.vacuum), precision,
-                       ring=self.ring and functools.partial(self.ring, *args))
+        self.labels(*args)
+        return _smatrix(self, args, precision)
+
+
+@functools.lru_cache(maxsize=16)
+def _smatrix(family: Family, args: tuple, precision: int) -> SMatrix:
+    """``family.smatrix(args, precision)`` once its inputs are checked."""
+    labels = family.labels(*args)
+    return SMatrix(labels, family.rows(*args, labels, precision),
+                   labels.index(family.vacuum), precision,
+                   ring=family.ring and functools.partial(family.ring, *args))
 
 
 FAMILIES: Dict[str, Family] = {

@@ -23,7 +23,7 @@ def ospq_memos():
 @pytest.fixture(autouse=True)
 def _fresh_memos(ospq_memos):
     """Start every test with no character, w -> 1 table, reassembly piece,
-    evaluation transcendental or S~ kept from an earlier one, so a test that
-    monkeypatches a builder sees it called."""
+    evaluation transcendental, sine table, family S-matrix or S~ kept from
+    an earlier one, so a test that monkeypatches a builder sees it called."""
     for memo in ospq_memos.values():
         memo.cache_clear()

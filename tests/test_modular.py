@@ -548,6 +548,11 @@ def test_representative_dependence_is_a_verification_error(monkeypatch):
         vir_smatrix(3, 5)
 
 
+def _clear_modular_memos():
+    modular._sine_table.cache_clear()
+    modular._smatrix.cache_clear()
+
+
 def test_kac_reflection_is_checked_on_the_sine_tables(monkeypatch):
     # one sine at r = u - 1 moved by a relative 1e-40 breaks the reflection
     # sr[u-1][1] = (-1)^(p+1) sr[1][1]; the real tolerance (1e-63) catches it
@@ -561,6 +566,7 @@ def test_kac_reflection_is_checked_on_the_sine_tables(monkeypatch):
         return v
 
     vir_smatrix(u, p)
+    _clear_modular_memos()  # so that the bent sine is computed
     monkeypatch.setattr(modular.mp, "sinpi", bent_sinpi)
     with pytest.raises(VerificationError, match="representative-independent"):
         vir_smatrix(u, p)
@@ -579,6 +585,7 @@ def test_kac_reflection_is_checked_on_the_fp_column(monkeypatch):
         return v
 
     assert fp_dimension_report(1).ok
+    _clear_modular_memos()  # so that the bent sine is computed
     monkeypatch.setattr(modular.mp, "sinpi", bent_sinpi)
     with pytest.raises(VerificationError, match="representative-independent"):
         fp_dimension_report(1)
@@ -589,6 +596,98 @@ def test_min_conformal_weight_requires_coset_shape():
         min_conformal_weight(4, 9)
     with pytest.raises(ValueError):
         min_conformal_weight(2, 3)
+
+
+def test_min_conformal_weight_is_the_fraction_brute_force():
+    # the int rank (us - pr)^2 picks the label the Fraction weights pick,
+    # the least (r, s) among equal weights
+    for k in range(1, 31):
+        u, p = k + 2, 2 * k + 3
+        weights = vir_weight_map(u, p)
+        want = min(weights, key=lambda l: (weights[l], (l.r, l.s)))
+        assert min_conformal_weight(u, p) == want, k
+
+
+# -- the process memos of sines and S-matrices --------------------------------------
+
+
+@pytest.mark.parametrize("build,good,bad", [
+    (sl2_smatrix, (1,), (True,)),
+    (sl2_smatrix, (1,), (1, 256.0)),
+    (extended_smatrix, (1,), (True,)),
+    (coset_smatrix, (1,), (True,)),
+    (vir_smatrix, (3, 5), (3, 5.0)),
+    (vir_smatrix, (3, 5), (3.0, 5)),
+], ids=["sl2-bool", "sl2-float-precision", "extended-bool", "coset-bool",
+        "vir-float-p", "vir-float-u"])
+def test_a_warm_smatrix_memo_refuses_what_a_cold_build_refuses(build, good, bad):
+    # True == 1 and 5.0 == 5 hash alike, so the inputs are checked before the
+    # memo is read: a warm call refuses them as a cold one does
+    with pytest.raises((ValueError, TypeError)) as cold:
+        build(*bad)
+    build(*good)
+    size = modular._smatrix.cache_info().currsize
+    with pytest.raises(type(cold.value)):
+        build(*bad)
+    assert modular._smatrix.cache_info().currsize == size
+
+
+_FAMILY_BUILDS = {
+    "vir": lambda k, precision: vir_smatrix(k + 2, 2 * k + 3, precision),
+    "sl2": sl2_smatrix,
+    "extended": extended_smatrix,
+    "coset": lambda k, precision: coset_smatrix(k, precision, verify=False),
+}
+
+
+def _smatrix_bits(S):
+    rows = [tuple(v._mpc_ if hasattr(v, "_mpc_") else v._mpf_ for v in row)
+            for row in S.rows]
+    return rows, S.precision, S.unitarity_defect()._mpf_
+
+
+def test_warm_and_cold_smatrices_are_bit_identical():
+    cold = {}
+    for precision in (8, 53, 256):
+        for name, build in _FAMILY_BUILDS.items():
+            for k in (1, 2):
+                _clear_modular_memos()
+                cold[name, k, precision] = _smatrix_bits(build(k, precision))
+    _clear_modular_memos()
+    # every family shares sine tables with another (moduli 3, 4, 5, 7), and
+    # each precision's tables are filled before the next one's builds, 53
+    # bits before 256, so a table or a matrix of one precision can never
+    # serve another
+    for precision in (53, 256, 8):
+        for name, build in _FAMILY_BUILDS.items():
+            for k in (1, 2):
+                assert _smatrix_bits(build(k, precision)) == cold[name, k, precision], (
+                    name, k, precision)
+    for precision in (53, 256, 8):
+        for name, build in _FAMILY_BUILDS.items():
+            assert build(1, precision) is build(1, precision)
+
+
+def test_a_second_build_computes_no_sine(monkeypatch):
+    calls = Counter()
+    sinpi = modular.mp.sinpi
+
+    def counted_sinpi(x):
+        calls[modular.mp.prec] += 1
+        return sinpi(x)
+
+    monkeypatch.setattr(modular.mp, "sinpi", counted_sinpi)
+    fp_dimension_report(3)
+    vir_smatrix(5, 9)
+    assert calls[272] > 0
+    calls.clear()
+    fp_dimension_report(3)
+    vir_smatrix(5, 9)
+    modular._smatrix.cache_clear()
+    vir_smatrix(5, 9)  # rebuilt from the warm sine tables
+    assert calls == Counter()
+    fp_dimension_report(3, 128)  # another precision has tables of its own
+    assert list(calls) == [144]
 
 
 # -- T matrices and the modular group ------------------------------------------------

@@ -93,7 +93,8 @@ def test_every_memo_is_found_and_cleared(ospq_memos):
     assert sorted(ospq_memos) == [
         "ospq.characters._osp_char", "ospq.characters._sl2_char",
         "ospq.characters._vir_char", "ospq.characters._w1_table",
-        "ospq.coset._reassembly_pieces", "ospq.modular._stilde", "ospq.qseries._exp_step",
+        "ospq.coset._reassembly_pieces", "ospq.modular._sine_table",
+        "ospq.modular._smatrix", "ospq.modular._stilde", "ospq.qseries._exp_step",
         "ospq.qseries._fixed_power", "ospq.qseries._tail_factors"]
     assert [name for name, memo in ospq_memos.items()
             if memo.cache_info().currsize] == []
@@ -186,6 +187,33 @@ def test_each_box_rule_is_written_once():
               "__hash__", "min_q_bound", "_support_lo"}
     for cls in (ospq.QSeries, ospq.WQSeries):
         assert sorted(shared & set(vars(cls))) == [], cls.__name__
+
+
+def _calls(name):
+    """(module, enclosing qualified name) of each call of a function or
+    method called ``name`` in the package."""
+    found = []
+
+    def visit(node, stem, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                found.append((stem, ".".join(scope)))
+            visit(child, stem, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, ())
+    return found
+
+
+def test_every_sine_is_computed_in_one_place():
+    # each sine of the modular data is computed by the fill of one sine
+    # table, and every table is the process memo's
+    assert _calls("sinpi") == [("modular", "_Sines.__missing__")]
+    assert _calls("_Sines") == [("modular", "_sine_table")]
 
 
 def _is_constant(node):
